@@ -51,6 +51,7 @@ def _master_tol() -> float:
     try:
         return float(raw) if raw else MASTER_TOL
     except ValueError:
+        print(f"flatfront: warning: ignoring unparseable FLATFRONT_TOL={raw}", file=sys.stderr)
         return MASTER_TOL
 
 

@@ -20,7 +20,7 @@ as an independent cross-check of the generic evaluator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -337,13 +337,7 @@ class RotationalModuli:
         return self.s_rot / self.r_disc
 
     def to_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "a_sec": self.a_sec,
-            "a_rot": self.a_rot,
-            "s_rot": self.s_rot,
-            "r_disc": self.r_disc,
-        }
+        return asdict(self)
 
 
 def _check_rot_domain(rot, am):

@@ -12,15 +12,17 @@ stages, each a one-dimensional root problem:
 3. end marker: scan z0 over (-1, -r) for pair_slope(z0, P / z2(z0)) = s - 2,
    then refine the first sign change (the one nearest -1).
 
-All three use plain bisection (fixed iteration budgets, so results are
-deterministic bit for bit) with a secant polish where it pays.  The scan of
-stage 3 performs the stage-2 bisections for all candidates in lockstep on
-numpy arrays.
+Every stage uses the one root finder, bracketed_root: a safeguarded
+(Illinois) regula falsi that works elementwise on arrays.  The scan of stage
+3 solves stage 2 for all its candidates in one array call, and each step of
+the stage-3 refinement solves stage 2 for one candidate.  No step depends on
+timing or randomness, so results are deterministic bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,8 +30,10 @@ from .annulus import CanonicalModuli, fit_gauss_ratio, slit_map, slit_map_deriv
 from .theta import ThetaContext, ThetaPoleError, log_slope, pair_slope
 
 SCAN_POINTS = 256
-INNER_ITERS = 64
 RESIDUAL_TOL = 1e-10
+# Iteration cap of bracketed_root.  Every third step at least halves the
+# bracket, so a bracket of width 1 reaches 4 ulp in at most about 150 steps.
+MAX_ITERS = 200
 
 
 class BracketError(RuntimeError):
@@ -42,7 +46,12 @@ class RangeNormalizationError(ValueError):
 
 @dataclass
 class SolverTrace:
-    """Diagnostics of one canonical solve, serializable for the CLI sidecar."""
+    """Diagnostics of one canonical solve, serializable for the CLI sidecar.
+
+    exponent_iterations and outer_iterations count the iterations of
+    bracketed_root in stages 1 and 3 (function evaluations after the
+    bracket ends).
+    """
 
     r: float
     s: float
@@ -56,18 +65,7 @@ class SolverTrace:
     residuals: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "m": self.m,
-            "exponent_bracket": list(self.exponent_bracket),
-            "exponent_iterations": self.exponent_iterations,
-            "scan_points": self.scan_points,
-            "outer_sign_changes": self.outer_sign_changes,
-            "chosen_bracket": list(self.chosen_bracket),
-            "outer_iterations": self.outer_iterations,
-            "residuals": self.residuals,
-        }
+        return asdict(self)
 
 
 def _check_rs(r: float, s: float):
@@ -77,47 +75,67 @@ def _check_rs(r: float, s: float):
         raise RangeNormalizationError(f"slope s={s} outside (-1, 0)")
 
 
-def bracketed_root(fn, lo, hi, flo=None, fhi=None, bisect_iters=48, secant_iters=10):
-    """Root of a scalar function on a sign-changing bracket.
+def bracketed_root(fn, lo, hi, flo=None, fhi=None):
+    """Root of fn on the sign-changing bracket [lo, hi], elementwise.
 
-    Bisection with a fixed iteration budget, then a secant polish that is
-    rejected whenever it steps outside the shrunken bracket.  Returns
-    (root, total_iterations).
+    Illinois regula falsi: each step goes to the secant point of the
+    bracket, computed with the stored value at an end kept twice in a row
+    halved.  A step bisects instead when the secant point is not inside the
+    bracket (an infinite or NaN value) or when the last two steps have not
+    halved the bracket.  An entry stops at fn == 0 or at a bracket width of
+    4 ulp; MAX_ITERS bounds the loop.  Returns (root, iterations).
+
+    With scalar lo and hi, fn is called with floats, the root is a float and
+    a bracket without a sign change raises BracketError.  With arrays, fn is
+    called once per iteration with an array of the broadcast shape (entries
+    that have stopped repeat their last point), and entries without a sign
+    change come back as NaN.
     """
-    flo = fn(lo) if flo is None else flo
-    fhi = fn(hi) if fhi is None else fhi
-    if flo == 0.0:
-        return lo, 0
-    if fhi == 0.0:
-        return hi, 0
-    if (flo > 0) == (fhi > 0):
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    f = (lambda x: np.float64(fn(float(x)))) if scalar else fn
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    fa = np.array(f(a) if flo is None else flo, dtype=float)
+    fb = np.array(f(b) if fhi is None else fhi, dtype=float)
+    found = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    bracketed = np.sign(fa) * np.sign(fb) < 0.0
+    if scalar and not (bracketed or fa == 0.0 or fb == 0.0):
         raise BracketError(f"no sign change on [{lo}, {hi}]")
+
+    def wide(a, b):
+        return np.abs(b - a) > 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+    active = bracketed & wide(a, b)
+    x = a
+    kept = np.zeros(a.shape, dtype=int)  # end kept by the last step: -1 lo side, +1 hi side
+    width = np.abs(b - a)
+    w1 = w2 = np.full(a.shape, np.inf)
     n = 0
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = fn(mid)
+    while active.any() and n < MAX_ITERS:
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            c = b - fb * (b - a) / (fb - fa)
+        left, right = np.minimum(a, b), np.maximum(a, b)
+        secant = (left <= c) & (c <= right) & (width <= 0.5 * w2)
+        # a secant point rounded onto or next to an end moves 2 ulp inside, so
+        # a root approached from one side closes the bracket instead of
+        # bisecting all the way down to it
+        step = 2.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
+        c = np.clip(c, left + step, right - step)
+        x = np.where(active, np.where(secant, c, a + 0.5 * (b - a)), x)
+        fx = np.asarray(f(x), dtype=float)
         n += 1
-        if fm == 0.0:
-            return mid, n
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    a, fa, b, fb = lo, flo, hi, fhi
-    for _ in range(secant_iters):
-        if fb == fa:
-            break
-        c = b - fb * (b - a) / (fb - fa)
-        if not (lo <= c <= hi):
-            break
-        fc = fn(c)
-        n += 1
-        a, fa, b, fb = b, fb, c, fc
-        if fc == 0.0 or abs(b - a) < 1e-16 * (abs(a) + abs(b)):
-            break
-    return b, n
+        to_a = active & (np.sign(fx) == np.sign(fa))
+        to_b = active & ~to_a
+        fb = np.where(to_a & (kept == 1), 0.5 * fb, fb)
+        fa = np.where(to_b & (kept == -1), 0.5 * fa, fa)
+        a, fa = np.where(to_a, x, a), np.where(to_a, fx, fa)
+        b, fb = np.where(to_b, x, b), np.where(to_b, fx, fb)
+        kept = np.where(to_a, 1, np.where(to_b, -1, kept))
+        w2, w1, width = w1, width, np.abs(b - a)
+        hit = active & (fx == 0.0)
+        found = np.where(hit, x, found)
+        active &= ~hit & wide(a, b)
+    root = np.where(bracketed & np.isnan(found), a + 0.5 * (b - a), found)
+    return (float(root), n) if scalar else (root, n)
 
 
 def solve_exponent(ctx: ThetaContext, s: float):
@@ -138,7 +156,7 @@ def solve_exponent(ctx: ThetaContext, s: float):
         lo, hi = -3.0 + eps, -2.0 - eps
         flo, fhi = balance(lo), balance(hi)
         if (flo > 0) != (fhi > 0):
-            m, iters = bracketed_root(balance, lo, hi, flo, fhi, bisect_iters=64)
+            m, iters = bracketed_root(balance, lo, hi, flo, fhi)
             return m, (lo, hi), iters
     raise BracketError("exponent balance has no sign change in (-3, -2)")
 
@@ -147,38 +165,25 @@ def _pair_minus_s(ctx, centers, w, s):
     return pair_slope(ctx, centers * (1.0 + 0.0j), w * (1.0 + 0.0j)).real - s
 
 
-def _inner_lockstep(ctx: ThetaContext, z0s, s, iters=INNER_ITERS):
-    """Stage 2 for an array of candidate end markers, bisected in lockstep.
+def _inner_split(ctx: ThetaContext, z0s, s):
+    """Stage 2 for an array of candidate end markers.
 
     For each z0 the target z2 lies in (-1, z0), where the pairing value
     decreases from just above s near -1 to +inf at z0.  Entries without a
-    sign change come back as NaN with ok=False.
+    sign change come back as NaN.
     """
     z0s = np.asarray(z0s, dtype=float)
-    gap = 1.0 + z0s
-    lo = -1.0 + gap * 1e-6
+    lo = -1.0 + (1.0 + z0s) * 1e-6
     hi = z0s - np.abs(z0s) * 1e-9
-    flo = _pair_minus_s(ctx, z0s, lo, s)
-    fhi = _pair_minus_s(ctx, z0s, hi, s)
-    ok = np.isfinite(flo) & np.isfinite(fhi) & ((flo > 0) != (fhi > 0))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = _pair_minus_s(ctx, z0s, mid, s)
-        to_hi = (fm > 0) == (fhi > 0)
-        hi = np.where(to_hi, mid, hi)
-        fhi = np.where(to_hi, fm, fhi)
-        lo = np.where(to_hi, lo, mid)
-        flo = np.where(to_hi, flo, fm)
-    root = 0.5 * (lo + hi)
-    return np.where(ok, root, np.nan), ok
+    return bracketed_root(lambda w: _pair_minus_s(ctx, z0s, w, s), lo, hi)[0]
 
 
 def solve_inner_point(ctx: ThetaContext, z0: float, s: float) -> float:
     """Stage 2 for a single end marker: z2 in (-1, z0) with pairing value s."""
-    root, ok = _inner_lockstep(ctx, np.array([z0]), s)
-    if not ok[0]:
+    z2 = float(_inner_split(ctx, np.array([z0]), s)[0])
+    if math.isnan(z2):
         raise BracketError(f"no inner split for z0={z0}")
-    return float(root[0])
+    return z2
 
 
 def _outer_scan(ctx: ThetaContext, s: float, P: float, n=SCAN_POINTS):
@@ -204,38 +209,14 @@ def _sign_changes(z0s, vals):
 def _outer_values(ctx, s, P, z0s):
     """Outer pairing residual for an array of candidates (NaN when invalid)."""
     r = ctx.r
-    z2s, ok = _inner_lockstep(ctx, z0s, s)
+    z2s = _inner_split(ctx, z0s, s)
     with np.errstate(invalid="ignore", divide="ignore"):
         z1s = P / z2s
-        ok &= z0s * z2s > P
-        ok &= z1s < -r
+        ok = (z0s * z2s > P) & (z1s < -r)
     vals = np.full(z0s.shape, np.nan)
     if ok.any():
         vals[ok] = _pair_minus_s(ctx, z0s[ok], z1s[ok], s - 2.0)
     return vals
-
-
-def _refine_bracket(ctx, s, P, a, b, fa, fb, rounds=14, fan=18):
-    """Shrink a sign-changing bracket by repeated fan subdivision.
-
-    Each round evaluates the outer residual at fan-2 interior points in one
-    vectorized pass and keeps the first adjacent sign change, cutting the
-    width by fan-1.  Returns (root, evaluation count).
-    """
-    n_eval = 0
-    for _ in range(rounds):
-        xs = np.linspace(a, b, fan)
-        inner = _outer_values(ctx, s, P, xs[1:-1])
-        n_eval += inner.size
-        vals = np.concatenate([[fa], inner, [fb]])
-        changes = _sign_changes(xs, vals)
-        if not changes:
-            raise BracketError("outer refinement lost the sign change")
-        i = changes[0]
-        a, b, fa, fb = xs[i], xs[i + 1], vals[i], vals[i + 1]
-        if b - a <= 4e-16 * max(abs(a), abs(b)):
-            break
-    return 0.5 * (a + b), n_eval
 
 
 def solve_canonical(
@@ -267,10 +248,16 @@ def solve_canonical(
             raise BracketError(f"outer pairing has no sign change for r={r}, s={s}")
         i = changes[0]
         trace.chosen_bracket = (float(z0s[i]), float(z0s[i + 1]))
-        z0, outer_iters = _refine_bracket(
-            ctx, s, P, float(z0s[i]), float(z0s[i + 1]), float(vals[i]), float(vals[i + 1])
+
+        def outer(z0):
+            val = _outer_values(ctx, s, P, np.array([z0]))[0]
+            if math.isnan(val):
+                raise BracketError("outer refinement lost the sign change")
+            return val
+
+        z0, trace.outer_iterations = bracketed_root(
+            outer, float(z0s[i]), float(z0s[i + 1]), float(vals[i]), float(vals[i + 1])
         )
-        trace.outer_iterations = outer_iters
 
         z2 = solve_inner_point(ctx, z0, s)
         z1 = P / z2

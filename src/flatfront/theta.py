@@ -319,12 +319,3 @@ def pair_slope(ctx: ThetaContext, center, z, on_pole: str = "raise"):
         ctx, np.asarray(z) * center, on_pole=on_pole
     )
 
-
-def partner_point(ctx: ThetaContext, inner, m_exp):
-    """The point r^(-2 (m_exp + 2)) / inner paired with an inner marker."""
-    return ctx.r ** (-2.0 * (float(m_exp) + 2.0)) / inner
-
-
-def outer_pair_slope(ctx: ThetaContext, center, inner, m_exp, on_pole: str = "raise"):
-    """pair_slope evaluated at the partner of ``inner`` for exponent m_exp."""
-    return pair_slope(ctx, center, partner_point(ctx, inner, m_exp), on_pole=on_pole)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,19 +66,7 @@ class ValidationReport:
     outer_sign_changes: int
 
     def to_dict(self) -> dict:
-        return {
-            "c1_res": self.c1_res,
-            "c2_res": self.c2_res,
-            "c3_res": self.c3_res,
-            "max_abs_p_interior": self.max_abs_p_interior,
-            "boundary_p_deviation": self.boundary_p_deviation,
-            "max_abs_curvature": self.max_abs_curvature,
-            "sing1_error": self.sing1_error,
-            "sing2_error": self.sing2_error,
-            "end_error": self.end_error,
-            "rs_ok": self.rs_ok,
-            "outer_sign_changes": self.outer_sign_changes,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from flatfront.cli import main
+from flatfront.cli import _master_tol, main
 from flatfront.immersion import RotationalModuli
 from flatfront.meshing import (
     SurfaceMesh,
@@ -16,7 +16,7 @@ from flatfront.meshing import (
     write_ply,
 )
 from flatfront.solver import solve_canonical
-from flatfront.validation import ValidationReport, boundary_ranges_ok, validate_moduli
+from flatfront.validation import MASTER_TOL, ValidationReport, boundary_ranges_ok, validate_moduli
 
 from test_annulus import FLAGSHIP
 
@@ -284,3 +284,8 @@ def test_cli_env_tolerance(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert main(["validate", str(moduli), "--grid", "16"]) == 0
     capsys.readouterr()
+    monkeypatch.setenv("FLATFRONT_TOL", "tight")
+    assert _master_tol() == MASTER_TOL
+    assert main(["validate", str(moduli), "--grid", "16"]) == 0
+    err = capsys.readouterr().err
+    assert "flatfront: warning: ignoring unparseable FLATFRONT_TOL=tight" in err

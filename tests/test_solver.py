@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flatfront.solver import (
+    MAX_ITERS,
     BracketError,
     RangeNormalizationError,
     SolverTrace,
@@ -40,6 +41,42 @@ def test_bracketed_root_basic():
     assert n > 0
     with pytest.raises(BracketError):
         bracketed_root(math.cos, 0.2, 1.0)
+
+
+def test_bracketed_root_array_matches_scalar_calls():
+    c = np.array([0.5, 2.0, 7.0, 30.0, 1e-3])
+    lo = np.array([0.0, 0.0, 4.0, 0.0, 0.0])
+    hi = np.array([1.0, 2.0, 0.0, 4.0, 1.0])  # one reversed bracket
+    roots, n = bracketed_root(lambda x: x * x * x - c, lo, hi)
+    assert roots.shape == c.shape
+    for i in range(c.size):
+        root, n_i = bracketed_root(lambda x: x * x * x - c[i], float(lo[i]), float(hi[i]))
+        assert isinstance(root, float)
+        assert roots[i] == root, i
+        assert n_i <= n
+    assert np.all(np.abs(roots - np.cbrt(c)) <= 4 * np.spacing(np.cbrt(c)))
+
+
+def test_bracketed_root_array_marks_missing_sign_change_nan():
+    c = np.array([1.0, -1.0, 8.0, 16.0])
+    roots, _ = bracketed_root(lambda x: x * x - c, np.zeros(4), np.full(4, 3.0))
+    assert np.isnan(roots[1]) and np.isnan(roots[3])
+    assert abs(roots[0] - 1.0) <= 4 * np.spacing(1.0)
+    assert abs(roots[2] - math.sqrt(8.0)) <= 4 * np.spacing(3.0)
+
+
+def test_bracketed_root_converges_next_to_a_pole():
+    # the stage-2 pairing blows up at the upper end like 1/(hi - x)
+    hi = -0.5
+    c = np.array([3.0, 1e3, 1e6, 1e9, 1e12])
+
+    def fn(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (hi - x) - c
+
+    roots, n = bracketed_root(fn, np.full(c.shape, -1.0), np.full(c.shape, hi))
+    assert n < MAX_ITERS
+    assert np.all(np.abs(roots - (hi - 1.0 / c)) <= 4 * np.spacing(0.5))
 
 
 def test_range_normalization():
