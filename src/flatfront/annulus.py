@@ -10,8 +10,10 @@ evaluates:
   normalized by R(z1) = 1, R(z2) = 0, with its simple pole at z0,
 * ``theta_quotient`` - the quotient theta1(marker/z) / theta1(marker z),
   unimodular on |z| = 1,
-* ``gauss_map`` - g = sqrt(W) / z for W = R/(1-R) * Q1/Q2, with a
-  deterministic square-root branch tracked by continued logarithms,
+* ``gauss_map`` - g = sqrt(W) / z for W = R/(1-R) * Q1/Q2; the square-root
+  branch is that of a continued logarithm of W, read from one cached walk
+  of the core circle |z| = sqrt(r) per surface and carried to each point
+  along a radial leg,
 * ``potential`` - the harmonic function u with exp(2u) = |Q1 z^m / (1-R)|,
 * ``inv_gauss_gap`` / ``second_gauss_map`` - F = R/g and g* = g - 1/F.
 
@@ -23,7 +25,7 @@ the cancellation happens analytically, not by dividing huge by huge.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -82,7 +84,7 @@ class CanonicalModuli:
         return _context_for(self.r)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CanonicalModuli":
@@ -240,105 +242,105 @@ def gauss_square_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z, on_pol
 
 # --- square-root branch ------------------------------------------------
 
+_RING_STEPS = 4096
 _BRANCH_CHUNK = 4096
-_K_CIRC = 160
 _K_RAD = 80
 
 
-def gauss_square_winding(moduli: CanonicalModuli, ctx: ThetaContext, n_steps: int = 4096) -> int:
-    """Winding number of W around the core circle |z| = sqrt(r)."""
-    th = np.linspace(0.0, 2.0 * np.pi, n_steps + 1)
-    ring = np.sqrt(moduli.r) * np.exp(1j * th)
-    vals = gauss_map_square(moduli, ctx, ring)
+@lru_cache(maxsize=128)
+def _core_ring(moduli: CanonicalModuli, ctx: ThetaContext):
+    """The continued log of W on the core circle |z| = sqrt(r), and W's winding number.
+
+    The samples sqrt(r) exp(i (pi - 2 pi j / N)), j = 0..N, walk the circle
+    once clockwise from -sqrt(r), where the log starts on its principal
+    value.  Returns (log samples, winding number).
+    """
+    th = np.pi - np.linspace(0.0, 2.0 * np.pi, _RING_STEPS + 1)
+    vals = gauss_map_square(moduli, ctx, np.sqrt(moduli.r) * np.exp(1j * th))
     inc = np.log(vals[1:] / vals[:-1])
     if np.abs(inc.imag).max() > 2.0:
         raise RepresentationError("winding audit needs more steps")
-    total = inc.imag.sum() / (2.0 * np.pi)
+    logs = np.log(vals[0]) + np.concatenate(([0.0], np.cumsum(inc)))
+    total = (logs[0] - logs[-1]).imag / (2.0 * np.pi)
     n = int(round(total))
     if abs(total - n) > 1e-6:
         raise RepresentationError(f"winding of W did not close up: {total}")
-    return n
+    logs.flags.writeable = False
+    return logs, n
 
 
-@lru_cache(maxsize=128)
-def _winding_cached(moduli: CanonicalModuli, ctx: ThetaContext) -> int:
-    return gauss_square_winding(moduli, ctx)
+def gauss_square_winding(moduli: CanonicalModuli, ctx: ThetaContext) -> int:
+    """Winding number of W around the core circle |z| = sqrt(r)."""
+    return _core_ring(moduli, ctx)[1]
 
 
-def _refined_increments(moduli, ctx, pathfn, n_cols, K):
-    """Sum of continued-log increments of W along per-column paths.
+def _radial_log(moduli, ctx, th, logm):
+    """W at sqrt(r) exp(i th) and the continued-log increment of W from there
+    along the ray to exp(logm + i th).
 
-    pathfn(t, cols) returns path points, shape (len(t), len(cols)).  Steps
-    whose phase jump nears the wrap limit are retried on finer grids.
+    Columns whose phase jump nears the wrap limit are retried on grids 8x and
+    64x finer, a slice of columns at a time, so that no array outgrows the
+    base chunk.
     """
-    t = np.linspace(0.0, 1.0, K + 1)
-    cols = np.arange(n_cols)
-    vals = gauss_map_square(moduli, ctx, pathfn(t, cols))
-    inc = np.log(vals[1:] / vals[:-1])
-    total = inc.sum(axis=0)
-    bad = np.abs(inc.imag).max(axis=0) > 2.0
-    if bad.any():
-        sub = cols[bad]
-        for factor in (8, 64):
-            tf = np.linspace(0.0, 1.0, factor * K + 1)
-            vf = gauss_map_square(moduli, ctx, pathfn(tf, sub))
-            incf = np.log(vf[1:] / vf[:-1])
-            if np.abs(incf.imag).max() <= 2.0:
-                total[bad] = incf.sum(axis=0)
-                break
-        else:
-            raise RepresentationError("branch tracking failed along evaluation path")
-    return total
+    lr = np.log(np.sqrt(moduli.r))
 
-
-def _log_gauss_square_chunk(moduli, ctx, flat):
-    rr = np.sqrt(moduli.r)
-    base = gauss_map_square(moduli, ctx, np.array([-rr + 0.0j]))[0]
-    L0 = np.log(base)
-    th = np.angle(flat)
-    logm = np.log(np.abs(flat))
-
-    def circ(t, cols):
-        ang = np.pi + np.multiply.outer(t, th[cols] - np.pi)
-        return rr * np.exp(1j * ang)
-
-    def rad(t, cols):
-        lm = np.log(rr) + np.multiply.outer(t, logm[cols] - np.log(rr))
+    def path(t, cols):
+        lm = lr + np.multiply.outer(t, logm[cols] - lr)
         return np.exp(lm + 1j * th[cols][None, :])
 
-    total = _refined_increments(moduli, ctx, circ, flat.size, _K_CIRC)
-    total = total + _refined_increments(moduli, ctx, rad, flat.size, _K_RAD)
-    return L0 + total
-
-
-def _log_gauss_square(moduli, ctx, flat):
-    """Continued log of W along canonical paths from the base point -sqrt(r).
-
-    Per point: a circular leg at |z| = sqrt(r) from angle pi to arg(z), then
-    a radial leg to |z|.  W has even winding around the core for valid
-    moduli, so exp(L/2) is independent of the wrap convention at arg = pi.
-    """
-    out = np.empty(flat.shape, dtype=np.complex128)
-    for start in range(0, flat.size, _BRANCH_CHUNK):
-        sl = slice(start, min(start + _BRANCH_CHUNK, flat.size))
-        out[sl] = _log_gauss_square_chunk(moduli, ctx, flat[sl])
-    return out
+    vals = gauss_map_square(moduli, ctx, path(np.linspace(0.0, 1.0, _K_RAD + 1), slice(None)))
+    inc = np.log(vals[1:] / vals[:-1])
+    total = inc.sum(axis=0)
+    bad = np.flatnonzero(np.abs(inc.imag).max(axis=0) > 2.0)
+    for factor in (8, 64):
+        if not bad.size:
+            break
+        tf = np.linspace(0.0, 1.0, factor * _K_RAD + 1)
+        width = _BRANCH_CHUNK // factor
+        failed = []
+        for start in range(0, bad.size, width):
+            cols = bad[start : start + width]
+            vf = gauss_map_square(moduli, ctx, path(tf, cols))
+            incf = np.log(vf[1:] / vf[:-1])
+            ok = np.abs(incf.imag).max(axis=0) <= 2.0
+            total[cols[ok]] = incf[:, ok].sum(axis=0)
+            failed.append(cols[~ok])
+        bad = np.concatenate(failed)
+    if bad.size:
+        raise RepresentationError("branch tracking failed along evaluation path")
+    return vals[0], total
 
 
 def gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """The hyperbolic Gauss map g = sqrt(W) / z on the closed annulus.
 
-    Holomorphic and zero-free; the square-root branch is the continued-log
-    branch based at -sqrt(r), which makes repeated evaluations consistent
-    with each other.  Raises RepresentationError when the winding audit of
-    W says no single-valued branch exists.
+    Holomorphic and zero-free.  The square-root branch is that of the
+    continued log of W based at -sqrt(r), taken along one path per point:
+    the core circle |z| = sqrt(r) clockwise from angle pi to arg z, then
+    the ray to |z|.  The core-circle leg is read from one cached walk per
+    surface (the winding audit's), at the sample nearest arg z plus one
+    step; only the radial leg is evaluated per point.  W has winding 0
+    around the core for valid moduli, so the result does not depend on
+    the wrap convention at arg = pi.  Raises RepresentationError when the
+    winding audit says no single-valued branch exists.
     """
     flat, shape, scalar = _as_flat(z)
     _require_annulus(ctx, flat, "gauss_map")
-    w = _winding_cached(moduli, ctx)
-    if w != 0:
-        raise RepresentationError(f"W winds {w} times around the core; branch undefined")
-    L = _log_gauss_square(moduli, ctx, flat)
+    ring_log, winding = _core_ring(moduli, ctx)
+    if winding != 0:
+        raise RepresentationError(f"W winds {winding} times around the core; branch undefined")
+    th = np.angle(flat)
+    logm = np.log(np.abs(flat))
+    # a NaN point reads sample 0 and stays NaN through its radial leg
+    near = np.rint((np.pi - np.nan_to_num(th)) * (_RING_STEPS / (2.0 * np.pi))).astype(np.intp)
+    L = np.empty(flat.shape, dtype=np.complex128)
+    for start in range(0, flat.size, _BRANCH_CHUNK):
+        sl = slice(start, start + _BRANCH_CHUNK)
+        w0, radial = _radial_log(moduli, ctx, th[sl], logm[sl])
+        step = np.log(w0 / np.exp(ring_log[near[sl]]))
+        if np.abs(step.imag).max() > 2.0:
+            raise RepresentationError("branch tracking failed along evaluation path")
+        L[sl] = ring_log[near[sl]] + step + radial
     return _finish(scalar, shape, np.exp(0.5 * L) / flat)
 
 

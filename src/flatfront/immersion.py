@@ -267,10 +267,15 @@ def brioschi_curvature(E, F, G, hu, hv) -> float:
     return float((np.linalg.det(M1) - np.linalg.det(M2)) / (det * det))
 
 
-def _stencil_curvature(moduli, ctx, z, h):
-    offs = np.array([[complex(i * h, j * h) for i in (-1, 0, 1)] for j in (-1, 0, 1)])
-    ms = first_form(moduli, ctx, z + offs)
-    return brioschi_curvature(ms.E, ms.F, ms.G, h, h)
+def _stencil_curvature(form, z: complex, h: float, richardson: bool) -> float:
+    """Brioschi curvature of ``form`` on a 3x3 stencil of spacing h around z,
+    Richardson-combined with the h/2 stencil when ``richardson`` is set."""
+    ks = []
+    for hh in (h, 0.5 * h) if richardson else (h,):
+        offs = np.array([[complex(i * hh, j * hh) for i in (-1, 0, 1)] for j in (-1, 0, 1)])
+        ms = form(z + offs)
+        ks.append(brioschi_curvature(ms.E, ms.F, ms.G, hh, hh))
+    return (4.0 * ks[1] - ks[0]) / 3.0 if richardson else ks[0]
 
 
 def intrinsic_curvature(
@@ -285,12 +290,7 @@ def intrinsic_curvature(
     degrades where the metric is close to degenerate (|p| near 1, i.e.
     near the singular circles and the real axis).
     """
-    z = complex(z)
-    if not richardson:
-        return _stencil_curvature(moduli, ctx, z, h)
-    coarse = _stencil_curvature(moduli, ctx, z, h)
-    fine = _stencil_curvature(moduli, ctx, z, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    return _stencil_curvature(lambda w: first_form(moduli, ctx, w), complex(z), h, richardson)
 
 
 # --- rotational family ----------------------------------------------------
@@ -403,12 +403,4 @@ def intrinsic_curvature_rotational(
     rot: RotationalModuli, g, h: float = 5e-4, richardson: bool = True
 ) -> float:
     """Finite-difference Gauss curvature of the rotational front at a point."""
-    g = complex(g)
-    ks = []
-    for hh in (h, 0.5 * h) if richardson else (h,):
-        offs = np.array([[complex(i * hh, j * hh) for i in (-1, 0, 1)] for j in (-1, 0, 1)])
-        ms = first_form_rotational(rot, g + offs)
-        ks.append(brioschi_curvature(ms.E, ms.F, ms.G, hh, hh))
-    if not richardson:
-        return ks[0]
-    return (4.0 * ks[1] - ks[0]) / 3.0
+    return _stencil_curvature(lambda w: first_form_rotational(rot, w), complex(g), h, richardson)

@@ -1,10 +1,12 @@
 """Tests for the annulus maps: slit maps, ratio map, quotients, Gauss map."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from flatfront.solver import solve_canonical
 from flatfront.theta import ThetaContext, ThetaPoleError, pair_slope
 from flatfront.annulus import (
     AT_INFINITY,
@@ -249,6 +251,52 @@ def test_gauss_map_conjugation_and_determinism(mod, ctx):
     assert np.abs(gc - np.conj(g1)).max() < 1e-11 * np.abs(g1).max()
     one = gauss_map(mod, ctx, complex(z[7]))
     assert one == pytest.approx(g1[7], rel=1e-13)
+
+
+def test_gauss_map_at_exact_boundary_points():
+    # At (0.7, -0.99) z2 sits 1.3e-4 inside |z| = 1, and the radial legs to
+    # |z| = 1 at arg pi - 3e-4 ... pi - 1.2e-3 need the refined grids (5e-4
+    # is one of them).  Points on both boundary circles, at and next to the
+    # real axis on both sides of arg = pi.
+    mod, _ = solve_canonical(0.7, -0.99)
+    ctx = mod.context()
+    assert 0.0 < mod.z2 + 1.0 < 2e-4
+    for rho in (1.0, mod.r):
+        dg = gauss_map_deriv(mod, ctx, complex(-rho))
+        for eps in (0.0, 1e-9, 1e-6, 1e-4, 5e-4, 1e-2):
+            z = rho * np.exp(1j * np.array([np.pi - eps, -np.pi + eps, eps, -eps]))
+            g = gauss_map(mod, ctx, z)
+            W = gauss_map_square(mod, ctx, z)
+            # per point; |W| drops to 2e-3 near -1, where W itself carries 3e-12
+            assert (np.abs(g * g * z * z - W) / np.abs(W)).max() < 1e-11
+            assert abs(g[1] - np.conj(g[0])) < 1e-11 * abs(g[0])
+            assert abs(g[3] - np.conj(g[2])) < 1e-11 * abs(g[2])
+            if eps <= 1e-4:
+                # across the seam g moves by |dz| |g'| to first order, not to -g
+                assert abs(g[0] - g[1]) <= 1.1 * abs(z[0] - z[1]) * abs(dg) + 1e-11 * abs(g[0])
+
+
+def test_gauss_map_refinement_memory_is_bounded():
+    # Near arg = pi on |z| = 1 at (0.7, -0.999) most radial legs are retried
+    # on the 8x and 64x grids; the retries run a slice of columns at a time.
+    mod, _ = solve_canonical(0.7, -0.999)
+    ctx = mod.context()
+    z = np.exp(1j * (np.pi - np.linspace(-1e-4, 1e-4, 256)))
+    tracemalloc.start()
+    try:
+        g = gauss_map(mod, ctx, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    one = np.array([gauss_map(mod, ctx, complex(v)) for v in z[::32]])
+    assert (np.abs(one - g[::32]) / np.abs(g[::32])).max() <= 1e-13
+
+
+def test_gauss_map_propagates_nan(mod, ctx):
+    with np.errstate(invalid="ignore"):
+        g = gauss_map(mod, ctx, np.array([0.5 + 0.1j, complex(np.nan, 0.0)]))
+    assert np.isfinite(g[0]) and np.isnan(g[1])
 
 
 def test_gauss_map_deriv_matches_fd(mod, ctx):
