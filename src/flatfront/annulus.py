@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .theta import ThetaContext, _as_flat, _eval, _finish, log_slope, log_slope_deriv
+from .theta import ThetaContext, _eval, log_slope, log_slope_deriv, pointwise
 
 ANNULUS_SLACK = 1e-12
 
@@ -109,32 +109,26 @@ def _require_annulus(ctx: ThetaContext, flat, who: str):
         raise ValueError(f"{who}: argument outside the closed annulus [{ctx.r}, 1]")
 
 
-def slit_map(ctx: ThetaContext, marker: float, z, on_pole: str = "raise"):
+@pointwise
+def slit_map(ctx: ThetaContext, marker: float, z):
     """Meromorphic map with one simple pole (residue 1) at ``marker``.
 
     Maps the annulus onto the plane minus two horizontal slits; real on
     |z| = 1 and |z| = r.  Equals -(log_slope(marker/z) + log_slope(marker z))
     / marker, which doubles as a cross-check route.
     """
-    flat, shape, scalar = _as_flat(z)
-    _require_annulus(ctx, flat, "slit_map")
-    out = -(
-        log_slope(ctx, marker / flat, on_pole=on_pole)
-        + log_slope(ctx, marker * flat, on_pole=on_pole)
-    ) / marker
-    return _finish(scalar, shape, out)
+    _require_annulus(ctx, z, "slit_map")
+    return -(log_slope(ctx, marker / z) + log_slope(ctx, marker * z)) / marker
 
 
-def slit_map_deriv(ctx: ThetaContext, marker: float, z, on_pole: str = "raise"):
+@pointwise
+def slit_map_deriv(ctx: ThetaContext, marker: float, z):
     """d slit_map / dz."""
-    flat, shape, scalar = _as_flat(z)
-    _require_annulus(ctx, flat, "slit_map_deriv")
-    out = log_slope_deriv(ctx, marker / flat, on_pole=on_pole) / (flat * flat) - log_slope_deriv(
-        ctx, marker * flat, on_pole=on_pole
-    )
-    return _finish(scalar, shape, out)
+    _require_annulus(ctx, z, "slit_map_deriv")
+    return log_slope_deriv(ctx, marker / z) / (z * z) - log_slope_deriv(ctx, marker * z)
 
 
+@pointwise
 def theta_quotient(ctx: ThetaContext, marker: float, z):
     """theta1(marker / z) / theta1(marker * z).
 
@@ -142,11 +136,10 @@ def theta_quotient(ctx: ThetaContext, marker: float, z):
     annulus, and the quotient's only zero there is z = marker (simple).
     Unimodular on |z| = 1.
     """
-    flat, shape, scalar = _as_flat(z)
-    _require_annulus(ctx, flat, "theta_quotient")
-    num, _, _ = _eval(ctx, marker / flat, 0)
-    den, _, _ = _eval(ctx, marker * flat, 0)
-    return _finish(scalar, shape, num / den)
+    _require_annulus(ctx, z, "theta_quotient")
+    num, _, _ = _eval(ctx, marker / z, 0)
+    den, _, _ = _eval(ctx, marker * z, 0)
+    return num / den
 
 
 def fit_gauss_ratio(ctx: ThetaContext, z0: float, z1: float, z2: float):
@@ -165,13 +158,13 @@ def fit_gauss_ratio(ctx: ThetaContext, z0: float, z1: float, z2: float):
     return a, b
 
 
-def gauss_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z, on_pole: str = "raise"):
+def gauss_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """R(z) = a_R * slit_map(z0, z) + b_R; simple pole at z0."""
-    return moduli.a_R * slit_map(ctx, moduli.z0, z, on_pole=on_pole) + moduli.b_R
+    return moduli.a_R * slit_map(ctx, moduli.z0, z) + moduli.b_R
 
 
-def gauss_ratio_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z, on_pole: str = "raise"):
-    return moduli.a_R * slit_map_deriv(ctx, moduli.z0, z, on_pole=on_pole)
+def gauss_ratio_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
+    return moduli.a_R * slit_map_deriv(ctx, moduli.z0, z)
 
 
 @lru_cache(maxsize=128)
@@ -200,6 +193,7 @@ def _pole_times_quotient(ctx: ThetaContext, marker: float, shift: float, flat):
     return -d1 / (flat * t2) - (flat * d2 / t2 + shift) * quot, quot
 
 
+@pointwise
 def gauss_map_square(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """W(z) = R/(1-R) * Q1/Q2 = (z * gauss_map)^2, branch-free.
 
@@ -207,37 +201,35 @@ def gauss_map_square(moduli: CanonicalModuli, ctx: ThetaContext, z):
     cancellations: the default is regular at z0 and z1; within 1e-3 of z2 a
     second form regular at z1 and z2 takes over.
     """
-    flat, shape, scalar = _as_flat(z)
-    _require_annulus(ctx, flat, "gauss_map_square")
+    _require_annulus(ctx, z, "gauss_map_square")
     rp1, rp2 = _marker_ratio_derivs(moduli, ctx)
 
-    fused1, q1_quot = _pole_times_quotient(ctx, moduli.z1, moduli.c1, flat)
-    num2, _, _ = _eval(ctx, moduli.z2 / flat, 0)
-    den2, _, _ = _eval(ctx, moduli.z2 * flat, 0)
+    fused1, q1_quot = _pole_times_quotient(ctx, moduli.z1, moduli.c1, z)
+    num2, _, _ = _eval(ctx, moduli.z2 / z, 0)
+    den2, _, _ = _eval(ctx, moduli.z2 * z, 0)
     # num2 vanishes at z2 itself; those entries are overwritten below.
     with np.errstate(divide="ignore", invalid="ignore"):
         out = -(q1_quot + fused1 / rp1) * (den2 / num2)
 
-    near2 = np.abs(flat - moduli.z2) < min(1e-3, 0.25 * (moduli.z0 - moduli.z2))
+    near2 = np.abs(z - moduli.z2) < min(1e-3, 0.25 * (moduli.z0 - moduli.z2))
     if near2.any():
-        fused2, _ = _pole_times_quotient(ctx, moduli.z2, moduli.c2, flat[near2])
+        fused2, _ = _pole_times_quotient(ctx, moduli.z2, moduli.c2, z[near2])
         out[near2] = -(rp2 / rp1) * fused1[near2] / fused2
-    return _finish(scalar, shape, out)
+    return out
 
 
-def gauss_square_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z, on_pole: str = "raise"):
+@pointwise
+def gauss_square_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """W'/W = R'/(R(1-R)) + (z1 q1(z) - z2 q2(z)) / z.
 
     The poles at z1 and z2 cancel between the two groups; the subtraction
     loses accuracy within ~1e-6 of those markers but is exact elsewhere.
     """
-    flat, shape, scalar = _as_flat(z)
-    R = gauss_ratio(moduli, ctx, flat, on_pole=on_pole)
-    Rp = gauss_ratio_deriv(moduli, ctx, flat, on_pole=on_pole)
-    q1v = slit_map(ctx, moduli.z1, flat, on_pole=on_pole)
-    q2v = slit_map(ctx, moduli.z2, flat, on_pole=on_pole)
-    out = Rp / (R * (1.0 - R)) + (moduli.z1 * q1v - moduli.z2 * q2v) / flat
-    return _finish(scalar, shape, out)
+    R = gauss_ratio(moduli, ctx, z)
+    Rp = gauss_ratio_deriv(moduli, ctx, z)
+    q1v = slit_map(ctx, moduli.z1, z)
+    q2v = slit_map(ctx, moduli.z2, z)
+    return Rp / (R * (1.0 - R)) + (moduli.z1 * q1v - moduli.z2 * q2v) / z
 
 
 # --- square-root branch ------------------------------------------------
@@ -290,7 +282,8 @@ def _radial_log(moduli, ctx, th, logm):
 
     vals = gauss_map_square(moduli, ctx, path(np.linspace(0.0, 1.0, _K_RAD + 1), slice(None)))
     inc = np.log(vals[1:] / vals[:-1])
-    total = inc.sum(axis=0)
+    # cumsum, unlike sum, adds the rows in order for any batch width
+    total = np.cumsum(inc, axis=0)[-1]
     bad = np.flatnonzero(np.abs(inc.imag).max(axis=0) > 2.0)
     for factor in (8, 64):
         if not bad.size:
@@ -303,7 +296,7 @@ def _radial_log(moduli, ctx, th, logm):
             vf = gauss_map_square(moduli, ctx, path(tf, cols))
             incf = np.log(vf[1:] / vf[:-1])
             ok = np.abs(incf.imag).max(axis=0) <= 2.0
-            total[cols[ok]] = incf[:, ok].sum(axis=0)
+            total[cols[ok]] = np.cumsum(incf[:, ok], axis=0)[-1]
             failed.append(cols[~ok])
         bad = np.concatenate(failed)
     if bad.size:
@@ -311,6 +304,7 @@ def _radial_log(moduli, ctx, th, logm):
     return vals[0], total
 
 
+@pointwise
 def gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """The hyperbolic Gauss map g = sqrt(W) / z on the closed annulus.
 
@@ -324,72 +318,63 @@ def gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
     the wrap convention at arg = pi.  Raises RepresentationError when the
     winding audit says no single-valued branch exists.
     """
-    flat, shape, scalar = _as_flat(z)
-    _require_annulus(ctx, flat, "gauss_map")
+    _require_annulus(ctx, z, "gauss_map")
     ring_log, winding = _core_ring(moduli, ctx)
     if winding != 0:
         raise RepresentationError(f"W winds {winding} times around the core; branch undefined")
-    th = np.angle(flat)
-    logm = np.log(np.abs(flat))
+    th = np.angle(z)
+    logm = np.log(np.abs(z))
     # a NaN point reads sample 0 and stays NaN through its radial leg
     near = np.rint((np.pi - np.nan_to_num(th)) * (_RING_STEPS / (2.0 * np.pi))).astype(np.intp)
-    L = np.empty(flat.shape, dtype=np.complex128)
-    for start in range(0, flat.size, _BRANCH_CHUNK):
+    L = np.empty(z.shape, dtype=np.complex128)
+    for start in range(0, z.size, _BRANCH_CHUNK):
         sl = slice(start, start + _BRANCH_CHUNK)
         w0, radial = _radial_log(moduli, ctx, th[sl], logm[sl])
         step = np.log(w0 / np.exp(ring_log[near[sl]]))
         if np.abs(step.imag).max() > 2.0:
             raise RepresentationError("branch tracking failed along evaluation path")
         L[sl] = ring_log[near[sl]] + step + radial
-    return _finish(scalar, shape, np.exp(0.5 * L) / flat)
+    return np.exp(0.5 * L) / z
 
 
-def gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z, g_val=None):
-    """g'(z) = g(z) * (W'/(2W) - 1/z)."""
-    flat, shape, scalar = _as_flat(z)
+@pointwise
+def gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z, *, g_val=None):
+    """g'(z) = g(z) * (W'/(2W) - 1/z); g_val, when given, is g at the same points."""
     if g_val is None:
-        g_val = gauss_map(moduli, ctx, flat)
-    g_flat = np.asarray(g_val, dtype=np.complex128).reshape(flat.shape)
-    out = g_flat * (0.5 * gauss_square_log_deriv(moduli, ctx, flat) - 1.0 / flat)
-    return _finish(scalar, shape, out)
+        g_val = gauss_map(moduli, ctx, z)
+    return g_val * (0.5 * gauss_square_log_deriv(moduli, ctx, z) - 1.0 / z)
 
 
 # --- potential and Gauss-map gap ----------------------------------------
 
 
-def potential(moduli: CanonicalModuli, ctx: ThetaContext, z, on_pole: str = "raise"):
+@pointwise
+def potential(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """Harmonic potential u with exp(2u) = |Q1(z) z^m / (1 - R(z))|.
 
     Blows up logarithmically at the end z0 (where R has its pole); the
     evaluation there raises the underlying pole error.
     """
-    flat, shape, scalar = _as_flat(z)
-    _require_annulus(ctx, flat, "potential")
-    q1 = np.abs(theta_quotient(ctx, moduli.z1, flat))
-    R = gauss_ratio(moduli, ctx, flat, on_pole=on_pole)
-    out = 0.5 * (np.log(q1) + moduli.m * np.log(np.abs(flat)) - np.log(np.abs(1.0 - R)))
-    out = np.asarray(out.real if np.iscomplexobj(out) else out, dtype=float)
-    return float(out[0]) if scalar else out.reshape(shape)
+    _require_annulus(ctx, z, "potential")
+    q1 = np.abs(theta_quotient(ctx, moduli.z1, z))
+    R = gauss_ratio(moduli, ctx, z)
+    return 0.5 * (np.log(q1) + moduli.m * np.log(np.abs(z)) - np.log(np.abs(1.0 - R)))
 
 
-def inv_gauss_gap(moduli: CanonicalModuli, ctx: ThetaContext, z, g_val=None):
+@pointwise
+def inv_gauss_gap(moduli: CanonicalModuli, ctx: ThetaContext, z, *, g_val=None):
     """F = R / g = 1 / (g - g*); simple pole at z0, zero at z2."""
-    flat, shape, scalar = _as_flat(z)
     if g_val is None:
-        g_val = gauss_map(moduli, ctx, flat)
-    g_flat = np.asarray(g_val, dtype=np.complex128).reshape(flat.shape)
-    out = gauss_ratio(moduli, ctx, flat) / g_flat
-    return _finish(scalar, shape, out)
+        g_val = gauss_map(moduli, ctx, z)
+    return gauss_ratio(moduli, ctx, z) / g_val
 
 
-def second_gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z, g_val=None):
+@pointwise
+def second_gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z, *, g_val=None):
     """g* = g (R - 1) / R; the tagged value AT_INFINITY where R = 0 (at z2)."""
-    flat, shape, scalar = _as_flat(z)
     if g_val is None:
-        g_val = gauss_map(moduli, ctx, flat)
-    g_flat = np.asarray(g_val, dtype=np.complex128).reshape(flat.shape)
-    R = gauss_ratio(moduli, ctx, flat)
+        g_val = gauss_map(moduli, ctx, z)
+    R = gauss_ratio(moduli, ctx, z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = g_flat * (R - 1.0) / R
-    out = np.where(np.abs(R) < 1e-300, AT_INFINITY, out)
-    return _finish(scalar, shape, out)
+        out = g_val * (R - 1.0) / R
+    return np.where(np.abs(R) < 1e-300, AT_INFINITY, out)

@@ -36,7 +36,7 @@ from .annulus import (
     gauss_square_log_deriv,
     theta_quotient,
 )
-from .theta import ThetaContext, _as_flat
+from .theta import ThetaContext, pointwise
 
 END_TOL = 1e-10
 
@@ -89,18 +89,19 @@ def _e2u_fused(moduli, ctx, flat, R):
 @lru_cache(maxsize=128)
 def end_direction(moduli: CanonicalModuli, ctx: ThetaContext) -> complex:
     """Horizontal limit g(z0) of the ideal end."""
-    return complex(gauss_map(moduli, ctx, complex(moduli.z0)))
+    return gauss_map(moduli, ctx, moduli.z0)
 
 
+@pointwise
 def immerse(moduli: CanonicalModuli, ctx: ThetaContext, z, end_tol: float = END_TOL):
     """Evaluate the flat front at annulus points.
 
-    Points within end_tol of the end z0 come back as the ideal limit
-    (g(z0), 0); everything else is an interior point with height > 0.
+    Each field of the result has z's shape, or is a Python scalar for a
+    scalar z.  Points within end_tol of the end z0 come back as the ideal
+    limit (g(z0), 0); everything else is an interior point with height > 0.
     """
-    flat, shape, scalar = _as_flat(z)
-    near_end = np.abs(flat - moduli.z0) < end_tol
-    work = flat.copy()
+    near_end = np.abs(z - moduli.z0) < end_tol
+    work = z.copy()
     if near_end.any():
         work[near_end] = 0.5 * (moduli.z0 + moduli.z1)
 
@@ -113,11 +114,8 @@ def immerse(moduli: CanonicalModuli, ctx: ThetaContext, z, end_tol: float = END_
 
     if near_end.any():
         horiz[near_end] = end_direction(moduli, ctx)
-        psi3 = np.asarray(psi3)
         psi3[near_end] = 0.0
-    if scalar:
-        return HalfSpacePoint(complex(horiz[0]), float(psi3[0]))
-    return HalfSpacePoint(horiz.reshape(shape), np.asarray(psi3).reshape(shape).real)
+    return HalfSpacePoint(horiz, psi3)
 
 
 def immerse_from_gauss_data(g, g_star, xi_abs):
@@ -186,28 +184,26 @@ def _metric_from(e2, w_hopf, gp):
     return E, Fm, G, lam2
 
 
-def first_form(moduli: CanonicalModuli, ctx: ThetaContext, z, g_val=None):
+@pointwise
+def first_form(moduli: CanonicalModuli, ctx: ThetaContext, z, *, g_val=None):
     """First fundamental form of the front at interior points.
 
-    Undefined at the end z0 itself (the conformal factor blows up there).
+    Each field has z's shape (a Python float for a scalar z); g_val, when
+    given, is g at the same points.  Undefined at the end z0 itself (the
+    conformal factor blows up there).
     """
-    flat, shape, scalar = _as_flat(z)
-    g = gauss_map(moduli, ctx, flat) if g_val is None else np.asarray(g_val).reshape(flat.shape)
-    gp = gauss_map_deriv(moduli, ctx, flat, g_val=g)
-    R = gauss_ratio(moduli, ctx, flat)
-    Rp = gauss_ratio_deriv(moduli, ctx, flat)
-    e2 = _e2u_fused(moduli, ctx, flat, R)
+    g = gauss_map(moduli, ctx, z) if g_val is None else g_val
+    gp = gauss_map_deriv(moduli, ctx, z, g_val=g)
+    R = gauss_ratio(moduli, ctx, z)
+    Rp = gauss_ratio_deriv(moduli, ctx, z)
+    e2 = _e2u_fused(moduli, ctx, z, R)
     F = R / g
     Fp = Rp / g - R * gp / (g * g)
     w_hopf = Fp + F * F * gp
-    E, Fm, G, lam2 = _metric_from(e2, w_hopf, gp)
-    if scalar:
-        return MetricSample(float(E[0]), float(Fm[0]), float(G[0]), float(lam2[0]))
-    return MetricSample(
-        E.reshape(shape), Fm.reshape(shape), G.reshape(shape), lam2.reshape(shape)
-    )
+    return MetricSample(*_metric_from(e2, w_hopf, gp))
 
 
+@pointwise
 def shape_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """The ratio p of the holomorphic form coefficients, branch-free.
 
@@ -217,21 +213,19 @@ def shape_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z):
     z^m makes the phase of p (not its modulus) jump across arg z = pi.
     Inaccurate within ~1e-6 of the markers, where the fused pieces cancel.
     """
-    flat, shape, scalar = _as_flat(z)
-    R = gauss_ratio(moduli, ctx, flat)
-    Rp = gauss_ratio_deriv(moduli, ctx, flat)
-    W = gauss_map_square(moduli, ctx, flat)
-    g_log = 0.5 * gauss_square_log_deriv(moduli, ctx, flat) - 1.0 / flat
-    zm = np.exp(moduli.m * np.log(flat))
-    factor = theta_quotient(ctx, moduli.z1, flat) * zm / (1.0 - R)
-    near1 = np.abs(flat - moduli.z1) < 1e-6
+    R = gauss_ratio(moduli, ctx, z)
+    Rp = gauss_ratio_deriv(moduli, ctx, z)
+    W = gauss_map_square(moduli, ctx, z)
+    g_log = 0.5 * gauss_square_log_deriv(moduli, ctx, z) - 1.0 / z
+    zm = np.exp(moduli.m * np.log(z))
+    factor = theta_quotient(ctx, moduli.z1, z) * zm / (1.0 - R)
+    near1 = np.abs(z - moduli.z1) < 1e-6
     if near1.any():
-        sub = flat[near1]
+        sub = z[near1]
         factor[near1] = (
             W[near1] * theta_quotient(ctx, moduli.z2, sub) * zm[near1] / R[near1]
         )
-    p = factor * factor * flat * flat * (Rp / g_log + R * (R - 1.0)) / W
-    return complex(p[0]) if scalar else p.reshape(shape)
+    return factor * factor * z * z * (Rp / g_log + R * (R - 1.0)) / W
 
 
 def brioschi_curvature(E, F, G, hu, hv) -> float:
@@ -345,22 +339,20 @@ def _check_rot_domain(rot, am):
         raise ValueError(f"rotational domain is 0 < |g| <= {rot.s_rot}")
 
 
+@pointwise
 def immerse_rotational(rot: RotationalModuli, g):
     """Closed-form rotational front over 0 < |g| <= s_rot.
 
     The rim |g| = s_rot is the cone point (0, 1); |g| -> 0 is the ideal end.
     """
-    flat, shape, scalar = _as_flat(g)
-    am = np.abs(flat)
+    am = np.abs(g)
     _check_rot_domain(rot, am)
     a, b = rot.a_rot, rot.b
     t = a * a * am ** (4.0 * b - 2.0)
     den = 1.0 + t * b * b
-    horiz = flat * (1.0 - t * (b - b * b)) / den
+    horiz = g * (1.0 - t * (b - b * b)) / den
     height = a * am ** (2.0 * b) / den
-    if scalar:
-        return HalfSpacePoint(complex(horiz[0]), float(height[0]))
-    return HalfSpacePoint(horiz.reshape(shape), height.reshape(shape))
+    return HalfSpacePoint(horiz, height)
 
 
 def rotational_gauss_data(rot: RotationalModuli, z):
@@ -376,6 +368,7 @@ def rotational_gauss_data(rot: RotationalModuli, z):
     return z, -z * (1.0 - b) / b, np.abs(z) ** b
 
 
+@pointwise
 def first_form_rotational(rot: RotationalModuli, g):
     """First fundamental form of the rotational front.
 
@@ -384,19 +377,13 @@ def first_form_rotational(rot: RotationalModuli, g):
     """
     if rot.degenerate:
         raise DegenerateConfigurationError("first form degenerates at b = 1/2")
-    flat, shape, scalar = _as_flat(g)
-    am = np.abs(flat)
+    am = np.abs(g)
     _check_rot_domain(rot, am)
     a, b = rot.a_rot, rot.b
     e2 = a * am ** (2.0 * b)
-    w_hopf = -b * (1.0 - b) / (flat * flat)
-    gp = np.ones_like(flat)
-    E, Fm, G, lam2 = _metric_from(e2, w_hopf, gp)
-    if scalar:
-        return MetricSample(float(E[0]), float(Fm[0]), float(G[0]), float(lam2[0]))
-    return MetricSample(
-        E.reshape(shape), Fm.reshape(shape), G.reshape(shape), lam2.reshape(shape)
-    )
+    w_hopf = -b * (1.0 - b) / (g * g)
+    gp = np.ones_like(g)
+    return MetricSample(*_metric_from(e2, w_hopf, gp))
 
 
 def intrinsic_curvature_rotational(

@@ -8,7 +8,6 @@ half-space coordinates or their projective-ball image.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,10 +193,8 @@ def write_obj(mesh: SurfaceMesh, path) -> None:
     lines = [f"# model {mesh.model}"]
     for tag, ring in zip(("inner", "outer"), mesh.boundary_rings):
         lines.append(_ring_comment(tag, ring, one_based=True))
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for a, b, c in mesh.faces:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    lines += [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {a} {b} {c}" for a, b, c in (mesh.faces + 1).tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -223,5 +220,6 @@ def write_ply(mesh: SurfaceMesh, path) -> None:
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         fh.write(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
-        for a, b, c in mesh.faces:
-            fh.write(struct.pack("<B3i", 3, a, b, c))
+        faces = np.empty(len(mesh.faces), dtype=[("n", "u1"), ("v", "<i4", (3,))])
+        faces["n"], faces["v"] = 3, mesh.faces
+        fh.write(faces.tobytes())

@@ -21,8 +21,10 @@ derivative stays accurate through the zero itself.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -105,9 +107,40 @@ class ThetaContext:
         return self.r ** (2 * k)
 
 
-def _as_flat(z):
-    arr = np.asarray(z, dtype=np.complex128)
-    return arr.reshape(-1), arr.shape, np.ndim(z) == 0
+def _shaped(arr, shape):
+    return arr.reshape(shape) if shape else arr.item()
+
+
+def pointwise(fn):
+    """The scalar/array convention of the point evaluators.
+
+    The point argument (``z``, or ``g`` in the rotational family) and a
+    ``g_val`` keyword reach the body as flat complex128 arrays.  Every array
+    the body returns, directly or as a dataclass field, comes back in the
+    shape of the point argument; a scalar or 0-d point gets Python scalars
+    (complex or float) instead.
+    """
+    names = list(inspect.signature(fn).parameters)
+    name = "z" if "z" in names else "g"
+    pos = names.index(name)
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if len(args) > pos:
+            point = np.asarray(args[pos], dtype=np.complex128)
+            args = (*args[:pos], point.reshape(-1), *args[pos + 1 :])
+        else:
+            point = np.asarray(kwargs[name], dtype=np.complex128)
+            kwargs[name] = point.reshape(-1)
+        if kwargs.get("g_val") is not None:
+            kwargs["g_val"] = np.asarray(kwargs["g_val"], dtype=np.complex128).reshape(-1)
+        out = fn(*args, **kwargs)
+        shape = point.shape
+        if is_dataclass(out):
+            return replace(out, **{f.name: _shaped(getattr(out, f.name), shape) for f in fields(out)})
+        return _shaped(out, shape)
+
+    return wrapper
 
 
 def _band_core(ctx: ThetaContext, v, order: int, skip_unit: bool):
@@ -245,24 +278,17 @@ def _amplitude(ctx: ThetaContext, z):
     )
 
 
-def _finish(scalar, shape, arr):
-    if scalar:
-        return complex(arr[0])
-    return arr.reshape(shape)
-
-
+@pointwise
 def theta1(ctx: ThetaContext, z):
-    """The annular theta product at z (scalar or array)."""
-    flat, shape, scalar = _as_flat(z)
-    t0, _, _ = _eval(ctx, flat, 0)
-    return _finish(scalar, shape, t0)
+    """The annular theta product at z: a Python complex for a scalar z, else
+    an array of z's shape (the :func:`pointwise` convention)."""
+    return _eval(ctx, z, 0)[0]
 
 
+@pointwise
 def dtheta1(ctx: ThetaContext, z):
     """First derivative of theta1, exact through the zeros."""
-    flat, shape, scalar = _as_flat(z)
-    _, t1, _ = _eval(ctx, flat, 1)
-    return _finish(scalar, shape, t1)
+    return _eval(ctx, z, 1)[1]
 
 
 def _guard_zero(ctx: ThetaContext, flat, t0, on_pole: str):
@@ -278,6 +304,7 @@ def _guard_zero(ctx: ThetaContext, flat, t0, on_pole: str):
     )
 
 
+@pointwise
 def log_slope(ctx: ThetaContext, z, on_pole: str = "raise"):
     """d log theta1 / d log z, i.e. z * theta1'(z) / theta1(z).
 
@@ -285,25 +312,24 @@ def log_slope(ctx: ThetaContext, z, on_pole: str = "raise"):
     log_slope(z) = 1 + log_slope(r^2 z) and log_slope(z) + log_slope(1/z) = -1,
     in particular log_slope(r) = -1.
     """
-    flat, shape, scalar = _as_flat(z)
-    t0, t1, _ = _eval(ctx, flat, 1)
-    bad = _guard_zero(ctx, flat, t0, on_pole)
-    out = flat * t1 / t0
+    t0, t1, _ = _eval(ctx, z, 1)
+    bad = _guard_zero(ctx, z, t0, on_pole)
+    out = z * t1 / t0
     if bad is not None:
         out[bad] = np.nan
-    return _finish(scalar, shape, out)
+    return out
 
 
+@pointwise
 def log_slope_deriv(ctx: ThetaContext, z, on_pole: str = "raise"):
     """Derivative of log_slope with respect to z."""
-    flat, shape, scalar = _as_flat(z)
-    t0, t1, t2 = _eval(ctx, flat, 2)
-    bad = _guard_zero(ctx, flat, t0, on_pole)
-    h = flat * t1 / t0
-    out = t1 / t0 + flat * t2 / t0 - h * h / flat
+    t0, t1, t2 = _eval(ctx, z, 2)
+    bad = _guard_zero(ctx, z, t0, on_pole)
+    h = z * t1 / t0
+    out = t1 / t0 + z * t2 / t0 - h * h / z
     if bad is not None:
         out[bad] = np.nan
-    return _finish(scalar, shape, out)
+    return out
 
 
 def pair_slope(ctx: ThetaContext, center, z, on_pole: str = "raise"):

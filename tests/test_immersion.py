@@ -7,11 +7,16 @@ from flatfront.annulus import (
     DegenerateConfigurationError,
     gauss_map,
     gauss_map_deriv,
+    gauss_map_square,
     gauss_ratio,
     gauss_ratio_deriv,
+    gauss_square_log_deriv,
     inv_gauss_gap,
     potential,
     second_gauss_map,
+    slit_map,
+    slit_map_deriv,
+    theta_quotient,
 )
 from flatfront.immersion import (
     HalfSpacePoint,
@@ -30,7 +35,7 @@ from flatfront.immersion import (
     shape_ratio,
     _e2u_fused,
 )
-from flatfront.theta import ThetaContext
+from flatfront.theta import ThetaContext, dtheta1, log_slope, log_slope_deriv, theta1
 
 from test_annulus import FLAGSHIP
 
@@ -344,3 +349,56 @@ def test_rotational_metric_and_flatness():
             ks.append(brioschi_curvature(m2.E, m2.F, m2.G, hh, hh))
         worst = max(worst, abs((4 * ks[1] - ks[0]) / 3))
     assert worst < 1e-4
+
+
+# --- scalar/array convention ------------------------------------------------
+
+# (2, 3) points inside the flagship annulus, away from its markers; the
+# rotational family sees them scaled into 0 < |g| <= s_rot
+_GRID = np.array(
+    [[0.45 + 0.2j, -0.5 + 0.3j, 0.3 - 0.6j], [-0.7 - 0.1j, 0.6 + 0.55j, -0.35 - 0.4j]]
+)
+_ROT = RotationalModuli.from_exponent(0.3)
+_FLAG_CTX = FLAGSHIP.context()
+_POINTWISE = {
+    "theta1": lambda z: theta1(_FLAG_CTX, z),
+    "dtheta1": lambda z: dtheta1(_FLAG_CTX, z),
+    "log_slope": lambda z: log_slope(_FLAG_CTX, z),
+    "log_slope_deriv": lambda z: log_slope_deriv(_FLAG_CTX, z),
+    "slit_map": lambda z: slit_map(_FLAG_CTX, FLAGSHIP.z1, z),
+    "slit_map_deriv": lambda z: slit_map_deriv(_FLAG_CTX, FLAGSHIP.z1, z),
+    "theta_quotient": lambda z: theta_quotient(_FLAG_CTX, FLAGSHIP.z1, z),
+    "immerse_rotational": lambda z: immerse_rotational(_ROT, 0.5 * z),
+    "first_form_rotational": lambda z: first_form_rotational(_ROT, 0.5 * z),
+}
+for _fn in (
+    gauss_map_square, gauss_square_log_deriv, gauss_map, gauss_map_deriv, potential,
+    inv_gauss_gap, second_gauss_map, immerse, first_form, shape_ratio,
+):
+    _POINTWISE[_fn.__name__] = lambda z, fn=_fn, **kw: fn(FLAGSHIP, _FLAG_CTX, z, **kw)
+
+
+def _fields(value):
+    if hasattr(value, "__dataclass_fields__"):
+        return [getattr(value, name) for name in value.__dataclass_fields__]
+    return [value]
+
+
+@pytest.mark.parametrize("name", sorted(_POINTWISE))
+def test_pointwise_convention(name):
+    f = _POINTWISE[name]
+    arrays = _fields(f(_GRID))
+    for a in arrays:
+        assert isinstance(a, np.ndarray) and a.shape == _GRID.shape
+    for idx in np.ndindex(_GRID.shape):
+        for point in (complex(_GRID[idx]), np.array(_GRID[idx])):
+            values = _fields(f(point))
+            assert len(values) == len(arrays)
+            for v, a in zip(values, arrays):
+                # a Python scalar of the array's kind, equal bit for bit
+                assert type(v) is type(a[idx].item())
+                assert np.asarray(v, dtype=a.dtype).tobytes() == a[idx].tobytes()
+    if name in ("gauss_map_deriv", "inv_gauss_gap", "second_gauss_map", "first_form"):
+        g = gauss_map(FLAGSHIP, _FLAG_CTX, _GRID)
+        for v, a in zip(_fields(f(_GRID, g_val=g)), arrays):
+            assert v.shape == _GRID.shape and v.tobytes() == a.tobytes()

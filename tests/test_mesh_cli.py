@@ -1,6 +1,7 @@
 """Tests for mesh generation, export formats, validation reports, and the CLI."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -122,6 +123,9 @@ def test_ply_round_trip(tmp_path, mesh16):
     back = np.frombuffer(body[: nv * 24], dtype="<f8").reshape(nv, 3)
     assert np.array_equal(back, mesh16.vertices)
     assert len(body) == nv * 24 + 13 * len(mesh16.faces)
+    records = list(struct.iter_unpack("<B3i", body[nv * 24 :]))
+    assert all(rec[0] == 3 for rec in records)
+    assert np.array_equal([rec[1:] for rec in records], mesh16.faces)
 
 
 # --- validation ------------------------------------------------------------
