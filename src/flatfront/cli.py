@@ -34,6 +34,7 @@ from .meshing import (
     write_ply,
 )
 from .solver import BracketError, RangeNormalizationError, solve_canonical
+from .theta import ThetaPoleError
 from .validation import MASTER_TOL, boundary_ranges_ok, validate_moduli
 
 EXIT_OK = 0
@@ -114,7 +115,7 @@ def _cmd_mesh(args) -> int:
             model=args.model,
             rho_end=args.rho_end,
         )
-    except (ValueError, RepresentationError) as exc:
+    except (ValueError, RepresentationError, ThetaPoleError) as exc:
         return _fail(str(exc), EXIT_USAGE)
     _write_mesh(mesh, out, args.format)
     return EXIT_OK

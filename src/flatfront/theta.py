@@ -17,6 +17,14 @@ Derivatives come from the same product.  Away from zeros the logarithmic
 derivative sum is used; within distance 1e-6 of a zero the vanishing factor
 is split off and the remaining product is differentiated explicitly, so the
 derivative stays accurate through the zero itself.
+
+Evaluation runs over chunks of points.  Each chunk builds the factor table
+(1 - r^(2k) v)(1 - r^(2k) / v) for a block of k in a few array operations,
+plus the tables of the log-derivative terms, and multiplies (or adds) the
+rows into the result in order of k.  Every point sees the same operations
+in the same order as in a term-by-term loop, so a value does not depend on
+the batch it is computed in: a scalar call and the same point inside a batch
+of any size agree bit for bit.
 """
 
 from __future__ import annotations
@@ -143,6 +151,50 @@ def pointwise(fn):
     return wrapper
 
 
+# Points per chunk, and bounds on the entries of one table.  A table has a
+# row per term k and a column per point of the chunk; it covers as many k at
+# a time as fit in one entry per point of the batch, but no fewer than
+# _TABLE_MIN and no more than _TABLE_MAX entries (64 to 512 KiB).  So a small
+# batch needs little scratch memory, and a large one folds long rows.
+_CHUNK = 2048
+_TABLE_MIN = 4096
+_TABLE_MAX = 32768
+
+
+@functools.lru_cache(maxsize=64)
+def _term_columns(r: float, n_terms: int):
+    """The columns p_k = r^(2k), -p_k and -p_k^2 for k = 1..n_terms.
+
+    Each is a read-only complex (n_terms, 1) array whose entries are the
+    Python floats r ** (2 * k) and their negations, so a table row carries
+    the same operands as one factor of the product.
+    """
+    p = [r ** (2 * k) for k in range(1, n_terms + 1)]
+    cols = []
+    for vals in (p, [-x for x in p], [-(x * x) for x in p]):
+        col = np.array(vals, dtype=np.complex128).reshape(-1, 1)
+        col.flags.writeable = False
+        cols.append(col)
+    return tuple(cols)
+
+
+def _fold(ufunc, out, rows):
+    """out = ufunc(out, row) for each row in turn, left operand first.
+
+    A one-point out is folded in fresh arrays: numpy runs a one-element
+    operation written in place as a reduction, whose complex product rounds
+    differently from the elementwise one.
+    """
+    if out.size > 1:
+        for row in rows:
+            ufunc(out, row, out)
+        return
+    acc = out
+    for row in rows:
+        acc = ufunc(acc, row)
+    out[...] = acc
+
+
 def _band_core(ctx: ThetaContext, v, order: int, skip_unit: bool):
     """Product and log-derivative sums over the truncated factor list.
 
@@ -150,31 +202,41 @@ def _band_core(ctx: ThetaContext, v, order: int, skip_unit: bool):
     L the sum of f'/f over factors and Lp its derivative.  When skip_unit is
     set the (1 - 1/v) factor is left out of all three, which is what the
     near-zero path needs.
+
+    Each chunk of _CHUNK points builds its factor table (1 - p_k v)(1 - p_k/v)
+    and the matching L and Lp term tables, one row per k, for a block of k
+    at a time, and folds the rows into the outputs in order of k.  The
+    arithmetic per point is that of a term-by-term loop, so a point gets the
+    same bits whatever batch it is part of.
     """
-    r = ctx.r
-    prod = np.full(v.shape, ctx.c_const, dtype=np.complex128)
+    step = min(max(v.size, _TABLE_MIN), _TABLE_MAX) // max(min(v.size, _CHUNK), 1)
+    cols = _term_columns(ctx.r, ctx.n_terms)
+    blocks = [[col[k : k + step] for col in cols] for k in range(0, ctx.n_terms, step)]
+    prod = np.empty(v.shape, dtype=np.complex128)
     L = np.zeros(v.shape, dtype=np.complex128) if order >= 1 else None
     Lp = np.zeros(v.shape, dtype=np.complex128) if order >= 2 else None
-
-    if not skip_unit:
-        f0 = 1.0 - 1.0 / v
-        prod = prod * f0
-        if order >= 1:
-            L = L + 1.0 / (v * v - v)
-        if order >= 2:
-            l0 = 1.0 / (v * v - v)
-            Lp = Lp - (2.0 * v - 1.0) * l0 * l0
-
-    for k in range(1, ctx.n_terms + 1):
-        p = r ** (2 * k)
-        a = 1.0 - p * v
-        b = 1.0 - p / v
-        prod = prod * (a * b)
-        if order >= 1:
-            L = L + (-p / a + p / (v * (v - p)))
-        if order >= 2:
-            vb = v * (v - p)
-            Lp = Lp + (-(p * p) / (a * a) - p * (2.0 * v - p) / (vb * vb))
+    for lo in range(0, v.size, _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        w = v[chunk]
+        prod[chunk] = ctx.c_const
+        if not skip_unit:
+            _fold(np.multiply, prod[chunk], [1.0 - 1.0 / w])
+            if order >= 1:
+                l0 = 1.0 / (w * w - w)
+                _fold(np.add, L[chunk], [l0])
+            if order >= 2:
+                _fold(np.subtract, Lp[chunk], [(2.0 * w - 1.0) * l0 * l0])
+        for p, neg_p, neg_pp in blocks:
+            a = 1.0 - p * w
+            # explicit calls keep the operand order of a complex product,
+            # which is not commutative bit for bit
+            _fold(np.multiply, prod[chunk], np.multiply(a, 1.0 - p / w))
+            if order >= 1:
+                vb = w * (w - p)
+                _fold(np.add, L[chunk], neg_p / a + p / vb)
+            if order >= 2:
+                terms = neg_pp / (a * a) - np.multiply(p, 2.0 * w - p) / (vb * vb)
+                _fold(np.add, Lp[chunk], terms)
     return prod, L, Lp
 
 
@@ -189,7 +251,9 @@ def _band_eval(ctx: ThetaContext, v, order: int):
         prod, L, Lp = _band_core(ctx, v, order, skip_unit=False)
         t0 = prod
         t1 = prod * L if order >= 1 else None
-        t2 = prod * (L * L + Lp) if order >= 2 else None
+        # an explicit call: for large v the operator form would be
+        # evaluated as (L * L + Lp) * prod, which rounds differently
+        t2 = np.multiply(prod, L * L + Lp) if order >= 2 else None
 
     flagged = np.abs(v - 1.0) < NEAR_ZERO_DIST
     if flagged.any():
@@ -244,34 +308,40 @@ def _reduce_band(ctx: ThetaContext, z):
     return c, k, n, v
 
 
-def _eval(ctx: ThetaContext, z, order: int):
-    """theta1 and derivatives at arbitrary nonzero arguments (flat arrays)."""
+def _eval(ctx: ThetaContext, z, order: int, amplitude: bool = False):
+    """theta1 and derivatives at arbitrary nonzero arguments (flat arrays).
+
+    Returns (theta, theta', theta''), with None past ``order``.  With
+    ``amplitude`` set a fourth value follows, the pole-guard bound of
+    :func:`_amplitude`, built from the same reduction into the band.
+    """
     if (z == 0).any():
         raise ValueError("theta1 is undefined at z = 0")
     c, k, n, v = _reduce_band(ctx, z)
     t0, t1, t2 = _band_eval(ctx, v, order)
     zk = np.power(z, k)
     theta = c * zk * t0
-    if order == 0:
-        return theta, None, None
-    q = np.power(ctx.r, 2.0 * n)
-    kz = k / z
-    dtheta = c * zk * (kz * t0 + q * t1)
-    if order == 1:
-        return theta, dtheta, None
-    d2 = c * zk * (k * (k - 1) / (z * z) * t0 + 2.0 * kz * q * t1 + q * q * t2)
+    dtheta = d2 = None
+    if order >= 1:
+        q = np.power(ctx.r, 2.0 * n)
+        kz = k / z
+        dtheta = c * zk * (kz * t0 + q * t1)
+    if order >= 2:
+        d2 = c * zk * (k * (k - 1) / (z * z) * t0 + 2.0 * kz * q * t1 + q * q * t2)
+    if amplitude:
+        return theta, dtheta, d2, _amplitude(ctx, c, zk, v)
     return theta, dtheta, d2
 
 
-def _amplitude(ctx: ThetaContext, z):
-    """Crude upper bound for |theta1| used to calibrate the pole guard."""
-    c, k, _, v = _reduce_band(ctx, z)
+def _amplitude(ctx: ThetaContext, c, zk, v):
+    """Crude upper bound for |theta1| used to calibrate the pole guard, from
+    the reduction theta1(z) = c * z^k * theta1(v) of :func:`_reduce_band`."""
     av = np.abs(v)
     r2 = ctx.r * ctx.r
     tail = r2 / (1.0 - r2)
     return (
         np.abs(c)
-        * np.abs(np.power(z, k))
+        * np.abs(zk)
         * ctx.c_const
         * (1.0 + 1.0 / av)
         * np.exp((av + 1.0 / av) * tail)
@@ -291,8 +361,8 @@ def dtheta1(ctx: ThetaContext, z):
     return _eval(ctx, z, 1)[1]
 
 
-def _guard_zero(ctx: ThetaContext, flat, t0, on_pole: str):
-    bad = np.abs(t0) < POLE_GUARD * _amplitude(ctx, flat)
+def _guard_zero(ctx: ThetaContext, flat, t0, amp, on_pole: str):
+    bad = np.abs(t0) < POLE_GUARD * amp
     if not bad.any():
         return None
     if on_pole == "nan":
@@ -312,8 +382,8 @@ def log_slope(ctx: ThetaContext, z, on_pole: str = "raise"):
     log_slope(z) = 1 + log_slope(r^2 z) and log_slope(z) + log_slope(1/z) = -1,
     in particular log_slope(r) = -1.
     """
-    t0, t1, _ = _eval(ctx, z, 1)
-    bad = _guard_zero(ctx, z, t0, on_pole)
+    t0, t1, _, amp = _eval(ctx, z, 1, amplitude=True)
+    bad = _guard_zero(ctx, z, t0, amp, on_pole)
     out = z * t1 / t0
     if bad is not None:
         out[bad] = np.nan
@@ -323,8 +393,8 @@ def log_slope(ctx: ThetaContext, z, on_pole: str = "raise"):
 @pointwise
 def log_slope_deriv(ctx: ThetaContext, z, on_pole: str = "raise"):
     """Derivative of log_slope with respect to z."""
-    t0, t1, t2 = _eval(ctx, z, 2)
-    bad = _guard_zero(ctx, z, t0, on_pole)
+    t0, t1, t2, amp = _eval(ctx, z, 2, amplitude=True)
+    bad = _guard_zero(ctx, z, t0, amp, on_pole)
     h = z * t1 / t0
     out = t1 / t0 + z * t2 / t0 - h * h / z
     if bad is not None:

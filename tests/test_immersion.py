@@ -35,6 +35,7 @@ from flatfront.immersion import (
     shape_ratio,
     _e2u_fused,
 )
+from flatfront.solver import solve_canonical
 from flatfront.theta import ThetaContext, dtheta1, log_slope, log_slope_deriv, theta1
 
 from test_annulus import FLAGSHIP
@@ -402,3 +403,19 @@ def test_pointwise_convention(name):
         g = gauss_map(FLAGSHIP, _FLAG_CTX, _GRID)
         for v, a in zip(_fields(f(_GRID, g_val=g)), arrays):
             assert v.shape == _GRID.shape and v.tobytes() == a.tobytes()
+
+
+def test_first_form_stencil_batch_equals_per_stencil_calls():
+    # criterion 6's curvature stencils: 100 centres, each with 3x3 offsets
+    moduli, _ = solve_canonical(0.25, -0.5)
+    ctx = moduli.context()
+    fracs = np.linspace(0.45, 0.55, 5)
+    angs = np.linspace(0.35, np.pi - 0.35, 10)
+    angs = np.concatenate([angs, -angs])
+    zs = (np.exp(np.log(moduli.r) * fracs)[:, None] * np.exp(1j * angs)[None, :]).ravel()
+    offs = np.array([[complex(i, j) for i in (-1, 0, 1)] for j in (-1, 0, 1)])
+    stencils = zs[:, None, None] + 5e-4 * offs[None]
+    batch = _fields(first_form(moduli, ctx, stencils))
+    for i, stencil in enumerate(stencils):
+        for v, a in zip(_fields(first_form(moduli, ctx, stencil)), batch):
+            assert v.tobytes() == a[i].tobytes()

@@ -1,6 +1,7 @@
 """Tests for mesh generation, export formats, validation reports, and the CLI."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -232,6 +233,23 @@ def test_cli_mesh_unreadable(tmp_path, capsys):
     junk = tmp_path / "junk.json"
     junk.write_text("not json at all")
     assert main(["mesh", str(junk)]) == 3
+    capsys.readouterr()
+
+
+def test_cli_mesh_reports_theta_pole(tmp_path, capsys):
+    # z0 one ulp below z1: the slit map's theta quotient is evaluated on a
+    # zero of theta1; validate already reports this file as failed
+    _, moduli = _solve(tmp_path)
+    bad = json.loads(moduli.read_text())
+    bad["z0"] = math.nextafter(bad["z1"], -2)
+    crafted = tmp_path / "crafted.json"
+    crafted.write_text(json.dumps(bad))
+    capsys.readouterr()
+    assert main(["mesh", str(crafted), "--out", str(tmp_path / "c.obj")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flatfront: theta1 vanishes at z = ")
+    assert not (tmp_path / "c.obj").exists()
+    assert main(["validate", str(crafted), "--grid", "16"]) == 1
     capsys.readouterr()
 
 

@@ -186,3 +186,27 @@ def test_scalar_and_array_shapes() -> None:
     arr = T.theta1(ctx, np.full((3, 4), -0.5, dtype=complex))
     assert arr.shape == (3, 4)
     assert np.allclose(arr, val)
+
+
+@pytest.mark.parametrize("r", [0.25, 0.7])
+def test_batch_values_equal_point_values(r: float) -> None:
+    # 20,077 points: past the size from which numpy reuses temporaries in
+    # place, and not a whole number of chunks, so the last chunk is short
+    ctx = T.ThetaContext.create(r)
+    rng = np.random.default_rng(31)
+    n = 20_077
+    z = np.exp(
+        rng.uniform(3.0 * np.log(r), -3.0 * np.log(r), n) + 1j * rng.uniform(-np.pi, np.pi, n)
+    )
+    z[:2] = 1.0 + 1e-8j, r**2 * (1.0 + 3e-7)  # the near-zero path
+    idx = np.r_[0:n:16, n - 1]  # one call per point
+    for f in (T.theta1, T.dtheta1, T.log_slope, T.log_slope_deriv):
+        batch = f(ctx, z)
+        single = np.array([f(ctx, complex(z[i])) for i in idx])
+        assert single.tobytes() == batch[idx].tobytes(), f.__name__
+
+
+def test_empty_batch() -> None:
+    ctx = T.ThetaContext.create(0.25)
+    for f in (T.theta1, T.dtheta1, T.log_slope, T.log_slope_deriv):
+        assert f(ctx, np.zeros((0, 3), dtype=complex)).shape == (0, 3)
