@@ -121,14 +121,21 @@ def canonical_mesh(
     """
     if n_rho < 8 or n_theta < 8:
         raise ValueError("n_rho and n_theta must both be at least 8")
-    if rho_end <= 0:
-        raise ValueError("rho_end must be positive")
+    if not rho_end > 0:
+        raise ValueError(f"rho_end must be positive, got {rho_end}")
     if ctx is None:
         ctx = moduli.context()
     r = moduli.r
     theta = -np.pi + 2.0 * np.pi * np.arange(n_theta) / n_theta
     rho = np.exp(np.log(r) * (1.0 - np.arange(n_rho + 1) / n_rho))
     rho[0], rho[-1] = r, 1.0
+
+    faces = _grid_faces(n_rho, n_theta)
+    z_param = (rho[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    clearance = _disc_clearance(z_param[faces], complex(moduli.z0))
+    faces = faces[clearance >= rho_end]
+    if not len(faces):
+        raise ValueError(f"rho_end={rho_end} excises every face")
 
     d = BOUNDARY_OFFSET
     levels = np.concatenate([[r + d, r + 2 * d], rho[1:-1], [1 - d, 1 - 2 * d]])
@@ -138,11 +145,6 @@ def canonical_mesh(
     Hs = np.vstack([2 * H[0] - H[1], H[2:-2], 2 * H[-2] - H[-1]])
     Vs = np.vstack([2 * V[0] - V[1], V[2:-2], 2 * V[-2] - V[-1]])
     Vs = np.maximum(Vs, 0.0)
-
-    faces = _grid_faces(n_rho, n_theta)
-    z_param = (rho[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    clearance = _disc_clearance(z_param[faces], complex(moduli.z0))
-    faces = faces[clearance >= rho_end]
 
     flat = HalfSpacePoint(Hs.ravel(), Vs.ravel())
     rings = (

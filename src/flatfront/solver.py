@@ -265,7 +265,7 @@ def solve_canonical(
         c2 = slit_map(ctx, z2, complex(z0)).real
         a_R, b_R = fit_gauss_ratio(ctx, z0, z1, z2)
     except ThetaPoleError as exc:
-        # thin annuli compress the probe lattice onto theta zeros
+        # a probe exactly on a zero r^(2k) of theta1 is a stage failure
         raise BracketError(f"search stepped onto a theta zero for r={r}, s={s}: {exc}") from exc
     moduli = CanonicalModuli(
         r=r, s=s, m=m, z0=z0, z1=z1, z2=z2, c1=c1, c2=c2,

@@ -18,6 +18,11 @@ derivative sum is used; within distance 1e-6 of a zero the vanishing factor
 is split off and the remaining product is differentiated explicitly, so the
 derivative stays accurate through the zero itself.
 
+The logarithmic derivatives have their poles at these known zeros and
+nowhere else, so their guard is structural: a point within relative
+distance ZERO_DIST of its nearest zero r^(2k) raises ThetaPoleError, and
+every other point is evaluated, however small theta1 is there.
+
 Evaluation runs over chunks of points.  Each chunk builds the factor table
 (1 - r^(2k) v)(1 - r^(2k) / v) for a block of k in a few array operations,
 plus the tables of the log-derivative terms, and multiplies (or adds) the
@@ -39,8 +44,9 @@ import numpy as np
 # Truncation: n_terms is chosen so r^(2 n_terms) < TRUNCATION_TOL.
 TRUNCATION_TOL = 1e-18
 
-# |theta1| below POLE_GUARD * amplitude counts as landing on a zero.
-POLE_GUARD = 1e-13
+# A point z with |z - r^(2k)| <= ZERO_DIST * r^(2k), for its nearest zero
+# r^(2k), counts as landing on that zero.
+ZERO_DIST = 1e-13
 
 # Switch distance to the isolated-factor derivative path near a zero.
 NEAR_ZERO_DIST = 1e-6
@@ -49,9 +55,9 @@ _MAX_REDUCTIONS = 2048
 
 
 class ThetaPoleError(ZeroDivisionError):
-    """An evaluation landed on (or numerically next to) a zero of theta1.
+    """An evaluation landed on (or within ZERO_DIST of) a zero of theta1.
 
-    ``location`` carries the nearest zero r^(2k) when it is identifiable.
+    ``location`` carries that zero r^(2k).
     """
 
     def __init__(self, message: str, location=None):
@@ -106,13 +112,13 @@ class ThetaContext:
         """Same modulus with a different truncation length (for convergence checks)."""
         return ThetaContext(self.r, n_terms, self._tail_constant(self.r, n_terms))
 
-    def nearest_zero(self, z: complex) -> float:
-        """The zero r^(2k) whose modulus is closest to |z| (k rounded)."""
-        az = abs(z)
-        if az == 0.0:
-            return 0.0
-        k = round(math.log(az) / (2.0 * math.log(self.r)))
-        return self.r ** (2 * k)
+    def nearest_zero(self, z):
+        """The zero r^(2k) nearest to nonzero z in log-modulus, elementwise.
+
+        A scalar z gets the float r ** (2 * k) of the factor columns; numpy's
+        power over an array may round that value differently in the last bit.
+        """
+        return self.r ** (2.0 * np.rint(np.log(np.abs(z)) / (2.0 * math.log(self.r))))
 
 
 def _shaped(arr, shape):
@@ -308,12 +314,10 @@ def _reduce_band(ctx: ThetaContext, z):
     return c, k, n, v
 
 
-def _eval(ctx: ThetaContext, z, order: int, amplitude: bool = False):
+def _eval(ctx: ThetaContext, z, order: int):
     """theta1 and derivatives at arbitrary nonzero arguments (flat arrays).
 
-    Returns (theta, theta', theta''), with None past ``order``.  With
-    ``amplitude`` set a fourth value follows, the pole-guard bound of
-    :func:`_amplitude`, built from the same reduction into the band.
+    Returns (theta, theta', theta''), with None past ``order``.
     """
     if (z == 0).any():
         raise ValueError("theta1 is undefined at z = 0")
@@ -328,24 +332,7 @@ def _eval(ctx: ThetaContext, z, order: int, amplitude: bool = False):
         dtheta = c * zk * (kz * t0 + q * t1)
     if order >= 2:
         d2 = c * zk * (k * (k - 1) / (z * z) * t0 + 2.0 * kz * q * t1 + q * q * t2)
-    if amplitude:
-        return theta, dtheta, d2, _amplitude(ctx, c, zk, v)
     return theta, dtheta, d2
-
-
-def _amplitude(ctx: ThetaContext, c, zk, v):
-    """Crude upper bound for |theta1| used to calibrate the pole guard, from
-    the reduction theta1(z) = c * z^k * theta1(v) of :func:`_reduce_band`."""
-    av = np.abs(v)
-    r2 = ctx.r * ctx.r
-    tail = r2 / (1.0 - r2)
-    return (
-        np.abs(c)
-        * np.abs(zk)
-        * ctx.c_const
-        * (1.0 + 1.0 / av)
-        * np.exp((av + 1.0 / av) * tail)
-    )
 
 
 @pointwise
@@ -361,48 +348,39 @@ def dtheta1(ctx: ThetaContext, z):
     return _eval(ctx, z, 1)[1]
 
 
-def _guard_zero(ctx: ThetaContext, flat, t0, amp, on_pole: str):
-    bad = np.abs(t0) < POLE_GUARD * amp
-    if not bad.any():
-        return None
-    if on_pole == "nan":
-        return bad
-    where = flat[bad][0]
-    raise ThetaPoleError(
-        f"theta1 vanishes at z = {where}; nearest zero {ctx.nearest_zero(where)}",
-        location=ctx.nearest_zero(where),
-    )
+def _guard_zero(ctx: ThetaContext, z):
+    """Raise ThetaPoleError if a point lies on a zero (see ZERO_DIST)."""
+    zero = ctx.nearest_zero(z)
+    bad = np.abs(z - zero) <= ZERO_DIST * zero
+    if bad.any():
+        where = complex(z[bad.argmax()])
+        location = float(ctx.nearest_zero(where))
+        raise ThetaPoleError(f"theta1 vanishes at z = {where}; nearest zero {location}", location=location)
 
 
 @pointwise
-def log_slope(ctx: ThetaContext, z, on_pole: str = "raise"):
+def log_slope(ctx: ThetaContext, z):
     """d log theta1 / d log z, i.e. z * theta1'(z) / theta1(z).
 
     Real on the real axis, with simple poles at the zeros r^(2k).  Satisfies
     log_slope(z) = 1 + log_slope(r^2 z) and log_slope(z) + log_slope(1/z) = -1,
     in particular log_slope(r) = -1.
     """
-    t0, t1, _, amp = _eval(ctx, z, 1, amplitude=True)
-    bad = _guard_zero(ctx, z, t0, amp, on_pole)
-    out = z * t1 / t0
-    if bad is not None:
-        out[bad] = np.nan
-    return out
+    t0, t1, _ = _eval(ctx, z, 1)
+    _guard_zero(ctx, z)
+    return z * t1 / t0
 
 
 @pointwise
-def log_slope_deriv(ctx: ThetaContext, z, on_pole: str = "raise"):
+def log_slope_deriv(ctx: ThetaContext, z):
     """Derivative of log_slope with respect to z."""
-    t0, t1, t2, amp = _eval(ctx, z, 2, amplitude=True)
-    bad = _guard_zero(ctx, z, t0, amp, on_pole)
+    t0, t1, t2 = _eval(ctx, z, 2)
+    _guard_zero(ctx, z)
     h = z * t1 / t0
-    out = t1 / t0 + z * t2 / t0 - h * h / z
-    if bad is not None:
-        out[bad] = np.nan
-    return out
+    return t1 / t0 + z * t2 / t0 - h * h / z
 
 
-def pair_slope(ctx: ThetaContext, center, z, on_pole: str = "raise"):
+def pair_slope(ctx: ThetaContext, center, z):
     """log_slope(z / center) + log_slope(z * center).
 
     For a real center in (-1, -r) this is the building block of the moduli
@@ -411,7 +389,4 @@ def pair_slope(ctx: ThetaContext, center, z, on_pole: str = "raise"):
     zero at 1.
     """
     center = np.asarray(center, dtype=np.complex128)
-    return log_slope(ctx, np.asarray(z) / center, on_pole=on_pole) + log_slope(
-        ctx, np.asarray(z) * center, on_pole=on_pole
-    )
-
+    return log_slope(ctx, np.asarray(z) / center) + log_slope(ctx, np.asarray(z) * center)

@@ -253,6 +253,18 @@ def test_cli_mesh_reports_theta_pole(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_mesh_rejects_empty_mesh(tmp_path, capsys):
+    # NaN, and any radius that excises every face, is a usage error rather
+    # than an empty mesh file
+    _, moduli = _solve(tmp_path)
+    out = tmp_path / "m.obj"
+    for rho_end in ("nan", "inf", "5"):
+        capsys.readouterr()
+        assert main(["mesh", str(moduli), "--rho-end", rho_end, "--out", str(out)]) == 2
+        assert "rho_end" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_validate(tmp_path, capsys):
     _, moduli = _solve(tmp_path)
     report = tmp_path / "report.json"

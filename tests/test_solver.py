@@ -8,6 +8,7 @@ import pytest
 
 from flatfront.solver import (
     MAX_ITERS,
+    RESIDUAL_TOL,
     BracketError,
     RangeNormalizationError,
     SolverTrace,
@@ -152,11 +153,19 @@ def test_residuals_catch_corruption():
     assert max(abs(v) for v in dirty.values()) > 1e-4
 
 
-def test_thin_annulus_fails_as_bracket_error():
-    # probe lattices compress onto theta zeros as r -> 1; the stage failure
-    # must surface as the documented solver error, not a kernel exception
-    with pytest.raises(BracketError, match="theta zero"):
-        solve_canonical(0.9, -0.5)
+def test_thin_annulus_solves():
+    # the stage-2 endpoint 1 + 1e-9 sits next to a theta zero without being
+    # one, however large theta grows as r -> 1
+    moduli, _ = solve_canonical(0.9, -0.5)
+    assert -1.0 < moduli.z2 < moduli.z0 < moduli.z1 < -moduli.r
+    assert all(abs(v) <= RESIDUAL_TOL for v in residuals(moduli).values())
+
+
+def test_stage_failure_is_bracket_error():
+    # a stage failure surfaces as the documented solver error, not a kernel
+    # exception
+    with pytest.raises(BracketError, match="no sign change"):
+        solve_canonical(0.05, -0.001)
 
 
 def test_solver_deterministic():

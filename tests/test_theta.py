@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flatfront import theta as T
+from oracles import theta_product, theta_product_deriv
 
 
 # Frozen from a 200-term product evaluated with mpmath at 50 digits
@@ -132,11 +133,32 @@ def test_domain_errors() -> None:
     ctx = T.ThetaContext.create(0.25)
     with pytest.raises(ValueError):
         T.theta1(ctx, 0.0)
-    with pytest.raises(T.ThetaPoleError) as err:
-        T.log_slope(ctx, ctx.r**2)
-    assert err.value.location == pytest.approx(ctx.r**2)
     with pytest.raises(ValueError, match="too close to 1"):
         T.ThetaContext.create(0.9999)
+
+
+@pytest.mark.parametrize("r", [0.05, 0.25, 0.7, 0.9])
+@pytest.mark.parametrize("k", range(-2, 4))
+def test_zeros_raise_pole_error(r, k) -> None:
+    # zeros inside and outside the band, hit exactly and one ulp off
+    ctx = T.ThetaContext.create(r)
+    zero = r ** (2 * k)
+    for z in (zero, np.nextafter(zero, 0.0), np.nextafter(zero, np.inf)):
+        with pytest.raises(T.ThetaPoleError) as err:
+            T.log_slope(ctx, z)
+        assert err.value.location == zero
+
+
+@pytest.mark.parametrize("r", [0.85, 0.9])
+def test_log_slope_near_zeros_of_thin_annuli(r) -> None:
+    # regular points next to a zero stay finite however large theta's
+    # amplitude grows as r -> 1
+    ctx = T.ThetaContext.create(r)
+    for z in (1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-6, r * r * (1.0 + 1e-9), (1.0 - 1e-9) / r**2):
+        got = T.log_slope(ctx, z)
+        want = complex(z * theta_product_deriv(r, z) / theta_product(r, z))
+        assert np.isfinite(got)
+        assert abs(got - want) <= 1e-6 * abs(want)
 
 
 def test_log_slope_identities() -> None:
