@@ -10,16 +10,23 @@ evaluates:
   normalized by R(z1) = 1, R(z2) = 0, with its simple pole at z0,
 * ``theta_quotient`` - the quotient theta1(marker/z) / theta1(marker z),
   unimodular on |z| = 1,
-* ``gauss_map`` - g = sqrt(W) / z for W = R/(1-R) * Q1/Q2; the square-root
-  branch is that of a continued logarithm of W, read from one cached walk
-  of the core circle |z| = sqrt(r) per surface and carried to each point
-  along a radial leg,
+* ``gauss_map`` - g = sqrt(W) / z for W = R/(1-R) * Q1/Q2, in the closed
+  form g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)) with one constant C > 0
+  per surface,
 * ``potential`` - the harmonic function u with exp(2u) = |Q1 z^m / (1-R)|,
 * ``inv_gauss_gap`` / ``second_gauss_map`` - F = R/g and g* = g - 1/F.
 
 W is zero- and pole-free on the closed annulus: every singularity of the
 building blocks cancels pairwise.  The evaluators below use fused forms so
 the cancellation happens analytically, not by dividing huge by huge.
+
+Off the annulus, once R(z1) = 1 and R(z2) = 0, W has double zeros at
+r^(2k)/z2 and double poles at r^(2k)/z1, on the negative real axis.  The
+squared quotient (theta1(z2 z) / theta1(z1 z))^2 has the same divisor, and
+both gain the factor (z1/z2)^2 under z -> r^2 z, so their ratio is an
+elliptic function without poles: a constant.  That fixes the square root of
+W with no branch to track.  W keeps its own fused evaluation, which makes
+g^2 z^2 = W a cross-check between two routes.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ class DegenerateConfigurationError(ValueError):
 
 
 class RepresentationError(ValueError):
-    """The square root of W cannot be tracked to a single-valued branch."""
+    """W has no single-valued square root of the closed form of gauss_map."""
 
 
 @dataclass(frozen=True)
@@ -232,109 +239,67 @@ def gauss_square_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     return Rp / (R * (1.0 - R)) + (moduli.z1 * q1v - moduli.z2 * q2v) / z
 
 
-# --- square-root branch ------------------------------------------------
+# --- Gauss map ----------------------------------------------------------
 
 _RING_STEPS = 4096
-_BRANCH_CHUNK = 4096
-_K_RAD = 80
-
-
-@lru_cache(maxsize=128)
-def _core_ring(moduli: CanonicalModuli, ctx: ThetaContext):
-    """The continued log of W on the core circle |z| = sqrt(r), and W's winding number.
-
-    The samples sqrt(r) exp(i (pi - 2 pi j / N)), j = 0..N, walk the circle
-    once clockwise from -sqrt(r), where the log starts on its principal
-    value.  Returns (log samples, winding number).
-    """
-    th = np.pi - np.linspace(0.0, 2.0 * np.pi, _RING_STEPS + 1)
-    vals = gauss_map_square(moduli, ctx, np.sqrt(moduli.r) * np.exp(1j * th))
-    inc = np.log(vals[1:] / vals[:-1])
-    if np.abs(inc.imag).max() > 2.0:
-        raise RepresentationError("winding audit needs more steps")
-    logs = np.log(vals[0]) + np.concatenate(([0.0], np.cumsum(inc)))
-    total = (logs[0] - logs[-1]).imag / (2.0 * np.pi)
-    n = int(round(total))
-    if abs(total - n) > 1e-6:
-        raise RepresentationError(f"winding of W did not close up: {total}")
-    logs.flags.writeable = False
-    return logs, n
 
 
 def gauss_square_winding(moduli: CanonicalModuli, ctx: ThetaContext) -> int:
-    """Winding number of W around the core circle |z| = sqrt(r)."""
-    return _core_ring(moduli, ctx)[1]
+    """Winding number of W around the core circle |z| = sqrt(r).
 
-
-def _radial_log(moduli, ctx, th, logm):
-    """W at sqrt(r) exp(i th) and the continued-log increment of W from there
-    along the ray to exp(logm + i th).
-
-    Columns whose phase jump nears the wrap limit are retried on grids 8x and
-    64x finer, a slice of columns at a time, so that no array outgrows the
-    base chunk.
+    Zero for valid moduli, where W has the single-valued square root of
+    :func:`gauss_map`.  A plain walk of W over the circle; independent of
+    the closed form, so it serves as a cross-check.
     """
-    lr = np.log(np.sqrt(moduli.r))
+    th = np.linspace(0.0, 2.0 * np.pi, _RING_STEPS + 1)
+    vals = gauss_map_square(moduli, ctx, np.sqrt(moduli.r) * np.exp(1j * th))
+    inc = np.angle(vals[1:] / vals[:-1])
+    if np.abs(inc).max() > 2.0:
+        raise RepresentationError("winding audit needs more steps")
+    total = inc.sum() / (2.0 * np.pi)
+    n = int(round(total))
+    if abs(total - n) > 1e-6:
+        raise RepresentationError(f"winding of W did not close up: {total}")
+    return n
 
-    def path(t, cols):
-        lm = lr + np.multiply.outer(t, logm[cols] - lr)
-        return np.exp(lm + 1j * th[cols][None, :])
 
-    vals = gauss_map_square(moduli, ctx, path(np.linspace(0.0, 1.0, _K_RAD + 1), slice(None)))
-    inc = np.log(vals[1:] / vals[:-1])
-    # cumsum, unlike sum, adds the rows in order for any batch width
-    total = np.cumsum(inc, axis=0)[-1]
-    bad = np.flatnonzero(np.abs(inc.imag).max(axis=0) > 2.0)
-    for factor in (8, 64):
-        if not bad.size:
-            break
-        tf = np.linspace(0.0, 1.0, factor * _K_RAD + 1)
-        width = _BRANCH_CHUNK // factor
-        failed = []
-        for start in range(0, bad.size, width):
-            cols = bad[start : start + width]
-            vf = gauss_map_square(moduli, ctx, path(tf, cols))
-            incf = np.log(vf[1:] / vf[:-1])
-            ok = np.abs(incf.imag).max(axis=0) <= 2.0
-            total[cols[ok]] = np.cumsum(incf[:, ok], axis=0)[-1]
-            failed.append(cols[~ok])
-        bad = np.concatenate(failed)
-    if bad.size:
-        raise RepresentationError("branch tracking failed along evaluation path")
-    return vals[0], total
+@lru_cache(maxsize=128)
+def _gauss_scale(moduli: CanonicalModuli, ctx: ThetaContext) -> float:
+    """sqrt(C) for the constant C = W(z) (theta1(z1 z) / theta1(z2 z))^2.
+
+    Read at +sqrt(r), the core point farthest from the markers.  Moduli that
+    do not satisfy R(z1) = 1, R(z2) = 0 give a W with another divisor, and
+    the ratio is then not constant: RepresentationError unless C is real,
+    positive and matches its value at -sqrt(r) to 1e-8 relative.
+    """
+    core = np.sqrt(moduli.r) * np.array([1.0, -1.0], dtype=np.complex128)
+    quot = _eval(ctx, moduli.z2 * core, 0)[0] / _eval(ctx, moduli.z1 * core, 0)[0]
+    c = gauss_map_square(moduli, ctx, core) / (quot * quot)
+    if not (c[0].real > 0.0 and np.abs(c - c[0].real).max() <= 1e-8 * c[0].real):
+        raise RepresentationError(
+            f"W is not a constant times (theta1(z2 z)/theta1(z1 z))^2: C = {c[0]} at +sqrt(r), "
+            f"{c[1]} at -sqrt(r)"
+        )
+    return float(np.sqrt(c[0].real))
 
 
 @pointwise
 def gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """The hyperbolic Gauss map g = sqrt(W) / z on the closed annulus.
+    """The hyperbolic Gauss map g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)).
 
-    Holomorphic and zero-free.  The square-root branch is that of the
-    continued log of W based at -sqrt(r), taken along one path per point:
-    the core circle |z| = sqrt(r) clockwise from angle pi to arg z, then
-    the ray to |z|.  The core-circle leg is read from one cached walk per
-    surface (the winding audit's), at the sample nearest arg z plus one
-    step; only the radial leg is evaluated per point.  W has winding 0
-    around the core for valid moduli, so the result does not depend on
-    the wrap convention at arg = pi.  Raises RepresentationError when the
-    winding audit says no single-valued branch exists.
+    Holomorphic and zero-free on the closed annulus, with g^2 z^2 = W.  W has
+    double zeros at r^(2k)/z2 and double poles at r^(2k)/z1, all on the
+    negative real axis outside the annulus; so does the squared theta
+    quotient, and both gain (z1/z2)^2 under z -> r^2 z.  Their ratio C is
+    therefore constant, positive for valid moduli, and computed once per
+    surface.  g is negative on (-1, -r).  Raises RepresentationError when
+    the moduli fail that check.
     """
     _require_annulus(ctx, z, "gauss_map")
-    ring_log, winding = _core_ring(moduli, ctx)
-    if winding != 0:
-        raise RepresentationError(f"W winds {winding} times around the core; branch undefined")
-    th = np.angle(z)
-    logm = np.log(np.abs(z))
-    # a NaN point reads sample 0 and stays NaN through its radial leg
-    near = np.rint((np.pi - np.nan_to_num(th)) * (_RING_STEPS / (2.0 * np.pi))).astype(np.intp)
-    L = np.empty(z.shape, dtype=np.complex128)
-    for start in range(0, z.size, _BRANCH_CHUNK):
-        sl = slice(start, start + _BRANCH_CHUNK)
-        w0, radial = _radial_log(moduli, ctx, th[sl], logm[sl])
-        step = np.log(w0 / np.exp(ring_log[near[sl]]))
-        if np.abs(step.imag).max() > 2.0:
-            raise RepresentationError("branch tracking failed along evaluation path")
-        L[sl] = ring_log[near[sl]] + step + radial
-    return np.exp(0.5 * L) / z
+    scale = _gauss_scale(moduli, ctx)
+    num, _, _ = _eval(ctx, moduli.z2 * z, 0)
+    den, _, _ = _eval(ctx, moduli.z1 * z, 0)
+    return scale * num / (z * den)
 
 
 @pointwise

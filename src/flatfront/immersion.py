@@ -118,23 +118,21 @@ def immerse(moduli: CanonicalModuli, ctx: ThetaContext, z, end_tol: float = END_
     return HalfSpacePoint(horiz, psi3)
 
 
+@pointwise
 def immerse_from_gauss_data(g, g_star, xi_abs):
     """The same evaluation from raw data (g, g*, |xi|), with e^2u = |xi|^2.
 
-    An infinite g* (the AT_INFINITY sentinel) means F = 0.  This route
-    shares no annulus code with immerse, which makes the two mutually
-    checkable.
+    The three arguments share g's shape.  An infinite g* (the AT_INFINITY
+    sentinel) means F = 0.  This route shares no annulus code with immerse,
+    which makes the two mutually checkable.
     """
-    g = np.asarray(g, dtype=np.complex128)
-    g_star = np.asarray(g_star, dtype=np.complex128)
-    e2 = np.asarray(xi_abs, dtype=float) ** 2
+    g_star = np.asarray(g_star, dtype=np.complex128).reshape(-1)
+    e2 = np.asarray(xi_abs, dtype=float).reshape(-1) ** 2
     gap = g - g_star
     with np.errstate(divide="ignore", invalid="ignore"):
         F = np.where(np.isinf(g_star.real) | np.isinf(g_star.imag), 0.0, 1.0 / gap)
     psi3 = e2 / (1.0 + e2 * e2 * np.abs(F) ** 2)
     horiz = g - psi3 * e2 * np.conj(F)
-    if g.ndim == 0:
-        return HalfSpacePoint(complex(horiz), float(psi3))
     return HalfSpacePoint(horiz, psi3)
 
 

@@ -370,6 +370,9 @@ _POINTWISE = {
     "slit_map_deriv": lambda z: slit_map_deriv(_FLAG_CTX, FLAGSHIP.z1, z),
     "theta_quotient": lambda z: theta_quotient(_FLAG_CTX, FLAGSHIP.z1, z),
     "immerse_rotational": lambda z: immerse_rotational(_ROT, 0.5 * z),
+    "immerse_from_gauss_data": lambda z: immerse_from_gauss_data(
+        *rotational_gauss_data(_ROT, 0.5 * z)
+    ),
     "first_form_rotational": lambda z: first_form_rotational(_ROT, 0.5 * z),
 }
 for _fn in (

@@ -253,6 +253,24 @@ def test_cli_mesh_reports_theta_pole(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field", ["c1", "a_R"])
+def test_cli_mesh_rejects_moduli_off_their_divisor(tmp_path, capsys, field):
+    # a shifted constant leaves W without a single-valued square root of the
+    # closed form; mesh refuses the file at every resolution
+    _, moduli = _solve(tmp_path)
+    bad = json.loads(moduli.read_text())
+    bad[field] += 1e-3
+    crafted = tmp_path / "crafted.json"
+    crafted.write_text(json.dumps(bad))
+    out = tmp_path / "c.obj"
+    capsys.readouterr()
+    assert main(["mesh", str(crafted), "--nu", "12", "--nv", "16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("flatfront: W is not a constant")
+    assert not out.exists()
+    assert main(["validate", str(crafted), "--grid", "16"]) == 1
+    capsys.readouterr()
+
+
 def test_cli_mesh_rejects_empty_mesh(tmp_path, capsys):
     # NaN, and any radius that excises every face, is a usage error rather
     # than an empty mesh file
