@@ -54,7 +54,8 @@ class DegenerateConfigurationError(ValueError):
 
 
 class RepresentationError(ValueError):
-    """W has no single-valued square root of the closed form of gauss_map."""
+    """W has no single-valued square root of the closed form of gauss_map,
+    or the moduli do not satisfy R(z2) = 0 and c2 = slit_map(z2, z0)."""
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,10 @@ def _gauss_scale(moduli: CanonicalModuli, ctx: ThetaContext) -> float:
     Read at +sqrt(r), the core point farthest from the markers.  Moduli that
     do not satisfy R(z1) = 1, R(z2) = 0 give a W with another divisor, and
     the ratio is then not constant: RepresentationError unless C is real,
-    positive and matches its value at -sqrt(r) to 1e-8 relative.
+    positive and matches its value at -sqrt(r) to 1e-8 relative.  b_R and c2
+    do not enter W away from z2, so they are checked at z2 itself:
+    RepresentationError unless |R(z2)| <= 1e-8 and c2 matches
+    slit_map(z2, z0) to 1e-8 relative.
     """
     core = np.sqrt(moduli.r) * np.array([1.0, -1.0], dtype=np.complex128)
     quot = _eval(ctx, moduli.z2 * core, 0)[0] / _eval(ctx, moduli.z1 * core, 0)[0]
@@ -279,6 +283,13 @@ def _gauss_scale(moduli: CanonicalModuli, ctx: ThetaContext) -> float:
         raise RepresentationError(
             f"W is not a constant times (theta1(z2 z)/theta1(z1 z))^2: C = {c[0]} at +sqrt(r), "
             f"{c[1]} at -sqrt(r)"
+        )
+    r_at_z2 = gauss_ratio(moduli, ctx, complex(moduli.z2))
+    c2 = slit_map(ctx, moduli.z2, complex(moduli.z0)).real
+    if not (abs(r_at_z2) <= 1e-8 and abs(moduli.c2 - c2) <= 1e-8 * abs(c2)):
+        raise RepresentationError(
+            f"moduli do not fit the marker z2: R(z2) = {r_at_z2}, c2 = {moduli.c2} "
+            f"against slit_map(z2, z0) = {c2}"
         )
     return float(np.sqrt(c[0].real))
 

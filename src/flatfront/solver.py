@@ -2,7 +2,7 @@
 
 Input is (r, s) with r in (0, 1) and s in (-1, 0); the normalized slope s
 prescribes the pairing value at the inner marker.  The solve runs in three
-stages, each a one-dimensional root problem:
+stages:
 
 1. exponent: m in (-3, -2) from the balance
        2 log_slope(r^(-2(m+2))) = 1 + s + m,
@@ -10,13 +10,15 @@ stages, each a one-dimensional root problem:
 2. inner split: for a candidate end marker z0, the point z2 in (-1, z0)
    with pair_slope(z0, z2) = s;
 3. end marker: scan z0 over (-1, -r) for pair_slope(z0, P / z2(z0)) = s - 2,
-   then refine the first sign change (the one nearest -1).
+   take the first sign change (the one nearest -1), and polish (z0, z2) by
+   Newton's method on both pairing conditions at once, starting from the
+   secant point of that bracket and staying inside it.
 
-Every stage uses the one root finder, bracketed_root: a safeguarded
-(Illinois) regula falsi that works elementwise on arrays.  The scan of stage
-3 solves stage 2 for all its candidates in one array call, and each step of
-the stage-3 refinement solves stage 2 for one candidate.  No step depends on
-timing or randomness, so results are deterministic bit for bit.
+Stages 1 and 2 use the one root finder, bracketed_root: a safeguarded
+(Illinois) regula falsi that works elementwise on arrays.  The scan solves
+stage 2 for all its candidates in one array call, and each of its iterations
+evaluates only the candidates not yet settled.  No step depends on timing or
+randomness, so results are deterministic bit for bit.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .annulus import CanonicalModuli, fit_gauss_ratio, slit_map, slit_map_deriv
-from .theta import ThetaContext, ThetaPoleError, log_slope, pair_slope
+from .theta import ThetaContext, ThetaPoleError, log_slope, log_slope_deriv, pair_slope
 
 SCAN_POINTS = 256
 RESIDUAL_TOL = 1e-10
-# Iteration cap of bracketed_root.  Every third step at least halves the
-# bracket, so a bracket of width 1 reaches 4 ulp in at most about 150 steps.
+# Iteration cap of bracketed_root and of the stage-3 Newton loop.  Every
+# third step of bracketed_root at least halves the bracket, so a bracket of
+# width 1 reaches 4 ulp in at most about 150 steps.
 MAX_ITERS = 200
 
 
@@ -48,9 +51,10 @@ class RangeNormalizationError(ValueError):
 class SolverTrace:
     """Diagnostics of one canonical solve, serializable for the CLI sidecar.
 
-    exponent_iterations and outer_iterations count the iterations of
-    bracketed_root in stages 1 and 3 (function evaluations after the
-    bracket ends).
+    exponent_iterations and scan_iterations count the iterations of
+    bracketed_root in stage 1 and in the stage-2 solve of the scan (function
+    evaluations after the bracket ends).  outer_iterations counts the Newton
+    steps of stage 3, each one log_slope and one log_slope_deriv call.
     """
 
     r: float
@@ -59,6 +63,7 @@ class SolverTrace:
     exponent_bracket: tuple = ()
     exponent_iterations: int = 0
     scan_points: int = 0
+    scan_iterations: int = 0
     outer_sign_changes: int = 0
     chosen_bracket: tuple = ()
     outer_iterations: int = 0
@@ -87,18 +92,24 @@ def bracketed_root(fn, lo, hi, flo=None, fhi=None):
 
     With scalar lo and hi, fn is called with floats, the root is a float and
     a bracket without a sign change raises BracketError.  With arrays, fn is
-    called once per iteration with an array of the broadcast shape (entries
-    that have stopped repeat their last point), and entries without a sign
-    change come back as NaN.
+    called as fn(x, i) once per iteration, on the entries still active only:
+    x holds their points and i their indices into the flattened broadcast
+    arrays, so fn subsets any per-entry parameter with i.  A point's value
+    must not depend on the batch it is evaluated in; then each entry gets
+    the same bits as in a scalar call.  Entries without a sign change come
+    back as NaN.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    f = (lambda x: np.float64(fn(float(x)))) if scalar else fn
-    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
-    fa = np.array(f(a) if flo is None else flo, dtype=float)
-    fb = np.array(f(b) if fhi is None else fhi, dtype=float)
+    f = (lambda x, i: fn(x.item())) if scalar else fn
+    ends = np.broadcast_arrays(lo, hi)
+    shape = ends[0].shape
+    a, b = (np.array(v, dtype=float).ravel() for v in ends)
+    every = np.arange(a.size)
+    fa = np.array(f(a, every) if flo is None else flo, dtype=float).reshape(a.shape)
+    fb = np.array(f(b, every) if fhi is None else fhi, dtype=float).reshape(a.shape)
     found = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
     bracketed = np.sign(fa) * np.sign(fb) < 0.0
-    if scalar and not (bracketed or fa == 0.0 or fb == 0.0):
+    if scalar and not bracketed[0] and np.isnan(found[0]):
         raise BracketError(f"no sign change on [{lo}, {hi}]")
 
     def wide(a, b):
@@ -121,7 +132,9 @@ def bracketed_root(fn, lo, hi, flo=None, fhi=None):
         step = 2.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
         c = np.clip(c, left + step, right - step)
         x = np.where(active, np.where(secant, c, a + 0.5 * (b - a)), x)
-        fx = np.asarray(f(x), dtype=float)
+        i = np.flatnonzero(active)
+        fx = np.zeros(a.shape)
+        fx[i] = f(x[i], i)
         n += 1
         to_a = active & (np.sign(fx) == np.sign(fa))
         to_b = active & ~to_a
@@ -135,7 +148,7 @@ def bracketed_root(fn, lo, hi, flo=None, fhi=None):
         found = np.where(hit, x, found)
         active &= ~hit & wide(a, b)
     root = np.where(bracketed & np.isnan(found), a + 0.5 * (b - a), found)
-    return (float(root), n) if scalar else (root, n)
+    return (float(root[0]), n) if scalar else (root.reshape(shape), n)
 
 
 def solve_exponent(ctx: ThetaContext, s: float):
@@ -158,7 +171,7 @@ def solve_exponent(ctx: ThetaContext, s: float):
         if (flo > 0) != (fhi > 0):
             m, iters = bracketed_root(balance, lo, hi, flo, fhi)
             return m, (lo, hi), iters
-    raise BracketError("exponent balance has no sign change in (-3, -2)")
+    raise BracketError("stage 1: exponent balance has no sign change in (-3, -2)")
 
 
 def _pair_minus_s(ctx, centers, w, s):
@@ -170,30 +183,32 @@ def _inner_split(ctx: ThetaContext, z0s, s):
 
     For each z0 the target z2 lies in (-1, z0), where the pairing value
     decreases from just above s near -1 to +inf at z0.  Entries without a
-    sign change come back as NaN.
+    sign change come back as NaN.  Returns (z2s, iterations).
     """
     z0s = np.asarray(z0s, dtype=float)
     lo = -1.0 + (1.0 + z0s) * 1e-6
     hi = z0s - np.abs(z0s) * 1e-9
-    return bracketed_root(lambda w: _pair_minus_s(ctx, z0s, w, s), lo, hi)[0]
-
-
-def solve_inner_point(ctx: ThetaContext, z0: float, s: float) -> float:
-    """Stage 2 for a single end marker: z2 in (-1, z0) with pairing value s."""
-    z2 = float(_inner_split(ctx, np.array([z0]), s)[0])
-    if math.isnan(z2):
-        raise BracketError(f"no inner split for z0={z0}")
-    return z2
+    return bracketed_root(lambda w, i: _pair_minus_s(ctx, z0s[i], w, s), lo, hi)
 
 
 def _outer_scan(ctx: ThetaContext, s: float, P: float, n=SCAN_POINTS):
-    """Stage 3 scan: residual of the outer pairing over candidate z0.
+    """The scan: stage 2 for a grid of candidate z0, then the residual of the
+    stage-3 outer pairing at each.
 
     Candidates whose inner split fails, or whose partner P/z2 would not lie
-    in (z0, -r), are marked NaN.  Returns (z0 grid, residual grid).
+    in (z0, -r), are marked NaN.  Returns (z0 grid, residual grid, z2 grid,
+    iterations of the stage-2 solve).
     """
-    z0s = np.linspace(-1.0 + 1e-6, -ctx.r * (1.0 + 1e-6), n)
-    return z0s, _outer_values(ctx, s, P, z0s)
+    r = ctx.r
+    z0s = np.linspace(-1.0 + 1e-6, -r * (1.0 + 1e-6), n)
+    z2s, iters = _inner_split(ctx, z0s, s)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z1s = P / z2s
+        ok = (z0s * z2s > P) & (z1s < -r)
+    vals = np.full(z0s.shape, np.nan)
+    if ok.any():
+        vals[ok] = _pair_minus_s(ctx, z0s[ok], z1s[ok], s - 2.0)
+    return z0s, vals, z2s, iters
 
 
 def _sign_changes(z0s, vals):
@@ -206,17 +221,46 @@ def _sign_changes(z0s, vals):
     return out
 
 
-def _outer_values(ctx, s, P, z0s):
-    """Outer pairing residual for an array of candidates (NaN when invalid)."""
-    r = ctx.r
-    z2s = _inner_split(ctx, z0s, s)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z1s = P / z2s
-        ok = (z0s * z2s > P) & (z1s < -r)
-    vals = np.full(z0s.shape, np.nan)
-    if ok.any():
-        vals[ok] = _pair_minus_s(ctx, z0s[ok], z1s[ok], s - 2.0)
-    return vals
+def _newton_markers(ctx: ThetaContext, s, P, z0, z2, bracket):
+    """Stage 3 polish: Newton's method on (z0, z2) inside the scan bracket.
+
+    Solves F1 = pair_slope(z0, z2) - s = 0 and F2 = pair_slope(z0, z1) -
+    (s - 2) = 0 with z1 = P/z2.  Each step makes one log_slope and one
+    log_slope_deriv call on the points z2/z0, z2 z0, z1/z0, z1 z0, builds
+    the Jacobian by the chain rule and solves it by Cramer's rule.  Newton
+    reaches the rounding floor and then wanders there, so the loop stops at
+    F1 = F2 = 0 or at the first step, measured in ulps, that is not at most
+    half the one before (that step is not taken).  Returns (z0, z2, steps).
+    """
+    prev = math.inf
+    for n in range(1, MAX_ITERS + 1):
+        z1 = P / z2
+        pts = np.array([z2 / z0, z2 * z0, z1 / z0, z1 * z0])
+        L = log_slope(ctx, pts).real
+        D = log_slope_deriv(ctx, pts).real
+        f1 = L[0] + L[1] - s
+        f2 = L[2] + L[3] - (s - 2.0)
+        if f1 == 0.0 and f2 == 0.0:
+            return z0, z2, n
+        # d pair_slope(z0, w) / d z0 = w (L'(w z0) - L'(w/z0) / z0^2)
+        # d pair_slope(z0, w) / d w  = L'(w/z0) / z0 + L'(w z0) z0
+        j11 = z2 * (D[1] - D[0] / (z0 * z0))
+        j12 = D[0] / z0 + D[1] * z0
+        j21 = z1 * (D[3] - D[2] / (z0 * z0))
+        j22 = -(z1 / z2) * (D[2] / z0 + D[3] * z0)  # dz1/dz2 = -z1/z2
+        det = j11 * j22 - j12 * j21
+        d0 = (f1 * j22 - j12 * f2) / det
+        d2 = (j11 * f2 - f1 * j21) / det
+        size = max(abs(d0) / math.ulp(z0), abs(d2) / math.ulp(z2))
+        if size > 0.5 * prev:
+            return z0, z2, n
+        prev = size
+        z0, z2 = z0 - d0, z2 - d2
+        if not bracket[0] <= z0 <= bracket[1]:
+            raise BracketError(f"stage 3: Newton step left the scan bracket {bracket}: z0={z0}")
+        if not -1.0 < z2 < z0 < P / z2 < -ctx.r:
+            raise BracketError(f"stage 3: Newton step broke -1 < z2 < z0 < z1 < -r: z0={z0}, z2={z2}")
+    raise BracketError(f"stage 3: Newton did not settle in {MAX_ITERS} steps")
 
 
 def solve_canonical(
@@ -225,14 +269,16 @@ def solve_canonical(
     """Full canonical solve: (r, s) -> (CanonicalModuli, SolverTrace).
 
     Raises RangeNormalizationError for parameters outside the normalized
-    rectangle and BracketError when a root stage fails to bracket or the
-    solved configuration misses the residual tolerance.
+    rectangle and BracketError, its message starting with the failing
+    stage, when a root stage fails to bracket or converge or the solved
+    configuration misses the residual tolerance.
     """
     _check_rs(r, s)
     if ctx is None:
         ctx = ThetaContext.create(r)
     trace = SolverTrace(r=r, s=s)
 
+    stage = 1
     try:
         m, m_bracket, m_iters = solve_exponent(ctx, s)
         P = r ** (-2.0 * (m + 2.0))
@@ -240,33 +286,33 @@ def solve_canonical(
         trace.exponent_bracket = m_bracket
         trace.exponent_iterations = m_iters
 
-        z0s, vals = _outer_scan(ctx, s, P)
+        stage = 2
+        z0s, vals, z2s, trace.scan_iterations = _outer_scan(ctx, s, P)
         trace.scan_points = int(z0s.size)
+
+        stage = 3
         changes = _sign_changes(z0s, vals)
         trace.outer_sign_changes = len(changes)
         if not changes:
-            raise BracketError(f"outer pairing has no sign change for r={r}, s={s}")
+            raise BracketError(f"stage 3: outer pairing has no sign change for r={r}, s={s}")
         i = changes[0]
         trace.chosen_bracket = (float(z0s[i]), float(z0s[i + 1]))
-
-        def outer(z0):
-            val = _outer_values(ctx, s, P, np.array([z0]))[0]
-            if math.isnan(val):
-                raise BracketError("outer refinement lost the sign change")
-            return val
-
-        z0, trace.outer_iterations = bracketed_root(
-            outer, float(z0s[i]), float(z0s[i + 1]), float(vals[i]), float(vals[i + 1])
+        t = vals[i] / (vals[i] - vals[i + 1])
+        z0, z2, trace.outer_iterations = _newton_markers(
+            ctx, s, P,
+            float(z0s[i] + t * (z0s[i + 1] - z0s[i])),
+            float(z2s[i] + t * (z2s[i + 1] - z2s[i])),
+            trace.chosen_bracket,
         )
-
-        z2 = solve_inner_point(ctx, z0, s)
         z1 = P / z2
         c1 = slit_map(ctx, z1, complex(z0)).real
         c2 = slit_map(ctx, z2, complex(z0)).real
         a_R, b_R = fit_gauss_ratio(ctx, z0, z1, z2)
     except ThetaPoleError as exc:
         # a probe exactly on a zero r^(2k) of theta1 is a stage failure
-        raise BracketError(f"search stepped onto a theta zero for r={r}, s={s}: {exc}") from exc
+        raise BracketError(
+            f"stage {stage}: search stepped onto a theta zero for r={r}, s={s}: {exc}"
+        ) from exc
     moduli = CanonicalModuli(
         r=r, s=s, m=m, z0=z0, z1=z1, z2=z2, c1=c1, c2=c2,
         a_R=a_R, b_R=b_R, c_height=abs(z1) * r ** (m + 1.0),
@@ -276,7 +322,7 @@ def solve_canonical(
     trace.residuals = res
     worst = max(abs(v) for v in res.values())
     if worst > tol:
-        raise BracketError(f"solved configuration fails residual check: {res}")
+        raise BracketError(f"stage 3: solved configuration fails residual check: {res}")
     return moduli, trace
 
 

@@ -147,7 +147,7 @@ def validate_moduli(
     try:
         res = residuals(moduli, ctx)
         rs_ok = boundary_ranges_ok(moduli, ctx)
-        scan_z0, scan_vals = _outer_scan(
+        scan_z0, scan_vals, _, _ = _outer_scan(
             ctx, moduli.s, moduli.r ** (-2.0 * (moduli.m + 2.0))
         )
         n_scan_changes = len(_sign_changes(scan_z0, scan_vals))

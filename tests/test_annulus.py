@@ -273,6 +273,15 @@ def test_gauss_map_rejects_moduli_off_their_divisor(mod, ctx, field):
         gauss_map(bad, ctx, np.array([0.5 + 0.1j, -0.6]))
 
 
+@pytest.mark.parametrize("field", ["c2", "b_R"])
+def test_gauss_map_rejects_moduli_off_the_marker_z2(mod, ctx, field):
+    # c2 and b_R do not enter W away from z2, so the closed form alone cannot
+    # see them; the check at z2 itself (R(z2) = 0, c2 = slit_map(z2, z0)) does
+    bad = dataclasses.replace(mod, **{field: getattr(mod, field) + 1e-3})
+    with pytest.raises(RepresentationError, match="marker z2"):
+        gauss_map(bad, ctx, np.array([0.5 + 0.1j, -0.6]))
+
+
 def test_gauss_map_conjugation_and_determinism(mod, ctx):
     z = _annulus_samples(mod.r, 60, seed=19)
     g1 = gauss_map(mod, ctx, z)

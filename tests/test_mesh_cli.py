@@ -271,6 +271,24 @@ def test_cli_mesh_rejects_moduli_off_their_divisor(tmp_path, capsys, field):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field", ["c2", "b_R"])
+def test_cli_mesh_rejects_moduli_off_the_marker_z2(tmp_path, capsys, field):
+    # c2 and b_R leave W alone away from z2; mesh refuses the file all the
+    # same instead of writing a surface built from inconsistent moduli
+    _, moduli = _solve(tmp_path)
+    bad = json.loads(moduli.read_text())
+    bad[field] += 1e-3
+    crafted = tmp_path / "crafted.json"
+    crafted.write_text(json.dumps(bad))
+    out = tmp_path / "c.obj"
+    capsys.readouterr()
+    assert main(["mesh", str(crafted), "--nu", "12", "--nv", "16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("flatfront: moduli do not fit the marker z2")
+    assert not out.exists()
+    assert main(["validate", str(crafted), "--grid", "16"]) == 1
+    capsys.readouterr()
+
+
 def test_cli_mesh_rejects_empty_mesh(tmp_path, capsys):
     # NaN, and any radius that excises every face, is a usage error rather
     # than an empty mesh file

@@ -16,7 +16,8 @@ from flatfront.solver import (
     residuals,
     solve_canonical,
     solve_exponent,
-    solve_inner_point,
+    _inner_split,
+    _newton_markers,
     _outer_scan,
 )
 from flatfront.theta import ThetaContext, pair_slope
@@ -48,7 +49,7 @@ def test_bracketed_root_array_matches_scalar_calls():
     c = np.array([0.5, 2.0, 7.0, 30.0, 1e-3])
     lo = np.array([0.0, 0.0, 4.0, 0.0, 0.0])
     hi = np.array([1.0, 2.0, 0.0, 4.0, 1.0])  # one reversed bracket
-    roots, n = bracketed_root(lambda x: x * x * x - c, lo, hi)
+    roots, n = bracketed_root(lambda x, i: x * x * x - c[i], lo, hi)
     assert roots.shape == c.shape
     for i in range(c.size):
         root, n_i = bracketed_root(lambda x: x * x * x - c[i], float(lo[i]), float(hi[i]))
@@ -60,7 +61,7 @@ def test_bracketed_root_array_matches_scalar_calls():
 
 def test_bracketed_root_array_marks_missing_sign_change_nan():
     c = np.array([1.0, -1.0, 8.0, 16.0])
-    roots, _ = bracketed_root(lambda x: x * x - c, np.zeros(4), np.full(4, 3.0))
+    roots, _ = bracketed_root(lambda x, i: x * x - c[i], np.zeros(4), np.full(4, 3.0))
     assert np.isnan(roots[1]) and np.isnan(roots[3])
     assert abs(roots[0] - 1.0) <= 4 * np.spacing(1.0)
     assert abs(roots[2] - math.sqrt(8.0)) <= 4 * np.spacing(3.0)
@@ -71,13 +72,70 @@ def test_bracketed_root_converges_next_to_a_pole():
     hi = -0.5
     c = np.array([3.0, 1e3, 1e6, 1e9, 1e12])
 
-    def fn(x):
+    def fn(x, i):
         with np.errstate(divide="ignore"):
-            return 1.0 / (hi - x) - c
+            return 1.0 / (hi - x) - c[i]
 
     roots, n = bracketed_root(fn, np.full(c.shape, -1.0), np.full(c.shape, hi))
     assert n < MAX_ITERS
     assert np.all(np.abs(roots - (hi - 1.0 / c)) <= 4 * np.spacing(0.5))
+
+
+def test_bracketed_root_array_evaluates_active_entries_only():
+    # entries that have stopped drop out of the calls, and each entry still
+    # gets the bits of its scalar call
+    c = np.array([0.5, 2.0, 7.0, 30.0, 1e-3, 8.0, 64.0, 0.9])
+    lo, hi = np.zeros(c.shape), np.full(c.shape, 4.5)
+    sizes = []
+
+    def fn(x, i):
+        assert x.shape == i.shape and np.all(np.diff(i) > 0)
+        sizes.append(x.size)
+        return x * x * x - c[i]
+
+    roots, n = bracketed_root(fn, lo, hi)
+    assert sizes[:2] == [c.size, c.size]  # the two ends
+    assert len(sizes) == n + 2
+    assert all(later <= earlier for earlier, later in zip(sizes[1:], sizes[2:]))
+    assert sizes[-1] < c.size
+    for k in range(c.size):
+        root, _ = bracketed_root(lambda x: x * x * x - c[k], float(lo[k]), float(hi[k]))
+        assert roots[k] == root, k
+
+
+def test_inner_split_batch_matches_single_candidates():
+    ctx = ThetaContext.create(0.35)
+    z0s = np.linspace(-0.95, -0.4, 9)
+    z2s, _ = _inner_split(ctx, z0s, -0.3)
+    for z0, z2 in zip(z0s, z2s):
+        alone, _ = _inner_split(ctx, np.array([z0]), -0.3)
+        assert alone[0] == z2 or (np.isnan(alone[0]) and np.isnan(z2))
+
+
+@pytest.mark.parametrize("s", [-0.999, -0.5, -0.04])
+@pytest.mark.parametrize("r", [0.05, 0.4, 0.75, 0.9])
+def test_newton_stage_solves_both_pairings(r, s):
+    moduli, trace = solve_canonical(r, s)
+    ctx = ThetaContext.create(r)
+    # the defining conditions, evaluated independently of the Newton loop
+    assert abs(pair_slope(ctx, moduli.z0, complex(moduli.z2)).real - s) <= 1e-12
+    assert abs(pair_slope(ctx, moduli.z0, complex(moduli.z1)).real - (s - 2.0)) <= 1e-12
+    lo, hi = trace.chosen_bracket
+    assert lo <= moduli.z0 <= hi
+    assert 1 <= trace.outer_iterations <= 10
+    assert trace.scan_iterations > 0
+
+
+def test_newton_stage_fails_outside_its_bracket():
+    r, s = 0.4, -0.25
+    moduli, trace = solve_canonical(r, s)
+    ctx = ThetaContext.create(r)
+    P = moduli.z1 * moduli.z2
+    lo, hi = trace.chosen_bracket
+    # the root lies inside the bracket, so a start at its left end with the
+    # bracket cut down to that end must step out of it
+    with pytest.raises(BracketError, match="^stage 3: Newton step left"):
+        _newton_markers(ctx, s, P, lo, moduli.z2, (lo, lo))
 
 
 def test_range_normalization():
@@ -121,7 +179,8 @@ def test_exponent_stage_alone():
 
 def test_inner_point_stage_alone():
     ctx = ThetaContext.create(0.25)
-    z2 = solve_inner_point(ctx, -0.5, -0.5)
+    z2s, _ = _inner_split(ctx, np.array([-0.5]), -0.5)
+    z2 = float(z2s[0])
     assert -1.0 < z2 < -0.5
     assert pair_slope(ctx, -0.5, complex(z2)).real == pytest.approx(-0.5, abs=1e-12)
 
@@ -133,7 +192,7 @@ def test_refined_root_in_first_dense_bracket():
     moduli, trace = solve_canonical(r, s)
     ctx = ThetaContext.create(r)
     P = r ** (-2.0 * (moduli.m + 2.0))
-    z0s, vals = _outer_scan(ctx, s, P, n=1024)
+    z0s, vals, _, _ = _outer_scan(ctx, s, P, n=1024)
     fin = np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
     flips = np.flatnonzero(fin & (np.sign(vals[:-1]) != np.sign(vals[1:])))
     assert len(flips) >= 1
@@ -163,8 +222,8 @@ def test_thin_annulus_solves():
 
 def test_stage_failure_is_bracket_error():
     # a stage failure surfaces as the documented solver error, not a kernel
-    # exception
-    with pytest.raises(BracketError, match="no sign change"):
+    # exception, and names the stage that failed
+    with pytest.raises(BracketError, match="^stage 3: outer pairing has no sign change"):
         solve_canonical(0.05, -0.001)
 
 
