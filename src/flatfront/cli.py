@@ -164,7 +164,10 @@ def _cmd_rotational(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     out = args.out or f"rotational.{args.format}"
-    mesh = rotational_mesh(rot, n_rho=args.nu, n_theta=args.nv, model=args.model)
+    try:
+        mesh = rotational_mesh(rot, n_rho=args.nu, n_theta=args.nv, model=args.model)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
     _write_mesh(mesh, out, args.format)
     with open(out + ".report.json", "w") as fh:
         json.dump(_rotational_report(rot, mesh), fh, indent=2)

@@ -19,6 +19,12 @@ Stages 1 and 2 use the one root finder, bracketed_root: a safeguarded
 stage 2 for all its candidates in one array call, and each of its iterations
 evaluates only the candidates not yet settled.  No step depends on timing or
 randomness, so results are deterministic bit for bit.
+
+Every argument of the three stages is real, so the solver calls the flat
+bodies of the theta functions on float64 arrays, which the kernel evaluates
+in float64 with the bits of its complex path (see flatfront.theta).  A
+pairing value takes both of its log_slope arguments from one kernel call,
+and a Newton step takes log_slope and its derivative from one order-2 call.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .annulus import CanonicalModuli, fit_gauss_ratio, slit_map, slit_map_deriv
-from .theta import ThetaContext, ThetaPoleError, log_slope, log_slope_deriv, pair_slope
+from .theta import ThetaContext, ThetaPoleError, _log_slopes, _pair_slope
 
 SCAN_POINTS = 256
 RESIDUAL_TOL = 1e-10
@@ -54,7 +60,7 @@ class SolverTrace:
     exponent_iterations and scan_iterations count the iterations of
     bracketed_root in stage 1 and in the stage-2 solve of the scan (function
     evaluations after the bracket ends).  outer_iterations counts the Newton
-    steps of stage 3, each one log_slope and one log_slope_deriv call.
+    steps of stage 3, each one order-2 kernel call.
     """
 
     r: float
@@ -162,7 +168,7 @@ def solve_exponent(ctx: ThetaContext, s: float):
 
     def balance(m):
         P = r ** (-2.0 * (m + 2.0))
-        return 2.0 * log_slope(ctx, complex(P)).real - 1.0 - s - m
+        return 2.0 * float(_log_slopes(ctx, np.array([P]), 1)[0][0]) - 1.0 - s - m
 
     for k in range(3, 13):
         eps = 10.0 ** (-k)
@@ -175,7 +181,7 @@ def solve_exponent(ctx: ThetaContext, s: float):
 
 
 def _pair_minus_s(ctx, centers, w, s):
-    return pair_slope(ctx, centers * (1.0 + 0.0j), w * (1.0 + 0.0j)).real - s
+    return _pair_slope(ctx, centers, w) - s
 
 
 def _inner_split(ctx: ThetaContext, z0s, s):
@@ -225,19 +231,19 @@ def _newton_markers(ctx: ThetaContext, s, P, z0, z2, bracket):
     """Stage 3 polish: Newton's method on (z0, z2) inside the scan bracket.
 
     Solves F1 = pair_slope(z0, z2) - s = 0 and F2 = pair_slope(z0, z1) -
-    (s - 2) = 0 with z1 = P/z2.  Each step makes one log_slope and one
-    log_slope_deriv call on the points z2/z0, z2 z0, z1/z0, z1 z0, builds
-    the Jacobian by the chain rule and solves it by Cramer's rule.  Newton
-    reaches the rounding floor and then wanders there, so the loop stops at
-    F1 = F2 = 0 or at the first step, measured in ulps, that is not at most
-    half the one before (that step is not taken).  Returns (z0, z2, steps).
+    (s - 2) = 0 with z1 = P/z2.  Each step takes log_slope and its
+    derivative at the points z2/z0, z2 z0, z1/z0, z1 z0 from one kernel
+    call, builds the Jacobian by the chain rule and solves it by Cramer's
+    rule.  Newton reaches the rounding floor and then wanders there, so the
+    loop stops at F1 = F2 = 0 or at the first step, measured in ulps, that
+    is not at most half the one before (that step is not taken).  Returns
+    (z0, z2, steps).
     """
     prev = math.inf
     for n in range(1, MAX_ITERS + 1):
         z1 = P / z2
         pts = np.array([z2 / z0, z2 * z0, z1 / z0, z1 * z0])
-        L = log_slope(ctx, pts).real
-        D = log_slope_deriv(ctx, pts).real
+        L, D = _log_slopes(ctx, pts, 2)
         f1 = L[0] + L[1] - s
         f2 = L[2] + L[3] - (s - 2.0)
         if f1 == 0.0 and f2 == 0.0:

@@ -23,6 +23,15 @@ nowhere else, so their guard is structural: a point within relative
 distance ZERO_DIST of its nearest zero r^(2k) raises ThetaPoleError, and
 every other point is evaluated, however small theta1 is there.
 
+The input's dtype selects the arithmetic.  Complex points run in
+complex128; float64 points, the real arguments of the moduli solve, stay in
+float64 and give the bits of the complex path's real part.  Products and
+sums of zero-imaginary operands round as their real counterparts, and numpy
+divides complex numbers by Smith's formula, which for zero imaginary parts
+is x * (1/y); so the real path writes every quotient that way (one division
+function per call, chosen from the dtype), and takes z**k from numpy's
+complex integer power.
+
 Evaluation runs over chunks of points.  Each chunk builds the factor table
 (1 - r^(2k) v)(1 - r^(2k) / v) for a block of k in a few array operations,
 plus the tables of the log-derivative terms, and multiplies (or adds) the
@@ -167,18 +176,29 @@ _TABLE_MIN = 4096
 _TABLE_MAX = 32768
 
 
-@functools.lru_cache(maxsize=64)
-def _term_columns(r: float, n_terms: int):
+def _real_quotient(x, y):
+    """x / y as numpy's complex division rounds it for zero imaginary parts."""
+    return x * (1.0 / y)
+
+
+def _quotient(z):
+    """The division of an evaluation at the points z: numpy's own for
+    complex z, :func:`_real_quotient` for float z."""
+    return np.divide if np.iscomplexobj(z) else _real_quotient
+
+
+@functools.lru_cache(maxsize=128)
+def _term_columns(r: float, n_terms: int, dtype):
     """The columns p_k = r^(2k), -p_k and -p_k^2 for k = 1..n_terms.
 
-    Each is a read-only complex (n_terms, 1) array whose entries are the
-    Python floats r ** (2 * k) and their negations, so a table row carries
-    the same operands as one factor of the product.
+    Each is a read-only (n_terms, 1) array of the given dtype whose entries
+    are the Python floats r ** (2 * k) and their negations, so a table row
+    carries the same operands as one factor of the product.
     """
     p = [r ** (2 * k) for k in range(1, n_terms + 1)]
     cols = []
     for vals in (p, [-x for x in p], [-(x * x) for x in p]):
-        col = np.array(vals, dtype=np.complex128).reshape(-1, 1)
+        col = np.array(vals, dtype=dtype).reshape(-1, 1)
         col.flags.writeable = False
         cols.append(col)
     return tuple(cols)
@@ -201,13 +221,16 @@ def _fold(ufunc, out, rows):
     out[...] = acc
 
 
-def _band_core(ctx: ThetaContext, v, order: int, skip_unit: bool):
+def _band_core(ctx: ThetaContext, v, order: int, div, skip_unit: bool):
     """Product and log-derivative sums over the truncated factor list.
 
     Returns (prod, L, Lp) with prod the factor product (including c_const),
-    L the sum of f'/f over factors and Lp its derivative.  When skip_unit is
-    set the (1 - 1/v) factor is left out of all three, which is what the
-    near-zero path needs.
+    L the sum of f'/f over factors and Lp its derivative, all of v's dtype.
+    When skip_unit is set the (1 - 1/v) factor is left out of all three,
+    which is what the near-zero path needs.  Every quotient with a numerator
+    other than 1 goes through div (see :func:`_quotient`): complex tables
+    divide in numpy's scalar loop, float tables as x * (1/y), which is the
+    same bits and several times cheaper.
 
     Each chunk of _CHUNK points builds its factor table (1 - p_k v)(1 - p_k/v)
     and the matching L and Lp term tables, one row per k, for a block of k
@@ -216,11 +239,11 @@ def _band_core(ctx: ThetaContext, v, order: int, skip_unit: bool):
     same bits whatever batch it is part of.
     """
     step = min(max(v.size, _TABLE_MIN), _TABLE_MAX) // max(min(v.size, _CHUNK), 1)
-    cols = _term_columns(ctx.r, ctx.n_terms)
+    cols = _term_columns(ctx.r, ctx.n_terms, v.dtype.type)
     blocks = [[col[k : k + step] for col in cols] for k in range(0, ctx.n_terms, step)]
-    prod = np.empty(v.shape, dtype=np.complex128)
-    L = np.zeros(v.shape, dtype=np.complex128) if order >= 1 else None
-    Lp = np.zeros(v.shape, dtype=np.complex128) if order >= 2 else None
+    prod = np.empty(v.shape, dtype=v.dtype)
+    L = np.zeros(v.shape, dtype=v.dtype) if order >= 1 else None
+    Lp = np.zeros(v.shape, dtype=v.dtype) if order >= 2 else None
     for lo in range(0, v.size, _CHUNK):
         chunk = slice(lo, lo + _CHUNK)
         w = v[chunk]
@@ -236,17 +259,17 @@ def _band_core(ctx: ThetaContext, v, order: int, skip_unit: bool):
             a = 1.0 - p * w
             # explicit calls keep the operand order of a complex product,
             # which is not commutative bit for bit
-            _fold(np.multiply, prod[chunk], np.multiply(a, 1.0 - p / w))
+            _fold(np.multiply, prod[chunk], np.multiply(a, 1.0 - div(p, w)))
             if order >= 1:
                 vb = w * (w - p)
-                _fold(np.add, L[chunk], neg_p / a + p / vb)
+                _fold(np.add, L[chunk], div(neg_p, a) + div(p, vb))
             if order >= 2:
-                terms = neg_pp / (a * a) - np.multiply(p, 2.0 * w - p) / (vb * vb)
+                terms = div(neg_pp, a * a) - div(np.multiply(p, 2.0 * w - p), vb * vb)
                 _fold(np.add, Lp[chunk], terms)
     return prod, L, Lp
 
 
-def _band_eval(ctx: ThetaContext, v, order: int):
+def _band_eval(ctx: ThetaContext, v, order: int, div):
     """(theta, theta', theta'') on the band r <= |v| <= 1/r.
 
     The only zero inside the band is v = 1; entries within NEAR_ZERO_DIST of
@@ -254,7 +277,7 @@ def _band_eval(ctx: ThetaContext, v, order: int):
     derivatives exact at the zero itself.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        prod, L, Lp = _band_core(ctx, v, order, skip_unit=False)
+        prod, L, Lp = _band_core(ctx, v, order, div, skip_unit=False)
         t0 = prod
         t1 = prod * L if order >= 1 else None
         # an explicit call: for large v the operator form would be
@@ -264,7 +287,7 @@ def _band_eval(ctx: ThetaContext, v, order: int):
     flagged = np.abs(v - 1.0) < NEAR_ZERO_DIST
     if flagged.any():
         vf = v[flagged]
-        P1, L1, L1p = _band_core(ctx, vf, order, skip_unit=True)
+        P1, L1, L1p = _band_core(ctx, vf, order, div, skip_unit=True)
         f0 = 1.0 - 1.0 / vf
         t0 = t0.copy()
         t0[flagged] = f0 * P1
@@ -273,21 +296,22 @@ def _band_eval(ctx: ThetaContext, v, order: int):
             t1 = t1.copy()
             t1[flagged] = f0p * P1 + f0 * P1 * L1
         if order >= 2:
-            f0pp = -2.0 / (vf * vf * vf)
+            f0pp = div(-2.0, vf * vf * vf)
             t2 = t2.copy()
             t2[flagged] = f0pp * P1 + 2.0 * f0p * P1 * L1 + f0 * P1 * (L1 * L1 + L1p)
     return t0, t1, t2
 
 
-def _reduce_band(ctx: ThetaContext, z):
+def _reduce_band(ctx: ThetaContext, z, div):
     """Track theta1(z) = c * z^k * theta1(z * r^(2n)) into the band.
 
-    Returns (c, k, n, v) arrays with r <= |v| <= 1/r elementwise.
+    Returns (c, k, n, v) arrays with r <= |v| <= 1/r elementwise, c and v of
+    z's dtype.
     """
     r = ctx.r
     r2 = r * r
     v = z.copy()
-    c = np.ones(z.shape, dtype=np.complex128)
+    c = np.ones(z.shape, dtype=z.dtype)
     k = np.zeros(z.shape, dtype=np.int64)
     n = np.zeros(z.shape, dtype=np.int64)
     hi = 1.0 / r
@@ -308,7 +332,7 @@ def _reduce_band(ctx: ThetaContext, z):
         c[mask] *= -np.power(r, -2.0 * n[mask])
         k[mask] -= 1
         n[mask] -= 1
-        v[mask] /= r2
+        v[mask] = div(v[mask], r2)
     else:
         raise ValueError("argument reduction did not terminate; |z| out of range")
     return c, k, n, v
@@ -317,21 +341,25 @@ def _reduce_band(ctx: ThetaContext, z):
 def _eval(ctx: ThetaContext, z, order: int):
     """theta1 and derivatives at arbitrary nonzero arguments (flat arrays).
 
-    Returns (theta, theta', theta''), with None past ``order``.
+    Returns (theta, theta', theta''), with None past ``order``, of z's
+    dtype: complex128, or float64 with the bits of the complex path's real
+    part.  theta and theta' do not depend on ``order``.
     """
     if (z == 0).any():
         raise ValueError("theta1 is undefined at z = 0")
-    c, k, n, v = _reduce_band(ctx, z)
-    t0, t1, t2 = _band_eval(ctx, v, order)
-    zk = np.power(z, k)
+    div = _quotient(z)
+    c, k, n, v = _reduce_band(ctx, z, div)
+    t0, t1, t2 = _band_eval(ctx, v, order, div)
+    # the complex integer power's bits; numpy's float64 power rounds otherwise
+    zk = np.power(z, k) if np.iscomplexobj(z) else np.power(z + 0j, k).real
     theta = c * zk * t0
     dtheta = d2 = None
     if order >= 1:
         q = np.power(ctx.r, 2.0 * n)
-        kz = k / z
+        kz = div(k, z)
         dtheta = c * zk * (kz * t0 + q * t1)
     if order >= 2:
-        d2 = c * zk * (k * (k - 1) / (z * z) * t0 + 2.0 * kz * q * t1 + q * q * t2)
+        d2 = c * zk * (div(k * (k - 1), z * z) * t0 + 2.0 * kz * q * t1 + q * q * t2)
     return theta, dtheta, d2
 
 
@@ -358,6 +386,25 @@ def _guard_zero(ctx: ThetaContext, z):
         raise ThetaPoleError(f"theta1 vanishes at z = {where}; nearest zero {location}", location=location)
 
 
+def _log_slopes(ctx: ThetaContext, z, order: int):
+    """(log_slope, log_slope_deriv) at the flat points z from one kernel
+    call, the second None unless order is 2; float z stays float."""
+    t0, t1, t2 = _eval(ctx, z, order)
+    _guard_zero(ctx, z)
+    div = _quotient(z)
+    h = div(z * t1, t0)
+    if order < 2:
+        return h, None
+    return h, div(t1, t0) + div(z * t2, t0) - div(h * h, z)
+
+
+def _pair_slope(ctx: ThetaContext, center, z):
+    """pair_slope on flat arrays of centres and points, with both log_slope
+    arguments in one kernel call; float arrays stay float."""
+    h, _ = _log_slopes(ctx, np.concatenate([_quotient(z)(z, center), z * center]), 1)
+    return h[: z.size] + h[z.size :]
+
+
 @pointwise
 def log_slope(ctx: ThetaContext, z):
     """d log theta1 / d log z, i.e. z * theta1'(z) / theta1(z).
@@ -366,18 +413,13 @@ def log_slope(ctx: ThetaContext, z):
     log_slope(z) = 1 + log_slope(r^2 z) and log_slope(z) + log_slope(1/z) = -1,
     in particular log_slope(r) = -1.
     """
-    t0, t1, _ = _eval(ctx, z, 1)
-    _guard_zero(ctx, z)
-    return z * t1 / t0
+    return _log_slopes(ctx, z, 1)[0]
 
 
 @pointwise
 def log_slope_deriv(ctx: ThetaContext, z):
     """Derivative of log_slope with respect to z."""
-    t0, t1, t2 = _eval(ctx, z, 2)
-    _guard_zero(ctx, z)
-    h = z * t1 / t0
-    return t1 / t0 + z * t2 / t0 - h * h / z
+    return _log_slopes(ctx, z, 2)[1]
 
 
 def pair_slope(ctx: ThetaContext, center, z):
@@ -386,7 +428,10 @@ def pair_slope(ctx: ThetaContext, center, z):
     For a real center in (-1, -r) this is the building block of the moduli
     conditions: it is real on the real axis, tends to -1 as z -> -1 along
     (-1, 0), and blows up at z = center where the first argument crosses the
-    zero at 1.
+    zero at 1.  Complex, in the broadcast shape of center and z, or a Python
+    complex when both are scalars.
     """
-    center = np.asarray(center, dtype=np.complex128)
-    return log_slope(ctx, np.asarray(z) / center) + log_slope(ctx, np.asarray(z) * center)
+    center, z = np.broadcast_arrays(
+        np.asarray(center, dtype=np.complex128), np.asarray(z, dtype=np.complex128)
+    )
+    return _shaped(_pair_slope(ctx, center.reshape(-1), z.reshape(-1)), z.shape)

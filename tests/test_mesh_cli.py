@@ -332,6 +332,18 @@ def test_cli_rotational(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rotational_rejects_coarse_mesh(tmp_path, capsys):
+    # too few rings or samples is a usage error, as it is for mesh, and
+    # writes neither the mesh nor its report
+    out = tmp_path / "rot.obj"
+    for flags in (["--nu", "4"], ["--nv", "4"]):
+        capsys.readouterr()
+        assert main(["rotational", "--b", "0.3", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("flatfront: n_rho and n_theta must both be at least 8")
+        assert not out.exists()
+        assert not (tmp_path / "rot.obj.report.json").exists()
+
+
 def test_cli_deterministic_outputs(tmp_path, capsys):
     _, a = _solve(tmp_path, "a.json", r="0.31", s="-0.77")
     _, b = _solve(tmp_path, "b.json", r="0.31", s="-0.77")

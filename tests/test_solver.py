@@ -19,8 +19,9 @@ from flatfront.solver import (
     _inner_split,
     _newton_markers,
     _outer_scan,
+    _pair_minus_s,
 )
-from flatfront.theta import ThetaContext, pair_slope
+from flatfront.theta import ThetaContext, _log_slopes, log_slope, log_slope_deriv, pair_slope
 
 # Reference solve at (r, s) = (0.4, -0.25), checked below against the
 # defining pairing conditions before any comparison is made.
@@ -124,6 +125,35 @@ def test_newton_stage_solves_both_pairings(r, s):
     assert lo <= moduli.z0 <= hi
     assert 1 <= trace.outer_iterations <= 10
     assert trace.scan_iterations > 0
+
+
+@pytest.mark.parametrize("r", [0.05, 0.4, 0.75, 0.9])
+def test_pair_minus_s_equals_complex_pair_slope(r):
+    # the solver's float64 pairing, both log_slope arguments in one kernel
+    # call, has the bits of the public complex pair_slope
+    ctx = ThetaContext.create(r)
+    rng = np.random.default_rng(17)
+    c = rng.uniform(-1.0, -r, 300)
+    w = rng.uniform(-1.0, -r, 300)
+    s = -0.3
+    want = pair_slope(ctx, c + 0j, w + 0j).real - s
+    assert _pair_minus_s(ctx, c, w, s).tobytes() == want.tobytes()
+    for i in range(0, c.size, 37):
+        one = _pair_minus_s(ctx, c[i : i + 1], w[i : i + 1], s)
+        assert one.tobytes() == want[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.9, -0.04)])
+def test_newton_evaluation_equals_separate_calls(r, s):
+    # one order-2 kernel call gives the L and L' of separate log_slope and
+    # log_slope_deriv calls, at the points of a Newton step near the root
+    moduli, _ = solve_canonical(r, s)
+    ctx = ThetaContext.create(r)
+    z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
+    pts = np.array([z2 / z0, z2 * z0, z1 / z0, z1 * z0])
+    L, D = _log_slopes(ctx, pts, 2)
+    assert L.tobytes() == np.ascontiguousarray(log_slope(ctx, pts).real).tobytes()
+    assert D.tobytes() == np.ascontiguousarray(log_slope_deriv(ctx, pts).real).tobytes()
 
 
 def test_newton_stage_fails_outside_its_bracket():

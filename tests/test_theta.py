@@ -140,13 +140,19 @@ def test_domain_errors() -> None:
 @pytest.mark.parametrize("r", [0.05, 0.25, 0.7, 0.9])
 @pytest.mark.parametrize("k", range(-2, 4))
 def test_zeros_raise_pole_error(r, k) -> None:
-    # zeros inside and outside the band, hit exactly and one ulp off
+    # zeros inside and outside the band, hit exactly and one ulp off; the
+    # float64 path of the solver raises the same error as the complex one
     ctx = T.ThetaContext.create(r)
     zero = r ** (2 * k)
     for z in (zero, np.nextafter(zero, 0.0), np.nextafter(zero, np.inf)):
         with pytest.raises(T.ThetaPoleError) as err:
             T.log_slope(ctx, z)
         assert err.value.location == zero
+        for order in (1, 2):
+            with pytest.raises(T.ThetaPoleError) as real_err:
+                T._log_slopes(ctx, np.array([z]), order)
+            assert real_err.value.location == zero
+            assert str(real_err.value) == str(err.value)
 
 
 @pytest.mark.parametrize("r", [0.85, 0.9])
@@ -232,3 +238,42 @@ def test_empty_batch() -> None:
     ctx = T.ThetaContext.create(0.25)
     for f in (T.theta1, T.dtheta1, T.log_slope, T.log_slope_deriv):
         assert f(ctx, np.zeros((0, 3), dtype=complex)).shape == (0, 3)
+
+
+def _real_axis_points(r: float, n: int) -> np.ndarray:
+    """n real points of both signs whose reduction into the band takes
+    k = -2..2 steps, with points next to zeros at the front."""
+    rng = np.random.default_rng(43)
+    z = np.exp(rng.uniform(5.0 * np.log(r), -5.0 * np.log(r), n)) * rng.choice([-1.0, 1.0], n)
+    near = [1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 5e-7, 1.0 - 9e-7, r**2 * (1.0 + 3e-8), (1.0 - 2e-8) / r**4]
+    z[: len(near)] = near
+    return z
+
+
+def _same_bits(real, cplx) -> bool:
+    return real.dtype == np.float64 and real.tobytes() == np.ascontiguousarray(cplx.real).tobytes()
+
+
+@pytest.mark.parametrize("r", [0.05, 0.25, 0.55, 0.7, 0.9])
+def test_real_path_equals_complex_path(r: float) -> None:
+    # float64 points stay float64 and give the bits of the complex path's
+    # real part, in a batch of 20,077 points (not a whole number of chunks)
+    # and one point at a time
+    ctx = T.ThetaContext.create(r)
+    z = _real_axis_points(r, 20_077)
+    k = np.rint(np.log(np.abs(z)) / (-2.0 * np.log(r)))
+    assert set(k[6:]) == {-2.0, -1.0, 0.0, 1.0, 2.0}
+    batches = [z] + [z[i : i + 1] for i in np.r_[0:6, 6 : z.size : 997]]
+    for pts in batches:
+        zc = pts.astype(np.complex128)
+        for order in (0, 1, 2):
+            for j, (got, want) in enumerate(zip(T._eval(ctx, pts, order), T._eval(ctx, zc, order))):
+                assert (got is None and want is None) if j > order else _same_bits(got, want)
+        for got, want in zip(T._log_slopes(ctx, pts, 2), T._log_slopes(ctx, zc, 2)):
+            assert _same_bits(got, want), pts.size
+        assert _same_bits(T._log_slopes(ctx, pts, 1)[0], T.log_slope(ctx, zc))
+    # the zeros themselves, where theta1 vanishes and the derivatives do not
+    zeros = np.array([r ** (2 * j) for j in range(-2, 3)])
+    for order in (0, 1, 2):
+        got = T._eval(ctx, zeros, order)[order]
+        assert _same_bits(got, T._eval(ctx, zeros.astype(np.complex128), order)[order])
