@@ -11,22 +11,26 @@ evaluates:
 * ``theta_quotient`` - the quotient theta1(marker/z) / theta1(marker z),
   unimodular on |z| = 1,
 * ``gauss_map`` - g = sqrt(W) / z for W = R/(1-R) * Q1/Q2, in the closed
-  form g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)) with one constant C > 0
-  per surface,
+  form g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)),
+* ``gauss_map_square`` - W = (z g)^2,
+* ``_shape_factor`` - Q1 z^m / (1-R), whose modulus is exp(2u),
 * ``potential`` - the harmonic function u with exp(2u) = |Q1 z^m / (1-R)|,
+  from the raw quotients (an independent route to the shape factor),
 * ``inv_gauss_gap`` / ``second_gauss_map`` - F = R/g and g* = g - 1/F.
 
-W is zero- and pole-free on the closed annulus: every singularity of the
-building blocks cancels pairwise.  The evaluators below use fused forms so
-the cancellation happens analytically, not by dividing huge by huge.
+R is real on both circles, so it is elliptic on C*/r^2, with simple poles
+at z0 and 1/z0.  Once R(z1) = 1 and R(z2) = 0, comparing divisors gives
 
-Off the annulus, once R(z1) = 1 and R(z2) = 0, W has double zeros at
-r^(2k)/z2 and double poles at r^(2k)/z1, on the negative real axis.  The
-squared quotient (theta1(z2 z) / theta1(z1 z))^2 has the same divisor, and
-both gain the factor (z1/z2)^2 under z -> r^2 z, so their ratio is an
-elliptic function without poles: a constant.  That fixes the square root of
-W with no branch to track.  W keeps its own fused evaluation, which makes
-g^2 z^2 = W a cross-check between two routes.
+    R     = K  theta1(z/z2) theta1(z z2) / (theta1(z/z0) theta1(z z0)),
+    1 - R = K' theta1(z/z1) theta1(z z1) / (theta1(z/z0) theta1(z z0)),
+
+with K' = theta1(z2/z0) theta1(z2 z0) / (theta1(z2/z1) theta1(z2 z1)).  With
+theta1(1/w) = -w theta1(w) the composites W and Q1 z^m / (1-R) become plain
+theta products: the simple zeros and poles that cancel pairwise in the raw
+quotients, at z0, z1 and z2, never appear.  W has double zeros at r^(2k)/z2
+and double poles at r^(2k)/z1, on the negative real axis off the annulus,
+so its square root is single-valued with no branch to track.  The two
+constants sqrt(C) and K' are computed once per surface.
 """
 
 from __future__ import annotations
@@ -54,8 +58,10 @@ class DegenerateConfigurationError(ValueError):
 
 
 class RepresentationError(ValueError):
-    """W has no single-valued square root of the closed form of gauss_map,
-    or the moduli do not satisfy R(z2) = 0 and c2 = slit_map(z2, z0)."""
+    """Stored moduli fields that do not fit their markers, so the theta
+    products of W, g and the shape factor do not represent the surface they
+    describe: R(z1) = 1 with c1 = slit_map(z1, z0), R(z2) = 0 with
+    c2 = slit_map(z2, z0) and s = -z2 c2, or z1 z2 r^(2(m+2)) = 1 fails."""
 
 
 @dataclass(frozen=True)
@@ -175,57 +181,6 @@ def gauss_ratio_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     return moduli.a_R * slit_map_deriv(ctx, moduli.z0, z)
 
 
-@lru_cache(maxsize=128)
-def _marker_ratio_derivs(moduli: CanonicalModuli, ctx: ThetaContext):
-    """R'(z1) and R'(z2) as floats (cached; both are real and nonzero)."""
-    d1 = gauss_ratio_deriv(moduli, ctx, complex(moduli.z1))
-    d2 = gauss_ratio_deriv(moduli, ctx, complex(moduli.z2))
-    return d1.real, d2.real
-
-
-def _pole_times_quotient(ctx: ThetaContext, marker: float, shift: float, flat):
-    """(slit_map(marker, z) - shift) * theta_quotient(marker, z), fused.
-
-    The simple pole of the slit map at ``marker`` and the simple zero of the
-    quotient cancel; this form never divides by theta1(marker / z), so it is
-    regular on the whole closed annulus (the only divisions are by
-    theta1(marker z), which cannot vanish there, and by z).  Returns the
-    fused value together with the plain quotient theta1(marker/z) /
-    theta1(marker z), which callers reuse.
-    """
-    w1 = marker / flat
-    w2 = marker * flat
-    t1, d1, _ = _eval(ctx, w1, 1)
-    t2, d2, _ = _eval(ctx, w2, 1)
-    quot = t1 / t2
-    return -d1 / (flat * t2) - (flat * d2 / t2 + shift) * quot, quot
-
-
-@pointwise
-def gauss_map_square(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """W(z) = R/(1-R) * Q1/Q2 = (z * gauss_map)^2, branch-free.
-
-    Zero- and pole-free on the closed annulus.  Two fused forms cover the
-    cancellations: the default is regular at z0 and z1; within 1e-3 of z2 a
-    second form regular at z1 and z2 takes over.
-    """
-    _require_annulus(ctx, z, "gauss_map_square")
-    rp1, rp2 = _marker_ratio_derivs(moduli, ctx)
-
-    fused1, q1_quot = _pole_times_quotient(ctx, moduli.z1, moduli.c1, z)
-    num2, _, _ = _eval(ctx, moduli.z2 / z, 0)
-    den2, _, _ = _eval(ctx, moduli.z2 * z, 0)
-    # num2 vanishes at z2 itself; those entries are overwritten below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -(q1_quot + fused1 / rp1) * (den2 / num2)
-
-    near2 = np.abs(z - moduli.z2) < min(1e-3, 0.25 * (moduli.z0 - moduli.z2))
-    if near2.any():
-        fused2, _ = _pole_times_quotient(ctx, moduli.z2, moduli.c2, z[near2])
-        out[near2] = -(rp2 / rp1) * fused1[near2] / fused2
-    return out
-
-
 @pointwise
 def gauss_square_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """W'/W = R'/(R(1-R)) + (z1 q1(z) - z2 q2(z)) / z.
@@ -248,9 +203,9 @@ _RING_STEPS = 4096
 def gauss_square_winding(moduli: CanonicalModuli, ctx: ThetaContext) -> int:
     """Winding number of W around the core circle |z| = sqrt(r).
 
-    Zero for valid moduli, where W has the single-valued square root of
-    :func:`gauss_map`.  A plain walk of W over the circle; independent of
-    the closed form, so it serves as a cross-check.
+    Zero for valid moduli.  A plain walk of W over the circle; W is built
+    from the closed form of :func:`gauss_map`, so the walk audits that form
+    (zero- and pole-free on the core circle), not an independent route.
     """
     th = np.linspace(0.0, 2.0 * np.pi, _RING_STEPS + 1)
     vals = gauss_map_square(moduli, ctx, np.sqrt(moduli.r) * np.exp(1j * th))
@@ -265,52 +220,70 @@ def gauss_square_winding(moduli: CanonicalModuli, ctx: ThetaContext) -> int:
 
 
 @lru_cache(maxsize=128)
-def _gauss_scale(moduli: CanonicalModuli, ctx: ThetaContext) -> float:
-    """sqrt(C) for the constant C = W(z) (theta1(z1 z) / theta1(z2 z))^2.
+def _surface_constants(moduli: CanonicalModuli, ctx: ThetaContext) -> tuple[float, float]:
+    """(sqrt(C), K') of the theta-product forms of g and the shape factor.
 
-    Read at +sqrt(r), the core point farthest from the markers.  Moduli that
-    do not satisfy R(z1) = 1, R(z2) = 0 give a W with another divisor, and
-    the ratio is then not constant: RepresentationError unless C is real,
-    positive and matches its value at -sqrt(r) to 1e-8 relative.  b_R and c2
-    do not enter W away from z2, so they are checked at z2 itself:
-    RepresentationError unless |R(z2)| <= 1e-8 and c2 matches
-    slit_map(z2, z0) to 1e-8 relative.
+    C = -theta1(z1/z0) theta1(z1 z0) / (theta1(z2/z0) theta1(z2 z0)) and
+    K' = theta1(z2/z0) theta1(z2 z0) / (theta1(z2/z1) theta1(z2 z1)); both
+    are positive for markers in the order -1 < z2 < z0 < z1 < -r.  The forms
+    depend on the markers alone, so the other stored fields are checked
+    against them first, each to 1e-8 (relative for c1 and c2): R(z1) = 1
+    (as a_R (slit_map(z0, z1) - slit_map(z0, z2)) = 1) and
+    c1 = slit_map(z1, z0); R(z2) = 0, c2 = slit_map(z2, z0) and s = -z2 c2;
+    z1 z2 r^(2(m+2)) = 1.  RepresentationError names the first that fails.
     """
-    core = np.sqrt(moduli.r) * np.array([1.0, -1.0], dtype=np.complex128)
-    quot = _eval(ctx, moduli.z2 * core, 0)[0] / _eval(ctx, moduli.z1 * core, 0)[0]
-    c = gauss_map_square(moduli, ctx, core) / (quot * quot)
-    if not (c[0].real > 0.0 and np.abs(c - c[0].real).max() <= 1e-8 * c[0].real):
+    z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
+    q1, q2 = slit_map(ctx, z0, np.array([z1, z2], dtype=np.complex128))
+    c1 = slit_map(ctx, z1, complex(z0)).real
+    c2 = slit_map(ctx, z2, complex(z0)).real
+    gap = moduli.a_R * (q1 - q2) - 1.0
+    if not (abs(gap) <= 1e-8 and abs(moduli.c1 - c1) <= 1e-8 * abs(c1)):
         raise RepresentationError(
-            f"W is not a constant times (theta1(z2 z)/theta1(z1 z))^2: C = {c[0]} at +sqrt(r), "
-            f"{c[1]} at -sqrt(r)"
+            f"W is not a constant times (theta1(z2 z)/theta1(z1 z))^2: a_R (slit_map(z0, z1) - "
+            f"slit_map(z0, z2)) - 1 = {gap}, c1 = {moduli.c1} against slit_map(z1, z0) = {c1}"
         )
-    r_at_z2 = gauss_ratio(moduli, ctx, complex(moduli.z2))
-    c2 = slit_map(ctx, moduli.z2, complex(moduli.z0)).real
-    if not (abs(r_at_z2) <= 1e-8 and abs(moduli.c2 - c2) <= 1e-8 * abs(c2)):
+    r_at_z2 = moduli.a_R * q2 + moduli.b_R
+    s_gap = moduli.s + z2 * moduli.c2
+    if not (abs(r_at_z2) <= 1e-8 and abs(moduli.c2 - c2) <= 1e-8 * abs(c2) and abs(s_gap) <= 1e-8):
         raise RepresentationError(
             f"moduli do not fit the marker z2: R(z2) = {r_at_z2}, c2 = {moduli.c2} "
-            f"against slit_map(z2, z0) = {c2}"
+            f"against slit_map(z2, z0) = {c2}, s + z2 c2 = {s_gap}"
         )
-    return float(np.sqrt(c[0].real))
+    m_gap = z1 * z2 * moduli.r ** (2.0 * (moduli.m + 2.0)) - 1.0
+    if not abs(m_gap) <= 1e-8:
+        raise RepresentationError(f"moduli do not fit the exponent m: z1 z2 r^(2(m+2)) - 1 = {m_gap}")
+    t, _, _ = _eval(ctx, np.array([z1 / z0, z1 * z0, z2 / z0, z2 * z0, z2 / z1, z2 * z1]), 0)
+    return float(np.sqrt(-t[0] * t[1] / (t[2] * t[3]))), float(t[2] * t[3] / (t[4] * t[5]))
 
 
 @pointwise
 def gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """The hyperbolic Gauss map g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)).
 
-    Holomorphic and zero-free on the closed annulus, with g^2 z^2 = W.  W has
-    double zeros at r^(2k)/z2 and double poles at r^(2k)/z1, all on the
-    negative real axis outside the annulus; so does the squared theta
-    quotient, and both gain (z1/z2)^2 under z -> r^2 z.  Their ratio C is
-    therefore constant, positive for valid moduli, and computed once per
-    surface.  g is negative on (-1, -r).  Raises RepresentationError when
-    the moduli fail that check.
+    Holomorphic and zero-free on the closed annulus, with g^2 z^2 equal to
+    R/(1-R) * Q1/Q2.  That composite has double zeros at r^(2k)/z2 and
+    double poles at r^(2k)/z1, all on the negative real axis outside the
+    annulus; so does the squared theta quotient, and both gain (z1/z2)^2
+    under z -> r^2 z.  Their ratio C is therefore constant, positive, and
+    computed once per surface.  g is negative on (-1, -r).  Raises
+    RepresentationError for moduli whose fields do not fit their markers.
     """
     _require_annulus(ctx, z, "gauss_map")
-    scale = _gauss_scale(moduli, ctx)
+    scale, _ = _surface_constants(moduli, ctx)
     num, _, _ = _eval(ctx, moduli.z2 * z, 0)
     den, _, _ = _eval(ctx, moduli.z1 * z, 0)
     return scale * num / (z * den)
+
+
+@pointwise
+def gauss_map_square(moduli: CanonicalModuli, ctx: ThetaContext, z):
+    """W(z) = R/(1-R) * Q1/Q2 = (z * gauss_map)^2.
+
+    Zero- and pole-free on the closed annulus: the 0/0 of the raw quotients
+    at z0, z1 and z2 does not arise in the theta-product form.
+    """
+    zg = z * gauss_map(moduli, ctx, z)
+    return zg * zg
 
 
 @pointwise
@@ -321,7 +294,21 @@ def gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z, *, g_val=None
     return g_val * (0.5 * gauss_square_log_deriv(moduli, ctx, z) - 1.0 / z)
 
 
-# --- potential and Gauss-map gap ----------------------------------------
+# --- shape factor, potential and Gauss-map gap --------------------------
+
+
+def _shape_factor(moduli: CanonicalModuli, ctx: ThetaContext, z):
+    """Q1 z^m / (1-R) = -z^(m+1) theta1(z/z0) theta1(z z0) / (z1 K' theta1(z z1)^2).
+
+    On flat arrays z, with the principal-branch z^m; its modulus is exp(2u).
+    Regular at z1 and z2 and zero at the end z0.  Raises RepresentationError
+    for moduli whose fields do not fit their markers.
+    """
+    _, k_prime = _surface_constants(moduli, ctx)
+    a, _, _ = _eval(ctx, z / moduli.z0, 0)
+    b, _, _ = _eval(ctx, z * moduli.z0, 0)
+    c, _, _ = _eval(ctx, z * moduli.z1, 0)
+    return -z * np.exp(moduli.m * np.log(z)) * a * b / (moduli.z1 * k_prime * c * c)
 
 
 @pointwise

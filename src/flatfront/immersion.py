@@ -28,13 +28,13 @@ import numpy as np
 from .annulus import (
     CanonicalModuli,
     DegenerateConfigurationError,
+    _shape_factor,
     gauss_map,
     gauss_map_deriv,
     gauss_map_square,
     gauss_ratio,
     gauss_ratio_deriv,
     gauss_square_log_deriv,
-    theta_quotient,
 )
 from .theta import ThetaContext, pointwise
 
@@ -66,26 +66,6 @@ class MetricSample:
     lambda_sq: np.ndarray | float
 
 
-def _e2u_fused(moduli, ctx, flat, R):
-    """exp(2u) = |Q1 z^m / (1 - R)|, with the 0/0 at z1 evaluated fused.
-
-    Near z1 both Q1 and 1 - R have simple zeros; there the equivalent form
-    |W Q2 z^m / R| (regular at z1) takes over.
-    """
-    base = np.abs(theta_quotient(ctx, moduli.z1, flat)) * np.abs(flat) ** moduli.m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = base / np.abs(1.0 - R)
-    near1 = np.abs(flat - moduli.z1) < 1e-6
-    if near1.any():
-        sub = flat[near1]
-        W = gauss_map_square(moduli, ctx, sub)
-        q2 = theta_quotient(ctx, moduli.z2, sub)
-        out[near1] = (
-            np.abs(W) * np.abs(q2) * np.abs(sub) ** moduli.m / np.abs(R[near1])
-        )
-    return out
-
-
 @lru_cache(maxsize=128)
 def end_direction(moduli: CanonicalModuli, ctx: ThetaContext) -> complex:
     """Horizontal limit g(z0) of the ideal end."""
@@ -107,7 +87,7 @@ def immerse(moduli: CanonicalModuli, ctx: ThetaContext, z, end_tol: float = END_
 
     g = gauss_map(moduli, ctx, work)
     R = gauss_ratio(moduli, ctx, work)
-    e2 = _e2u_fused(moduli, ctx, work, R)
+    e2 = np.abs(_shape_factor(moduli, ctx, work))
     F = R / g
     psi3 = e2 / (1.0 + e2 * e2 * np.abs(F) ** 2)
     horiz = g - psi3 * e2 * np.conj(F)
@@ -194,7 +174,7 @@ def first_form(moduli: CanonicalModuli, ctx: ThetaContext, z, *, g_val=None):
     gp = gauss_map_deriv(moduli, ctx, z, g_val=g)
     R = gauss_ratio(moduli, ctx, z)
     Rp = gauss_ratio_deriv(moduli, ctx, z)
-    e2 = _e2u_fused(moduli, ctx, z, R)
+    e2 = np.abs(_shape_factor(moduli, ctx, z))
     F = R / g
     Fp = Rp / g - R * gp / (g * g)
     w_hopf = Fp + F * F * gp
@@ -203,26 +183,21 @@ def first_form(moduli: CanonicalModuli, ctx: ThetaContext, z, *, g_val=None):
 
 @pointwise
 def shape_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """The ratio p of the holomorphic form coefficients, branch-free.
+    """The ratio p of the holomorphic form coefficients.
 
     |p| equals 1 exactly on both singular circles and stays below 1 in the
-    interior; |p| also equals e^4u |w_hopf / g'|.  Evaluation avoids the
-    square-root branch of g by using only g'/g; the principal-branch power
-    z^m makes the phase of p (not its modulus) jump across arg z = pi.
-    Inaccurate within ~1e-6 of the markers, where the fused pieces cancel.
+    interior; |p| also equals e^4u |w_hopf / g'|.  Evaluated as
+    p = factor^2 z^2 (R' / (g'/g) + R (R - 1)) / W with the shape factor
+    Q1 z^m / (1-R) and W = (z g)^2.  Its principal-branch power z^m makes
+    the phase of p (not its modulus) jump across arg z = pi.  g'/g
+    subtracts poles that cancel at z1 and z2, so p loses digits close to
+    those markers (see gauss_square_log_deriv).
     """
     R = gauss_ratio(moduli, ctx, z)
     Rp = gauss_ratio_deriv(moduli, ctx, z)
     W = gauss_map_square(moduli, ctx, z)
     g_log = 0.5 * gauss_square_log_deriv(moduli, ctx, z) - 1.0 / z
-    zm = np.exp(moduli.m * np.log(z))
-    factor = theta_quotient(ctx, moduli.z1, z) * zm / (1.0 - R)
-    near1 = np.abs(z - moduli.z1) < 1e-6
-    if near1.any():
-        sub = z[near1]
-        factor[near1] = (
-            W[near1] * theta_quotient(ctx, moduli.z2, sub) * zm[near1] / R[near1]
-        )
+    factor = _shape_factor(moduli, ctx, z)
     return factor * factor * z * z * (Rp / g_log + R * (R - 1.0)) / W
 
 

@@ -4,9 +4,11 @@ import dataclasses
 import json
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import theta_product, theta_product_deriv
 from flatfront.solver import solve_canonical
 from flatfront.theta import ThetaContext, ThetaPoleError, pair_slope, theta1
 from flatfront.annulus import (
@@ -14,6 +16,7 @@ from flatfront.annulus import (
     CanonicalModuli,
     DegenerateConfigurationError,
     RepresentationError,
+    _shape_factor,
     fit_gauss_ratio,
     gauss_map,
     gauss_map_deriv,
@@ -175,13 +178,48 @@ def test_theta_quotient_unimodular_and_zero(mod, ctx):
     assert vals[np.abs(z - mod.z1) > 0.05].min() > 1e-3
 
 
-def test_gauss_square_matches_raw_composite(mod, ctx):
-    # fused evaluation vs the literal R/(1-R) * Q1/Q2 away from the markers
+CLOSED_FORM_CASES = [(0.25, -0.5), (0.7, -0.999), (0.05, -0.04), (0.9, -0.5), (0.5, -0.999)]
+
+
+@pytest.mark.parametrize("r, s", CLOSED_FORM_CASES + [(0.65, -0.01)])
+def test_gauss_square_matches_raw_composite(r, s):
+    # the theta products W = (z g)^2 and e^2u = |Q1 z^m / (1-R)| against the
+    # literal composites of slit map and quotients, away from the markers
+    mod, _ = solve_canonical(r, s)
+    ctx = mod.context()
     z = _away_from_markers(_annulus_samples(mod.r, 300, seed=11), mod)
     R = gauss_ratio(mod, ctx, z)
-    raw = R / (1.0 - R) * theta_quotient(ctx, mod.z1, z) / theta_quotient(ctx, mod.z2, z)
-    fused = gauss_map_square(mod, ctx, z)
-    assert (np.abs(raw - fused) / np.abs(fused)).max() < 1e-10
+    q1 = theta_quotient(ctx, mod.z1, z)
+    raw = R / (1.0 - R) * q1 / theta_quotient(ctx, mod.z2, z)
+    W = gauss_map_square(mod, ctx, z)
+    assert (np.abs(raw - W) / np.abs(W)).max() < 1e-12
+    raw_e2u = np.abs(q1) * np.abs(z) ** mod.m / np.abs(1.0 - R)
+    e2u = np.abs(_shape_factor(mod, ctx, z))
+    assert (np.abs(raw_e2u - e2u) / raw_e2u).max() < 1e-12
+
+
+def test_gauss_square_near_z2_matches_oracle():
+    # On the real axis 1.1e-3 to 1e-2 from z2 at (0.65, -0.01), next to the
+    # zero of R that cancels the zero of Q2: W against R/(1-R) * Q1/Q2 at 40
+    # digits from the same moduli, built from the product oracle
+    mod, _ = solve_canonical(0.65, -0.01)
+    ctx = mod.context()
+    z0, z1, z2, a_R, b_R = (mp.mpf(float(v)) for v in (mod.z0, mod.z1, mod.z2, mod.a_R, mod.b_R))
+
+    def slope(w):
+        return w * theta_product_deriv(mod.r, w) / theta_product(mod.r, w)
+
+    def quotient(marker, z):
+        return theta_product(mod.r, marker / z) / theta_product(mod.r, marker * z)
+
+    for d in (1.1e-3, 1.7e-3, 3e-3, 1e-2):
+        for z in (mod.z2 - d, mod.z2 + d):
+            with mp.workdps(40):
+                w = mp.mpf(float(z))
+                R = a_R * (-(slope(z0 / w) + slope(z0 * w)) / z0) + b_R
+                ref = complex(R / (1 - R) * quotient(z1, w) / quotient(z2, w))
+            W = gauss_map_square(mod, ctx, complex(z))
+            assert abs(W - ref) <= 1e-12 * abs(ref)
 
 
 def test_gauss_square_regular_at_markers(mod, ctx):
@@ -244,9 +282,7 @@ def test_gauss_map_real_negative_on_segment(mod, ctx):
     assert g.real.max() < 0.0
 
 
-@pytest.mark.parametrize(
-    "r, s", [(0.25, -0.5), (0.7, -0.999), (0.05, -0.04), (0.9, -0.5), (0.5, -0.999)]
-)
+@pytest.mark.parametrize("r, s", CLOSED_FORM_CASES)
 def test_gauss_square_is_constant_times_theta_quotient_squared(r, s):
     # W and (theta1(z2 z)/theta1(z1 z))^2 share their divisor and their
     # factor under z -> r^2 z, so the ratio is one positive constant

@@ -5,6 +5,7 @@ import pytest
 
 from flatfront.annulus import (
     DegenerateConfigurationError,
+    _shape_factor,
     gauss_map,
     gauss_map_deriv,
     gauss_map_square,
@@ -33,7 +34,6 @@ from flatfront.immersion import (
     klein_map,
     rotational_gauss_data,
     shape_ratio,
-    _e2u_fused,
 )
 from flatfront.solver import solve_canonical
 from flatfront.theta import ThetaContext, dtheta1, log_slope, log_slope_deriv, theta1
@@ -146,7 +146,8 @@ def test_metric_determinant_identity_and_comparison(mod, ctx):
 
 
 def test_metric_regular_at_ratio_markers(mod, ctx):
-    # e^2u has a 0/0 at z1; the fused form must sail through both markers
+    # the raw e^2u = |Q1 z^m / (1-R)| is 0/0 at z1; the theta-product shape
+    # factor has no such cancellation and must sail through both markers
     for mk in (mod.z1, mod.z2):
         tri = [first_form(mod, ctx, complex(mk + k * 1e-7)) for k in (1, 2, 3)]
         assert all(np.isfinite(t.E) and np.isfinite(t.G) and t.E > 0 for t in tri)
@@ -154,10 +155,10 @@ def test_metric_regular_at_ratio_markers(mod, ctx):
         es = [t.E for t in tri]
         assert max(es) / min(es) < 1.01
     line = np.linspace(mod.z1 - 2e-6, mod.z1 + 2e-6, 41).astype(complex)
-    e2_line = _e2u_fused(mod, ctx, line, gauss_ratio(mod, ctx, line))
+    e2_line = np.abs(_shape_factor(mod, ctx, line))
     assert np.all(np.isfinite(e2_line))
     assert e2_line.max() / e2_line.min() < 1.0 + 1e-3
-    # smooth across the fused-window boundary: increments stay uniform
+    # smooth through z1: increments stay uniform
     inc = np.diff(e2_line)
     assert np.abs(inc - inc.mean()).max() < 1e-2 * np.abs(inc.mean())
 

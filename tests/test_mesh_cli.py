@@ -289,6 +289,27 @@ def test_cli_mesh_rejects_moduli_off_the_marker_z2(tmp_path, capsys, field):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("m", math.nan, "exponent m"), ("m", -1.0, "exponent m"), ("s", -0.4, "marker z2")],
+)
+def test_cli_mesh_rejects_moduli_off_m_and_s(tmp_path, capsys, field, value, message):
+    # m and s do not enter W or g: a NaN m would mesh into NaN vertices and a
+    # wrong s into a surface with another slope, so mesh refuses both files
+    _, moduli = _solve(tmp_path)
+    bad = json.loads(moduli.read_text())
+    bad[field] = value
+    crafted = tmp_path / "crafted.json"
+    crafted.write_text(json.dumps(bad))
+    out = tmp_path / "c.obj"
+    capsys.readouterr()
+    assert main(["mesh", str(crafted), "--nu", "12", "--nv", "16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"flatfront: moduli do not fit the {message}")
+    assert not out.exists()
+    assert main(["validate", str(crafted), "--grid", "16"]) == 1
+    capsys.readouterr()
+
+
 def test_cli_mesh_rejects_empty_mesh(tmp_path, capsys):
     # NaN, and any radius that excises every face, is a usage error rather
     # than an empty mesh file
