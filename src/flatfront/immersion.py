@@ -73,14 +73,14 @@ def end_direction(moduli: CanonicalModuli, ctx: ThetaContext) -> complex:
 
 
 @pointwise
-def immerse(moduli: CanonicalModuli, ctx: ThetaContext, z, end_tol: float = END_TOL):
+def immerse(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """Evaluate the flat front at annulus points.
 
     Each field of the result has z's shape, or is a Python scalar for a
-    scalar z.  Points within end_tol of the end z0 come back as the ideal
+    scalar z.  Points within END_TOL of the end z0 come back as the ideal
     limit (g(z0), 0); everything else is an interior point with height > 0.
     """
-    near_end = np.abs(z - moduli.z0) < end_tol
+    near_end = np.abs(z - moduli.z0) < END_TOL
     work = z.copy()
     if near_end.any():
         work[near_end] = 0.5 * (moduli.z0 + moduli.z1)
@@ -234,30 +234,28 @@ def brioschi_curvature(E, F, G, hu, hv) -> float:
     return float((np.linalg.det(M1) - np.linalg.det(M2)) / (det * det))
 
 
-def _stencil_curvature(form, z: complex, h: float, richardson: bool) -> float:
-    """Brioschi curvature of ``form`` on a 3x3 stencil of spacing h around z,
-    Richardson-combined with the h/2 stencil when ``richardson`` is set."""
+def _stencil_curvature(form, z: complex, h: float) -> float:
+    """Brioschi curvature of ``form`` on 3x3 stencils of spacing h and h/2
+    around z, Richardson-combined."""
     ks = []
-    for hh in (h, 0.5 * h) if richardson else (h,):
+    for hh in (h, 0.5 * h):
         offs = np.array([[complex(i * hh, j * hh) for i in (-1, 0, 1)] for j in (-1, 0, 1)])
         ms = form(z + offs)
         ks.append(brioschi_curvature(ms.E, ms.F, ms.G, hh, hh))
-    return (4.0 * ks[1] - ks[0]) / 3.0 if richardson else ks[0]
+    return (4.0 * ks[1] - ks[0]) / 3.0
 
 
-def intrinsic_curvature(
-    moduli: CanonicalModuli, ctx: ThetaContext, z, h: float = 5e-4, richardson: bool = True
-) -> float:
+def intrinsic_curvature(moduli: CanonicalModuli, ctx: ThetaContext, z, h: float = 5e-4) -> float:
     """Finite-difference Gauss curvature of the front at an interior point.
 
-    Flatness means this is zero up to stencil error.  The default pairs an
-    h and h/2 stencil through Richardson extrapolation, which cancels the
+    Flatness means this is zero up to stencil error.  An h and an h/2
+    stencil are paired through Richardson extrapolation, which cancels the
     quadratic truncation term; h near 5e-4 balances the remaining
     truncation against roundoff amplified by the 1/h^2 weights.  Accuracy
     degrades where the metric is close to degenerate (|p| near 1, i.e.
     near the singular circles and the real axis).
     """
-    return _stencil_curvature(lambda w: first_form(moduli, ctx, w), complex(z), h, richardson)
+    return _stencil_curvature(lambda w: first_form(moduli, ctx, w), complex(z), h)
 
 
 # --- rotational family ----------------------------------------------------
@@ -359,8 +357,6 @@ def first_form_rotational(rot: RotationalModuli, g):
     return MetricSample(*_metric_from(e2, w_hopf, gp))
 
 
-def intrinsic_curvature_rotational(
-    rot: RotationalModuli, g, h: float = 5e-4, richardson: bool = True
-) -> float:
+def intrinsic_curvature_rotational(rot: RotationalModuli, g, h: float = 5e-4) -> float:
     """Finite-difference Gauss curvature of the rotational front at a point."""
-    return _stencil_curvature(lambda w: first_form_rotational(rot, w), complex(g), h, richardson)
+    return _stencil_curvature(lambda w: first_form_rotational(rot, w), complex(g), h)

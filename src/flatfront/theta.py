@@ -6,17 +6,19 @@ The basic object is the truncated infinite product
 
 with C = prod_{k=1..n} (1 - r^(2k)) and modulus 0 < r < 1.  Its zeros are
 exactly the real points r^(2k) for integer k, all simple.  The product is
-well conditioned only on the band r <= |z| <= 1/r; arguments outside the
-band are routed through the functional equations
+well conditioned only on the band r <= |z| <= 1/r.  Every point is carried
+into the band in one step by the functional equation
 
-    theta1(z) = -r^2 z theta1(r^2 z),        theta1(z) = -(1/z) theta1(1/z),
+    theta1(z) = (-1)^k r^(k(k+1)) z^k theta1(r^(2k) z),
 
-applied repeatedly, which is exact and keeps every factor O(1).
+with k = rint(log|z| / (-2 log r)), which puts r^(2k) z nearest in
+log-modulus to the band's one zero 1; so r^(-2k) is the zero nearest z.
 
-Derivatives come from the same product.  Away from zeros the logarithmic
-derivative sum is used; within distance 1e-6 of a zero the vanishing factor
-is split off and the remaining product is differentiated explicitly, so the
-derivative stays accurate through the zero itself.
+On the band the vanishing factor (1 - 1/v) is split off at every point:
+theta and its derivatives come by the product rule from that factor and
+from the product and logarithmic-derivative sums of the other factors, none
+of which is singular on the band, so the derivatives stay accurate next to
+a zero and through it.
 
 The logarithmic derivatives have their poles at these known zeros and
 nowhere else, so their guard is structural: a point within relative
@@ -56,11 +58,6 @@ TRUNCATION_TOL = 1e-18
 # A point z with |z - r^(2k)| <= ZERO_DIST * r^(2k), for its nearest zero
 # r^(2k), counts as landing on that zero.
 ZERO_DIST = 1e-13
-
-# Switch distance to the isolated-factor derivative path near a zero.
-NEAR_ZERO_DIST = 1e-6
-
-_MAX_REDUCTIONS = 2048
 
 
 class ThetaPoleError(ZeroDivisionError):
@@ -121,13 +118,19 @@ class ThetaContext:
         """Same modulus with a different truncation length (for convergence checks)."""
         return ThetaContext(self.r, n_terms, self._tail_constant(self.r, n_terms))
 
-    def nearest_zero(self, z):
-        """The zero r^(2k) nearest to nonzero z in log-modulus, elementwise.
+    def band_index(self, z):
+        """The integer k, as a float, that takes nonzero z to the band:
+        r <= |z r^(2k)| <= 1/r, elementwise."""
+        return np.rint(np.log(np.abs(z)) / (-2.0 * math.log(self.r)))
 
-        A scalar z gets the float r ** (2 * k) of the factor columns; numpy's
+    def nearest_zero(self, z):
+        """The zero r^(-2k) nearest to nonzero z in log-modulus, elementwise,
+        with k = band_index(z): the zero that the band reduction moves to 1.
+
+        A scalar z gets the float r ** (-2 * k) of the factor columns; numpy's
         power over an array may round that value differently in the last bit.
         """
-        return self.r ** (2.0 * np.rint(np.log(np.abs(z)) / (2.0 * math.log(self.r))))
+        return self.r ** (-2.0 * self.band_index(z))
 
 
 def _shaped(arr, shape):
@@ -221,16 +224,15 @@ def _fold(ufunc, out, rows):
     out[...] = acc
 
 
-def _band_core(ctx: ThetaContext, v, order: int, div, skip_unit: bool):
-    """Product and log-derivative sums over the truncated factor list.
+def _band_core(ctx: ThetaContext, v, order: int, div):
+    """Product and log-derivative sums over the factors other than (1 - 1/v).
 
-    Returns (prod, L, Lp) with prod the factor product (including c_const),
-    L the sum of f'/f over factors and Lp its derivative, all of v's dtype.
-    When skip_unit is set the (1 - 1/v) factor is left out of all three,
-    which is what the near-zero path needs.  Every quotient with a numerator
-    other than 1 goes through div (see :func:`_quotient`): complex tables
-    divide in numpy's scalar loop, float tables as x * (1/y), which is the
-    same bits and several times cheaper.
+    Returns (P, L, Lp) with P = C * prod_k (1 - p_k v)(1 - p_k / v), L the
+    sum of f'/f over these factors and Lp its derivative, all of v's dtype.
+    None of these factors vanishes on the band.  Every quotient with a
+    numerator other than 1 goes through div (see :func:`_quotient`): complex
+    tables divide in numpy's scalar loop, float tables as x * (1/y), which
+    is the same bits and several times cheaper.
 
     Each chunk of _CHUNK points builds its factor table (1 - p_k v)(1 - p_k/v)
     and the matching L and Lp term tables, one row per k, for a block of k
@@ -241,121 +243,82 @@ def _band_core(ctx: ThetaContext, v, order: int, div, skip_unit: bool):
     step = min(max(v.size, _TABLE_MIN), _TABLE_MAX) // max(min(v.size, _CHUNK), 1)
     cols = _term_columns(ctx.r, ctx.n_terms, v.dtype.type)
     blocks = [[col[k : k + step] for col in cols] for k in range(0, ctx.n_terms, step)]
-    prod = np.empty(v.shape, dtype=v.dtype)
+    P = np.empty(v.shape, dtype=v.dtype)
     L = np.zeros(v.shape, dtype=v.dtype) if order >= 1 else None
     Lp = np.zeros(v.shape, dtype=v.dtype) if order >= 2 else None
     for lo in range(0, v.size, _CHUNK):
         chunk = slice(lo, lo + _CHUNK)
         w = v[chunk]
-        prod[chunk] = ctx.c_const
-        if not skip_unit:
-            _fold(np.multiply, prod[chunk], [1.0 - 1.0 / w])
-            if order >= 1:
-                l0 = 1.0 / (w * w - w)
-                _fold(np.add, L[chunk], [l0])
-            if order >= 2:
-                _fold(np.subtract, Lp[chunk], [(2.0 * w - 1.0) * l0 * l0])
+        P[chunk] = ctx.c_const
         for p, neg_p, neg_pp in blocks:
             a = 1.0 - p * w
             # explicit calls keep the operand order of a complex product,
             # which is not commutative bit for bit
-            _fold(np.multiply, prod[chunk], np.multiply(a, 1.0 - div(p, w)))
+            _fold(np.multiply, P[chunk], np.multiply(a, 1.0 - div(p, w)))
             if order >= 1:
                 vb = w * (w - p)
                 _fold(np.add, L[chunk], div(neg_p, a) + div(p, vb))
             if order >= 2:
                 terms = div(neg_pp, a * a) - div(np.multiply(p, 2.0 * w - p), vb * vb)
                 _fold(np.add, Lp[chunk], terms)
-    return prod, L, Lp
+    return P, L, Lp
 
 
 def _band_eval(ctx: ThetaContext, v, order: int, div):
     """(theta, theta', theta'') on the band r <= |v| <= 1/r.
 
-    The only zero inside the band is v = 1; entries within NEAR_ZERO_DIST of
-    it are recomputed with the vanishing factor isolated, which keeps the
-    derivatives exact at the zero itself.
+    The band's one zero is that of f0 = 1 - 1/v, which is split off at every
+    point: theta = f0 P, and the derivatives follow by the product rule from
+    f0' = 1/v^2, f0'' = -2/v^3 and the sums of :func:`_band_core`.  No term
+    is singular at v = 1, so the derivatives keep their relative precision
+    next to the zero and through it.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        prod, L, Lp = _band_core(ctx, v, order, div, skip_unit=False)
-        t0 = prod
-        t1 = prod * L if order >= 1 else None
+    P, L, Lp = _band_core(ctx, v, order, div)
+    t0 = (1.0 - 1.0 / v) * P
+    t1 = t2 = None
+    if order >= 1:
+        f0p = 1.0 / (v * v)
+        t1 = f0p * P + t0 * L
+    if order >= 2:
         # an explicit call: for large v the operator form would be
-        # evaluated as (L * L + Lp) * prod, which rounds differently
-        t2 = np.multiply(prod, L * L + Lp) if order >= 2 else None
-
-    flagged = np.abs(v - 1.0) < NEAR_ZERO_DIST
-    if flagged.any():
-        vf = v[flagged]
-        P1, L1, L1p = _band_core(ctx, vf, order, div, skip_unit=True)
-        f0 = 1.0 - 1.0 / vf
-        t0 = t0.copy()
-        t0[flagged] = f0 * P1
-        if order >= 1:
-            f0p = 1.0 / (vf * vf)
-            t1 = t1.copy()
-            t1[flagged] = f0p * P1 + f0 * P1 * L1
-        if order >= 2:
-            f0pp = div(-2.0, vf * vf * vf)
-            t2 = t2.copy()
-            t2[flagged] = f0pp * P1 + 2.0 * f0p * P1 * L1 + f0 * P1 * (L1 * L1 + L1p)
+        # evaluated as (L * L + Lp) * t0, which rounds differently
+        t2 = div(-2.0, v * v * v) * P + 2.0 * f0p * P * L + np.multiply(t0, L * L + Lp)
     return t0, t1, t2
 
 
-def _reduce_band(ctx: ThetaContext, z, div):
-    """Track theta1(z) = c * z^k * theta1(z * r^(2n)) into the band.
+def _reduce_band(ctx: ThetaContext, z):
+    """theta1(z) = c * z^k * theta1(v) with v = q z, q = r^(2k), in one step.
 
-    Returns (c, k, n, v) arrays with r <= |v| <= 1/r elementwise, c and v of
-    z's dtype.
+    k = ctx.band_index(z) puts v in the band r <= |v| <= 1/r, and k-fold use
+    of theta1(z) = -r^2 z theta1(r^2 z) gives c = (-1)^k r^(k(k+1)).
+    Returns (c, k, q, v): c and q float64, k int64, v of z's dtype.  A NaN
+    point gets k = 0 and stays NaN.
     """
-    r = ctx.r
-    r2 = r * r
-    v = z.copy()
-    c = np.ones(z.shape, dtype=z.dtype)
-    k = np.zeros(z.shape, dtype=np.int64)
-    n = np.zeros(z.shape, dtype=np.int64)
-    hi = 1.0 / r
-    for _ in range(_MAX_REDUCTIONS):
-        mask = np.abs(v) > hi
-        if not mask.any():
-            break
-        c[mask] *= -np.power(r, 2.0 * n[mask] + 2.0)
-        k[mask] += 1
-        n[mask] += 1
-        v[mask] *= r2
-    else:
-        raise ValueError("argument reduction did not terminate; |z| out of range")
-    for _ in range(_MAX_REDUCTIONS):
-        mask = np.abs(v) < r
-        if not mask.any():
-            break
-        c[mask] *= -np.power(r, -2.0 * n[mask])
-        k[mask] -= 1
-        n[mask] -= 1
-        v[mask] = div(v[mask], r2)
-    else:
-        raise ValueError("argument reduction did not terminate; |z| out of range")
-    return c, k, n, v
+    k = ctx.band_index(z)
+    k[np.isnan(k)] = 0.0
+    k = k.astype(np.int64)
+    q = np.power(ctx.r, 2.0 * k)
+    c = np.where(k & 1, -1.0, 1.0) * np.power(ctx.r, k * (k + 1.0))
+    return c, k, q, z * q
 
 
 def _eval(ctx: ThetaContext, z, order: int):
-    """theta1 and derivatives at arbitrary nonzero arguments (flat arrays).
+    """theta1 and derivatives at nonzero finite arguments (flat arrays).
 
     Returns (theta, theta', theta''), with None past ``order``, of z's
     dtype: complex128, or float64 with the bits of the complex path's real
     part.  theta and theta' do not depend on ``order``.
     """
-    if (z == 0).any():
-        raise ValueError("theta1 is undefined at z = 0")
+    if (z == 0).any() or np.isinf(z).any():
+        raise ValueError("theta1 is undefined at z = 0 and at infinity")
     div = _quotient(z)
-    c, k, n, v = _reduce_band(ctx, z, div)
+    c, k, q, v = _reduce_band(ctx, z)
     t0, t1, t2 = _band_eval(ctx, v, order, div)
     # the complex integer power's bits; numpy's float64 power rounds otherwise
     zk = np.power(z, k) if np.iscomplexobj(z) else np.power(z + 0j, k).real
     theta = c * zk * t0
     dtheta = d2 = None
     if order >= 1:
-        q = np.power(ctx.r, 2.0 * n)
         kz = div(k, z)
         dtheta = c * zk * (kz * t0 + q * t1)
     if order >= 2:

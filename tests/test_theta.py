@@ -167,6 +167,42 @@ def test_log_slope_near_zeros_of_thin_annuli(r) -> None:
         assert abs(got - want) <= 1e-6 * abs(want)
 
 
+@pytest.mark.parametrize("r", [0.25, 0.7])
+def test_dtheta1_next_to_zeros(r) -> None:
+    # the factor (1 - 1/v) is split off at every point, so theta1' keeps
+    # its relative precision at any distance from a zero, inside the band
+    # and after reduction into it
+    pts = [1.0 + 1.1e-6, 1.0 - 1.1e-6, 1.0 + 3e-6, 1.0 - 3e-6, 1.0 + 1e-5, 1.0 + 1e-4]
+    pts += [r * r * (1.0 + 2e-6), (1.0 - 2e-6) / (r * r), complex(1.0 + 2e-6, 1e-6)]
+    ctx = T.ThetaContext.create(r)
+    for z in pts:
+        want = complex(theta_product_deriv(r, z))
+        assert abs(T.dtheta1(ctx, z) - want) <= 1e-13 * abs(want), z
+
+
+@pytest.mark.parametrize("r", [0.25, 0.5, 0.9])
+def test_one_step_band_reduction(r) -> None:
+    # points up to five periods r^2 away from the band, inward and outward
+    ctx = T.ThetaContext.create(r)
+    for j in range(-5, 6):
+        for phi in (0.4, 2.9, -1.7):
+            z = 1.3 * r ** (2 * j) * complex(np.cos(phi), np.sin(phi))
+            for f, oracle in ((T.theta1, theta_product), (T.dtheta1, theta_product_deriv)):
+                want = complex(oracle(r, z))
+                assert abs(f(ctx, z) - want) <= 1e-13 * abs(want), (f.__name__, j, phi)
+
+
+def test_infinite_and_nan_points() -> None:
+    ctx = T.ThetaContext.create(0.25)
+    for z in (np.inf, -np.inf, complex(np.inf, 0.0)):
+        with pytest.raises(ValueError):
+            T.theta1(ctx, z)
+    # a NaN point gives NaN; numpy's complex division flags it as invalid
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(T.theta1(ctx, np.nan))
+        assert np.isnan(T.dtheta1(ctx, np.array([np.nan, 0.5]))[0])
+
+
 def test_log_slope_identities() -> None:
     for r in RADII:
         ctx = T.ThetaContext.create(r)
@@ -226,7 +262,7 @@ def test_batch_values_equal_point_values(r: float) -> None:
     z = np.exp(
         rng.uniform(3.0 * np.log(r), -3.0 * np.log(r), n) + 1j * rng.uniform(-np.pi, np.pi, n)
     )
-    z[:2] = 1.0 + 1e-8j, r**2 * (1.0 + 3e-7)  # the near-zero path
+    z[:2] = 1.0 + 1e-8j, r**2 * (1.0 + 3e-7)  # next to the zeros 1 and r^2
     idx = np.r_[0:n:16, n - 1]  # one call per point
     for f in (T.theta1, T.dtheta1, T.log_slope, T.log_slope_deriv):
         batch = f(ctx, z)
