@@ -14,17 +14,18 @@ stages:
    Newton's method on both pairing conditions at once, starting from the
    secant point of that bracket and staying inside it.
 
-Stages 1 and 2 use the one root finder, bracketed_root: a safeguarded
-(Illinois) regula falsi that works elementwise on arrays.  The scan solves
-stage 2 for all its candidates in one array call, and each of its iterations
-evaluates only the candidates not yet settled.  No step depends on timing or
-randomness, so results are deterministic bit for bit.
+Every stage finds its root by Newton's method.  Stages 1 and 2 use
+bracketed_root, which bisects its sign bracket where a Newton step would
+leave it or fails to halve, elementwise on arrays: the scan solves stage 2
+for all its candidates in one array call, each iteration evaluating only
+the candidates not yet settled.  No step depends on timing or randomness,
+so results are deterministic bit for bit.
 
 Every argument of the three stages is real, so the solver calls the flat
 bodies of the theta functions on float64 arrays, which the kernel evaluates
 in float64 with the bits of its complex path (see flatfront.theta).  A
-pairing value takes both of its log_slope arguments from one kernel call,
-and a Newton step takes log_slope and its derivative from one order-2 call.
+Newton step takes log_slope and its derivative at all its points from one
+order-2 kernel call, a pairing value of the scan from one order-1 call.
 """
 
 from __future__ import annotations
@@ -39,10 +40,15 @@ from .theta import ThetaContext, ThetaPoleError, _log_slopes, _pair_slope
 
 SCAN_POINTS = 256
 RESIDUAL_TOL = 1e-10
-# Iteration cap of bracketed_root and of the stage-3 Newton loop.  Every
-# third step of bracketed_root at least halves the bracket, so a bracket of
-# width 1 reaches 4 ulp in at most about 150 steps.
+# Iteration cap of bracketed_root and of the stage-3 Newton loop.  A step of
+# bracketed_root either at most halves the step before it or halves the
+# bracket, so a solve stops long before the cap; it bounds a loop that a
+# faulty function would keep going.
 MAX_ITERS = 200
+# Stage 1's bracket.  The balance runs from +inf at m = -3 (marker product
+# r^2, a zero of theta1) to -inf at m = -2 (product 1); this inset keeps a
+# sign change for r from 0.01 to 0.99 and s from -0.999999 to -1e-6.
+EXPONENT_BRACKET = (-3.0 + 1e-3, -2.0 - 1e-3)
 
 
 class BracketError(RuntimeError):
@@ -58,9 +64,9 @@ class SolverTrace:
     """Diagnostics of one canonical solve, serializable for the CLI sidecar.
 
     exponent_iterations and scan_iterations count the iterations of
-    bracketed_root in stage 1 and in the stage-2 solve of the scan (function
-    evaluations after the bracket ends).  outer_iterations counts the Newton
-    steps of stage 3, each one order-2 kernel call.
+    bracketed_root in stage 1 and in the stage-2 solve of the scan, each one
+    order-2 kernel call after the one at the bracket ends.  outer_iterations
+    counts the Newton steps of stage 3, each one order-2 kernel call.
     """
 
     r: float
@@ -86,115 +92,115 @@ def _check_rs(r: float, s: float):
         raise RangeNormalizationError(f"slope s={s} outside (-1, 0)")
 
 
-def bracketed_root(fn, lo, hi, flo=None, fhi=None):
-    """Root of fn on the sign-changing bracket [lo, hi], elementwise.
+def bracketed_root(fn, lo, hi):
+    """Roots of fn on the sign-changing brackets [lo, hi], elementwise.
 
-    Illinois regula falsi: each step goes to the secant point of the
-    bracket, computed with the stored value at an end kept twice in a row
-    halved.  A step bisects instead when the secant point is not inside the
-    bracket (an infinite or NaN value) or when the last two steps have not
-    halved the bracket.  An entry stops at fn == 0 or at a bracket width of
-    4 ulp; MAX_ITERS bounds the loop.  Returns (root, iterations).
+    fn(x, i) returns (f, f') at the points x; i holds their indices into the
+    flattened broadcast arrays of lo and hi, so fn subsets any per-entry
+    parameter with i, and the roots come back in that flat order.  The
+    first call takes both ends of every bracket, each later call the entries
+    still active only.  A point's value must not depend on the batch it is
+    evaluated in; then each entry gets the same bits as in a one-entry call.
 
-    With scalar lo and hi, fn is called with floats, the root is a float and
-    a bracket without a sign change raises BracketError.  With arrays, fn is
-    called as fn(x, i) once per iteration, on the entries still active only:
-    x holds their points and i their indices into the flattened broadcast
-    arrays, so fn subsets any per-entry parameter with i.  A point's value
-    must not depend on the batch it is evaluated in; then each entry gets
-    the same bits as in a scalar call.  Entries without a sign change come
-    back as NaN.
+    Each entry starts at the end with the smaller |f|.  A step is Newton's,
+    x - f/f', when that lands in the bracket and is at most half the step
+    before it (the first step is measured against the bracket); otherwise
+    the step bisects the bracket.  The new point replaces the end whose
+    value has its sign.  An entry stops at f == 0 or after a step of at most
+    16 ulp; MAX_ITERS bounds the loop.  Returns (roots, iterations), the
+    iterations counting the calls after the one at the ends.  Entries
+    without a sign change come back as NaN.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    f = (lambda x, i: fn(x.item())) if scalar else fn
-    ends = np.broadcast_arrays(lo, hi)
-    shape = ends[0].shape
-    a, b = (np.array(v, dtype=float).ravel() for v in ends)
-    every = np.arange(a.size)
-    fa = np.array(f(a, every) if flo is None else flo, dtype=float).reshape(a.shape)
-    fb = np.array(f(b, every) if fhi is None else fhi, dtype=float).reshape(a.shape)
-    found = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
-    bracketed = np.sign(fa) * np.sign(fb) < 0.0
-    if scalar and not bracketed[0] and np.isnan(found[0]):
-        raise BracketError(f"no sign change on [{lo}, {hi}]")
-
-    def wide(a, b):
-        return np.abs(b - a) > 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
-
-    active = bracketed & wide(a, b)
-    x = a
-    kept = np.zeros(a.shape, dtype=int)  # end kept by the last step: -1 lo side, +1 hi side
-    width = np.abs(b - a)
-    w1 = w2 = np.full(a.shape, np.inf)
+    a, b = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
+    k = np.arange(a.size)
+    both = np.concatenate([a, b])
+    f, d = fn(both, np.concatenate([k, k]))
+    side = np.sign(f[: a.size])  # the sign a new point needs to replace a
+    bracketed = side * np.sign(f[a.size :]) < 0.0
+    root = np.where(f[: a.size] == 0.0, a, np.where(f[a.size :] == 0.0, b, np.nan))
+    start = np.where(np.abs(f[: a.size]) <= np.abs(f[a.size :]), k, k + a.size)
+    x, fx, dfx = both[start], f[start], d[start]
+    step = np.abs(b - a)
+    active = bracketed.copy()
     n = 0
     while active.any() and n < MAX_ITERS:
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            c = b - fb * (b - a) / (fb - fa)
-        left, right = np.minimum(a, b), np.maximum(a, b)
-        secant = (left <= c) & (c <= right) & (width <= 0.5 * w2)
-        # a secant point rounded onto or next to an end moves 2 ulp inside, so
-        # a root approached from one side closes the bracket instead of
-        # bisecting all the way down to it
-        step = 2.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
-        c = np.clip(c, left + step, right - step)
-        x = np.where(active, np.where(secant, c, a + 0.5 * (b - a)), x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = x - fx / dfx
+            inside = (np.minimum(a, b) <= newton) & (newton <= np.maximum(a, b))
+            shrinks = np.abs(newton - x) <= 0.5 * step
+        new = np.where(inside & shrinks, newton, a + 0.5 * (b - a))
+        step = np.where(active, np.abs(new - x), step)
+        x = np.where(active, new, x)
+        # the rounding floor: rounding noise in f puts a root anywhere within
+        # about 10 ulp where |f'| is near 0.4 (stage 2 at r = 0.05,
+        # s = -0.99); a Newton step inside that noise need not halve, so a
+        # lower floor sends an entry off bisecting a one-sided bracket
+        active &= step > 16.0 * np.spacing(np.abs(x))
         i = np.flatnonzero(active)
-        fx = np.zeros(a.shape)
-        fx[i] = f(x[i], i)
+        if i.size == 0:
+            break
+        fx[i], dfx[i] = fn(x[i], i)
         n += 1
-        to_a = active & (np.sign(fx) == np.sign(fa))
-        to_b = active & ~to_a
-        fb = np.where(to_a & (kept == 1), 0.5 * fb, fb)
-        fa = np.where(to_b & (kept == -1), 0.5 * fa, fa)
-        a, fa = np.where(to_a, x, a), np.where(to_a, fx, fa)
-        b, fb = np.where(to_b, x, b), np.where(to_b, fx, fb)
-        kept = np.where(to_a, 1, np.where(to_b, -1, kept))
-        w2, w1, width = w1, width, np.abs(b - a)
-        hit = active & (fx == 0.0)
-        found = np.where(hit, x, found)
-        active &= ~hit & wide(a, b)
-    root = np.where(bracketed & np.isnan(found), a + 0.5 * (b - a), found)
-    return (float(root[0]), n) if scalar else (root.reshape(shape), n)
+        to_a = active & (np.sign(fx) == side)
+        a = np.where(to_a, x, a)
+        b = np.where(active & ~to_a, x, b)
+        active &= fx != 0.0
+    return np.where(bracketed, x, root), n
 
 
 def solve_exponent(ctx: ThetaContext, s: float):
-    """Stage 1: the exponent m in (-3, -2) and the bracket used.
+    """Stage 1: the exponent m in (-3, -2), the bracket used and the
+    iterations.
 
-    The balance function blows up to +inf at m = -3 (marker product at r^2)
-    and to -inf at m = -2 (product at 1), so a bracket always exists; the
-    inset shrinks adaptively until the signs differ.
+    With h = log_slope and P = r^(-2(m+2)), the balance is
+    2 h(P) - 1 - s - m and its m-derivative 2 h'(P) (-2 log r) P - 1.
     """
     r = ctx.r
+    dlogP = -2.0 * math.log(r)  # dP/dm = dlogP * P
 
-    def balance(m):
+    def balance(m, i):
         P = r ** (-2.0 * (m + 2.0))
-        return 2.0 * float(_log_slopes(ctx, np.array([P]), 1)[0][0]) - 1.0 - s - m
+        h, dh = _log_slopes(ctx, P, 2)
+        return 2.0 * h - 1.0 - s - m, 2.0 * dh * dlogP * P - 1.0
 
-    for k in range(3, 13):
-        eps = 10.0 ** (-k)
-        lo, hi = -3.0 + eps, -2.0 - eps
-        flo, fhi = balance(lo), balance(hi)
-        if (flo > 0) != (fhi > 0):
-            m, iters = bracketed_root(balance, lo, hi, flo, fhi)
-            return m, (lo, hi), iters
-    raise BracketError("stage 1: exponent balance has no sign change in (-3, -2)")
+    (m,), iters = bracketed_root(balance, *EXPONENT_BRACKET)
+    if np.isnan(m):
+        raise BracketError(
+            f"stage 1: exponent balance has no sign change on {EXPONENT_BRACKET} for r={r}, s={s}"
+        )
+    return float(m), EXPONENT_BRACKET, iters
 
 
 def _pair_minus_s(ctx, centers, w, s):
     return _pair_slope(ctx, centers, w) - s
 
 
+def _pairing(ctx: ThetaContext, z0, w):
+    """pair_slope(z0, w) on a flat array w, with its derivatives in w and in
+    z0, from one order-2 kernel call; z0 is a float or an array like w."""
+    L, D = _log_slopes(ctx, np.concatenate([w / z0, w * z0]), 2)
+    inv, fwd = D[: w.size], D[w.size :]
+    # d pair_slope(z0, w) / d w  = L'(w/z0) / z0 + L'(w z0) z0
+    # d pair_slope(z0, w) / d z0 = w (L'(w z0) - L'(w/z0) / z0^2)
+    return L[: w.size] + L[w.size :], inv / z0 + fwd * z0, w * (fwd - inv / (z0 * z0))
+
+
 def _inner_split(ctx: ThetaContext, z0s, s):
     """Stage 2 for an array of candidate end markers.
 
-    For each z0 the target z2 lies in (-1, z0), where the pairing value
-    decreases from just above s near -1 to +inf at z0.  Entries without a
-    sign change come back as NaN.  Returns (z2s, iterations).
+    For each z0 the target z2 lies in (-1, z0), where the pairing rises
+    from about -1 near -1, which is below every s, to +inf at z0.  Entries
+    without a sign change come back as NaN.  Returns (z2s, iterations).
     """
     z0s = np.asarray(z0s, dtype=float)
     lo = -1.0 + (1.0 + z0s) * 1e-6
     hi = z0s - np.abs(z0s) * 1e-9
-    return bracketed_root(lambda w, i: _pair_minus_s(ctx, z0s[i], w, s), lo, hi)
+
+    def split(w, i):
+        pair, dw, _ = _pairing(ctx, z0s[i], w)
+        return pair - s, dw
+
+    return bracketed_root(split, lo, hi)
 
 
 def _outer_scan(ctx: ThetaContext, s: float, P: float, n=SCAN_POINTS):
@@ -217,43 +223,34 @@ def _outer_scan(ctx: ThetaContext, s: float, P: float, n=SCAN_POINTS):
     return z0s, vals, z2s, iters
 
 
-def _sign_changes(z0s, vals):
-    """Consecutive valid pairs with a sign change, ordered as scanned."""
-    out = []
-    idx = np.flatnonzero(np.isfinite(vals[:-1]) & np.isfinite(vals[1:]))
-    for i in idx:
-        if (vals[i] > 0) != (vals[i + 1] > 0):
-            out.append(i)
-    return out
+def _sign_changes(vals):
+    """Indices i where the finite vals[i] and vals[i + 1] differ in sign."""
+    fin = np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
+    return np.flatnonzero(fin & (np.sign(vals[:-1]) != np.sign(vals[1:])))
 
 
 def _newton_markers(ctx: ThetaContext, s, P, z0, z2, bracket):
     """Stage 3 polish: Newton's method on (z0, z2) inside the scan bracket.
 
     Solves F1 = pair_slope(z0, z2) - s = 0 and F2 = pair_slope(z0, z1) -
-    (s - 2) = 0 with z1 = P/z2.  Each step takes log_slope and its
-    derivative at the points z2/z0, z2 z0, z1/z0, z1 z0 from one kernel
-    call, builds the Jacobian by the chain rule and solves it by Cramer's
-    rule.  Newton reaches the rounding floor and then wanders there, so the
-    loop stops at F1 = F2 = 0 or at the first step, measured in ulps, that
-    is not at most half the one before (that step is not taken).  Returns
-    (z0, z2, steps).
+    (s - 2) = 0 with z1 = P/z2.  Each step takes both pairings and their
+    derivatives from one kernel call, builds the Jacobian by the chain rule
+    and solves it by Cramer's rule.  Newton reaches the rounding floor and
+    then wanders there, so the loop stops at F1 = F2 = 0 or at the first
+    step, measured in ulps, that is not at most half the one before (that
+    step is not taken).  Returns (z0, z2, steps).
     """
     prev = math.inf
     for n in range(1, MAX_ITERS + 1):
         z1 = P / z2
-        pts = np.array([z2 / z0, z2 * z0, z1 / z0, z1 * z0])
-        L, D = _log_slopes(ctx, pts, 2)
-        f1 = L[0] + L[1] - s
-        f2 = L[2] + L[3] - (s - 2.0)
+        pair, dw, dz0 = _pairing(ctx, z0, np.array([z2, z1]))
+        f1 = pair[0] - s
+        f2 = pair[1] - (s - 2.0)
         if f1 == 0.0 and f2 == 0.0:
             return z0, z2, n
-        # d pair_slope(z0, w) / d z0 = w (L'(w z0) - L'(w/z0) / z0^2)
-        # d pair_slope(z0, w) / d w  = L'(w/z0) / z0 + L'(w z0) z0
-        j11 = z2 * (D[1] - D[0] / (z0 * z0))
-        j12 = D[0] / z0 + D[1] * z0
-        j21 = z1 * (D[3] - D[2] / (z0 * z0))
-        j22 = -(z1 / z2) * (D[2] / z0 + D[3] * z0)  # dz1/dz2 = -z1/z2
+        j11, j21 = dz0
+        j12 = dw[0]
+        j22 = -(z1 / z2) * dw[1]  # dz1/dz2 = -z1/z2
         det = j11 * j22 - j12 * j21
         d0 = (f1 * j22 - j12 * f2) / det
         d2 = (j11 * f2 - f1 * j21) / det
@@ -297,9 +294,9 @@ def solve_canonical(
         trace.scan_points = int(z0s.size)
 
         stage = 3
-        changes = _sign_changes(z0s, vals)
+        changes = _sign_changes(vals)
         trace.outer_sign_changes = len(changes)
-        if not changes:
+        if changes.size == 0:
             raise BracketError(f"stage 3: outer pairing has no sign change for r={r}, s={s}")
         i = changes[0]
         trace.chosen_bracket = (float(z0s[i]), float(z0s[i + 1]))

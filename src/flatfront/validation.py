@@ -147,10 +147,10 @@ def validate_moduli(
     try:
         res = residuals(moduli, ctx)
         rs_ok = boundary_ranges_ok(moduli, ctx)
-        scan_z0, scan_vals, _, _ = _outer_scan(
+        _, scan_vals, _, _ = _outer_scan(
             ctx, moduli.s, moduli.r ** (-2.0 * (moduli.m + 2.0))
         )
-        n_scan_changes = len(_sign_changes(scan_z0, scan_vals))
+        n_scan_changes = len(_sign_changes(scan_vals))
     except ThetaPoleError:
         res = {"c1_res": math.inf, "c2_res": math.inf, "c3_res": math.inf}
         rs_ok = False

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flatfront import solver
 from flatfront.solver import (
+    EXPONENT_BRACKET,
     MAX_ITERS,
     RESIDUAL_TOL,
     BracketError,
@@ -38,31 +42,35 @@ REFERENCE = {
 }
 
 
+def _cube_root_of(c):
+    # x^3 - c and its derivative, per entry
+    return lambda x, i: (x * x * x - c[i], 3.0 * x * x)
+
+
 def test_bracketed_root_basic():
-    root, n = bracketed_root(math.cos, 1.0, 2.0)
+    (root,), n = bracketed_root(lambda x, i: (np.cos(x), -np.sin(x)), 1.0, 2.0)
     assert abs(root - math.pi / 2) < 1e-14
     assert n > 0
-    with pytest.raises(BracketError):
-        bracketed_root(math.cos, 0.2, 1.0)
+    (root,), _ = bracketed_root(lambda x, i: (np.cos(x), -np.sin(x)), 0.2, 1.0)
+    assert np.isnan(root)
 
 
-def test_bracketed_root_array_matches_scalar_calls():
+def test_bracketed_root_array_matches_one_entry_calls():
     c = np.array([0.5, 2.0, 7.0, 30.0, 1e-3])
     lo = np.array([0.0, 0.0, 4.0, 0.0, 0.0])
     hi = np.array([1.0, 2.0, 0.0, 4.0, 1.0])  # one reversed bracket
-    roots, n = bracketed_root(lambda x, i: x * x * x - c[i], lo, hi)
+    roots, n = bracketed_root(_cube_root_of(c), lo, hi)
     assert roots.shape == c.shape
     for i in range(c.size):
-        root, n_i = bracketed_root(lambda x: x * x * x - c[i], float(lo[i]), float(hi[i]))
-        assert isinstance(root, float)
-        assert roots[i] == root, i
+        root, n_i = bracketed_root(_cube_root_of(c[i : i + 1]), lo[i : i + 1], hi[i : i + 1])
+        assert roots[i] == root[0], i
         assert n_i <= n
     assert np.all(np.abs(roots - np.cbrt(c)) <= 4 * np.spacing(np.cbrt(c)))
 
 
 def test_bracketed_root_array_marks_missing_sign_change_nan():
     c = np.array([1.0, -1.0, 8.0, 16.0])
-    roots, _ = bracketed_root(lambda x, i: x * x - c[i], np.zeros(4), np.full(4, 3.0))
+    roots, _ = bracketed_root(lambda x, i: (x * x - c[i], 2.0 * x), np.zeros(4), np.full(4, 3.0))
     assert np.isnan(roots[1]) and np.isnan(roots[3])
     assert abs(roots[0] - 1.0) <= 4 * np.spacing(1.0)
     assert abs(roots[2] - math.sqrt(8.0)) <= 4 * np.spacing(3.0)
@@ -75,7 +83,8 @@ def test_bracketed_root_converges_next_to_a_pole():
 
     def fn(x, i):
         with np.errstate(divide="ignore"):
-            return 1.0 / (hi - x) - c[i]
+            inv = 1.0 / (hi - x)
+        return inv - c[i], inv * inv
 
     roots, n = bracketed_root(fn, np.full(c.shape, -1.0), np.full(c.shape, hi))
     assert n < MAX_ITERS
@@ -83,25 +92,28 @@ def test_bracketed_root_converges_next_to_a_pole():
 
 
 def test_bracketed_root_array_evaluates_active_entries_only():
-    # entries that have stopped drop out of the calls, and each entry still
-    # gets the bits of its scalar call
+    # the first call takes both ends of every bracket; entries that have
+    # stopped drop out of the later calls, and each entry still gets the
+    # bits of its one-entry call
     c = np.array([0.5, 2.0, 7.0, 30.0, 1e-3, 8.0, 64.0, 0.9])
     lo, hi = np.zeros(c.shape), np.full(c.shape, 4.5)
-    sizes = []
+    calls = []
 
     def fn(x, i):
-        assert x.shape == i.shape and np.all(np.diff(i) > 0)
-        sizes.append(x.size)
-        return x * x * x - c[i]
+        assert x.shape == i.shape
+        calls.append(i.copy())
+        return _cube_root_of(c)(x, i)
 
     roots, n = bracketed_root(fn, lo, hi)
-    assert sizes[:2] == [c.size, c.size]  # the two ends
-    assert len(sizes) == n + 2
-    assert all(later <= earlier for earlier, later in zip(sizes[1:], sizes[2:]))
-    assert sizes[-1] < c.size
-    for k in range(c.size):
-        root, _ = bracketed_root(lambda x: x * x * x - c[k], float(lo[k]), float(hi[k]))
-        assert roots[k] == root, k
+    k = np.arange(c.size)
+    assert np.array_equal(calls[0], np.concatenate([k, k]))
+    assert len(calls) == n + 1
+    for earlier, later in zip(calls[1:], calls[2:]):
+        assert np.all(np.diff(later) > 0) and np.isin(later, earlier).all()
+    assert calls[-1].size < c.size
+    for j in range(c.size):
+        root, _ = bracketed_root(_cube_root_of(c[j : j + 1]), lo[j : j + 1], hi[j : j + 1])
+        assert roots[j] == root[0], j
 
 
 def test_inner_split_batch_matches_single_candidates():
@@ -207,12 +219,43 @@ def test_exponent_stage_alone():
     assert abs(m_half + 2.5) < 1e-12
 
 
+@pytest.mark.parametrize("s", [-0.999999, -0.99, -0.5, -0.01, -1e-6])
+@pytest.mark.parametrize("r", [0.01, 0.05, 0.3, 0.6, 0.9, 0.97, 0.99])
+def test_exponent_bracket_changes_sign(r, s):
+    # the balance 2 log_slope(r^(-2(m+2))) - 1 - s - m at the two ends of
+    # the fixed stage-1 bracket, from the public log_slope
+    ctx = ThetaContext.create(r)
+    lo, hi = EXPONENT_BRACKET
+    ends = [2.0 * log_slope(ctx, r ** (-2.0 * (m + 2.0))).real - 1.0 - s - m for m in (lo, hi)]
+    assert ends[0] > 0.0 > ends[1]
+    m, bracket, _ = solve_exponent(ctx, s)
+    assert bracket == EXPONENT_BRACKET and lo < m < hi
+
+
+def test_exponent_without_sign_change_is_stage_1_error(monkeypatch):
+    # at s = -1/2 the root is m = -5/2, outside this bracket
+    monkeypatch.setattr(solver, "EXPONENT_BRACKET", (-2.4, -2.3))
+    with pytest.raises(BracketError, match="^stage 1:"):
+        solve_exponent(ThetaContext.create(0.25), -0.5)
+
+
 def test_inner_point_stage_alone():
     ctx = ThetaContext.create(0.25)
     z2s, _ = _inner_split(ctx, np.array([-0.5]), -0.5)
     z2 = float(z2s[0])
     assert -1.0 < z2 < -0.5
     assert pair_slope(ctx, -0.5, complex(z2)).real == pytest.approx(-0.5, abs=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(r=st.floats(0.05, 0.75), s=st.floats(-0.99, -0.04))
+def test_solve_property_over_solve_sweep_rectangle(r, s):
+    moduli, trace = solve_canonical(r, s)
+    ctx = ThetaContext.create(r)
+    assert -1.0 < moduli.z2 < moduli.z0 < moduli.z1 < -r
+    assert abs(pair_slope(ctx, moduli.z0, complex(moduli.z2)).real - s) <= 1e-12
+    assert abs(pair_slope(ctx, moduli.z0, complex(moduli.z1)).real - (s - 2.0)) <= 1e-12
+    assert all(abs(v) <= 1e-10 for v in trace.residuals.values())
 
 
 def test_refined_root_in_first_dense_bracket():
