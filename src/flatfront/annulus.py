@@ -181,6 +181,15 @@ def gauss_ratio_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     return moduli.a_R * slit_map_deriv(ctx, moduli.z0, z)
 
 
+def _ratio_parts(moduli: CanonicalModuli, ctx: ThetaContext, z):
+    """(R, R', W'/W) on flat arrays z, each slit map evaluated once."""
+    R = gauss_ratio(moduli, ctx, z)
+    Rp = gauss_ratio_deriv(moduli, ctx, z)
+    q1v = slit_map(ctx, moduli.z1, z)
+    q2v = slit_map(ctx, moduli.z2, z)
+    return R, Rp, Rp / (R * (1.0 - R)) + (moduli.z1 * q1v - moduli.z2 * q2v) / z
+
+
 @pointwise
 def gauss_square_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """W'/W = R'/(R(1-R)) + (z1 q1(z) - z2 q2(z)) / z.
@@ -188,11 +197,7 @@ def gauss_square_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     The poles at z1 and z2 cancel between the two groups; the subtraction
     loses accuracy within ~1e-6 of those markers but is exact elsewhere.
     """
-    R = gauss_ratio(moduli, ctx, z)
-    Rp = gauss_ratio_deriv(moduli, ctx, z)
-    q1v = slit_map(ctx, moduli.z1, z)
-    q2v = slit_map(ctx, moduli.z2, z)
-    return Rp / (R * (1.0 - R)) + (moduli.z1 * q1v - moduli.z2 * q2v) / z
+    return _ratio_parts(moduli, ctx, z)[2]
 
 
 # --- Gauss map ----------------------------------------------------------

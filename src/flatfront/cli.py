@@ -144,10 +144,8 @@ def _rotational_report(rot: RotationalModuli, mesh) -> dict:
         max_k = None
     else:
         h = min(5e-4, 0.05 * rot.s_rot)
-        max_k = max(
-            abs(intrinsic_curvature_rotational(rot, f * rot.s_rot, h=h))
-            for f in (0.4, 0.6, 0.8)
-        )
+        ks = intrinsic_curvature_rotational(rot, np.array([0.4, 0.6, 0.8]) * rot.s_rot, h=h)
+        max_k = float(np.abs(ks).max())
     return {
         "b": rot.b,
         "a_sec": rot.a_sec,

@@ -28,13 +28,13 @@ import numpy as np
 from .annulus import (
     CanonicalModuli,
     DegenerateConfigurationError,
+    _ratio_parts,
     _shape_factor,
     gauss_map,
     gauss_map_deriv,
     gauss_map_square,
     gauss_ratio,
     gauss_ratio_deriv,
-    gauss_square_log_deriv,
 )
 from .theta import ThetaContext, pointwise
 
@@ -193,10 +193,9 @@ def shape_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z):
     subtracts poles that cancel at z1 and z2, so p loses digits close to
     those markers (see gauss_square_log_deriv).
     """
-    R = gauss_ratio(moduli, ctx, z)
-    Rp = gauss_ratio_deriv(moduli, ctx, z)
+    R, Rp, w_log = _ratio_parts(moduli, ctx, z)
     W = gauss_map_square(moduli, ctx, z)
-    g_log = 0.5 * gauss_square_log_deriv(moduli, ctx, z) - 1.0 / z
+    g_log = 0.5 * w_log - 1.0 / z
     factor = _shape_factor(moduli, ctx, z)
     return factor * factor * z * z * (Rp / g_log + R * (R - 1.0)) / W
 
@@ -234,28 +233,31 @@ def brioschi_curvature(E, F, G, hu, hv) -> float:
     return float((np.linalg.det(M1) - np.linalg.det(M2)) / (det * det))
 
 
-def _stencil_curvature(form, z: complex, h: float) -> float:
+def _stencil_curvature(form, z, h: float):
     """Brioschi curvature of ``form`` on 3x3 stencils of spacing h and h/2
-    around z, Richardson-combined."""
+    around each centre of the flat array z, Richardson-combined; one
+    ``form`` call per spacing covers all centres."""
     ks = []
     for hh in (h, 0.5 * h):
         offs = np.array([[complex(i * hh, j * hh) for i in (-1, 0, 1)] for j in (-1, 0, 1)])
-        ms = form(z + offs)
-        ks.append(brioschi_curvature(ms.E, ms.F, ms.G, hh, hh))
+        ms = form(z[:, None, None] + offs)
+        ks.append(np.array([brioschi_curvature(ms.E[i], ms.F[i], ms.G[i], hh, hh) for i in range(z.size)]))
     return (4.0 * ks[1] - ks[0]) / 3.0
 
 
-def intrinsic_curvature(moduli: CanonicalModuli, ctx: ThetaContext, z, h: float = 5e-4) -> float:
-    """Finite-difference Gauss curvature of the front at an interior point.
+@pointwise
+def intrinsic_curvature(moduli: CanonicalModuli, ctx: ThetaContext, z, h: float = 5e-4):
+    """Finite-difference Gauss curvature of the front at interior points z.
 
     Flatness means this is zero up to stencil error.  An h and an h/2
     stencil are paired through Richardson extrapolation, which cancels the
     quadratic truncation term; h near 5e-4 balances the remaining
     truncation against roundoff amplified by the 1/h^2 weights.  Accuracy
     degrades where the metric is close to degenerate (|p| near 1, i.e.
-    near the singular circles and the real axis).
+    near the singular circles and the real axis).  A centre gets the same
+    value in any batch.
     """
-    return _stencil_curvature(lambda w: first_form(moduli, ctx, w), complex(z), h)
+    return _stencil_curvature(lambda w: first_form(moduli, ctx, w), z, h)
 
 
 # --- rotational family ----------------------------------------------------
@@ -357,6 +359,8 @@ def first_form_rotational(rot: RotationalModuli, g):
     return MetricSample(*_metric_from(e2, w_hopf, gp))
 
 
-def intrinsic_curvature_rotational(rot: RotationalModuli, g, h: float = 5e-4) -> float:
-    """Finite-difference Gauss curvature of the rotational front at a point."""
-    return _stencil_curvature(lambda w: first_form_rotational(rot, w), complex(g), h)
+@pointwise
+def intrinsic_curvature_rotational(rot: RotationalModuli, g, h: float = 5e-4):
+    """Finite-difference Gauss curvature of the rotational front at points g,
+    as intrinsic_curvature computes it."""
+    return _stencil_curvature(lambda w: first_form_rotational(rot, w), g, h)

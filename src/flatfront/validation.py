@@ -99,38 +99,34 @@ def boundary_ranges_ok(moduli: CanonicalModuli, ctx: ThetaContext | None = None)
     if ctx is None:
         ctx = moduli.context()
     theta = np.linspace(-np.pi, np.pi, N_BOUNDARY + 1)[:-1]
-    for rho in (1.0, moduli.r):
-        vals = gauss_ratio(moduli, ctx, rho * np.exp(1j * theta))
-        if np.abs(vals.imag).max() > 1e-10:
-            return False
-        if vals.real.min() <= 0.0 or vals.real.max() >= 1.0:
-            return False
-    r1 = gauss_ratio(moduli, ctx, 1.0 + 0.0j).real
-    rr = gauss_ratio(moduli, ctx, complex(moduli.r)).real
-    return bool(r1 < rr)
+    circles = [rho * np.exp(1j * theta) for rho in (1.0, moduli.r)]
+    vals = gauss_ratio(moduli, ctx, np.concatenate([*circles, [1.0, moduli.r]]))
+    bnd, (r1, rr) = vals[:-2], vals[-2:].real
+    # each test is written so that a NaN fails it
+    ok = np.abs(bnd.imag).max() <= 1e-10 and 0.0 < bnd.real.min() and bnd.real.max() < 1.0
+    return bool(ok and r1 < rr)
 
 
-def _circle_error(moduli, ctx, rho_near: float, rho_far: float, target_height: float) -> float:
-    """Extrapolated collapse gap of a boundary circle at its cone point.
+def _collapse_and_end_errors(moduli, ctx) -> tuple[float, float, float]:
+    """Collapse gaps of the circles |z| = 1 and |z| = r, and the end gap, from one immerse call.
 
-    Per angle, the distance to the target decays linearly in the offset with
-    a rate that depends on the configuration; combining the two offsets
-    cancels that term, so the reported gap measures failure to collapse
-    rather than the approach rate.
+    Per angle, the distance to a cone point decays linearly in the offset with
+    a rate that depends on the configuration; 2 d(offset) - d(2 offset)
+    cancels that term, so a gap measures failure to collapse, not the rate.
     """
     theta = np.linspace(-np.pi, np.pi, 257)[:-1]
-    cone = HalfSpacePoint(0.0 + 0.0j, np.full(theta.shape, target_height))
-    d_near = hyperbolic_distance(immerse(moduli, ctx, rho_near * np.exp(1j * theta)), cone)
-    d_far = hyperbolic_distance(immerse(moduli, ctx, rho_far * np.exp(1j * theta)), cone)
-    return float(np.abs(2.0 * d_near - d_far).max())
-
-
-def _end_error(moduli, ctx) -> float:
-    g0 = end_direction(moduli, ctx)
     phi = np.linspace(-np.pi, np.pi, 65)[:-1]
-    pts = immerse(moduli, ctx, moduli.z0 + CIRCLE_OFFSET * np.exp(1j * phi))
-    # target is an ideal point, so this gap is Euclidean by necessity
-    return float(np.sqrt(np.abs(pts.horizontal - g0) ** 2 + pts.height**2).max())
+    rhos = (1.0 - CIRCLE_OFFSET, 1.0 - 2.0 * CIRCLE_OFFSET,
+            moduli.r + CIRCLE_OFFSET, moduli.r + 2.0 * CIRCLE_OFFSET)
+    end_circle = moduli.z0 + CIRCLE_OFFSET * np.exp(1j * phi)
+    pts = immerse(moduli, ctx, np.concatenate([*(rho * np.exp(1j * theta) for rho in rhos), end_circle]))
+    n = len(rhos) * theta.size
+    near = HalfSpacePoint(pts.horizontal[:n].reshape(len(rhos), -1), pts.height[:n].reshape(len(rhos), -1))
+    d = hyperbolic_distance(near, HalfSpacePoint(0.0 + 0.0j, np.repeat([1.0, moduli.c_height], 2)[:, None]))
+    sing = np.abs(2.0 * d[0::2] - d[1::2]).max(axis=1)
+    # the end's target is an ideal point, so its gap is Euclidean by necessity
+    end = np.sqrt(np.abs(pts.horizontal[n:] - end_direction(moduli, ctx)) ** 2 + pts.height[n:] ** 2)
+    return float(sing[0]), float(sing[1]), float(end.max())
 
 
 def validate_moduli(
@@ -147,9 +143,7 @@ def validate_moduli(
     try:
         res = residuals(moduli, ctx)
         rs_ok = boundary_ranges_ok(moduli, ctx)
-        _, scan_vals, _, _ = _outer_scan(
-            ctx, moduli.s, moduli.r ** (-2.0 * (moduli.m + 2.0))
-        )
+        _, scan_vals, _, _ = _outer_scan(ctx, moduli.s, moduli.r ** (-2.0 * (moduli.m + 2.0)))
         n_scan_changes = len(_sign_changes(scan_vals))
     except ThetaPoleError:
         res = {"c1_res": math.inf, "c2_res": math.inf, "c3_res": math.inf}
@@ -159,32 +153,27 @@ def validate_moduli(
     # The geometric battery requires the square root of W to exist; corrupted
     # moduli can break that, in which case the affected fields go to inf and
     # the report fails on finiteness while the residual fields stay honest.
+    # One shape_ratio call covers the grid, both boundary circles and the
+    # curvature candidates (a point gets the same bits in any batch), and
+    # numpy's max keeps a NaN wherever it sits, so a NaN fails the report.
     try:
-        p_int = np.abs(shape_ratio(moduli, ctx, interior_grid(moduli.r, grid)))
         theta = np.linspace(-np.pi, np.pi, N_BOUNDARY + 1)[:-1]
-        p_bnd = max(
-            float(np.abs(np.abs(shape_ratio(moduli, ctx, rho * np.exp(1j * theta))) - 1.0).max())
-            for rho in (1.0, moduli.r)
+        circles = [rho * np.exp(1j * theta) for rho in (1.0, moduli.r)]
+        cand = (np.exp(np.log(moduli.r) * _CURV_FRACS)[:, None] * np.exp(1j * _CURV_ANGLES)[None, :]).ravel()
+        n_int, n_bnd = grid * grid, 2 * N_BOUNDARY
+        p_abs = np.abs(
+            shape_ratio(moduli, ctx, np.concatenate([interior_grid(moduli.r, grid).ravel(), *circles, cand]))
         )
-        cand = (
-            np.exp(np.log(moduli.r) * _CURV_FRACS)[:, None]
-            * np.exp(1j * _CURV_ANGLES)[None, :]
-        ).ravel()
-        order = np.argsort(np.abs(shape_ratio(moduli, ctx, cand)))
-        ks = [
-            intrinsic_curvature(moduli, ctx, cand[i]) for i in order[:_CURV_PROBES]
-        ]
+        order = np.argsort(p_abs[n_int + n_bnd :])
+        ks = intrinsic_curvature(moduli, ctx, cand[order[:_CURV_PROBES]])
+        sing1, sing2, end = _collapse_and_end_errors(moduli, ctx)
         geo = {
-            "max_abs_p_interior": float(p_int.max()),
-            "boundary_p_deviation": p_bnd,
-            "max_abs_curvature": float(max(abs(k) for k in ks)),
-            "sing1_error": _circle_error(
-                moduli, ctx, 1.0 - CIRCLE_OFFSET, 1.0 - 2.0 * CIRCLE_OFFSET, 1.0
-            ),
-            "sing2_error": _circle_error(
-                moduli, ctx, moduli.r + CIRCLE_OFFSET, moduli.r + 2.0 * CIRCLE_OFFSET, moduli.c_height
-            ),
-            "end_error": _end_error(moduli, ctx),
+            "max_abs_p_interior": float(p_abs[:n_int].max()),
+            "boundary_p_deviation": float(np.abs(p_abs[n_int : n_int + n_bnd] - 1.0).max()),
+            "max_abs_curvature": float(np.abs(ks).max()),
+            "sing1_error": sing1,
+            "sing2_error": sing2,
+            "end_error": end,
         }
     except (RepresentationError, DegenerateConfigurationError, ThetaPoleError, ValueError):
         geo = {k: math.inf for k in (

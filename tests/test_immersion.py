@@ -31,6 +31,7 @@ from flatfront.immersion import (
     immerse_from_gauss_data,
     immerse_rotational,
     intrinsic_curvature,
+    intrinsic_curvature_rotational,
     klein_map,
     rotational_gauss_data,
     shape_ratio,
@@ -375,10 +376,11 @@ _POINTWISE = {
         *rotational_gauss_data(_ROT, 0.5 * z)
     ),
     "first_form_rotational": lambda z: first_form_rotational(_ROT, 0.5 * z),
+    "intrinsic_curvature_rotational": lambda z: intrinsic_curvature_rotational(_ROT, 0.5 * z),
 }
 for _fn in (
     gauss_map_square, gauss_square_log_deriv, gauss_map, gauss_map_deriv, potential,
-    inv_gauss_gap, second_gauss_map, immerse, first_form, shape_ratio,
+    inv_gauss_gap, second_gauss_map, immerse, first_form, shape_ratio, intrinsic_curvature,
 ):
     _POINTWISE[_fn.__name__] = lambda z, fn=_fn, **kw: fn(FLAGSHIP, _FLAG_CTX, z, **kw)
 

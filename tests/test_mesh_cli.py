@@ -7,8 +7,17 @@ import struct
 import numpy as np
 import pytest
 
+from flatfront import validation
 from flatfront.cli import _master_tol, main
-from flatfront.immersion import RotationalModuli
+from flatfront.immersion import (
+    HalfSpacePoint,
+    RotationalModuli,
+    end_direction,
+    hyperbolic_distance,
+    immerse,
+    intrinsic_curvature,
+    shape_ratio,
+)
 from flatfront.meshing import (
     SurfaceMesh,
     canonical_mesh,
@@ -172,6 +181,87 @@ def test_boundary_ranges_ok():
 def test_validation_grid_guard():
     with pytest.raises(ValueError):
         validate_moduli(FLAGSHIP, grid=4)
+
+
+def test_validation_makes_one_call_per_evaluator(monkeypatch):
+    calls = {}
+    for name in ("shape_ratio", "intrinsic_curvature", "immerse"):
+        def counted(*args, fn=getattr(validation, name), name=name, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kw)
+
+        monkeypatch.setattr(validation, name, counted)
+    assert validate_moduli(FLAGSHIP, grid=16).passes()
+    assert calls == {"shape_ratio": 1, "intrinsic_curvature": 1, "immerse": 1}
+
+
+def test_validation_fails_on_a_nan_in_second_place(monkeypatch):
+    # Python's max keeps a NaN only when it comes first; the report must fail
+    # on a NaN at the second curvature probe and on the inner circle, which
+    # is the second of the two boundary circles
+    real_k, real_p, real_ratio = validation.intrinsic_curvature, validation.shape_ratio, validation.gauss_ratio
+
+    def nan_second_probe(moduli, ctx, z):
+        k = real_k(moduli, ctx, z)
+        k[1] = np.nan
+        return k
+
+    def nan_on_inner_circle(real):
+        def fn(moduli, ctx, z):
+            out = real(moduli, ctx, z)
+            out[np.abs(np.abs(z) - moduli.r) < 1e-12] = np.nan
+            return out
+
+        return fn
+
+    for name, fake, field in (
+        ("intrinsic_curvature", nan_second_probe, "max_abs_curvature"),
+        ("shape_ratio", nan_on_inner_circle(real_p), "boundary_p_deviation"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(validation, name, fake)
+            rep = validate_moduli(FLAGSHIP, grid=16)
+        assert math.isnan(getattr(rep, field)) and not rep.passes(), name
+    monkeypatch.setattr(validation, "gauss_ratio", nan_on_inner_circle(real_ratio))
+    assert not boundary_ranges_ok(FLAGSHIP)
+
+
+@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.1, -0.1)])
+def test_validation_fields_equal_separate_calls(r, s):
+    # each geometric field has the bits of the same quantity built from
+    # separate calls: shape_ratio on the grid and on each circle, one
+    # intrinsic_curvature call per probe and one immerse call per circle
+    moduli, _ = solve_canonical(r, s)
+    ctx = moduli.context()
+    rep = validate_moduli(moduli, ctx, grid=64)
+    assert rep.passes()
+    off = validation.CIRCLE_OFFSET
+    theta = np.linspace(-np.pi, np.pi, validation.N_BOUNDARY + 1)[:-1]
+    cand = (
+        np.exp(np.log(r) * validation._CURV_FRACS)[:, None] * np.exp(1j * validation._CURV_ANGLES)[None, :]
+    ).ravel()
+    probes = cand[np.argsort(np.abs(shape_ratio(moduli, ctx, cand)))[: validation._CURV_PROBES]]
+    phi = np.linspace(-np.pi, np.pi, 257)[:-1]
+
+    def collapse_gap(rho_near, rho_far, height):
+        cone = HalfSpacePoint(0.0 + 0.0j, np.full(phi.shape, height))
+        d_near = hyperbolic_distance(immerse(moduli, ctx, rho_near * np.exp(1j * phi)), cone)
+        d_far = hyperbolic_distance(immerse(moduli, ctx, rho_far * np.exp(1j * phi)), cone)
+        return np.abs(2.0 * d_near - d_far).max()
+
+    end = immerse(moduli, ctx, moduli.z0 + off * np.exp(1j * np.linspace(-np.pi, np.pi, 65)[:-1]))
+    rebuilt = {
+        "max_abs_p_interior": np.abs(shape_ratio(moduli, ctx, validation.interior_grid(r, 64))).max(),
+        "boundary_p_deviation": max(
+            np.abs(np.abs(shape_ratio(moduli, ctx, rho * np.exp(1j * theta))) - 1.0).max() for rho in (1.0, r)
+        ),
+        "max_abs_curvature": max(abs(intrinsic_curvature(moduli, ctx, complex(z))) for z in probes),
+        "sing1_error": collapse_gap(1.0 - off, 1.0 - 2.0 * off, 1.0),
+        "sing2_error": collapse_gap(r + off, r + 2.0 * off, moduli.c_height),
+        "end_error": np.sqrt(np.abs(end.horizontal - end_direction(moduli, ctx)) ** 2 + end.height**2).max(),
+    }
+    for name, value in rebuilt.items():
+        assert np.float64(getattr(rep, name)).tobytes() == np.float64(value).tobytes(), name
 
 
 # --- CLI -------------------------------------------------------------------
