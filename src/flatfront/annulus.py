@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .theta import ThetaContext, _eval, log_slope, log_slope_deriv, pointwise
+from .theta import ThetaContext, _eval, _log_slopes, pointwise
 
 ANNULUS_SLACK = 1e-12
 
@@ -123,6 +123,19 @@ def _require_annulus(ctx: ThetaContext, flat, who: str):
         raise ValueError(f"{who}: argument outside the closed annulus [{ctx.r}, 1]")
 
 
+def _slit_parts(ctx: ThetaContext, marker: float, z, order: int, who: str = "slit_map"):
+    """(slit_map, slit_map_deriv, theta1(marker z)) at the flat points z from
+    one kernel call per argument, marker/z and marker z; the derivative is
+    None unless order is 2.  theta1 and its first derivative do not depend
+    on the order, so each value has the bits of its own evaluator."""
+    _require_annulus(ctx, z, who)
+    h_in, hp_in, _ = _log_slopes(ctx, marker / z, order)
+    h_out, hp_out, theta_out = _log_slopes(ctx, marker * z, order)
+    q = -(h_in + h_out) / marker
+    qp = hp_in / (z * z) - hp_out if order >= 2 else None
+    return q, qp, theta_out
+
+
 @pointwise
 def slit_map(ctx: ThetaContext, marker: float, z):
     """Meromorphic map with one simple pole (residue 1) at ``marker``.
@@ -131,15 +144,13 @@ def slit_map(ctx: ThetaContext, marker: float, z):
     |z| = 1 and |z| = r.  Equals -(log_slope(marker/z) + log_slope(marker z))
     / marker, which doubles as a cross-check route.
     """
-    _require_annulus(ctx, z, "slit_map")
-    return -(log_slope(ctx, marker / z) + log_slope(ctx, marker * z)) / marker
+    return _slit_parts(ctx, marker, z, 1)[0]
 
 
 @pointwise
 def slit_map_deriv(ctx: ThetaContext, marker: float, z):
     """d slit_map / dz."""
-    _require_annulus(ctx, z, "slit_map_deriv")
-    return log_slope_deriv(ctx, marker / z) / (z * z) - log_slope_deriv(ctx, marker * z)
+    return _slit_parts(ctx, marker, z, 2, "slit_map_deriv")[1]
 
 
 @pointwise
@@ -181,13 +192,9 @@ def gauss_ratio_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     return moduli.a_R * slit_map_deriv(ctx, moduli.z0, z)
 
 
-def _ratio_parts(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """(R, R', W'/W) on flat arrays z, each slit map evaluated once."""
-    R = gauss_ratio(moduli, ctx, z)
-    Rp = gauss_ratio_deriv(moduli, ctx, z)
-    q1v = slit_map(ctx, moduli.z1, z)
-    q2v = slit_map(ctx, moduli.z2, z)
-    return R, Rp, Rp / (R * (1.0 - R)) + (moduli.z1 * q1v - moduli.z2 * q2v) / z
+def _square_log_deriv(moduli: CanonicalModuli, z, R, Rp, q1v, q2v):
+    """W'/W from R, R' and the slit maps q1, q2 at the flat points z."""
+    return Rp / (R * (1.0 - R)) + (moduli.z1 * q1v - moduli.z2 * q2v) / z
 
 
 @pointwise
@@ -197,7 +204,9 @@ def gauss_square_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     The poles at z1 and z2 cancel between the two groups; the subtraction
     loses accuracy within ~1e-6 of those markers but is exact elsewhere.
     """
-    return _ratio_parts(moduli, ctx, z)[2]
+    R, Rp = gauss_ratio(moduli, ctx, z), gauss_ratio_deriv(moduli, ctx, z)
+    q1v, q2v = slit_map(ctx, moduli.z1, z), slit_map(ctx, moduli.z2, z)
+    return _square_log_deriv(moduli, z, R, Rp, q1v, q2v)
 
 
 # --- Gauss map ----------------------------------------------------------
@@ -273,11 +282,16 @@ def gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
     computed once per surface.  g is negative on (-1, -r).  Raises
     RepresentationError for moduli whose fields do not fit their markers.
     """
+    return _gauss_map_parts(moduli, ctx, z)[0]
+
+
+def _gauss_map_parts(moduli: CanonicalModuli, ctx: ThetaContext, z):
+    """(gauss_map, theta1(z1 z)) at the flat points z."""
     _require_annulus(ctx, z, "gauss_map")
     scale, _ = _surface_constants(moduli, ctx)
     num, _, _ = _eval(ctx, moduli.z2 * z, 0)
     den, _, _ = _eval(ctx, moduli.z1 * z, 0)
-    return scale * num / (z * den)
+    return scale * num / (z * den), den
 
 
 @pointwise
@@ -302,17 +316,18 @@ def gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z, *, g_val=None
 # --- shape factor, potential and Gauss-map gap --------------------------
 
 
-def _shape_factor(moduli: CanonicalModuli, ctx: ThetaContext, z):
+def _shape_factor(moduli: CanonicalModuli, ctx: ThetaContext, z, b=None, c=None):
     """Q1 z^m / (1-R) = -z^(m+1) theta1(z/z0) theta1(z z0) / (z1 K' theta1(z z1)^2).
 
     On flat arrays z, with the principal-branch z^m; its modulus is exp(2u).
-    Regular at z1 and z2 and zero at the end z0.  Raises RepresentationError
-    for moduli whose fields do not fit their markers.
+    b and c, when given, are theta1(z z0) and theta1(z z1) at the same
+    points.  Regular at z1 and z2 and zero at the end z0.  Raises
+    RepresentationError for moduli whose fields do not fit their markers.
     """
     _, k_prime = _surface_constants(moduli, ctx)
     a, _, _ = _eval(ctx, z / moduli.z0, 0)
-    b, _, _ = _eval(ctx, z * moduli.z0, 0)
-    c, _, _ = _eval(ctx, z * moduli.z1, 0)
+    b = _eval(ctx, z * moduli.z0, 0)[0] if b is None else b
+    c = _eval(ctx, z * moduli.z1, 0)[0] if c is None else c
     return -z * np.exp(moduli.m * np.log(z)) * a * b / (moduli.z1 * k_prime * c * c)
 
 

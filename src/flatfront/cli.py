@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -48,12 +49,16 @@ _WRITERS = {"obj": write_obj, "ply": write_ply}
 
 
 def _master_tol() -> float:
+    """FLATFRONT_TOL if it is a finite positive number, else MASTER_TOL."""
     raw = os.environ.get("FLATFRONT_TOL", "")
     try:
-        return float(raw) if raw else MASTER_TOL
+        tol = float(raw) if raw else MASTER_TOL
     except ValueError:
-        print(f"flatfront: warning: ignoring unparseable FLATFRONT_TOL={raw}", file=sys.stderr)
-        return MASTER_TOL
+        tol = math.nan
+    if 0.0 < tol < math.inf:  # a NaN fails this test
+        return tol
+    print(f"flatfront: warning: ignoring unparseable FLATFRONT_TOL={raw}", file=sys.stderr)
+    return MASTER_TOL
 
 
 def _fail(msg: str, code: int) -> int:

@@ -160,7 +160,7 @@ def solve_exponent(ctx: ThetaContext, s: float):
 
     def balance(m, i):
         P = r ** (-2.0 * (m + 2.0))
-        h, dh = _log_slopes(ctx, P, 2)
+        h, dh, _ = _log_slopes(ctx, P, 2)
         return 2.0 * h - 1.0 - s - m, 2.0 * dh * dlogP * P - 1.0
 
     (m,), iters = bracketed_root(balance, *EXPONENT_BRACKET)
@@ -178,7 +178,7 @@ def _pair_minus_s(ctx, centers, w, s):
 def _pairing(ctx: ThetaContext, z0, w):
     """pair_slope(z0, w) on a flat array w, with its derivatives in w and in
     z0, from one order-2 kernel call; z0 is a float or an array like w."""
-    L, D = _log_slopes(ctx, np.concatenate([w / z0, w * z0]), 2)
+    L, D, _ = _log_slopes(ctx, np.concatenate([w / z0, w * z0]), 2)
     inv, fwd = D[: w.size], D[w.size :]
     # d pair_slope(z0, w) / d w  = L'(w/z0) / z0 + L'(w z0) z0
     # d pair_slope(z0, w) / d z0 = w (L'(w z0) - L'(w/z0) / z0^2)
@@ -274,8 +274,11 @@ def solve_canonical(
     Raises RangeNormalizationError for parameters outside the normalized
     rectangle and BracketError, its message starting with the failing
     stage, when a root stage fails to bracket or converge or the solved
-    configuration misses the residual tolerance.
+    configuration misses the residual tolerance.  Raises ValueError unless
+    tol is a finite positive number.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
     _check_rs(r, s)
     if ctx is None:
         ctx = ThetaContext.create(r)
@@ -323,8 +326,8 @@ def solve_canonical(
 
     res = residuals(moduli, ctx)
     trace.residuals = res
-    worst = max(abs(v) for v in res.values())
-    if worst > tol:
+    # written so that a NaN residual fails the check
+    if not all(abs(v) <= tol for v in res.values()):
         raise BracketError(f"stage 3: solved configuration fails residual check: {res}")
     return moduli, trace
 

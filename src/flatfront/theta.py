@@ -350,21 +350,21 @@ def _guard_zero(ctx: ThetaContext, z):
 
 
 def _log_slopes(ctx: ThetaContext, z, order: int):
-    """(log_slope, log_slope_deriv) at the flat points z from one kernel
-    call, the second None unless order is 2; float z stays float."""
+    """(log_slope, log_slope_deriv, theta1) at the flat points z from one
+    kernel call, the second None unless order is 2; float z stays float."""
     t0, t1, t2 = _eval(ctx, z, order)
     _guard_zero(ctx, z)
     div = _quotient(z)
     h = div(z * t1, t0)
     if order < 2:
-        return h, None
-    return h, div(t1, t0) + div(z * t2, t0) - div(h * h, z)
+        return h, None, t0
+    return h, div(t1, t0) + div(z * t2, t0) - div(h * h, z), t0
 
 
 def _pair_slope(ctx: ThetaContext, center, z):
     """pair_slope on flat arrays of centres and points, with both log_slope
     arguments in one kernel call; float arrays stay float."""
-    h, _ = _log_slopes(ctx, np.concatenate([_quotient(z)(z, center), z * center]), 1)
+    h = _log_slopes(ctx, np.concatenate([_quotient(z)(z, center), z * center]), 1)[0]
     return h[: z.size] + h[z.size :]
 
 

@@ -39,7 +39,7 @@ N_BOUNDARY = 512
 # the markers sit; the stencil runs at the best-conditioned candidates because
 # its error grows without bound as |p| -> 1 (metric nearly degenerate)
 _CURV_FRACS = np.linspace(0.35, 0.65, 5)
-_CURV_ANGLES = np.concatenate([a := np.linspace(0.25, np.pi - 0.25, 16), -a])
+_CURV_ANGLES = np.outer([1.0, -1.0], np.linspace(0.25, np.pi - 0.25, 16)).ravel()
 _CURV_PROBES = 8
 
 

@@ -1,8 +1,13 @@
 """Tests for the immersion engine: evaluation, metric, curvature, rotational."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from flatfront import annulus as annulus_module
+from flatfront import meshing, validation
+from flatfront import theta as theta_module
 from flatfront.annulus import (
     DegenerateConfigurationError,
     _shape_factor,
@@ -36,8 +41,10 @@ from flatfront.immersion import (
     rotational_gauss_data,
     shape_ratio,
 )
+from flatfront.meshing import canonical_mesh
 from flatfront.solver import solve_canonical
 from flatfront.theta import ThetaContext, dtheta1, log_slope, log_slope_deriv, theta1
+from flatfront.validation import validate_moduli
 
 from test_annulus import FLAGSHIP
 
@@ -425,3 +432,68 @@ def test_first_form_stencil_batch_equals_per_stencil_calls():
     for i, stencil in enumerate(stencils):
         for v, a in zip(_fields(first_form(moduli, ctx, stencil)), batch):
             assert v.tobytes() == a[i].tobytes()
+
+
+def _evaluated_points(moduli, ctx):
+    """The points validate passes to shape_ratio and immerse, and the mesh
+    rings canonical_mesh passes to immerse."""
+    seen = {"shape_ratio": [], "immerse": []}
+    with pytest.MonkeyPatch.context() as m:
+        for module, name in ((validation, "shape_ratio"), (validation, "immerse"), (meshing, "immerse")):
+            def recorded(mod_, ctx_, z, real=getattr(module, name), name=name):
+                seen[name].append(np.asarray(z).ravel())
+                return real(mod_, ctx_, z)
+
+            m.setattr(module, name, recorded)
+        validate_moduli(moduli, ctx)
+        canonical_mesh(moduli, ctx)
+    return {name: np.concatenate(zs) for name, zs in seen.items()}
+
+
+@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.1, -0.1)])
+def test_shared_theta_calls_keep_the_bits(r, s):
+    # shape_ratio and immerse read each theta argument once; their values
+    # equal the compositions of the public evaluators bit for bit
+    moduli, _ = solve_canonical(r, s)
+    ctx = moduli.context()
+    pts = _evaluated_points(moduli, ctx)
+    z = pts["shape_ratio"]
+    R = gauss_ratio(moduli, ctx, z)
+    Rp = gauss_ratio_deriv(moduli, ctx, z)
+    q1, q2 = slit_map(ctx, moduli.z1, z), slit_map(ctx, moduli.z2, z)
+    g_log = 0.5 * (Rp / (R * (1.0 - R)) + (moduli.z1 * q1 - moduli.z2 * q2) / z) - 1.0 / z
+    W = gauss_map_square(moduli, ctx, z)
+    factor = _shape_factor(moduli, ctx, z)
+    p = factor * factor * z * z * (Rp / g_log + R * (R - 1.0)) / W
+    assert shape_ratio(moduli, ctx, z).view(float).tobytes() == p.view(float).tobytes()
+
+    # a mesh vertex can sit on the end z0, which immerse maps to its ideal
+    # limit; the composition covers the other points
+    got = immerse(moduli, ctx, pts["immerse"])
+    keep = np.abs(pts["immerse"] - moduli.z0) >= 1e-10
+    z = pts["immerse"][keep]
+    g = gauss_map(moduli, ctx, z)
+    e2 = np.abs(_shape_factor(moduli, ctx, z))
+    F = gauss_ratio(moduli, ctx, z) / g
+    psi3 = e2 / (1.0 + e2 * e2 * np.abs(F) ** 2)
+    horiz = g - psi3 * e2 * np.conj(F)
+    assert got.horizontal[keep].view(float).tobytes() == horiz.view(float).tobytes()
+    assert got.height[keep].view(float).tobytes() == psi3.view(float).tobytes()
+
+
+def test_kernel_calls_per_point(monkeypatch):
+    # one kernel call per theta argument: shape_ratio 9 (orders 0/1/2 in
+    # 3/4/2 calls), immerse 5; first_form keeps its separate R and R' calls
+    ctx = FLAGSHIP.context()
+    gauss_map(FLAGSHIP, ctx, 0.5j)  # fills the per-surface constants' cache
+    orders = []
+    for module in (theta_module, annulus_module):
+        def counted(*args, fn=module._eval, **kw):
+            orders.append(args[2])
+            return fn(*args, **kw)
+
+        monkeypatch.setattr(module, "_eval", counted)
+    for fn, want in ((shape_ratio, {0: 3, 1: 4, 2: 2}), (immerse, {0: 3, 1: 2}), (first_form, {0: 5, 1: 8, 2: 4})):
+        orders.clear()
+        fn(FLAGSHIP, ctx, 0.4 + 0.3j)
+        assert Counter(orders) == want, fn.__name__

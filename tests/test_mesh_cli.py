@@ -482,3 +482,12 @@ def test_cli_env_tolerance(tmp_path, capsys, monkeypatch):
     assert main(["validate", str(moduli), "--grid", "16"]) == 0
     err = capsys.readouterr().err
     assert "flatfront: warning: ignoring unparseable FLATFRONT_TOL=tight" in err
+    # a value that is not a finite positive number is ignored the same way:
+    # nan and inf would switch the gates off, 0 and -1 make every solve fail
+    for raw in ("nan", "inf", "0", "-1"):
+        monkeypatch.setenv("FLATFRONT_TOL", raw)
+        assert _master_tol() == MASTER_TOL
+        assert main(["solve", "--r", "0.25", "--s", "-0.5"]) == 0
+        assert main(["validate", str(moduli), "--grid", "16"]) == 0
+        err = capsys.readouterr().err
+        assert err.count(f"flatfront: warning: ignoring unparseable FLATFRONT_TOL={raw}") == 3

@@ -163,7 +163,7 @@ def test_newton_evaluation_equals_separate_calls(r, s):
     ctx = ThetaContext.create(r)
     z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
     pts = np.array([z2 / z0, z2 * z0, z1 / z0, z1 * z0])
-    L, D = _log_slopes(ctx, pts, 2)
+    L, D, _ = _log_slopes(ctx, pts, 2)
     assert L.tobytes() == np.ascontiguousarray(log_slope(ctx, pts).real).tobytes()
     assert D.tobytes() == np.ascontiguousarray(log_slope_deriv(ctx, pts).real).tobytes()
 
@@ -325,3 +325,20 @@ def test_trace_serializable():
     assert back["outer_sign_changes"] == 1
     assert set(back["residuals"]) == {"c1_res", "c2_res", "c3_res"}
     assert back["scan_points"] == 256
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be a finite positive number"):
+        solve_canonical(0.25, -0.5, tol=tol)
+
+
+def test_nan_residual_fails_the_check(monkeypatch):
+    real = solver.residuals
+
+    def nan_c2(moduli, ctx=None):
+        return {**real(moduli, ctx), "c2_res": math.nan}
+
+    monkeypatch.setattr(solver, "residuals", nan_c2)
+    with pytest.raises(BracketError, match="fails residual check"):
+        solve_canonical(0.25, -0.5)
