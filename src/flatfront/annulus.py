@@ -70,6 +70,13 @@ class CanonicalModuli:
 
     Orderings: -1 < z2 < z0 < z1 < -r, with s in (-1, 0) and m in (-3, -2).
     c_height is the height |z1| r^(m+1) of the inner singular point.
+
+    The markers are real, so the Weierstrass data is real on the real axis
+    and the surface is symmetric under z -> conj(z): the ratio R, the shape
+    ratio and the horizontal part of the immersion conjugate and the height
+    stays the same, bit for bit (the finite-difference curvature agrees up
+    to rounding).  Sampling code evaluates the closed upper half of a
+    mirrored point set (`_mirror_angles`) and reads off the rest.
     """
 
     r: float
@@ -110,6 +117,19 @@ class CanonicalModuli:
     @classmethod
     def from_json(cls, text: str) -> "CanonicalModuli":
         return cls.from_dict(json.loads(text))
+
+
+def _mirror_angles(n: int, half_step: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """n angles pi (2k - n) / n, or pi (2k + 1 - n) / n with half_step, and
+    the indices of their closed upper half: -pi and the angles >= 0.
+
+    The numerators are integers, so negating one is exact: the angles are
+    exactly odd under k -> n - k (n - 1 - k with half_step), exp(-i theta)
+    is conj(exp(i theta)) bit for bit, and every angle outside the upper
+    half mirrors one inside it.
+    """
+    num = 2 * np.arange(n) - n + int(half_step)
+    return np.pi * num / n, np.flatnonzero((num >= 0) | (num == -n))
 
 
 @lru_cache(maxsize=64)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annulus import CanonicalModuli
+from .annulus import CanonicalModuli, _mirror_angles
 from .immersion import (
     HalfSpacePoint,
     RotationalModuli,
@@ -117,7 +117,10 @@ def canonical_mesh(
     extrapolated singular-circle positions, so they cluster at the two cone
     points.  Faces meeting the parameter disc |z - z0| < rho_end are dropped
     (the surface height collapses exponentially there), which leaves an
-    annulus-minus-disc complex of Euler characteristic -1.
+    annulus-minus-disc complex of Euler characteristic -1.  Column j sits
+    at angle pi (2j - n_theta) / n_theta; the surface is symmetric under
+    z -> conj(z), so only the columns at -pi and at angles >= 0 are
+    immersed, and column j < n_theta / 2 is column n_theta - j mirrored.
     """
     if n_rho < 8 or n_theta < 8:
         raise ValueError("n_rho and n_theta must both be at least 8")
@@ -126,7 +129,7 @@ def canonical_mesh(
     if ctx is None:
         ctx = moduli.context()
     r = moduli.r
-    theta = -np.pi + 2.0 * np.pi * np.arange(n_theta) / n_theta
+    theta, upper = _mirror_angles(n_theta)
     rho = np.exp(np.log(r) * (1.0 - np.arange(n_rho + 1) / n_rho))
     rho[0], rho[-1] = r, 1.0
 
@@ -139,8 +142,12 @@ def canonical_mesh(
 
     d = BOUNDARY_OFFSET
     levels = np.concatenate([[r + d, r + 2 * d], rho[1:-1], [1 - d, 1 - 2 * d]])
-    pts = immerse(moduli, ctx, levels[:, None] * np.exp(1j * theta)[None, :])
-    H, V = pts.horizontal, pts.height
+    pts = immerse(moduli, ctx, levels[:, None] * np.exp(1j * theta[upper])[None, :])
+    H = np.empty((levels.size, n_theta), dtype=complex)
+    V = np.empty((levels.size, n_theta))
+    H[:, upper], V[:, upper] = pts.horizontal, pts.height
+    lower = np.setdiff1d(np.arange(n_theta), upper)
+    H[:, lower], V[:, lower] = np.conj(H[:, n_theta - lower]), V[:, n_theta - lower]
     # two-offset radial-limit extrapolation onto each singular circle
     Hs = np.vstack([2 * H[0] - H[1], H[2:-2], 2 * H[-2] - H[-1]])
     Vs = np.vstack([2 * V[0] - V[1], V[2:-2], 2 * V[-2] - V[-1]])

@@ -14,7 +14,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .annulus import CanonicalModuli, DegenerateConfigurationError, RepresentationError, gauss_ratio
+from .annulus import (
+    CanonicalModuli,
+    DegenerateConfigurationError,
+    RepresentationError,
+    _mirror_angles,
+    gauss_ratio,
+)
 from .immersion import (
     HalfSpacePoint,
     end_direction,
@@ -37,18 +43,33 @@ N_BOUNDARY = 512
 
 # curvature probe: a mid-band candidate lattice, kept off the real axis where
 # the markers sit; the stencil runs at the best-conditioned candidates because
-# its error grows without bound as |p| -> 1 (metric nearly degenerate)
+# its error grows without bound as |p| -> 1 (metric nearly degenerate).  The
+# candidates sit at positive angles: a conjugate candidate has the same |p|, so
+# the 4 best and their mirrors are the 8 best of the mirrored lattice.  K is
+# mirror-symmetric only up to rounding (the stencil sums run in mirrored
+# order), so it runs at both members of each pair.
 _CURV_FRACS = np.linspace(0.35, 0.65, 5)
-_CURV_ANGLES = np.outer([1.0, -1.0], np.linspace(0.25, np.pi - 0.25, 16)).ravel()
-_CURV_PROBES = 8
+_CURV_ANGLES = np.linspace(0.25, np.pi - 0.25, 16)
+_CURV_PROBES = 4
 
 
 def interior_grid(r: float, n: int) -> np.ndarray:
-    """Half-step-inset log-radial x angular grid, strictly inside the annulus."""
+    """Half-step-inset log-radial x angular grid, strictly inside the annulus.
+
+    Column j sits at angle pi (2j + 1 - n) / n, so column n - 1 - j is the
+    exact conjugate of column j and the columns j >= n // 2 are the grid's
+    closed upper half.
+    """
     frac = (np.arange(n) + 0.5) / n
     rho = np.exp(np.log(r) * frac)
-    theta = -np.pi + 2.0 * np.pi * frac
+    theta, _ = _mirror_angles(n, half_step=True)
     return rho[:, None] * np.exp(1j * theta)[None, :]
+
+
+def _upper_circle(n: int) -> np.ndarray:
+    """Closed upper half of the n points exp(i pi (2k - n) / n) on the unit circle."""
+    theta, upper = _mirror_angles(n)
+    return np.exp(1j * theta[upper])
 
 
 @dataclass
@@ -94,13 +115,13 @@ def boundary_ranges_ok(moduli: CanonicalModuli, ctx: ThetaContext | None = None)
 
     Checks that the ratio is real there with values inside (0, 1), and that
     its value at z = 1 sits below its value at z = r.  The solver reports
-    this rather than enforcing it.
+    this rather than enforcing it.  The ratio is conjugate at conjugate
+    points, so each circle is sampled on its closed upper half.
     """
     if ctx is None:
         ctx = moduli.context()
-    theta = np.linspace(-np.pi, np.pi, N_BOUNDARY + 1)[:-1]
-    circles = [rho * np.exp(1j * theta) for rho in (1.0, moduli.r)]
-    vals = gauss_ratio(moduli, ctx, np.concatenate([*circles, [1.0, moduli.r]]))
+    circle = _upper_circle(N_BOUNDARY)
+    vals = gauss_ratio(moduli, ctx, np.concatenate([circle, moduli.r * circle, [1.0, moduli.r]]))
     bnd, (r1, rr) = vals[:-2], vals[-2:].real
     # each test is written so that a NaN fails it
     ok = np.abs(bnd.imag).max() <= 1e-10 and 0.0 < bnd.real.min() and bnd.real.max() < 1.0
@@ -113,14 +134,15 @@ def _collapse_and_end_errors(moduli, ctx) -> tuple[float, float, float]:
     Per angle, the distance to a cone point decays linearly in the offset with
     a rate that depends on the configuration; 2 d(offset) - d(2 offset)
     cancels that term, so a gap measures failure to collapse, not the rate.
+    The cones and the end direction lie on the real axis, so every gap is
+    even under z -> conj(z) and each circle is sampled on its upper half.
     """
-    theta = np.linspace(-np.pi, np.pi, 257)[:-1]
-    phi = np.linspace(-np.pi, np.pi, 65)[:-1]
+    circle = _upper_circle(256)
     rhos = (1.0 - CIRCLE_OFFSET, 1.0 - 2.0 * CIRCLE_OFFSET,
             moduli.r + CIRCLE_OFFSET, moduli.r + 2.0 * CIRCLE_OFFSET)
-    end_circle = moduli.z0 + CIRCLE_OFFSET * np.exp(1j * phi)
-    pts = immerse(moduli, ctx, np.concatenate([*(rho * np.exp(1j * theta) for rho in rhos), end_circle]))
-    n = len(rhos) * theta.size
+    end_circle = moduli.z0 + CIRCLE_OFFSET * _upper_circle(64)
+    pts = immerse(moduli, ctx, np.concatenate([*(rho * circle for rho in rhos), end_circle]))
+    n = len(rhos) * circle.size
     near = HalfSpacePoint(pts.horizontal[:n].reshape(len(rhos), -1), pts.height[:n].reshape(len(rhos), -1))
     d = hyperbolic_distance(near, HalfSpacePoint(0.0 + 0.0j, np.repeat([1.0, moduli.c_height], 2)[:, None]))
     sing = np.abs(2.0 * d[0::2] - d[1::2]).max(axis=1)
@@ -132,7 +154,16 @@ def _collapse_and_end_errors(moduli, ctx) -> tuple[float, float, float]:
 def validate_moduli(
     moduli: CanonicalModuli, ctx: ThetaContext | None = None, grid: int = 64
 ) -> ValidationReport:
-    """Run the full battery against a solved configuration."""
+    """Run the full battery against a solved configuration.
+
+    Every geometric field is a maximum of a quantity that is even under
+    z -> conj(z) (|p|, K, and the distances to cones and to the end
+    direction on the real axis), so each point set is mirror-symmetric and
+    only its closed upper half is evaluated: the grid columns j >= grid // 2,
+    the upper halves of the circles, and the curvature candidates at
+    positive angles, whose 4 best probes are evaluated with their mirrors.
+    The fields equal those of the full sets bit for bit.
+    """
     if grid < 8:
         raise ValueError("grid must be at least 8")
     if ctx is None:
@@ -157,15 +188,13 @@ def validate_moduli(
     # curvature candidates (a point gets the same bits in any batch), and
     # numpy's max keeps a NaN wherever it sits, so a NaN fails the report.
     try:
-        theta = np.linspace(-np.pi, np.pi, N_BOUNDARY + 1)[:-1]
-        circles = [rho * np.exp(1j * theta) for rho in (1.0, moduli.r)]
+        interior = interior_grid(moduli.r, grid)[:, grid // 2 :].ravel()
+        circle = _upper_circle(N_BOUNDARY)
         cand = (np.exp(np.log(moduli.r) * _CURV_FRACS)[:, None] * np.exp(1j * _CURV_ANGLES)[None, :]).ravel()
-        n_int, n_bnd = grid * grid, 2 * N_BOUNDARY
-        p_abs = np.abs(
-            shape_ratio(moduli, ctx, np.concatenate([interior_grid(moduli.r, grid).ravel(), *circles, cand]))
-        )
-        order = np.argsort(p_abs[n_int + n_bnd :])
-        ks = intrinsic_curvature(moduli, ctx, cand[order[:_CURV_PROBES]])
+        n_int, n_bnd = interior.size, 2 * circle.size
+        p_abs = np.abs(shape_ratio(moduli, ctx, np.concatenate([interior, circle, moduli.r * circle, cand])))
+        probes = cand[np.argsort(p_abs[n_int + n_bnd :])[:_CURV_PROBES]]
+        ks = intrinsic_curvature(moduli, ctx, np.concatenate([probes, np.conj(probes)]))
         sing1, sing2, end = _collapse_and_end_errors(moduli, ctx)
         geo = {
             "max_abs_p_interior": float(p_abs[:n_int].max()),

@@ -450,6 +450,42 @@ def _evaluated_points(moduli, ctx):
     return {name: np.concatenate(zs) for name, zs in seen.items()}
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(float).tobytes()
+
+
+@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.1, -0.1)])
+def test_mirror_symmetry_of_the_evaluators(r, s):
+    # the markers are real, so z -> conj(z) maps the surface onto its mirror
+    # image; validate and canonical_mesh evaluate the closed upper half of
+    # each mirrored point set and read the lower half off these identities
+    moduli, _ = solve_canonical(r, s)
+    ctx = moduli.context()
+    # -pi and the angles in (0, pi); theta = 0 is left out because a real z
+    # is its own mirror, where only the sign of a zero imaginary part can differ
+    n = 64
+    ks = np.r_[0, n // 2 + 1 : n]
+    ring = np.exp(1j * np.pi * (2 * ks - n) / n)
+    grid = validation.interior_grid(r, 16)[:, 8:].ravel()
+    end_ring = moduli.z0 + 1e-4 * ring
+    z = np.concatenate([grid, (1.0 - 1e-4) * ring, (r + 1e-4) * ring, end_ring])
+    zc = np.conj(z)
+    assert _bits(shape_ratio(moduli, ctx, zc)) == _bits(np.conj(shape_ratio(moduli, ctx, z)))
+    assert _bits(gauss_ratio(moduli, ctx, zc)) == _bits(np.conj(gauss_ratio(moduli, ctx, z)))
+    a, b = immerse(moduli, ctx, z), immerse(moduli, ctx, zc)
+    assert _bits(b.horizontal) == _bits(np.conj(a.horizontal))
+    assert _bits(b.height) == _bits(a.height)
+    # the curvature stencil needs room inside the annulus, so it runs on the
+    # grid and on the end circle.  K is mirror-symmetric only up to rounding:
+    # the stencil's sums run in mirrored order, and at the flagship 3 of the
+    # 128 grid points differ, by up to 1.1e-8 (2.5e-4 relative at (0.6, -0.8),
+    # where K next to the circles is rounding noise of size up to 1e16).
+    # Validate therefore evaluates K at both members of each probe pair.
+    zk = np.concatenate([grid, end_ring])
+    k, kc = intrinsic_curvature(moduli, ctx, zk), intrinsic_curvature(moduli, ctx, np.conj(zk))
+    np.testing.assert_allclose(kc, k, rtol=1e-3, atol=1e-3 * validation.CURVATURE_TOL)
+
+
 @pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.1, -0.1)])
 def test_shared_theta_calls_keep_the_bits(r, s):
     # shape_ratio and immerse read each theta argument once; their values

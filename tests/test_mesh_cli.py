@@ -7,7 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from flatfront import validation
+from flatfront import annulus, meshing, validation
+from flatfront.annulus import gauss_ratio
 from flatfront.cli import _master_tol, main
 from flatfront.immersion import (
     HalfSpacePoint,
@@ -78,6 +79,45 @@ def test_klein_mesh_in_unit_ball():
     mesh = canonical_mesh(FLAGSHIP, n_rho=12, n_theta=16, model="klein")
     assert np.linalg.norm(mesh.vertices, axis=1).max() < 1.0
     assert euler_characteristic(mesh) == -1
+
+
+@pytest.mark.parametrize("model", ["halfspace", "klein"])
+@pytest.mark.parametrize("n_theta", [16, 9])
+def test_canonical_mesh_mirrors_its_columns(monkeypatch, n_theta, model):
+    # canonical_mesh immerses the columns at -pi and at angles >= 0 and fills
+    # column j from column n_theta - j; the mesh has the bits of one that
+    # immerses every column at the same angles.  n_rho = 9 puts no vertex on
+    # the end z0 = -0.5.
+    kw = dict(n_rho=9, n_theta=n_theta, model=model, rho_end=1e-9)
+    half = canonical_mesh(FLAGSHIP, **kw)
+
+    def every_column(n):
+        return annulus._mirror_angles(n)[0], np.arange(n)
+
+    monkeypatch.setattr(meshing, "_mirror_angles", every_column)
+    full = canonical_mesh(FLAGSHIP, **kw)
+    assert half.vertices.tobytes() == full.vertices.tobytes()
+    assert half.faces.tobytes() == full.faces.tobytes()
+    assert half.boundary_rings == full.boundary_rings
+    # the tiny end disc drops no vertex, so vertex (i, j) is row i * n_theta + j
+    assert len(half.vertices) == 10 * n_theta
+    v = half.vertices.reshape(10, n_theta, 3)
+    lower = np.arange(1, (n_theta + 1) // 2)
+    mirror = v[:, n_theta - lower] * np.array([1.0, -1.0, 1.0])
+    assert v[:, lower].tobytes() == mirror.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 9, 64])
+def test_interior_grid_is_mirror_symmetric(n):
+    grid = validation.interior_grid(0.25, n)
+    # column n - 1 - j is the conjugate of column j, bit for bit, and the
+    # columns j >= n // 2 make up the closed upper half; an odd n has a
+    # column on theta = 0, which is its own mirror
+    lower = grid[:, : n // 2]
+    assert lower.tobytes() == np.conj(grid[:, ::-1][:, : n // 2]).tobytes()
+    assert (lower.imag < 0.0).all() and (grid[:, n // 2 :].imag >= 0.0).all()
+    if n % 2:
+        assert (grid[:, n // 2].imag == 0.0).all()
 
 
 def test_mesh_guards():
@@ -226,34 +266,42 @@ def test_validation_fails_on_a_nan_in_second_place(monkeypatch):
     assert not boundary_ranges_ok(FLAGSHIP)
 
 
-@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.1, -0.1)])
-def test_validation_fields_equal_separate_calls(r, s):
-    # each geometric field has the bits of the same quantity built from
-    # separate calls: shape_ratio on the grid and on each circle, one
-    # intrinsic_curvature call per probe and one immerse call per circle
+def _mirrored_circle(n):
+    """The n points exp(i pi (2k - n) / n): conjugation maps the set onto itself."""
+    return np.exp(1j * np.pi * (2 * np.arange(n) - n) / n)
+
+
+def _fields_equal_full_sets(r, s, grid):
+    # validate_moduli evaluates the closed upper half of each point set; each
+    # field has the bits of the same quantity over the full mirrored set, both
+    # halves evaluated, from separate calls: shape_ratio on the grid and on
+    # each circle, one intrinsic_curvature call per probe (the 8 best of the
+    # full candidate lattice) and one immerse call per circle
     moduli, _ = solve_canonical(r, s)
     ctx = moduli.context()
-    rep = validate_moduli(moduli, ctx, grid=64)
+    rep = validate_moduli(moduli, ctx, grid=grid)
     assert rep.passes()
     off = validation.CIRCLE_OFFSET
-    theta = np.linspace(-np.pi, np.pi, validation.N_BOUNDARY + 1)[:-1]
-    cand = (
-        np.exp(np.log(r) * validation._CURV_FRACS)[:, None] * np.exp(1j * validation._CURV_ANGLES)[None, :]
-    ).ravel()
-    probes = cand[np.argsort(np.abs(shape_ratio(moduli, ctx, cand)))[: validation._CURV_PROBES]]
-    phi = np.linspace(-np.pi, np.pi, 257)[:-1]
+    circle = _mirrored_circle(validation.N_BOUNDARY)
+    angles = np.concatenate([validation._CURV_ANGLES, -validation._CURV_ANGLES])
+    cand = (np.exp(np.log(r) * validation._CURV_FRACS)[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    probes = cand[np.argsort(np.abs(shape_ratio(moduli, ctx, cand)))[: 2 * validation._CURV_PROBES]]
+    assert np.array_equal(np.sort_complex(probes), np.sort_complex(np.conj(probes)))
+    ring = _mirrored_circle(256)
+    grid_pts = validation.interior_grid(r, grid)
+    assert grid_pts.shape == (grid, grid)
 
     def collapse_gap(rho_near, rho_far, height):
-        cone = HalfSpacePoint(0.0 + 0.0j, np.full(phi.shape, height))
-        d_near = hyperbolic_distance(immerse(moduli, ctx, rho_near * np.exp(1j * phi)), cone)
-        d_far = hyperbolic_distance(immerse(moduli, ctx, rho_far * np.exp(1j * phi)), cone)
+        cone = HalfSpacePoint(0.0 + 0.0j, np.full(ring.shape, height))
+        d_near = hyperbolic_distance(immerse(moduli, ctx, rho_near * ring), cone)
+        d_far = hyperbolic_distance(immerse(moduli, ctx, rho_far * ring), cone)
         return np.abs(2.0 * d_near - d_far).max()
 
-    end = immerse(moduli, ctx, moduli.z0 + off * np.exp(1j * np.linspace(-np.pi, np.pi, 65)[:-1]))
+    end = immerse(moduli, ctx, moduli.z0 + off * _mirrored_circle(64))
     rebuilt = {
-        "max_abs_p_interior": np.abs(shape_ratio(moduli, ctx, validation.interior_grid(r, 64))).max(),
+        "max_abs_p_interior": np.abs(shape_ratio(moduli, ctx, grid_pts)).max(),
         "boundary_p_deviation": max(
-            np.abs(np.abs(shape_ratio(moduli, ctx, rho * np.exp(1j * theta))) - 1.0).max() for rho in (1.0, r)
+            np.abs(np.abs(shape_ratio(moduli, ctx, rho * circle)) - 1.0).max() for rho in (1.0, r)
         ),
         "max_abs_curvature": max(abs(intrinsic_curvature(moduli, ctx, complex(z))) for z in probes),
         "sing1_error": collapse_gap(1.0 - off, 1.0 - 2.0 * off, 1.0),
@@ -262,6 +310,21 @@ def test_validation_fields_equal_separate_calls(r, s):
     }
     for name, value in rebuilt.items():
         assert np.float64(getattr(rep, name)).tobytes() == np.float64(value).tobytes(), name
+    bnd = gauss_ratio(moduli, ctx, np.concatenate([circle, r * circle]))
+    r1, rr = gauss_ratio(moduli, ctx, np.array([1.0, r])).real
+    full_ok = np.abs(bnd.imag).max() <= 1e-10 and 0.0 < bnd.real.min() and bnd.real.max() < 1.0 and r1 < rr
+    assert rep.rs_ok == bool(full_ok)
+
+
+@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.1, -0.1)])
+def test_validation_fields_equal_separate_calls(r, s):
+    _fields_equal_full_sets(r, s, 64)
+
+
+@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.1, -0.1)])
+def test_validation_fields_equal_separate_calls_odd_grid(r, s):
+    # an odd grid has a column on theta = 0, its own mirror
+    _fields_equal_full_sets(r, s, 9)
 
 
 # --- CLI -------------------------------------------------------------------
