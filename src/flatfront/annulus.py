@@ -49,10 +49,6 @@ ANNULUS_SLACK = 1e-12
 AT_INFINITY = complex(np.inf, np.inf)
 
 
-def is_at_infinity(w) -> bool:
-    return bool(np.isinf(np.real(w)) or np.isinf(np.imag(w)))
-
-
 class DegenerateConfigurationError(ValueError):
     """Marker configuration that does not pin down the ratio map."""
 
@@ -73,10 +69,11 @@ class CanonicalModuli:
 
     The markers are real, so the Weierstrass data is real on the real axis
     and the surface is symmetric under z -> conj(z): the ratio R, the shape
-    ratio and the horizontal part of the immersion conjugate and the height
-    stays the same, bit for bit (the finite-difference curvature agrees up
-    to rounding).  Sampling code evaluates the closed upper half of a
-    mirrored point set (`_mirror_angles`) and reads off the rest.
+    ratio and the horizontal part of the immersion conjugate, the first
+    form's F changes sign, and the height, E, G and the finite-difference
+    curvature stay the same, bit for bit.  Sampling code evaluates the
+    closed upper half of a mirrored point set (`_mirror_angles`) and reads
+    off the rest.
     """
 
     r: float
@@ -325,12 +322,15 @@ def gauss_map_square(moduli: CanonicalModuli, ctx: ThetaContext, z):
     return zg * zg
 
 
+def _gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z, g):
+    """g' at flat points z, from g at the same points."""
+    return g * (0.5 * gauss_square_log_deriv(moduli, ctx, z) - 1.0 / z)
+
+
 @pointwise
-def gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z, *, g_val=None):
-    """g'(z) = g(z) * (W'/(2W) - 1/z); g_val, when given, is g at the same points."""
-    if g_val is None:
-        g_val = gauss_map(moduli, ctx, z)
-    return g_val * (0.5 * gauss_square_log_deriv(moduli, ctx, z) - 1.0 / z)
+def gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
+    """g'(z) = g(z) * (W'/(2W) - 1/z)."""
+    return _gauss_map_deriv(moduli, ctx, z, gauss_map(moduli, ctx, z))
 
 
 # --- shape factor, potential and Gauss-map gap --------------------------
@@ -365,19 +365,16 @@ def potential(moduli: CanonicalModuli, ctx: ThetaContext, z):
 
 
 @pointwise
-def inv_gauss_gap(moduli: CanonicalModuli, ctx: ThetaContext, z, *, g_val=None):
+def inv_gauss_gap(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """F = R / g = 1 / (g - g*); simple pole at z0, zero at z2."""
-    if g_val is None:
-        g_val = gauss_map(moduli, ctx, z)
-    return gauss_ratio(moduli, ctx, z) / g_val
+    return gauss_ratio(moduli, ctx, z) / gauss_map(moduli, ctx, z)
 
 
 @pointwise
-def second_gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z, *, g_val=None):
+def second_gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """g* = g (R - 1) / R; the tagged value AT_INFINITY where R = 0 (at z2)."""
-    if g_val is None:
-        g_val = gauss_map(moduli, ctx, z)
+    g = gauss_map(moduli, ctx, z)
     R = gauss_ratio(moduli, ctx, z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = g_val * (R - 1.0) / R
+        out = g * (R - 1.0) / R
     return np.where(np.abs(R) < 1e-300, AT_INFINITY, out)

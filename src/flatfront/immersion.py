@@ -28,12 +28,12 @@ import numpy as np
 from .annulus import (
     CanonicalModuli,
     DegenerateConfigurationError,
+    _gauss_map_deriv,
     _gauss_map_parts,
     _shape_factor,
     _slit_parts,
     _square_log_deriv,
     gauss_map,
-    gauss_map_deriv,
     gauss_map_square,
     gauss_ratio,
     gauss_ratio_deriv,
@@ -167,15 +167,14 @@ def _metric_from(e2, w_hopf, gp):
 
 
 @pointwise
-def first_form(moduli: CanonicalModuli, ctx: ThetaContext, z, *, g_val=None):
+def first_form(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """First fundamental form of the front at interior points.
 
-    Each field has z's shape (a Python float for a scalar z); g_val, when
-    given, is g at the same points.  Undefined at the end z0 itself (the
-    conformal factor blows up there).
+    Each field has z's shape (a Python float for a scalar z).  Undefined at
+    the end z0 itself (the conformal factor blows up there).
     """
-    g = gauss_map(moduli, ctx, z) if g_val is None else g_val
-    gp = gauss_map_deriv(moduli, ctx, z, g_val=g)
+    g = gauss_map(moduli, ctx, z)
+    gp = _gauss_map_deriv(moduli, ctx, z, g)
     R = gauss_ratio(moduli, ctx, z)
     Rp = gauss_ratio_deriv(moduli, ctx, z)
     e2 = np.abs(_shape_factor(moduli, ctx, z))
@@ -210,64 +209,71 @@ def shape_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z):
     return factor * factor * z * z * (Rp / g_log + R * (R - 1.0)) / W
 
 
-def brioschi_curvature(E, F, G, hu, hv) -> float:
+def brioschi_curvature(E, F, G, h: float):
     """Gauss curvature from 3x3 stencils of metric coefficients.
 
-    E, F, G are arrays indexed [j, i] = value at (u0 + (i-1) hu,
-    v0 + (j-1) hv); derivatives are central differences at the center.
+    E, F, G are arrays indexed [..., j, i] = value at (u0 + (i-1) h,
+    v0 + (j-1) h), stencils stacked on the leading axes; derivatives are
+    central differences at the centre.  Returns a float for one stencil and
+    an array of the leading shape for a stack.  Every sum is grouped
+    symmetrically under j -> 2 - j, so a stencil and its mirror image (E and
+    G even in v, F odd) give the same K bit for bit.
     """
-    E = np.asarray(E, dtype=float)
-    F = np.asarray(F, dtype=float)
-    G = np.asarray(G, dtype=float)
-    if E.shape != (3, 3) or F.shape != (3, 3) or G.shape != (3, 3):
+    E, F, G = (np.asarray(x, dtype=float) for x in (E, F, G))
+    if E.shape[-2:] != (3, 3) or F.shape != E.shape or G.shape != E.shape:
         raise ValueError("brioschi_curvature expects 3x3 stencils")
-    Eu = (E[1, 2] - E[1, 0]) / (2 * hu)
-    Ev = (E[2, 1] - E[0, 1]) / (2 * hv)
-    Gu = (G[1, 2] - G[1, 0]) / (2 * hu)
-    Gv = (G[2, 1] - G[0, 1]) / (2 * hv)
-    Fu = (F[1, 2] - F[1, 0]) / (2 * hu)
-    Fv = (F[2, 1] - F[0, 1]) / (2 * hv)
-    Evv = (E[2, 1] - 2 * E[1, 1] + E[0, 1]) / (hv * hv)
-    Guu = (G[1, 2] - 2 * G[1, 1] + G[1, 0]) / (hu * hu)
-    Fuv = (F[2, 2] - F[2, 0] - F[0, 2] + F[0, 0]) / (4 * hu * hv)
-    e, f, g = E[1, 1], F[1, 1], G[1, 1]
-    M1 = np.array(
-        [
-            [-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
-            [Fv - 0.5 * Gu, e, f],
-            [0.5 * Gv, f, g],
-        ]
-    )
-    M2 = np.array([[0.0, 0.5 * Ev, 0.5 * Gu], [0.5 * Ev, e, f], [0.5 * Gu, f, g]])
+    Eu = (E[..., 1, 2] - E[..., 1, 0]) / (2 * h)
+    Ev = (E[..., 2, 1] - E[..., 0, 1]) / (2 * h)
+    Gu = (G[..., 1, 2] - G[..., 1, 0]) / (2 * h)
+    Gv = (G[..., 2, 1] - G[..., 0, 1]) / (2 * h)
+    Fu = (F[..., 1, 2] - F[..., 1, 0]) / (2 * h)
+    Fv = (F[..., 2, 1] - F[..., 0, 1]) / (2 * h)
+    Evv = ((E[..., 2, 1] + E[..., 0, 1]) - 2 * E[..., 1, 1]) / (h * h)
+    Guu = ((G[..., 1, 2] + G[..., 1, 0]) - 2 * G[..., 1, 1]) / (h * h)
+    Fuv = ((F[..., 2, 2] + F[..., 0, 0]) - (F[..., 2, 0] + F[..., 0, 2])) / (4 * h * h)
+    e, f, g = E[..., 1, 1], F[..., 1, 1], G[..., 1, 1]
     det = e * g - f * f
-    return float((np.linalg.det(M1) - np.linalg.det(M2)) / (det * det))
+    # det [[a, 0.5 Eu, c], [d, e, f], [0.5 Gv, f, g]] by its first row
+    a = (-0.5 * Evv + Fuv) - 0.5 * Guu
+    c = Fu - 0.5 * Ev
+    d = Fv - 0.5 * Gu
+    det1 = a * det - 0.5 * Eu * (d * g - f * 0.5 * Gv) + c * (d * f - e * 0.5 * Gv)
+    # det [[0, 0.5 Ev, 0.5 Gu], [0.5 Ev, e, f], [0.5 Gu, f, g]] by its first row
+    det2 = -0.5 * Ev * (0.5 * Ev * g - f * 0.5 * Gu) + 0.5 * Gu * (0.5 * Ev * f - e * 0.5 * Gu)
+    k = (det1 - det2) / (det * det)
+    return float(k) if k.ndim == 0 else k
 
 
 def _stencil_curvature(form, z, h: float):
     """Brioschi curvature of ``form`` on 3x3 stencils of spacing h and h/2
     around each centre of the flat array z, Richardson-combined; one
-    ``form`` call per spacing covers all centres."""
+    ``form`` and one ``brioschi_curvature`` call per spacing cover all
+    centres."""
     ks = []
     for hh in (h, 0.5 * h):
         offs = np.array([[complex(i * hh, j * hh) for i in (-1, 0, 1)] for j in (-1, 0, 1)])
         ms = form(z[:, None, None] + offs)
-        ks.append(np.array([brioschi_curvature(ms.E[i], ms.F[i], ms.G[i], hh, hh) for i in range(z.size)]))
+        ks.append(brioschi_curvature(ms.E, ms.F, ms.G, hh))
     return (4.0 * ks[1] - ks[0]) / 3.0
 
 
+# Stencil spacing of intrinsic_curvature.  An h and an h/2 stencil are paired
+# through Richardson extrapolation, which cancels the quadratic truncation
+# term; h near 5e-4 balances the remaining truncation against roundoff
+# amplified by the 1/h^2 weights.
+CURVATURE_STEP = 5e-4
+
+
 @pointwise
-def intrinsic_curvature(moduli: CanonicalModuli, ctx: ThetaContext, z, h: float = 5e-4):
+def intrinsic_curvature(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """Finite-difference Gauss curvature of the front at interior points z.
 
-    Flatness means this is zero up to stencil error.  An h and an h/2
-    stencil are paired through Richardson extrapolation, which cancels the
-    quadratic truncation term; h near 5e-4 balances the remaining
-    truncation against roundoff amplified by the 1/h^2 weights.  Accuracy
-    degrades where the metric is close to degenerate (|p| near 1, i.e.
-    near the singular circles and the real axis).  A centre gets the same
-    value in any batch.
+    Flatness means this is zero up to stencil error (spacing CURVATURE_STEP).
+    Accuracy degrades where the metric is close to degenerate (|p| near 1,
+    i.e. near the singular circles and the real axis).  A centre gets the
+    same value in any batch, and conjugate centres the same value bit for bit.
     """
-    return _stencil_curvature(lambda w: first_form(moduli, ctx, w), z, h)
+    return _stencil_curvature(lambda w: first_form(moduli, ctx, w), z, CURVATURE_STEP)
 
 
 # --- rotational family ----------------------------------------------------
@@ -370,7 +376,7 @@ def first_form_rotational(rot: RotationalModuli, g):
 
 
 @pointwise
-def intrinsic_curvature_rotational(rot: RotationalModuli, g, h: float = 5e-4):
+def intrinsic_curvature_rotational(rot: RotationalModuli, g, h: float = CURVATURE_STEP):
     """Finite-difference Gauss curvature of the rotational front at points g,
     as intrinsic_curvature computes it."""
     return _stencil_curvature(lambda w: first_form_rotational(rot, w), g, h)

@@ -140,11 +140,11 @@ def _shaped(arr, shape):
 def pointwise(fn):
     """The scalar/array convention of the point evaluators.
 
-    The point argument (``z``, or ``g`` in the rotational family) and a
-    ``g_val`` keyword reach the body as flat complex128 arrays.  Every array
-    the body returns, directly or as a dataclass field, comes back in the
-    shape of the point argument; a scalar or 0-d point gets Python scalars
-    (complex or float) instead.
+    The point argument (``z``, or ``g`` in the rotational family) reaches
+    the body as a flat complex128 array.  Every array the body returns,
+    directly or as a dataclass field, comes back in the shape of the point
+    argument; a scalar or 0-d point gets Python scalars (complex or float)
+    instead.
     """
     names = list(inspect.signature(fn).parameters)
     name = "z" if "z" in names else "g"
@@ -158,8 +158,6 @@ def pointwise(fn):
         else:
             point = np.asarray(kwargs[name], dtype=np.complex128)
             kwargs[name] = point.reshape(-1)
-        if kwargs.get("g_val") is not None:
-            kwargs["g_val"] = np.asarray(kwargs["g_val"], dtype=np.complex128).reshape(-1)
         out = fn(*args, **kwargs)
         shape = point.shape
         if is_dataclass(out):

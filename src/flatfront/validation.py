@@ -44,10 +44,9 @@ N_BOUNDARY = 512
 # curvature probe: a mid-band candidate lattice, kept off the real axis where
 # the markers sit; the stencil runs at the best-conditioned candidates because
 # its error grows without bound as |p| -> 1 (metric nearly degenerate).  The
-# candidates sit at positive angles: a conjugate candidate has the same |p|, so
-# the 4 best and their mirrors are the 8 best of the mirrored lattice.  K is
-# mirror-symmetric only up to rounding (the stencil sums run in mirrored
-# order), so it runs at both members of each pair.
+# candidates sit at positive angles: a conjugate candidate has the same |p| and
+# the same K, so the 4 best give the maximum over the 8 best of the mirrored
+# lattice.
 _CURV_FRACS = np.linspace(0.35, 0.65, 5)
 _CURV_ANGLES = np.linspace(0.25, np.pi - 0.25, 16)
 _CURV_PROBES = 4
@@ -161,8 +160,7 @@ def validate_moduli(
     direction on the real axis), so each point set is mirror-symmetric and
     only its closed upper half is evaluated: the grid columns j >= grid // 2,
     the upper halves of the circles, and the curvature candidates at
-    positive angles, whose 4 best probes are evaluated with their mirrors.
-    The fields equal those of the full sets bit for bit.
+    positive angles.  The fields equal those of the full sets bit for bit.
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
@@ -194,7 +192,7 @@ def validate_moduli(
         n_int, n_bnd = interior.size, 2 * circle.size
         p_abs = np.abs(shape_ratio(moduli, ctx, np.concatenate([interior, circle, moduli.r * circle, cand])))
         probes = cand[np.argsort(p_abs[n_int + n_bnd :])[:_CURV_PROBES]]
-        ks = intrinsic_curvature(moduli, ctx, np.concatenate([probes, np.conj(probes)]))
+        ks = intrinsic_curvature(moduli, ctx, probes)
         sing1, sing2, end = _collapse_and_end_errors(moduli, ctx)
         geo = {
             "max_abs_p_interior": float(p_abs[:n_int].max()),

@@ -181,7 +181,7 @@ def _band_curvatures(moduli, ctx, n_frac, n_ang, h):
         ks.append(
             np.array(
                 [
-                    brioschi_curvature(ms.E[i], ms.F[i], ms.G[i], hh, hh)
+                    brioschi_curvature(ms.E[i], ms.F[i], ms.G[i], hh)
                     for i in range(zs.size)
                 ]
             )
@@ -232,7 +232,7 @@ def test_criterion_6_metric_validation(capsys, flagship):
         mr = first_form_rotational(rot, w[:, None, None] + hh * offs[None])
         krs.append(
             np.array(
-                [brioschi_curvature(mr.E[i], mr.F[i], mr.G[i], hh, hh) for i in range(w.size)]
+                [brioschi_curvature(mr.E[i], mr.F[i], mr.G[i], hh) for i in range(w.size)]
             )
         )
     worst_k_rot = float(np.abs((4.0 * krs[1] - krs[0]) / 3.0).max())
@@ -255,7 +255,7 @@ def test_criterion_7_cross_route(capsys, flagship):
     moduli, ctx = flagship
     zs = _interior_points(moduli, 100, seed=17)
     g = gauss_map(moduli, ctx, zs)
-    gs = second_gauss_map(moduli, ctx, zs, g_val=g)
+    gs = second_gauss_map(moduli, ctx, zs)
     xi = np.exp(potential(moduli, ctx, zs))
     a = immerse(moduli, ctx, zs)
     b = immerse_from_gauss_data(g, gs, xi)

@@ -26,7 +26,6 @@ from flatfront.annulus import (
     gauss_square_log_deriv,
     gauss_square_winding,
     inv_gauss_gap,
-    is_at_infinity,
     potential,
     second_gauss_map,
     slit_map,
@@ -400,8 +399,8 @@ def test_potential_matches_raw_modulus(mod, ctx):
 def test_gauss_gap_identities(mod, ctx):
     z = _away_from_markers(_annulus_samples(mod.r, 80, seed=25), mod)
     g = gauss_map(mod, ctx, z)
-    F = inv_gauss_gap(mod, ctx, z, g_val=g)
-    gs = second_gauss_map(mod, ctx, z, g_val=g)
+    F = inv_gauss_gap(mod, ctx, z)
+    gs = second_gauss_map(mod, ctx, z)
     R = gauss_ratio(mod, ctx, z)
     assert np.abs(F * g - R).max() < 1e-12 * np.abs(R).max()
     assert np.abs(gs - (g - 1.0 / F)).max() < 1e-12 * np.abs(g).max()
@@ -410,8 +409,6 @@ def test_gauss_gap_identities(mod, ctx):
 def test_second_gauss_map_sentinel(mod, ctx):
     w = second_gauss_map(mod, ctx, complex(mod.z2))
     assert w == AT_INFINITY
-    assert is_at_infinity(w)
-    assert not is_at_infinity(1.0 + 2.0j)
     assert abs(inv_gauss_gap(mod, ctx, complex(mod.z2))) < 1e-10
 
 

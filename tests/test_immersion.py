@@ -184,7 +184,7 @@ def test_shape_ratio_dual_route(mod, ctx):
     # |p| = e^4u |w_hopf / g'| from independently assembled pieces
     zs = _interior_samples(mod, 60, seed=37)
     g = gauss_map(mod, ctx, zs)
-    gp = gauss_map_deriv(mod, ctx, zs, g_val=g)
+    gp = gauss_map_deriv(mod, ctx, zs)
     R = gauss_ratio(mod, ctx, zs)
     Rp = gauss_ratio_deriv(mod, ctx, zs)
     e2 = np.exp(2.0 * potential(mod, ctx, zs))
@@ -210,7 +210,7 @@ def test_cross_route_agreement(mod, ctx):
     # generic-data route (g, g*, |xi| = e^u) against the direct route
     zs = _interior_samples(mod, 100, seed=41)
     g = gauss_map(mod, ctx, zs)
-    gs = second_gauss_map(mod, ctx, zs, g_val=g)
+    gs = second_gauss_map(mod, ctx, zs)
     xi = np.exp(potential(mod, ctx, zs))
     a = immerse(mod, ctx, zs)
     b = immerse_from_gauss_data(g, gs, xi)
@@ -236,9 +236,8 @@ def test_loop_integral_around_end(mod, ctx):
     n, rad = 4096, 0.08
     tt = np.linspace(0, 2 * np.pi, n + 1)[:-1]
     zc = mod.z0 + rad * np.exp(1j * tt)
-    g = gauss_map(mod, ctx, zc)
-    gp = gauss_map_deriv(mod, ctx, zc, g_val=g)
-    F = inv_gauss_gap(mod, ctx, zc, g_val=g)
+    gp = gauss_map_deriv(mod, ctx, zc)
+    F = inv_gauss_gap(mod, ctx, zc)
     dz = 1j * rad * np.exp(1j * tt) * (2 * np.pi / n)
     loop = (F * gp * dz).sum()
     assert abs(loop - 1j * np.pi) < 1e-10
@@ -264,9 +263,9 @@ def test_brioschi_sphere_control():
     E = np.tile(np.cos(v0 + vv) ** 2, (3, 1)).T
     F = np.zeros((3, 3))
     G = np.ones((3, 3))
-    assert brioschi_curvature(E, F, G, h, h) == pytest.approx(1.0, abs=1e-5)
+    assert brioschi_curvature(E, F, G, h) == pytest.approx(1.0, abs=1e-5)
     with pytest.raises(ValueError):
-        brioschi_curvature(E[:2], F, G, h, h)
+        brioschi_curvature(E[:2], F, G, h)
 
 
 def test_intrinsic_flatness(mod, ctx):
@@ -356,7 +355,7 @@ def test_rotational_metric_and_flatness():
         for hh in (h, h / 2):
             st = np.array([[complex(i * hh, j * hh) for i in (-1, 0, 1)] for j in (-1, 0, 1)])
             m2 = first_form_rotational(rot, wc + st)
-            ks.append(brioschi_curvature(m2.E, m2.F, m2.G, hh, hh))
+            ks.append(brioschi_curvature(m2.E, m2.F, m2.G, hh))
         worst = max(worst, abs((4 * ks[1] - ks[0]) / 3))
     assert worst < 1e-4
 
@@ -389,7 +388,7 @@ for _fn in (
     gauss_map_square, gauss_square_log_deriv, gauss_map, gauss_map_deriv, potential,
     inv_gauss_gap, second_gauss_map, immerse, first_form, shape_ratio, intrinsic_curvature,
 ):
-    _POINTWISE[_fn.__name__] = lambda z, fn=_fn, **kw: fn(FLAGSHIP, _FLAG_CTX, z, **kw)
+    _POINTWISE[_fn.__name__] = lambda z, fn=_fn: fn(FLAGSHIP, _FLAG_CTX, z)
 
 
 def _fields(value):
@@ -412,14 +411,12 @@ def test_pointwise_convention(name):
                 # a Python scalar of the array's kind, equal bit for bit
                 assert type(v) is type(a[idx].item())
                 assert np.asarray(v, dtype=a.dtype).tobytes() == a[idx].tobytes()
-    if name in ("gauss_map_deriv", "inv_gauss_gap", "second_gauss_map", "first_form"):
-        g = gauss_map(FLAGSHIP, _FLAG_CTX, _GRID)
-        for v, a in zip(_fields(f(_GRID, g_val=g)), arrays):
-            assert v.shape == _GRID.shape and v.tobytes() == a.tobytes()
 
 
 def test_first_form_stencil_batch_equals_per_stencil_calls():
-    # criterion 6's curvature stencils: 100 centres, each with 3x3 offsets
+    # criterion 6's curvature stencils: 100 centres, each with 3x3 offsets.
+    # first_form and brioschi_curvature give each stencil the same bits in a
+    # stacked call as alone, and one stencil's K is a float
     moduli, _ = solve_canonical(0.25, -0.5)
     ctx = moduli.context()
     fracs = np.linspace(0.45, 0.55, 5)
@@ -428,10 +425,15 @@ def test_first_form_stencil_batch_equals_per_stencil_calls():
     zs = (np.exp(np.log(moduli.r) * fracs)[:, None] * np.exp(1j * angs)[None, :]).ravel()
     offs = np.array([[complex(i, j) for i in (-1, 0, 1)] for j in (-1, 0, 1)])
     stencils = zs[:, None, None] + 5e-4 * offs[None]
-    batch = _fields(first_form(moduli, ctx, stencils))
+    ms = first_form(moduli, ctx, stencils)
+    batch = _fields(ms)
+    stacked_k = brioschi_curvature(ms.E, ms.F, ms.G, 5e-4)
+    assert stacked_k.shape == zs.shape
     for i, stencil in enumerate(stencils):
         for v, a in zip(_fields(first_form(moduli, ctx, stencil)), batch):
             assert v.tobytes() == a[i].tobytes()
+        k = brioschi_curvature(ms.E[i], ms.F[i], ms.G[i], 5e-4)
+        assert type(k) is float and np.float64(k).tobytes() == stacked_k[i].tobytes()
 
 
 def _evaluated_points(moduli, ctx):
@@ -475,15 +477,18 @@ def test_mirror_symmetry_of_the_evaluators(r, s):
     a, b = immerse(moduli, ctx, z), immerse(moduli, ctx, zc)
     assert _bits(b.horizontal) == _bits(np.conj(a.horizontal))
     assert _bits(b.height) == _bits(a.height)
+    # the first form: E, G and lambda_sq are even in Im z and F is odd
+    m, mc = first_form(moduli, ctx, z), first_form(moduli, ctx, zc)
+    for name in ("E", "G", "lambda_sq"):
+        assert _bits(getattr(mc, name)) == _bits(getattr(m, name)), name
+    assert _bits(mc.F) == _bits(-m.F)
     # the curvature stencil needs room inside the annulus, so it runs on the
-    # grid and on the end circle.  K is mirror-symmetric only up to rounding:
-    # the stencil's sums run in mirrored order, and at the flagship 3 of the
-    # 128 grid points differ, by up to 1.1e-8 (2.5e-4 relative at (0.6, -0.8),
-    # where K next to the circles is rounding noise of size up to 1e16).
-    # Validate therefore evaluates K at both members of each probe pair.
+    # grid and on the end circle; its sums are grouped symmetrically, so a
+    # stencil and its mirror image give the same K, which is why validate
+    # evaluates K at the positive-angle probes only
     zk = np.concatenate([grid, end_ring])
     k, kc = intrinsic_curvature(moduli, ctx, zk), intrinsic_curvature(moduli, ctx, np.conj(zk))
-    np.testing.assert_allclose(kc, k, rtol=1e-3, atol=1e-3 * validation.CURVATURE_TOL)
+    assert _bits(kc) == _bits(k)
 
 
 @pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.1, -0.1)])
