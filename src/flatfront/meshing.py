@@ -202,10 +202,12 @@ def write_obj(mesh: SurfaceMesh, path) -> None:
     lines = [f"# model {mesh.model}"]
     for tag, ring in zip(("inner", "outer"), mesh.boundary_rings):
         lines.append(_ring_comment(tag, ring, one_based=True))
-    lines += [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices.tolist()]
-    lines += [f"f {a} {b} {c}" for a, b, c in (mesh.faces + 1).tolist()]
+    # one format operation per block: %.17g and %d render a float and an
+    # int as the f-string specs .17g and plain {} do
+    vertices = ("v %.17g %.17g %.17g\n" * len(mesh.vertices)) % tuple(mesh.vertices.ravel().tolist())
+    faces = ("f %d %d %d\n" * len(mesh.faces)) % tuple((mesh.faces + 1).ravel().tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n" + vertices + faces)
 
 
 def write_ply(mesh: SurfaceMesh, path) -> None:

@@ -34,13 +34,21 @@ is x * (1/y); so the real path writes every quotient that way (one division
 function per call, chosen from the dtype), and takes z**k from numpy's
 complex integer power.
 
-Evaluation runs over chunks of points.  Each chunk builds the factor table
-(1 - r^(2k) v)(1 - r^(2k) / v) for a block of k in a few array operations,
-plus the tables of the log-derivative terms, and multiplies (or adds) the
-rows into the result in order of k.  Every point sees the same operations
-in the same order as in a term-by-term loop, so a value does not depend on
-the batch it is computed in: a scalar call and the same point inside a batch
-of any size agree bit for bit.
+Each pair of factors of the band product is one symmetric factor
+
+    D_k = (1 - r^(2k) v)(1 - r^(2k) / v) = (1 + r^(4k)) - r^(2k) (v + 1/v),
+
+the form of the classical product theta1 = 2 q^(1/4) sin z prod (1 - q^(2n))
+(1 - 2 q^(2n) cos 2z + q^(4n)) with v = e^(2iz); so a term needs no division
+for theta and one, r^(2k) / D_k, for the logarithmic derivatives.
+
+Evaluation runs over chunks of points.  Each chunk builds the table of D_k
+for a block of k in a few array operations, plus the table of the
+log-derivative terms, and multiplies (or adds) the rows into the result in
+order of k.  Every point sees the same operations in the same order as in a
+term-by-term loop, so a value does not depend on the batch it is computed
+in: a scalar call and the same point inside a batch of any size agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -190,15 +198,15 @@ def _quotient(z):
 
 @functools.lru_cache(maxsize=128)
 def _term_columns(r: float, n_terms: int, dtype):
-    """The columns p_k = r^(2k), -p_k and -p_k^2 for k = 1..n_terms.
+    """The columns p_k = r^(2k) and 1 + p_k^2 for k = 1..n_terms.
 
-    Each is a read-only (n_terms, 1) array of the given dtype whose entries
-    are the Python floats r ** (2 * k) and their negations, so a table row
-    carries the same operands as one factor of the product.
+    Each is a read-only (n_terms, 1) array of the given dtype built from the
+    Python floats r ** (2 * k), so a table row carries the same operands as
+    one factor D_k = (1 + p_k^2) - p_k (v + 1/v) of the product.
     """
     p = [r ** (2 * k) for k in range(1, n_terms + 1)]
     cols = []
-    for vals in (p, [-x for x in p], [-(x * x) for x in p]):
+    for vals in (p, [1.0 + x * x for x in p]):
         col = np.array(vals, dtype=dtype).reshape(-1, 1)
         col.flags.writeable = False
         cols.append(col)
@@ -225,41 +233,54 @@ def _fold(ufunc, out, rows):
 def _band_core(ctx: ThetaContext, v, order: int, div):
     """Product and log-derivative sums over the factors other than (1 - 1/v).
 
-    Returns (P, L, Lp) with P = C * prod_k (1 - p_k v)(1 - p_k / v), L the
-    sum of f'/f over these factors and Lp its derivative, all of v's dtype.
-    None of these factors vanishes on the band.  Every quotient with a
-    numerator other than 1 goes through div (see :func:`_quotient`): complex
-    tables divide in numpy's scalar loop, float tables as x * (1/y), which
-    is the same bits and several times cheaper.
+    Returns (P, L, Lp) with P = C * prod_k D_k, L the sum of f'/f over these
+    factors and Lp its derivative, all of v's dtype.  Each pair of factors is
+    one symmetric factor
 
-    Each chunk of _CHUNK points builds its factor table (1 - p_k v)(1 - p_k/v)
-    and the matching L and Lp term tables, one row per k, for a block of k
-    at a time, and folds the rows into the outputs in order of k.  The
-    arithmetic per point is that of a term-by-term loop, so a point gets the
-    same bits whatever batch it is part of.
+        D_k = (1 - p_k v)(1 - p_k / v) = (1 + p_k^2) - p_k u,   u = v + 1/v,
+
+    none of which vanishes on the band.  With t_k = p_k / D_k, the sums
+    S1 = sum t_k and S2 = sum t_k^2 give L = -u' S1 and
+    Lp = -u'' S1 - u'^2 S2, where u' = 1 - 1/v^2 and u'' = 2/v^3; so a term
+    costs no division at order 0 and one, t_k, at orders 1 and 2.  Every
+    quotient with a numerator other than 1 goes through div (see
+    :func:`_quotient`): complex tables divide in numpy's scalar loop, float
+    tables as x * (1/y), which is the same bits and several times cheaper.
+
+    Each chunk of _CHUNK points computes u once and builds the table of D_k,
+    and of t_k at orders 1 and 2, one row per k, for a block of k at a time,
+    and folds the rows into the outputs in order of k.  The arithmetic per
+    point is that of a term-by-term loop, so a point gets the same bits
+    whatever batch it is part of.
     """
     step = min(max(v.size, _TABLE_MIN), _TABLE_MAX) // max(min(v.size, _CHUNK), 1)
     cols = _term_columns(ctx.r, ctx.n_terms, v.dtype.type)
     blocks = [[col[k : k + step] for col in cols] for k in range(0, ctx.n_terms, step)]
     P = np.empty(v.shape, dtype=v.dtype)
-    L = np.zeros(v.shape, dtype=v.dtype) if order >= 1 else None
-    Lp = np.zeros(v.shape, dtype=v.dtype) if order >= 2 else None
+    S1 = np.zeros(v.shape, dtype=v.dtype) if order >= 1 else None
+    S2 = np.zeros(v.shape, dtype=v.dtype) if order >= 2 else None
     for lo in range(0, v.size, _CHUNK):
         chunk = slice(lo, lo + _CHUNK)
         w = v[chunk]
+        u = w + 1.0 / w
         P[chunk] = ctx.c_const
-        for p, neg_p, neg_pp in blocks:
-            a = 1.0 - p * w
-            # explicit calls keep the operand order of a complex product,
-            # which is not commutative bit for bit
-            _fold(np.multiply, P[chunk], np.multiply(a, 1.0 - div(p, w)))
+        for p, one_pp in blocks:
+            D = one_pp - p * u
+            _fold(np.multiply, P[chunk], D)
             if order >= 1:
-                vb = w * (w - p)
-                _fold(np.add, L[chunk], div(neg_p, a) + div(p, vb))
+                t = div(p, D)
+                _fold(np.add, S1[chunk], t)
             if order >= 2:
-                terms = div(neg_pp, a * a) - div(np.multiply(p, 2.0 * w - p), vb * vb)
-                _fold(np.add, Lp[chunk], terms)
-    return P, L, Lp
+                _fold(np.add, S2[chunk], t * t)
+    if order < 1:
+        return P, None, None
+    # explicit calls keep the operand order of a complex product, which is
+    # not commutative bit for bit
+    du = 1.0 - 1.0 / (v * v)
+    L = np.multiply(-du, S1)
+    if order < 2:
+        return P, L, None
+    return P, L, np.multiply(div(-2.0, v * v * v), S1) - np.multiply(du * du, S2)
 
 
 def _band_eval(ctx: ThetaContext, v, order: int, div):

@@ -39,6 +39,14 @@ def theta_product_deriv(r, z, n=N_TERMS):
     return theta_product(r, z, n) * L
 
 
+def log_slope_deriv(r, z, n=N_TERMS):
+    """d/dz of z theta'(z) / theta(z), from mpmath's numerical derivatives
+    of the plain product (valid away from zeros)."""
+    z = mp.mpc(z)
+    t0, t1, t2 = mp.diffs(lambda w: theta_product(r, w, n), z, 2)
+    return t1 / t0 + z * (t2 * t0 - t1 * t1) / (t0 * t0)
+
+
 def tail_constant_cubed(r, n=N_TERMS):
     r = mp.mpf(r)
     c = mp.mpf(1)

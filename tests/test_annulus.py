@@ -45,9 +45,9 @@ FLAGSHIP = CanonicalModuli(
     z1=-0.2792126912190024,
     z2=-0.8953747729321901,
     c1=-8.953747729321904,
-    c2=-0.5584253824380045,
+    c2=-0.5584253824380048,
     a_R=0.1068759460214252,
-    b_R=0.8206278380642756,
+    b_R=0.8206278380642757,
     c_height=2.233701529752019,
 )
 

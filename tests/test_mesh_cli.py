@@ -163,6 +163,24 @@ def test_obj_round_trip(tmp_path, mesh16):
     assert int(fs[0][0]) >= 1  # one-based indices
 
 
+@pytest.mark.parametrize("model", ["halfspace", "klein"])
+def test_obj_bytes_equal_per_line_rendering(tmp_path, model):
+    # the block-formatted writer gives the bytes of one f-string per line,
+    # also for a negative zero, a tiny height and a huge coordinate
+    mesh = canonical_mesh(FLAGSHIP, n_rho=8, n_theta=12, model=model)
+    mesh.vertices[0] = (-0.0, 0.5, 1e-300)
+    mesh.vertices[1, 0] = -1.2345678901234567e300
+    path = tmp_path / "m.obj"
+    write_obj(mesh, path)
+    lines = [f"# model {model}"]
+    for tag, ring in zip(("inner", "outer"), mesh.boundary_rings):
+        lines.append(f"# ring {tag} " + " ".join(str(i + 1) for i in ring))
+    lines += [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {a} {b} {c}" for a, b, c in (mesh.faces + 1).tolist()]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert b"\nv -0 0.5 1e-300\n" in path.read_bytes()
+
+
 def test_ply_round_trip(tmp_path, mesh16):
     path = tmp_path / "m.ply"
     write_ply(mesh16, path)

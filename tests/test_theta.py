@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flatfront import theta as T
-from oracles import theta_product, theta_product_deriv
+from oracles import log_slope_deriv, theta_product, theta_product_deriv
 
 
 # Frozen from a 200-term product evaluated with mpmath at 50 digits
@@ -178,6 +178,23 @@ def test_dtheta1_next_to_zeros(r) -> None:
     for z in pts:
         want = complex(theta_product_deriv(r, z))
         assert abs(T.dtheta1(ctx, z) - want) <= 1e-13 * abs(want), z
+
+
+@pytest.mark.parametrize("r", [0.05, 0.25, 0.7, 0.9])
+def test_log_slope_deriv_against_oracle(r) -> None:
+    # the second-order path against mpmath's derivatives of the product:
+    # both band edges |v| = r and 1/r, where the factors D_k come closest
+    # to zero, one complex point inside the band, and 1 +- 1e-6 next to
+    # the zero.  Away from the zero the error is at most 3e-14; next to it
+    # the split-off factor 1 - 1/v carries an absolute rounding of about
+    # 1e-16, so the error there is about 1e-16 / 1e-6 (4.6e-11 measured)
+    ctx = T.ThetaContext.create(r)
+    edges = [rho * complex(np.cos(phi), np.sin(phi)) for rho in (r, 1.0 / r) for phi in (0.3, 1.9, -2.6)]
+    cases = [(z, 1e-13) for z in edges + [complex(0.6, -0.45)]]
+    cases += [(1.0 + 1e-6, 1e-10), (1.0 - 1e-6, 1e-10)]
+    for z, tol in cases:
+        want = complex(log_slope_deriv(r, z))
+        assert abs(T.log_slope_deriv(ctx, z) - want) <= tol * abs(want), z
 
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 0.9])
