@@ -14,6 +14,8 @@ evaluates:
   form g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)),
 * ``gauss_map_square`` - W = (z g)^2,
 * ``_shape_factor`` - Q1 z^m / (1-R), whose modulus is exp(2u),
+* ``_gauss_log_deriv`` - g'/g = (log_slope(z2 z) - log_slope(z1 z) - 1) / z,
+  from the theta product form of g, with no poles on the closed annulus,
 * ``potential`` - the harmonic function u with exp(2u) = |Q1 z^m / (1-R)|,
   from the raw quotients (an independent route to the shape factor),
 * ``inv_gauss_gap`` / ``second_gauss_map`` - F = R/g and g* = g - 1/F.
@@ -31,6 +33,13 @@ quotients, at z0, z1 and z2, never appear.  W has double zeros at r^(2k)/z2
 and double poles at r^(2k)/z1, on the negative real axis off the annulus,
 so its square root is single-valued with no branch to track.  The two
 constants sqrt(C) and K' are computed once per surface.
+
+A slit value takes two kernel calls, at marker/z and marker z, and the
+kernel gives a point the same bits in any batch; so ``_slit_parts`` takes a
+marker per point, and the four slit values that tie the stored fields to
+the markers (slit_map(z0, z1), slit_map(z0, z2), slit_map(z1, z0) and
+slit_map(z2, z0), see ``_marker_slits``) come from one two-call pass with
+the bits of four separate ``slit_map`` calls.
 """
 
 from __future__ import annotations
@@ -140,17 +149,29 @@ def _require_annulus(ctx: ThetaContext, flat, who: str):
         raise ValueError(f"{who}: argument outside the closed annulus [{ctx.r}, 1]")
 
 
-def _slit_parts(ctx: ThetaContext, marker: float, z, order: int, who: str = "slit_map"):
-    """(slit_map, slit_map_deriv, theta1(marker z)) at the flat points z from
-    one kernel call per argument, marker/z and marker z; the derivative is
-    None unless order is 2.  theta1 and its first derivative do not depend
-    on the order, so each value has the bits of its own evaluator."""
+def _slit_parts(ctx: ThetaContext, marker, z, order: int, who: str = "slit_map"):
+    """(slit_map, slit_map_deriv, theta1(marker/z), theta1(marker z)) at the
+    flat points z from one kernel call per argument, marker/z and marker z;
+    the derivative is None unless order is 2.  marker is a float or a float
+    array that broadcasts against z.  theta1 and its first derivative do not
+    depend on the order, and a point's value not on its batch, so each value
+    has the bits of its own evaluator."""
     _require_annulus(ctx, z, who)
-    h_in, hp_in, _ = _log_slopes(ctx, marker / z, order)
+    h_in, hp_in, theta_in = _log_slopes(ctx, marker / z, order)
     h_out, hp_out, theta_out = _log_slopes(ctx, marker * z, order)
     q = -(h_in + h_out) / marker
     qp = hp_in / (z * z) - hp_out if order >= 2 else None
-    return q, qp, theta_out
+    return q, qp, theta_in, theta_out
+
+
+def _marker_slits(ctx: ThetaContext, z0: float, z1: float, z2: float):
+    """(slit_map(z0, z1), slit_map(z0, z2), c1, c2), the first two complex,
+    with the real parts c1 and c2 of slit_map(z1, z0) and slit_map(z2, z0),
+    from one pass over the four points, with the bits of one-point calls."""
+    q = _slit_parts(
+        ctx, np.array([z0, z0, z1, z2]), np.array([z1, z2, z0, z0], dtype=np.complex128), 1
+    )[0]
+    return complex(q[0]), complex(q[1]), float(q[2].real), float(q[3].real)
 
 
 @pointwise
@@ -186,8 +207,12 @@ def theta_quotient(ctx: ThetaContext, marker: float, z):
 
 def fit_gauss_ratio(ctx: ThetaContext, z0: float, z1: float, z2: float):
     """Coefficients (a_R, b_R) with R = a_R slit_map(z0, .) + b_R, R(z1)=1, R(z2)=0."""
-    q_at_1 = slit_map(ctx, z0, complex(z1))
-    q_at_2 = slit_map(ctx, z0, complex(z2))
+    q_at_1, q_at_2 = slit_map(ctx, z0, np.array([z1, z2], dtype=np.complex128))
+    return _ratio_coefficients(complex(q_at_1), complex(q_at_2), z1, z2)
+
+
+def _ratio_coefficients(q_at_1: complex, q_at_2: complex, z1: float, z2: float):
+    """fit_gauss_ratio from q_at_1 = slit_map(z0, z1) and q_at_2 = slit_map(z0, z2)."""
     gap = q_at_1 - q_at_2
     if abs(gap) < 1e-12 * (abs(q_at_1) + abs(q_at_2) + 1.0):
         raise DegenerateConfigurationError(
@@ -209,11 +234,6 @@ def gauss_ratio_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     return moduli.a_R * slit_map_deriv(ctx, moduli.z0, z)
 
 
-def _square_log_deriv(moduli: CanonicalModuli, z, R, Rp, q1v, q2v):
-    """W'/W from R, R' and the slit maps q1, q2 at the flat points z."""
-    return Rp / (R * (1.0 - R)) + (moduli.z1 * q1v - moduli.z2 * q2v) / z
-
-
 @pointwise
 def gauss_square_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """W'/W = R'/(R(1-R)) + (z1 q1(z) - z2 q2(z)) / z.
@@ -223,7 +243,7 @@ def gauss_square_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """
     R, Rp = gauss_ratio(moduli, ctx, z), gauss_ratio_deriv(moduli, ctx, z)
     q1v, q2v = slit_map(ctx, moduli.z1, z), slit_map(ctx, moduli.z2, z)
-    return _square_log_deriv(moduli, z, R, Rp, q1v, q2v)
+    return Rp / (R * (1.0 - R)) + (moduli.z1 * q1v - moduli.z2 * q2v) / z
 
 
 # --- Gauss map ----------------------------------------------------------
@@ -264,9 +284,7 @@ def _surface_constants(moduli: CanonicalModuli, ctx: ThetaContext) -> tuple[floa
     z1 z2 r^(2(m+2)) = 1.  RepresentationError names the first that fails.
     """
     z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
-    q1, q2 = slit_map(ctx, z0, np.array([z1, z2], dtype=np.complex128))
-    c1 = slit_map(ctx, z1, complex(z0)).real
-    c2 = slit_map(ctx, z2, complex(z0)).real
+    q1, q2, c1, c2 = _marker_slits(ctx, z0, z1, z2)
     gap = moduli.a_R * (q1 - q2) - 1.0
     if not (abs(gap) <= 1e-8 and abs(moduli.c1 - c1) <= 1e-8 * abs(c1)):
         raise RepresentationError(
@@ -336,18 +354,36 @@ def gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
 # --- shape factor, potential and Gauss-map gap --------------------------
 
 
-def _shape_factor(moduli: CanonicalModuli, ctx: ThetaContext, z, b=None, c=None):
-    """Q1 z^m / (1-R) = -z^(m+1) theta1(z/z0) theta1(z z0) / (z1 K' theta1(z z1)^2).
+def _gauss_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
+    """(g'/g, theta1(z1 z)) at the flat points z from one order-1 kernel call
+    at each of z2 z and z1 z.
+
+    The log-derivative of g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)) is
+    g'/g = (h(z2 z) - h(z1 z) - 1) / z with h = log_slope.  Its terms have
+    no poles on the closed annulus, so unlike W'/W (gauss_square_log_deriv)
+    it keeps its digits next to z1 and z2.
+    """
+    h2, _, _ = _log_slopes(ctx, moduli.z2 * z, 1)
+    h1, _, theta_z1 = _log_slopes(ctx, moduli.z1 * z, 1)
+    return (h2 - h1 - 1.0) / z, theta_z1
+
+
+def _shape_factor(moduli: CanonicalModuli, ctx: ThetaContext, z, thetas=None):
+    """Q1 z^m / (1-R) = -z^(m+1) theta1(z/z0) theta1(z0 z) / (z1 K' theta1(z1 z)^2).
 
     On flat arrays z, with the principal-branch z^m; its modulus is exp(2u).
-    b and c, when given, are theta1(z z0) and theta1(z z1) at the same
-    points.  Regular at z1 and z2 and zero at the end z0.  Raises
-    RepresentationError for moduli whose fields do not fit their markers.
+    theta1(z/z0) is read as -(z0/z) theta1(z0/z), by theta1(1/w) = -w
+    theta1(w), so the factor's arguments are z0/z and z0 z, those of the
+    slit map at z0, and z1 z, that of g.  thetas, when given, are
+    theta1(z0/z), theta1(z0 z) and theta1(z1 z) at the same points.  Regular
+    at z1 and z2 and zero at the end z0.  Raises RepresentationError for
+    moduli whose fields do not fit their markers.
     """
     _, k_prime = _surface_constants(moduli, ctx)
-    a, _, _ = _eval(ctx, z / moduli.z0, 0)
-    b = _eval(ctx, z * moduli.z0, 0)[0] if b is None else b
-    c = _eval(ctx, z * moduli.z1, 0)[0] if c is None else c
+    if thetas is None:
+        thetas = [_eval(ctx, w, 0)[0] for w in (moduli.z0 / z, moduli.z0 * z, moduli.z1 * z)]
+    a, b, c = thetas
+    a = -(moduli.z0 / z) * a
     return -z * np.exp(moduli.m * np.log(z)) * a * b / (moduli.z1 * k_prime * c * c)
 
 

@@ -28,11 +28,11 @@ import numpy as np
 from .annulus import (
     CanonicalModuli,
     DegenerateConfigurationError,
+    _gauss_log_deriv,
     _gauss_map_deriv,
     _gauss_map_parts,
     _shape_factor,
     _slit_parts,
-    _square_log_deriv,
     gauss_map,
     gauss_map_square,
     gauss_ratio,
@@ -87,11 +87,11 @@ def immerse(moduli: CanonicalModuli, ctx: ThetaContext, z):
     if near_end.any():
         work[near_end] = 0.5 * (moduli.z0 + moduli.z1)
 
-    # theta1(z z1) and theta1(z z0) of the shape factor come from g and R
+    # the shape factor's theta values come from the kernel calls of g and R
     g, theta_z1 = _gauss_map_parts(moduli, ctx, work)
-    q0, _, theta_z0 = _slit_parts(ctx, moduli.z0, work, 1)
+    q0, _, theta_in, theta_z0 = _slit_parts(ctx, moduli.z0, work, 1)
     R = moduli.a_R * q0 + moduli.b_R
-    e2 = np.abs(_shape_factor(moduli, ctx, work, theta_z0, theta_z1))
+    e2 = np.abs(_shape_factor(moduli, ctx, work, (theta_in, theta_z0, theta_z1)))
     F = R / g
     psi3 = e2 / (1.0 + e2 * e2 * np.abs(F) ** 2)
     horiz = g - psi3 * e2 * np.conj(F)
@@ -192,20 +192,20 @@ def shape_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z):
     interior; |p| also equals e^4u |w_hopf / g'|.  Evaluated as
     p = factor^2 z^2 (R' / (g'/g) + R (R - 1)) / W with the shape factor
     Q1 z^m / (1-R) and W = (z g)^2.  Its principal-branch power z^m makes
-    the phase of p (not its modulus) jump across arg z = pi.  g'/g
-    subtracts poles that cancel at z1 and z2, so p loses digits close to
-    those markers (see gauss_square_log_deriv).  Each theta argument is
-    evaluated once: R and R' share their kernel calls, and the shape
-    factor's theta1(z z0) and theta1(z z1) come from those of R and q1.
+    the phase of p (not its modulus) jump across arg z = pi.  g'/g comes
+    from the theta product form of g (see _gauss_log_deriv), which has no
+    poles to cancel, so p keeps its digits next to the markers z1 and z2.
+    The surface needs four theta arguments, z0/z, z0 z, z1 z and z2 z: R
+    and R' share the slit map's two kernel calls, g'/g takes one each at
+    z1 z and z2 z, and the shape factor reads its theta values from those
+    calls; W takes gauss_map_square's two.
     """
-    q0, q0p, theta_z0 = _slit_parts(ctx, moduli.z0, z, 2)
+    q0, q0p, theta_in, theta_z0 = _slit_parts(ctx, moduli.z0, z, 2)
     R = moduli.a_R * q0 + moduli.b_R
     Rp = moduli.a_R * q0p
-    q1v, _, theta_z1 = _slit_parts(ctx, moduli.z1, z, 1)
-    q2v, _, _ = _slit_parts(ctx, moduli.z2, z, 1)
+    g_log, theta_z1 = _gauss_log_deriv(moduli, ctx, z)
     W = gauss_map_square(moduli, ctx, z)
-    g_log = 0.5 * _square_log_deriv(moduli, z, R, Rp, q1v, q2v) - 1.0 / z
-    factor = _shape_factor(moduli, ctx, z, theta_z0, theta_z1)
+    factor = _shape_factor(moduli, ctx, z, (theta_in, theta_z0, theta_z1))
     return factor * factor * z * z * (Rp / g_log + R * (R - 1.0)) / W
 
 

@@ -26,6 +26,12 @@ bodies of the theta functions on float64 arrays, which the kernel evaluates
 in float64 with the bits of its complex path (see flatfront.theta).  A
 Newton step takes log_slope and its derivative at all its points from one
 order-2 kernel call, a pairing value of the scan from one order-1 call.
+
+The closing step reads c1 = slit_map(z1, z0), c2 = slit_map(z2, z0) and the
+two slit values of fit_gauss_ratio from one stacked pass (two kernel calls
+over four points), and residuals reads R'(z1) and R'(z2) from another; the
+kernel gives a point the same bits in any batch, so the moduli and the
+residuals equal those of the one-point calls bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .annulus import CanonicalModuli, fit_gauss_ratio, slit_map, slit_map_deriv
+from .annulus import CanonicalModuli, _marker_slits, _ratio_coefficients, _slit_parts
 from .theta import ThetaContext, ThetaPoleError, _log_slopes, _pair_slope
 
 SCAN_POINTS = 256
@@ -311,9 +317,8 @@ def solve_canonical(
             trace.chosen_bracket,
         )
         z1 = P / z2
-        c1 = slit_map(ctx, z1, complex(z0)).real
-        c2 = slit_map(ctx, z2, complex(z0)).real
-        a_R, b_R = fit_gauss_ratio(ctx, z0, z1, z2)
+        q1, q2, c1, c2 = _marker_slits(ctx, z0, z1, z2)
+        a_R, b_R = _ratio_coefficients(q1, q2, z1, z2)
     except ThetaPoleError as exc:
         # a probe exactly on a zero r^(2k) of theta1 is a stage failure
         raise BracketError(
@@ -345,8 +350,11 @@ def residuals(moduli: CanonicalModuli, ctx: ThetaContext | None = None) -> dict:
     if ctx is None:
         ctx = ThetaContext.create(moduli.r)
     a = moduli.a_R
-    rp1 = a * slit_map_deriv(ctx, moduli.z0, complex(moduli.z1)).real
-    rp2 = a * slit_map_deriv(ctx, moduli.z0, complex(moduli.z2)).real
+    # R'(z1) and R'(z2) from one pass, with the bits of one-point slit_map_deriv calls
+    _, qp, _, _ = _slit_parts(
+        ctx, moduli.z0, np.array([moduli.z1, moduli.z2], dtype=np.complex128), 2, "slit_map_deriv"
+    )
+    rp1, rp2 = a * qp.real
     c1_res = moduli.m + moduli.c1 * moduli.z1 - moduli.z1 * rp1 + moduli.z2 * rp2
     c2_res = moduli.c1 * moduli.z1 - moduli.c2 * moduli.z2 - 2.0
     c3_res = moduli.z1 * moduli.z2 * moduli.r ** (2.0 * (moduli.m + 2.0)) - 1.0

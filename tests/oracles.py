@@ -47,6 +47,45 @@ def log_slope_deriv(r, z, n=N_TERMS):
     return t1 / t0 + z * (t2 * t0 - t1 * t1) / (t0 * t0)
 
 
+def _log_slope(r, w, n):
+    return w * theta_product_deriv(r, w, n) / theta_product(r, w, n)
+
+
+def shape_ratio(moduli, z, n=N_TERMS):
+    """The shape ratio p = factor^2 z^2 (R'/(g'/g) + R (R - 1)) / W at z, for
+    a mapping of the float moduli fields r, m, z0, z1, z2, a_R and b_R.
+
+    Built from the definitions on the plain product: R = a_R q(z0, z) + b_R
+    with the slit map q(c, z) = -(h(c/z) + h(c z))/c, h(w) = w theta'/theta;
+    g = theta(z2 z) / (z theta(z1 z)) up to its constant; W = C theta(z2 z)^2
+    / theta(z1 z)^2 with C = -theta(z1/z0) theta(z1 z0) / (theta(z2/z0)
+    theta(z2 z0)); the shape factor -z^(m+1) theta(z/z0) theta(z z0) / (z1 K'
+    theta(z z1)^2) with K' = theta(z2/z0) theta(z2 z0) / (theta(z2/z1)
+    theta(z2 z1)).  R' and g' are mpmath's numerical derivatives.
+    """
+    r, m = mp.mpf(moduli["r"]), mp.mpf(moduli["m"])
+    z0, z1, z2 = (mp.mpf(moduli[k]) for k in ("z0", "z1", "z2"))
+    a_R, b_R = mp.mpf(moduli["a_R"]), mp.mpf(moduli["b_R"])
+    z = mp.mpc(z)
+
+    def th(w):
+        return theta_product(r, w, n)
+
+    def R(w):
+        return a_R * (-(_log_slope(r, z0 / w, n) + _log_slope(r, z0 * w, n)) / z0) + b_R
+
+    def g(w):
+        return th(z2 * w) / (w * th(z1 * w))
+
+    C = -th(z1 / z0) * th(z1 * z0) / (th(z2 / z0) * th(z2 * z0))
+    k_prime = th(z2 / z0) * th(z2 * z0) / (th(z2 / z1) * th(z2 * z1))
+    W = C * th(z2 * z) ** 2 / th(z1 * z) ** 2
+    factor = -mp.power(z, m + 1) * th(z / z0) * th(z * z0) / (z1 * k_prime * th(z * z1) ** 2)
+    Rz = R(z)
+    g_log = mp.diff(g, z) / g(z)
+    return factor**2 * z**2 * (mp.diff(R, z) / g_log + Rz * (Rz - 1)) / W
+
+
 def tail_constant_cubed(r, n=N_TERMS):
     r = mp.mpf(r)
     c = mp.mpf(1)

@@ -46,6 +46,7 @@ from flatfront.solver import solve_canonical
 from flatfront.theta import ThetaContext, dtheta1, log_slope, log_slope_deriv, theta1
 from flatfront.validation import validate_moduli
 
+import oracles
 from test_annulus import FLAGSHIP
 
 # Frozen independently of the evaluator (series oracle in oracles.py):
@@ -193,6 +194,18 @@ def test_shape_ratio_dual_route(mod, ctx):
     ref = e2**2 * np.abs(w_hopf / gp)
     got = np.abs(shape_ratio(mod, ctx, zs))
     assert (np.abs(got - ref) / ref).max() < 1e-10
+
+
+@pytest.mark.parametrize("marker", ["z1", "z2"])
+def test_shape_ratio_near_the_markers_against_oracle(mod, ctx, marker):
+    # R/(1-R) has its zero and pole at z2 and z1, where a g'/g assembled from
+    # W'/W cancels poles; p must keep its digits there.  r = 0.25 needs 40
+    # terms for r^(2n) < 1e-48.
+    for delta in (1e-9, 1e-7, 1e-5):
+        z = complex(getattr(mod, marker), delta)
+        want = complex(oracles.shape_ratio(mod.to_dict(), z, n=40))
+        got = shape_ratio(mod, ctx, z)
+        assert abs(got - want) <= 1e-12 * abs(want), (delta, got, want)
 
 
 def test_shape_ratio_holomorphic(mod, ctx):
@@ -501,8 +514,8 @@ def test_shared_theta_calls_keep_the_bits(r, s):
     z = pts["shape_ratio"]
     R = gauss_ratio(moduli, ctx, z)
     Rp = gauss_ratio_deriv(moduli, ctx, z)
-    q1, q2 = slit_map(ctx, moduli.z1, z), slit_map(ctx, moduli.z2, z)
-    g_log = 0.5 * (Rp / (R * (1.0 - R)) + (moduli.z1 * q1 - moduli.z2 * q2) / z) - 1.0 / z
+    # g'/g of g = sqrt(C) theta1(z2 z) / (z theta1(z1 z))
+    g_log = (log_slope(ctx, moduli.z2 * z) - log_slope(ctx, moduli.z1 * z) - 1.0) / z
     W = gauss_map_square(moduli, ctx, z)
     factor = _shape_factor(moduli, ctx, z)
     p = factor * factor * z * z * (Rp / g_log + R * (R - 1.0)) / W
@@ -523,8 +536,9 @@ def test_shared_theta_calls_keep_the_bits(r, s):
 
 
 def test_kernel_calls_per_point(monkeypatch):
-    # one kernel call per theta argument: shape_ratio 9 (orders 0/1/2 in
-    # 3/4/2 calls), immerse 5; first_form keeps its separate R and R' calls
+    # shape_ratio reads four theta arguments in 6 calls (orders 0/1/2 in
+    # 2/2/2 calls; the order-0 pair is gauss_map_square's), immerse in 4;
+    # first_form keeps its separate R and R' calls
     ctx = FLAGSHIP.context()
     gauss_map(FLAGSHIP, ctx, 0.5j)  # fills the per-surface constants' cache
     orders = []
@@ -534,7 +548,7 @@ def test_kernel_calls_per_point(monkeypatch):
             return fn(*args, **kw)
 
         monkeypatch.setattr(module, "_eval", counted)
-    for fn, want in ((shape_ratio, {0: 3, 1: 4, 2: 2}), (immerse, {0: 3, 1: 2}), (first_form, {0: 5, 1: 8, 2: 4})):
+    for fn, want in ((shape_ratio, {0: 2, 1: 2, 2: 2}), (immerse, {0: 2, 1: 2}), (first_form, {0: 5, 1: 8, 2: 4})):
         orders.clear()
         fn(FLAGSHIP, ctx, 0.4 + 0.3j)
         assert Counter(orders) == want, fn.__name__

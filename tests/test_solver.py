@@ -2,13 +2,16 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatfront import solver
+from flatfront import annulus, solver
+from flatfront import theta as theta_module
+from flatfront.annulus import fit_gauss_ratio, slit_map, slit_map_deriv
 from flatfront.solver import (
     EXPONENT_BRACKET,
     MAX_ITERS,
@@ -25,7 +28,7 @@ from flatfront.solver import (
     _outer_scan,
     _pair_minus_s,
 )
-from flatfront.theta import ThetaContext, _log_slopes, log_slope, log_slope_deriv, pair_slope
+from flatfront.theta import ThetaContext, _log_slopes, log_slope, log_slope_deriv, pair_slope, theta1
 
 # Reference solve at (r, s) = (0.4, -0.25), checked below against the
 # defining pairing conditions before any comparison is made.
@@ -342,3 +345,55 @@ def test_nan_residual_fails_the_check(monkeypatch):
     monkeypatch.setattr(solver, "residuals", nan_c2)
     with pytest.raises(BracketError, match="fails residual check"):
         solve_canonical(0.25, -0.5)
+
+
+@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.1, -0.1)])
+def test_stacked_slit_values_keep_the_bits(r, s):
+    # the solve's closing step, residuals and the per-surface constants read
+    # their slit values from stacked passes; each value equals the one-point
+    # public composition bit for bit
+    moduli, trace = solve_canonical(r, s)
+    ctx = moduli.context()
+    z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
+    assert moduli.c1 == slit_map(ctx, z1, complex(z0)).real
+    assert moduli.c2 == slit_map(ctx, z2, complex(z0)).real
+    q1, q2 = slit_map(ctx, z0, complex(z1)), slit_map(ctx, z0, complex(z2))
+    a = 1.0 / (q1 - q2).real
+    assert (moduli.a_R, moduli.b_R) == fit_gauss_ratio(ctx, z0, z1, z2) == (a, -a * q2.real)
+
+    rp1 = moduli.a_R * slit_map_deriv(ctx, z0, complex(z1)).real
+    rp2 = moduli.a_R * slit_map_deriv(ctx, z0, complex(z2)).real
+    want = {
+        "c1_res": moduli.m + moduli.c1 * z1 - z1 * rp1 + z2 * rp2,
+        "c2_res": moduli.c1 * z1 - moduli.c2 * z2 - 2.0,
+        "c3_res": z1 * z2 * r ** (2.0 * (moduli.m + 2.0)) - 1.0,
+    }
+    assert trace.residuals == residuals(moduli, ctx) == want
+
+    t = [theta1(ctx, complex(w)).real for w in (z1 / z0, z1 * z0, z2 / z0, z2 * z0, z2 / z1, z2 * z1)]
+    scale = math.sqrt(-t[0] * t[1] / (t[2] * t[3]))
+    assert annulus._surface_constants.__wrapped__(moduli, ctx) == (scale, t[2] * t[3] / (t[4] * t[5]))
+
+
+def test_kernel_calls_of_the_stacked_passes(monkeypatch):
+    # a slit pass is two kernel calls (marker/z and marker z) for any number
+    # of points; _surface_constants adds one call for its six theta values
+    moduli, _ = solve_canonical(0.25, -0.5)
+    ctx = moduli.context()
+    orders = []
+    for module in (theta_module, annulus):
+        def counted(*args, fn=module._eval, **kw):
+            orders.append(args[2])
+            return fn(*args, **kw)
+
+        monkeypatch.setattr(module, "_eval", counted)
+    z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
+    for call, want in (
+        (lambda: annulus._marker_slits(ctx, z0, z1, z2), {1: 2}),
+        (lambda: fit_gauss_ratio(ctx, z0, z1, z2), {1: 2}),
+        (lambda: residuals(moduli, ctx), {2: 2}),
+        (lambda: annulus._surface_constants.__wrapped__(moduli, ctx), {1: 2, 0: 1}),
+    ):
+        orders.clear()
+        call()
+        assert Counter(orders) == want
