@@ -165,13 +165,15 @@ def _slit_parts(ctx: ThetaContext, marker, z, order: int, who: str = "slit_map")
 
 
 def _marker_slits(ctx: ThetaContext, z0: float, z1: float, z2: float):
-    """(slit_map(z0, z1), slit_map(z0, z2), c1, c2), the first two complex,
-    with the real parts c1 and c2 of slit_map(z1, z0) and slit_map(z2, z0),
-    from one pass over the four points, with the bits of one-point calls."""
-    q = _slit_parts(
-        ctx, np.array([z0, z0, z1, z2]), np.array([z1, z2, z0, z0], dtype=np.complex128), 1
-    )[0]
-    return complex(q[0]), complex(q[1]), float(q[2].real), float(q[3].real)
+    """(slit_map(z0, z1), slit_map(z0, z2), c1, c2, slit_map_deriv(z0, z1),
+    slit_map_deriv(z0, z2)), all but c1 and c2 complex, with the real parts
+    c1 and c2 of slit_map(z1, z0) and slit_map(z2, z0), from one order-2
+    pass over the four points, with the bits of one-point calls."""
+    q, qp, _, _ = _slit_parts(
+        ctx, np.array([z0, z0, z1, z2]), np.array([z1, z2, z0, z0], dtype=np.complex128), 2
+    )
+    c1, c2 = float(q[2].real), float(q[3].real)
+    return complex(q[0]), complex(q[1]), c1, c2, complex(qp[0]), complex(qp[1])
 
 
 @pointwise
@@ -284,7 +286,7 @@ def _surface_constants(moduli: CanonicalModuli, ctx: ThetaContext) -> tuple[floa
     z1 z2 r^(2(m+2)) = 1.  RepresentationError names the first that fails.
     """
     z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
-    q1, q2, c1, c2 = _marker_slits(ctx, z0, z1, z2)
+    q1, q2, c1, c2, _, _ = _marker_slits(ctx, z0, z1, z2)
     gap = moduli.a_R * (q1 - q2) - 1.0
     if not (abs(gap) <= 1e-8 and abs(moduli.c1 - c1) <= 1e-8 * abs(c1)):
         raise RepresentationError(
@@ -301,7 +303,8 @@ def _surface_constants(moduli: CanonicalModuli, ctx: ThetaContext) -> tuple[floa
     m_gap = z1 * z2 * moduli.r ** (2.0 * (moduli.m + 2.0)) - 1.0
     if not abs(m_gap) <= 1e-8:
         raise RepresentationError(f"moduli do not fit the exponent m: z1 z2 r^(2(m+2)) - 1 = {m_gap}")
-    t, _, _ = _eval(ctx, np.array([z1 / z0, z1 * z0, z2 / z0, z2 * z0, z2 / z1, z2 * z1]), 0)
+    pts = np.array([z1 / z0, z1 * z0, z2 / z0, z2 * z0, z2 / z1, z2 * z1], dtype=np.complex128)
+    t = _eval(ctx, pts, 0)[0].real
     return float(np.sqrt(-t[0] * t[1] / (t[2] * t[3]))), float(t[2] * t[3] / (t[4] * t[5]))
 
 

@@ -21,17 +21,20 @@ for all its candidates in one array call, each iteration evaluating only
 the candidates not yet settled.  No step depends on timing or randomness,
 so results are deterministic bit for bit.
 
-Every argument of the three stages is real, so the solver calls the flat
-bodies of the theta functions on float64 arrays, which the kernel evaluates
-in float64 with the bits of its complex path (see flatfront.theta).  A
-Newton step takes log_slope and its derivative at all its points from one
-order-2 kernel call, a pairing value of the scan from one order-1 call.
+Every argument of the three stages is a positive real, so the stages take
+log_slope and its derivative from the modular series in float64 (see
+flatfront.theta), which needs 1 to 7 terms where the product needs 7 to 73.
+A Newton step takes both at all its points from one order-2 series call, a
+pairing value of the scan from one order-1 call.
 
-The closing step reads c1 = slit_map(z1, z0), c2 = slit_map(z2, z0) and the
-two slit values of fit_gauss_ratio from one stacked pass (two kernel calls
-over four points), and residuals reads R'(z1) and R'(z2) from another; the
+The closing step reads c1 = slit_map(z1, z0), c2 = slit_map(z2, z0), the
+two slit values of fit_gauss_ratio and R'(z1), R'(z2) from one stacked
+order-2 pass of the product kernel (two calls over four points).  The
 kernel gives a point the same bits in any batch, so the moduli and the
-residuals equal those of the one-point calls bit for bit.
+residuals equal those of the one-point calls and of residuals() bit for
+bit.  The residuals thus come from the product, a route independent of
+the series that found the markers: the check certifies the solve across
+both kernels.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .annulus import CanonicalModuli, _marker_slits, _ratio_coefficients, _slit_parts
-from .theta import ThetaContext, ThetaPoleError, _log_slopes, _pair_slope
+from .theta import ThetaContext, ThetaPoleError, _real_log_slopes
 
 SCAN_POINTS = 256
 RESIDUAL_TOL = 1e-10
@@ -71,8 +74,8 @@ class SolverTrace:
 
     exponent_iterations and scan_iterations count the iterations of
     bracketed_root in stage 1 and in the stage-2 solve of the scan, each one
-    order-2 kernel call after the one at the bracket ends.  outer_iterations
-    counts the Newton steps of stage 3, each one order-2 kernel call.
+    order-2 series call after the one at the bracket ends.  outer_iterations
+    counts the Newton steps of stage 3, each one order-2 series call.
     """
 
     r: float
@@ -166,7 +169,7 @@ def solve_exponent(ctx: ThetaContext, s: float):
 
     def balance(m, i):
         P = r ** (-2.0 * (m + 2.0))
-        h, dh, _ = _log_slopes(ctx, P, 2)
+        h, dh = _real_log_slopes(ctx, P, 2)
         return 2.0 * h - 1.0 - s - m, 2.0 * dh * dlogP * P - 1.0
 
     (m,), iters = bracketed_root(balance, *EXPONENT_BRACKET)
@@ -178,13 +181,15 @@ def solve_exponent(ctx: ThetaContext, s: float):
 
 
 def _pair_minus_s(ctx, centers, w, s):
-    return _pair_slope(ctx, centers, w) - s
+    """pair_slope(centers, w) - s on flat arrays, from one order-1 series call."""
+    h, _ = _real_log_slopes(ctx, np.concatenate([w / centers, w * centers]), 1)
+    return h[: w.size] + h[w.size :] - s
 
 
 def _pairing(ctx: ThetaContext, z0, w):
     """pair_slope(z0, w) on a flat array w, with its derivatives in w and in
-    z0, from one order-2 kernel call; z0 is a float or an array like w."""
-    L, D, _ = _log_slopes(ctx, np.concatenate([w / z0, w * z0]), 2)
+    z0, from one order-2 series call; z0 is a float or an array like w."""
+    L, D = _real_log_slopes(ctx, np.concatenate([w / z0, w * z0]), 2)
     inv, fwd = D[: w.size], D[w.size :]
     # d pair_slope(z0, w) / d w  = L'(w/z0) / z0 + L'(w z0) z0
     # d pair_slope(z0, w) / d z0 = w (L'(w z0) - L'(w/z0) / z0^2)
@@ -240,7 +245,7 @@ def _newton_markers(ctx: ThetaContext, s, P, z0, z2, bracket):
 
     Solves F1 = pair_slope(z0, z2) - s = 0 and F2 = pair_slope(z0, z1) -
     (s - 2) = 0 with z1 = P/z2.  Each step takes both pairings and their
-    derivatives from one kernel call, builds the Jacobian by the chain rule
+    derivatives from one series call, builds the Jacobian by the chain rule
     and solves it by Cramer's rule.  Newton reaches the rounding floor and
     then wanders there, so the loop stops at F1 = F2 = 0 or at the first
     step, measured in ulps, that is not at most half the one before (that
@@ -317,7 +322,7 @@ def solve_canonical(
             trace.chosen_bracket,
         )
         z1 = P / z2
-        q1, q2, c1, c2 = _marker_slits(ctx, z0, z1, z2)
+        q1, q2, c1, c2, qp1, qp2 = _marker_slits(ctx, z0, z1, z2)
         a_R, b_R = _ratio_coefficients(q1, q2, z1, z2)
     except ThetaPoleError as exc:
         # a probe exactly on a zero r^(2k) of theta1 is a stage failure
@@ -329,7 +334,7 @@ def solve_canonical(
         a_R=a_R, b_R=b_R, c_height=abs(z1) * r ** (m + 1.0),
     )
 
-    res = residuals(moduli, ctx)
+    res = _closing_residuals(moduli, a_R * qp1.real, a_R * qp2.real)
     trace.residuals = res
     # written so that a NaN residual fails the check
     if not all(abs(v) <= tol for v in res.values()):
@@ -349,12 +354,16 @@ def residuals(moduli: CanonicalModuli, ctx: ThetaContext | None = None) -> dict:
     """
     if ctx is None:
         ctx = ThetaContext.create(moduli.r)
-    a = moduli.a_R
     # R'(z1) and R'(z2) from one pass, with the bits of one-point slit_map_deriv calls
     _, qp, _, _ = _slit_parts(
         ctx, moduli.z0, np.array([moduli.z1, moduli.z2], dtype=np.complex128), 2, "slit_map_deriv"
     )
-    rp1, rp2 = a * qp.real
+    rp1, rp2 = moduli.a_R * qp.real
+    return _closing_residuals(moduli, rp1, rp2)
+
+
+def _closing_residuals(moduli: CanonicalModuli, rp1, rp2) -> dict:
+    """The residuals of :func:`residuals` from R'(z1) = rp1 and R'(z2) = rp2."""
     c1_res = moduli.m + moduli.c1 * moduli.z1 - moduli.z1 * rp1 + moduli.z2 * rp2
     c2_res = moduli.c1 * moduli.z1 - moduli.c2 * moduli.z2 - 2.0
     c3_res = moduli.z1 * moduli.z2 * moduli.r ** (2.0 * (moduli.m + 2.0)) - 1.0

@@ -25,14 +25,21 @@ nowhere else, so their guard is structural: a point within relative
 distance ZERO_DIST of its nearest zero r^(2k) raises ThetaPoleError, and
 every other point is evaluated, however small theta1 is there.
 
-The input's dtype selects the arithmetic.  Complex points run in
-complex128; float64 points, the real arguments of the moduli solve, stay in
-float64 and give the bits of the complex path's real part.  Products and
-sums of zero-imaginary operands round as their real counterparts, and numpy
-divides complex numbers by Smith's formula, which for zero imaginary parts
-is x * (1/y); so the real path writes every quotient that way (one division
-function per call, chosen from the dtype), and takes z**k from numpy's
-complex integer power.
+The product runs in complex128.  The moduli solve needs log_slope and its
+derivative only at positive real points, where it takes them from a second
+kernel, the modular series (:func:`_real_log_slopes`).  Jacobi's imaginary
+transformation (DLMF 20.7.30) trades the nome r for q' = exp(-pi^2 / l),
+l = -log r, and turns the band v in [r, 1/r] into the real interval
+y = pi log v / (2 l) in [-pi/2, pi/2], where DLMF 20.5.10 gives
+
+    log_slope(v) = -1/2 + log v / (2 l) + (pi / 2l) (cot y + 4 sum a_n sin 2ny),
+
+a_n = q'^(2n) / (1 - q'^(2n)).  q' is small exactly where r is not: the
+series needs 7 terms at r = 0.05, 2 at r = 0.45 and 1 from r = 0.62 on,
+where the product needs 7, 26 and 44 or more.  It runs in float64 and is
+an independent route to the same values as the product, so the solver's
+residual check, which evaluates the solved markers on the product,
+certifies the series' solve across the two kernels.
 
 Each pair of factors of the band product is one symmetric factor
 
@@ -185,29 +192,18 @@ _TABLE_MIN = 4096
 _TABLE_MAX = 32768
 
 
-def _real_quotient(x, y):
-    """x / y as numpy's complex division rounds it for zero imaginary parts."""
-    return x * (1.0 / y)
-
-
-def _quotient(z):
-    """The division of an evaluation at the points z: numpy's own for
-    complex z, :func:`_real_quotient` for float z."""
-    return np.divide if np.iscomplexobj(z) else _real_quotient
-
-
 @functools.lru_cache(maxsize=128)
-def _term_columns(r: float, n_terms: int, dtype):
+def _term_columns(r: float, n_terms: int):
     """The columns p_k = r^(2k) and 1 + p_k^2 for k = 1..n_terms.
 
-    Each is a read-only (n_terms, 1) array of the given dtype built from the
-    Python floats r ** (2 * k), so a table row carries the same operands as
-    one factor D_k = (1 + p_k^2) - p_k (v + 1/v) of the product.
+    Each is a read-only complex (n_terms, 1) array built from the Python
+    floats r ** (2 * k), so a table row carries the same operands as one
+    factor D_k = (1 + p_k^2) - p_k (v + 1/v) of the product.
     """
     p = [r ** (2 * k) for k in range(1, n_terms + 1)]
     cols = []
     for vals in (p, [1.0 + x * x for x in p]):
-        col = np.array(vals, dtype=dtype).reshape(-1, 1)
+        col = np.array(vals, dtype=np.complex128).reshape(-1, 1)
         col.flags.writeable = False
         cols.append(col)
     return tuple(cols)
@@ -230,11 +226,11 @@ def _fold(ufunc, out, rows):
     out[...] = acc
 
 
-def _band_core(ctx: ThetaContext, v, order: int, div):
+def _band_core(ctx: ThetaContext, v, order: int):
     """Product and log-derivative sums over the factors other than (1 - 1/v).
 
     Returns (P, L, Lp) with P = C * prod_k D_k, L the sum of f'/f over these
-    factors and Lp its derivative, all of v's dtype.  Each pair of factors is
+    factors and Lp its derivative, all complex.  Each pair of factors is
     one symmetric factor
 
         D_k = (1 - p_k v)(1 - p_k / v) = (1 + p_k^2) - p_k u,   u = v + 1/v,
@@ -242,10 +238,7 @@ def _band_core(ctx: ThetaContext, v, order: int, div):
     none of which vanishes on the band.  With t_k = p_k / D_k, the sums
     S1 = sum t_k and S2 = sum t_k^2 give L = -u' S1 and
     Lp = -u'' S1 - u'^2 S2, where u' = 1 - 1/v^2 and u'' = 2/v^3; so a term
-    costs no division at order 0 and one, t_k, at orders 1 and 2.  Every
-    quotient with a numerator other than 1 goes through div (see
-    :func:`_quotient`): complex tables divide in numpy's scalar loop, float
-    tables as x * (1/y), which is the same bits and several times cheaper.
+    costs no division at order 0 and one, t_k, at orders 1 and 2.
 
     Each chunk of _CHUNK points computes u once and builds the table of D_k,
     and of t_k at orders 1 and 2, one row per k, for a block of k at a time,
@@ -254,7 +247,7 @@ def _band_core(ctx: ThetaContext, v, order: int, div):
     whatever batch it is part of.
     """
     step = min(max(v.size, _TABLE_MIN), _TABLE_MAX) // max(min(v.size, _CHUNK), 1)
-    cols = _term_columns(ctx.r, ctx.n_terms, v.dtype.type)
+    cols = _term_columns(ctx.r, ctx.n_terms)
     blocks = [[col[k : k + step] for col in cols] for k in range(0, ctx.n_terms, step)]
     P = np.empty(v.shape, dtype=v.dtype)
     S1 = np.zeros(v.shape, dtype=v.dtype) if order >= 1 else None
@@ -268,7 +261,7 @@ def _band_core(ctx: ThetaContext, v, order: int, div):
             D = one_pp - p * u
             _fold(np.multiply, P[chunk], D)
             if order >= 1:
-                t = div(p, D)
+                t = p / D
                 _fold(np.add, S1[chunk], t)
             if order >= 2:
                 _fold(np.add, S2[chunk], t * t)
@@ -280,10 +273,10 @@ def _band_core(ctx: ThetaContext, v, order: int, div):
     L = np.multiply(-du, S1)
     if order < 2:
         return P, L, None
-    return P, L, np.multiply(div(-2.0, v * v * v), S1) - np.multiply(du * du, S2)
+    return P, L, np.multiply(-2.0 / (v * v * v), S1) - np.multiply(du * du, S2)
 
 
-def _band_eval(ctx: ThetaContext, v, order: int, div):
+def _band_eval(ctx: ThetaContext, v, order: int):
     """(theta, theta', theta'') on the band r <= |v| <= 1/r.
 
     The band's one zero is that of f0 = 1 - 1/v, which is split off at every
@@ -292,7 +285,7 @@ def _band_eval(ctx: ThetaContext, v, order: int, div):
     is singular at v = 1, so the derivatives keep their relative precision
     next to the zero and through it.
     """
-    P, L, Lp = _band_core(ctx, v, order, div)
+    P, L, Lp = _band_core(ctx, v, order)
     t0 = (1.0 - 1.0 / v) * P
     t1 = t2 = None
     if order >= 1:
@@ -301,7 +294,7 @@ def _band_eval(ctx: ThetaContext, v, order: int, div):
     if order >= 2:
         # an explicit call: for large v the operator form would be
         # evaluated as (L * L + Lp) * t0, which rounds differently
-        t2 = div(-2.0, v * v * v) * P + 2.0 * f0p * P * L + np.multiply(t0, L * L + Lp)
+        t2 = -2.0 / (v * v * v) * P + 2.0 * f0p * P * L + np.multiply(t0, L * L + Lp)
     return t0, t1, t2
 
 
@@ -310,8 +303,8 @@ def _reduce_band(ctx: ThetaContext, z):
 
     k = ctx.band_index(z) puts v in the band r <= |v| <= 1/r, and k-fold use
     of theta1(z) = -r^2 z theta1(r^2 z) gives c = (-1)^k r^(k(k+1)).
-    Returns (c, k, q, v): c and q float64, k int64, v of z's dtype.  A NaN
-    point gets k = 0 and stays NaN.
+    Returns (c, k, q, v): c and q float64, k int64, v complex.  A NaN point
+    gets k = 0 and stays NaN.
     """
     k = ctx.band_index(z)
     k[np.isnan(k)] = 0.0
@@ -322,26 +315,24 @@ def _reduce_band(ctx: ThetaContext, z):
 
 
 def _eval(ctx: ThetaContext, z, order: int):
-    """theta1 and derivatives at nonzero finite arguments (flat arrays).
+    """theta1 and derivatives at nonzero finite complex128 arguments (flat
+    arrays).
 
-    Returns (theta, theta', theta''), with None past ``order``, of z's
-    dtype: complex128, or float64 with the bits of the complex path's real
-    part.  theta and theta' do not depend on ``order``.
+    Returns (theta, theta', theta''), with None past ``order``.  theta and
+    theta' do not depend on ``order``.
     """
     if (z == 0).any() or np.isinf(z).any():
         raise ValueError("theta1 is undefined at z = 0 and at infinity")
-    div = _quotient(z)
     c, k, q, v = _reduce_band(ctx, z)
-    t0, t1, t2 = _band_eval(ctx, v, order, div)
-    # the complex integer power's bits; numpy's float64 power rounds otherwise
-    zk = np.power(z, k) if np.iscomplexobj(z) else np.power(z + 0j, k).real
+    t0, t1, t2 = _band_eval(ctx, v, order)
+    zk = np.power(z, k)
     theta = c * zk * t0
     dtheta = d2 = None
     if order >= 1:
-        kz = div(k, z)
+        kz = k / z
         dtheta = c * zk * (kz * t0 + q * t1)
     if order >= 2:
-        d2 = c * zk * (div(k * (k - 1), z * z) * t0 + 2.0 * kz * q * t1 + q * q * t2)
+        d2 = c * zk * (k * (k - 1) / (z * z) * t0 + 2.0 * kz * q * t1 + q * q * t2)
     return theta, dtheta, d2
 
 
@@ -358,9 +349,10 @@ def dtheta1(ctx: ThetaContext, z):
     return _eval(ctx, z, 1)[1]
 
 
-def _guard_zero(ctx: ThetaContext, z):
-    """Raise ThetaPoleError if a point lies on a zero (see ZERO_DIST)."""
-    zero = ctx.nearest_zero(z)
+def _guard_zero(ctx: ThetaContext, z, k):
+    """Raise ThetaPoleError if a point lies on a zero (see ZERO_DIST); k is
+    ctx.band_index(z), so r^(-2k) is each point's nearest zero."""
+    zero = ctx.r ** (-2.0 * k)
     bad = np.abs(z - zero) <= ZERO_DIST * zero
     if bad.any():
         where = complex(z[bad.argmax()])
@@ -369,22 +361,86 @@ def _guard_zero(ctx: ThetaContext, z):
 
 
 def _log_slopes(ctx: ThetaContext, z, order: int):
-    """(log_slope, log_slope_deriv, theta1) at the flat points z from one
-    kernel call, the second None unless order is 2; float z stays float."""
+    """(log_slope, log_slope_deriv, theta1) at the flat complex points z from
+    one kernel call, the second None unless order is 2."""
     t0, t1, t2 = _eval(ctx, z, order)
-    _guard_zero(ctx, z)
-    div = _quotient(z)
-    h = div(z * t1, t0)
+    _guard_zero(ctx, z, ctx.band_index(z))
+    h = z * t1 / t0
     if order < 2:
         return h, None, t0
-    return h, div(t1, t0) + div(z * t2, t0) - div(h * h, z), t0
+    return h, t1 / t0 + z * t2 / t0 - h * h / z, t0
 
 
 def _pair_slope(ctx: ThetaContext, center, z):
-    """pair_slope on flat arrays of centres and points, with both log_slope
-    arguments in one kernel call; float arrays stay float."""
-    h = _log_slopes(ctx, np.concatenate([_quotient(z)(z, center), z * center]), 1)[0]
+    """pair_slope on flat complex arrays of centres and points, with both
+    log_slope arguments in one kernel call."""
+    h = _log_slopes(ctx, np.concatenate([z / center, z * center]), 1)[0]
     return h[: z.size] + h[z.size :]
+
+
+@functools.lru_cache(maxsize=128)
+def _series_terms(r: float):
+    """(2l, pi/(2l), 2n, a_n, n a_n) of the modular series at modulus r.
+
+    l = -log r and q' = exp(-pi^2 / l).  The last three are read-only
+    (N, 1) float64 columns over n = 1..N, with a_n = q'^(2n) / (1 - q'^(2n))
+    and N the least count with q'^(2N) < TRUNCATION_TOL; N comes from
+    log q' = -pi^2 / l, not from q' itself, which underflows for r above
+    about 0.987 (N = 1 and a_1 = 0 there).
+    """
+    ell = -math.log(r)
+    x = math.pi * math.pi / ell  # -log q'
+    n = range(1, max(1, math.ceil(math.log(TRUNCATION_TOL) / (-2.0 * x))) + 1)
+    a = [math.exp(-2.0 * j * x) / -math.expm1(-2.0 * j * x) for j in n]
+    cols = []
+    for vals in ([2.0 * j for j in n], a, [j * aj for j, aj in zip(n, a)]):
+        col = np.array(vals, dtype=np.float64).reshape(-1, 1)
+        col.flags.writeable = False
+        cols.append(col)
+    return (2.0 * ell, 0.5 * math.pi / ell, *cols)
+
+
+def _real_log_slopes(ctx: ThetaContext, w, order: int):
+    """(log_slope, log_slope_deriv) at flat float64 points w > 0 from the
+    modular series, the second None unless order is 2.
+
+    w is reduced into the band as by the product, v = r^(2k) w with
+    k = ctx.band_index(w), and with y = pi log v / (2l) in [-pi/2, pi/2]
+
+        log_slope(w)       = k - 1/2 + log v / (2l) + (pi/2l) (cot y + 4 S1),
+        log_slope_deriv(w) = (1/w) (1/(2l) + (pi/2l)^2 (8 S2 - 1/sin^2 y)),
+
+    S1 = sum a_n sin 2ny and S2 = sum n a_n cos 2ny (see _series_terms).
+    log v is log w - 2kl, which carries the rounding of log w, about
+    eps |log w|, where |log w| < 2, and log(r^(2k) w), which carries that of
+    the two products, about 2 eps, elsewhere; the first keeps thin annuli,
+    where log_slope changes by (pi/2l)^2 per unit of log v, accurate.  Each
+    sum is built as a table with a row per n and folded in order of n, so
+    a point gets the same bits in any batch.  Raises ValueError unless every
+    w is finite and positive, and ThetaPoleError at a zero r^(2k) as
+    log_slope does.
+    """
+    if not np.all((w > 0.0) & (w < math.inf)):
+        raise ValueError("the modular series takes finite positive arguments")
+    two_l, c, n2, a, na = _series_terms(ctx.r)
+    log_w = np.log(w)
+    k = np.rint(log_w / two_l)  # ctx.band_index(w)
+    _guard_zero(ctx, w, k)
+    log_v = log_w - k * two_l
+    far = np.abs(log_w) >= 2.0
+    if far.any():
+        log_v[far] = np.log(w[far] * np.power(ctx.r, 2.0 * k[far]))
+    y = c * log_v
+    ny = n2 * y
+    S1 = np.zeros(w.shape)
+    _fold(np.add, S1, a * np.sin(ny))
+    cot = np.cos(y) / np.sin(y)
+    h = (k - 0.5) + log_v / two_l + c * (cot + 4.0 * S1)
+    if order < 2:
+        return h, None
+    S2 = np.zeros(w.shape)
+    _fold(np.add, S2, na * np.cos(ny))
+    return h, (1.0 / two_l + c * c * (8.0 * S2 - (1.0 + cot * cot))) / w
 
 
 @pointwise

@@ -47,6 +47,23 @@ def log_slope_deriv(r, z, n=N_TERMS):
     return t1 / t0 + z * (t2 * t0 - t1 * t1) / (t0 * t0)
 
 
+def real_log_slopes(r, w, tol=1e-22):
+    """(log_slope, log_slope_deriv) at a real w from the sums of the
+    factors' logarithmic derivatives and their derivatives, with as many
+    factors as r^(2n) < tol min(|w|, 1/|w|) takes (2,519 at r = 0.99 and
+    |w| = 1)."""
+    n = mp.ceil(mp.log(tol * min(abs(w), 1 / abs(w))) / (2 * mp.log(r)))
+    r = mp.mpf(r)
+    w = mp.mpf(w)
+    L = 1 / (w * (w - 1))
+    dL = -(2 * w - 1) / (w * (w - 1)) ** 2
+    for k in range(1, int(n) + 1):
+        p = r ** (2 * k)
+        L += -p / (1 - p * w) + p / (w * (w - p))
+        dL += -p * p / (1 - p * w) ** 2 - p * (2 * w - p) / (w * (w - p)) ** 2
+    return w * L, L + w * dL
+
+
 def _log_slope(r, w, n):
     return w * theta_product_deriv(r, w, n) / theta_product(r, w, n)
 

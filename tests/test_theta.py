@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flatfront import theta as T
-from oracles import log_slope_deriv, theta_product, theta_product_deriv
+from oracles import log_slope_deriv, real_log_slopes, theta_product, theta_product_deriv
 
 
 # Frozen from a 200-term product evaluated with mpmath at 50 digits
@@ -141,7 +141,8 @@ def test_domain_errors() -> None:
 @pytest.mark.parametrize("k", range(-2, 4))
 def test_zeros_raise_pole_error(r, k) -> None:
     # zeros inside and outside the band, hit exactly and one ulp off; the
-    # float64 path of the solver raises the same error as the complex one
+    # solver's modular series raises the same error as the product, also
+    # after a regular point of the same batch
     ctx = T.ThetaContext.create(r)
     zero = r ** (2 * k)
     for z in (zero, np.nextafter(zero, 0.0), np.nextafter(zero, np.inf)):
@@ -150,7 +151,7 @@ def test_zeros_raise_pole_error(r, k) -> None:
         assert err.value.location == zero
         for order in (1, 2):
             with pytest.raises(T.ThetaPoleError) as real_err:
-                T._log_slopes(ctx, np.array([z]), order)
+                T._real_log_slopes(ctx, np.array([zero * r, z]), order)
             assert real_err.value.location == zero
             assert str(real_err.value) == str(err.value)
 
@@ -294,39 +295,60 @@ def test_empty_batch() -> None:
 
 
 def _real_axis_points(r: float, n: int) -> np.ndarray:
-    """n real points of both signs whose reduction into the band takes
-    k = -2..2 steps, with points next to zeros at the front."""
+    """n positive points whose reduction into the band takes k = -2..2
+    steps, with points next to zeros at the front."""
     rng = np.random.default_rng(43)
-    z = np.exp(rng.uniform(5.0 * np.log(r), -5.0 * np.log(r), n)) * rng.choice([-1.0, 1.0], n)
+    z = np.exp(rng.uniform(5.0 * np.log(r), -5.0 * np.log(r), n))
     near = [1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 5e-7, 1.0 - 9e-7, r**2 * (1.0 + 3e-8), (1.0 - 2e-8) / r**4]
     z[: len(near)] = near
     return z
 
 
-def _same_bits(real, cplx) -> bool:
-    return real.dtype == np.float64 and real.tobytes() == np.ascontiguousarray(cplx.real).tobytes()
-
-
 @pytest.mark.parametrize("r", [0.05, 0.25, 0.55, 0.7, 0.9])
 def test_real_path_equals_complex_path(r: float) -> None:
-    # float64 points stay float64 and give the bits of the complex path's
-    # real part, in a batch of 20,077 points (not a whole number of chunks)
-    # and one point at a time
+    # the modular series and the product are two routes to the same log
+    # slopes: they agree to 1e-12 relative, to within the rounding that
+    # either route's reduction into the band carries, about 1e-16 relative
+    # to a point's distance from its zero.  A batch of 20,077 points (both
+    # reductions of log v at r = 0.05 and 0.25) and one point at a time
+    # give the same bits
     ctx = T.ThetaContext.create(r)
-    z = _real_axis_points(r, 20_077)
-    k = np.rint(np.log(np.abs(z)) / (-2.0 * np.log(r)))
+    w = _real_axis_points(r, 20_077)
+    k = ctx.band_index(w)
     assert set(k[6:]) == {-2.0, -1.0, 0.0, 1.0, 2.0}
-    batches = [z] + [z[i : i + 1] for i in np.r_[0:6, 6 : z.size : 997]]
-    for pts in batches:
-        zc = pts.astype(np.complex128)
-        for order in (0, 1, 2):
-            for j, (got, want) in enumerate(zip(T._eval(ctx, pts, order), T._eval(ctx, zc, order))):
-                assert (got is None and want is None) if j > order else _same_bits(got, want)
-        for got, want in zip(T._log_slopes(ctx, pts, 2), T._log_slopes(ctx, zc, 2)):
-            assert _same_bits(got, want), pts.size
-        assert _same_bits(T._log_slopes(ctx, pts, 1)[0], T.log_slope(ctx, zc))
-    # the zeros themselves, where theta1 vanishes and the derivatives do not
-    zeros = np.array([r ** (2 * j) for j in range(-2, 3)])
-    for order in (0, 1, 2):
-        got = T._eval(ctx, zeros, order)[order]
-        assert _same_bits(got, T._eval(ctx, zeros.astype(np.complex128), order)[order])
+    gap = np.abs(w / ctx.nearest_zero(w) - 1.0)
+    h, dh = T._real_log_slopes(ctx, w, 2)
+    want_h, want_dh, _ = T._log_slopes(ctx, w.astype(np.complex128), 2)
+    for got, want in ((h, want_h), (dh, want_dh)):
+        assert got.dtype == np.float64
+        err = np.abs(got - want.real) / np.maximum(1.0, np.abs(want.real))
+        assert np.all(err <= 1e-12 + 1e-15 / gap)
+    assert T._real_log_slopes(ctx, w, 1)[0].tobytes() == h.tobytes()
+    for i in np.r_[0 : w.size : 16, w.size - 1]:
+        one_h, one_dh = T._real_log_slopes(ctx, w[i : i + 1], 2)
+        assert one_h.tobytes() == h[i : i + 1].tobytes() and one_dh.tobytes() == dh[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("r", [0.001, 0.01, 0.05, 0.25, 0.55, 0.7, 0.9, 0.97, 0.99])
+def test_real_log_slopes_against_oracle(r: float) -> None:
+    # the modular series against the 50-digit sums of the product's factors,
+    # within 2e-13 relative to max(1, |value|): points across the band (at
+    # fractions of its log width) in each of five periods k = -2..2, and
+    # next to the zeros 1 and r^2; r = 0.99 is past the r at which q'
+    # underflows
+    ctx = T.ThetaContext.create(r)
+    w = [r ** (2 * k + 2 * f - 1) for k in range(-2, 3) for f in (0.02, 0.4, 0.97)]
+    w = np.array(w + [1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-6, r * r * (1.0 + 2e-3)])
+    assert set(ctx.band_index(w)) == {-2.0, -1.0, 0.0, 1.0, 2.0}
+    h, dh = T._real_log_slopes(ctx, w, 2)
+    for i, x in enumerate(w):
+        want_h, want_dh = (float(v) for v in real_log_slopes(r, x))
+        assert abs(h[i] - want_h) <= 2e-13 * max(1.0, abs(want_h)), x
+        assert abs(dh[i] - want_dh) <= 2e-13 * max(1.0, abs(want_dh)), x
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, -1.0, np.inf, np.nan])
+def test_real_log_slopes_reject_non_positive_points(bad) -> None:
+    ctx = T.ThetaContext.create(0.25)
+    with pytest.raises(ValueError, match="finite positive"):
+        T._real_log_slopes(ctx, np.array([0.5, bad]), 1)
