@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .theta import ThetaContext, _eval, _log_slopes, pointwise
+from .theta import ThetaContext, _eval, pointwise
 
 ANNULUS_SLACK = 1e-12
 
@@ -153,12 +153,12 @@ def _slit_parts(ctx: ThetaContext, marker, z, order: int, who: str = "slit_map")
     """(slit_map, slit_map_deriv, theta1(marker/z), theta1(marker z)) at the
     flat points z from one kernel call per argument, marker/z and marker z;
     the derivative is None unless order is 2.  marker is a float or a float
-    array that broadcasts against z.  theta1 and its first derivative do not
-    depend on the order, and a point's value not on its batch, so each value
-    has the bits of its own evaluator."""
+    array that broadcasts against z.  No kernel value depends on the order,
+    and a point's value not on its batch, so each value has the bits of its
+    own evaluator."""
     _require_annulus(ctx, z, who)
-    h_in, hp_in, theta_in = _log_slopes(ctx, marker / z, order)
-    h_out, hp_out, theta_out = _log_slopes(ctx, marker * z, order)
+    theta_in, h_in, hp_in = _eval(ctx, marker / z, order)
+    theta_out, h_out, hp_out = _eval(ctx, marker * z, order)
     q = -(h_in + h_out) / marker
     qp = hp_in / (z * z) - hp_out if order >= 2 else None
     return q, qp, theta_in, theta_out
@@ -366,8 +366,8 @@ def _gauss_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     no poles on the closed annulus, so unlike W'/W (gauss_square_log_deriv)
     it keeps its digits next to z1 and z2.
     """
-    h2, _, _ = _log_slopes(ctx, moduli.z2 * z, 1)
-    h1, _, theta_z1 = _log_slopes(ctx, moduli.z1 * z, 1)
+    _, h2, _ = _eval(ctx, moduli.z2 * z, 1)
+    theta_z1, h1, _ = _eval(ctx, moduli.z1 * z, 1)
     return (h2 - h1 - 1.0) / z, theta_z1
 
 

@@ -20,7 +20,7 @@ as an independent cross-check of the generic evaluator.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -99,24 +99,6 @@ def immerse(moduli: CanonicalModuli, ctx: ThetaContext, z):
     if near_end.any():
         horiz[near_end] = end_direction(moduli, ctx)
         psi3[near_end] = 0.0
-    return HalfSpacePoint(horiz, psi3)
-
-
-@pointwise
-def immerse_from_gauss_data(g, g_star, xi_abs):
-    """The same evaluation from raw data (g, g*, |xi|), with e^2u = |xi|^2.
-
-    The three arguments share g's shape.  An infinite g* (the AT_INFINITY
-    sentinel) means F = 0.  This route shares no annulus code with immerse,
-    which makes the two mutually checkable.
-    """
-    g_star = np.asarray(g_star, dtype=np.complex128).reshape(-1)
-    e2 = np.asarray(xi_abs, dtype=float).reshape(-1) ** 2
-    gap = g - g_star
-    with np.errstate(divide="ignore", invalid="ignore"):
-        F = np.where(np.isinf(g_star.real) | np.isinf(g_star.imag), 0.0, 1.0 / gap)
-    psi3 = e2 / (1.0 + e2 * e2 * np.abs(F) ** 2)
-    horiz = g - psi3 * e2 * np.conj(F)
     return HalfSpacePoint(horiz, psi3)
 
 
@@ -285,42 +267,24 @@ class RotationalModuli:
 
     b in (0, 1) is the end exponent; a_rot = (1-b)^(b-1) b^-b normalizes the
     cone point to height exactly 1, reached on |g| = s_rot = sqrt(b/(1-b)).
-    r_disc is the disc radius of the annulus-style parametrization; it
-    degenerates (with the whole two-route comparison) at b = 1/2.
+    At b = 1/2 (a_sec = 1 - 2b = 0) the front collapses to the vertical axis.
     """
 
     b: float
     a_sec: float
     a_rot: float
     s_rot: float
-    r_disc: float
 
     @classmethod
     def from_exponent(cls, b: float) -> "RotationalModuli":
         if not 0.0 < b < 1.0:
             raise ValueError("exponent b must lie in (0, 1)")
-        a_sec = 1.0 - 2.0 * b
         a_rot = (1.0 - b) ** (b - 1.0) * b ** (-b)
-        s_rot = np.sqrt(b / (1.0 - b))
-        if abs(a_sec) < 1e-12:
-            r_disc = float("nan")
-        else:
-            r_disc = (b * (1.0 - b)) ** (1.0 / (2.0 * a_sec))
-        return cls(b=b, a_sec=a_sec, a_rot=a_rot, s_rot=s_rot, r_disc=r_disc)
+        return cls(b=b, a_sec=1.0 - 2.0 * b, a_rot=a_rot, s_rot=np.sqrt(b / (1.0 - b)))
 
     @property
     def degenerate(self) -> bool:
         return abs(self.a_sec) < 1e-12
-
-    @property
-    def dilation(self) -> float:
-        """The factor lambda with lambda * psi_route1(z) = psi(lambda z)."""
-        if self.degenerate:
-            raise DegenerateConfigurationError("no two-route dilation at b = 1/2")
-        return self.s_rot / self.r_disc
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_rot_domain(rot, am):
@@ -342,19 +306,6 @@ def immerse_rotational(rot: RotationalModuli, g):
     horiz = g * (1.0 - t * (b - b * b)) / den
     height = a * am ** (2.0 * b) / den
     return HalfSpacePoint(horiz, height)
-
-
-def rotational_gauss_data(rot: RotationalModuli, z):
-    """Route-1 data (g, g*, |xi|) on the disc 0 < |z| <= r_disc.
-
-    Satisfies dilation * route1(z) = immerse_rotational(dilation * z); no
-    such normalization exists at b = 1/2.
-    """
-    if rot.degenerate:
-        raise DegenerateConfigurationError("route-1 data degenerates at b = 1/2")
-    z = np.asarray(z, dtype=np.complex128)
-    b = rot.b
-    return z, -z * (1.0 - b) / b, np.abs(z) ** b
 
 
 @pointwise

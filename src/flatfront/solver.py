@@ -330,8 +330,8 @@ def solve_canonical(
             f"stage {stage}: search stepped onto a theta zero for r={r}, s={s}: {exc}"
         ) from exc
     moduli = CanonicalModuli(
-        r=r, s=s, m=m, z0=z0, z1=z1, z2=z2, c1=c1, c2=c2,
-        a_R=a_R, b_R=b_R, c_height=abs(z1) * r ** (m + 1.0),
+        r=r, s=s, m=m, z0=float(z0), z1=float(z1), z2=float(z2), c1=c1, c2=c2,
+        a_R=a_R, b_R=b_R, c_height=float(abs(z1) * r ** (m + 1.0)),
     )
 
     res = _closing_residuals(moduli, a_R * qp1.real, a_R * qp2.real)

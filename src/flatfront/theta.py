@@ -14,11 +14,14 @@ into the band in one step by the functional equation
 with k = rint(log|z| / (-2 log r)), which puts r^(2k) z nearest in
 log-modulus to the band's one zero 1; so r^(-2k) is the zero nearest z.
 
-On the band the vanishing factor (1 - 1/v) is split off at every point:
-theta and its derivatives come by the product rule from that factor and
-from the product and logarithmic-derivative sums of the other factors, none
-of which is singular on the band, so the derivatives stay accurate next to
-a zero and through it.
+On the band the kernel returns theta1 with its log slope h = z theta1'/theta1
+and the derivative h' directly.  The band's one zero is that of the factor
+(v - 1)/v, and the difference v - 1 is exact next to v = 1; so theta1
+keeps its relative precision next to a zero, and h and h' take the zero's
+pole as the exact terms 1/(v - 1) and -1/(v - 1)^2 plus the sums of the
+other factors, none of which is singular on the band.  theta1' itself
+(:func:`dtheta1`) follows from the same sums by the product rule, exact
+through the zeros.
 
 The logarithmic derivatives have their poles at these known zeros and
 nowhere else, so their guard is structural: a point within relative
@@ -107,20 +110,13 @@ class ThetaContext:
         if not 0.0 < self.c_const < 1.0:
             raise ValueError("c_const must lie in (0, 1)")
 
-    @staticmethod
-    def _tail_constant(r: float, n_terms: int) -> float:
-        k = np.arange(1, n_terms + 1, dtype=float)
-        return float(np.prod(1.0 - r ** (2.0 * k)))
-
     @classmethod
-    def create(cls, r: float, tol: float = TRUNCATION_TOL) -> "ThetaContext":
+    def create(cls, r: float) -> "ThetaContext":
         r = float(r)
         if not 0.0 < r < 1.0:
             raise ValueError(f"modulus r must lie in (0, 1), got {r}")
-        if not 0.0 < tol < 1.0:
-            raise ValueError("truncation tolerance must lie in (0, 1)")
-        n = max(1, math.ceil(math.log(tol) / (2.0 * math.log(r))))
-        c = cls._tail_constant(r, n)
+        n = max(1, math.ceil(math.log(TRUNCATION_TOL) / (2.0 * math.log(r))))
+        c = float(np.prod(1.0 - r ** (2.0 * np.arange(1, n + 1))))
         if c <= 0.0:
             # the factor product underflows long before this r reaches 1
             raise ValueError(
@@ -128,10 +124,6 @@ class ThetaContext:
                 "(truncated product constant underflows)"
             )
         return cls(r=r, n_terms=n, c_const=c)
-
-    def with_terms(self, n_terms: int) -> "ThetaContext":
-        """Same modulus with a different truncation length (for convergence checks)."""
-        return ThetaContext(self.r, n_terms, self._tail_constant(self.r, n_terms))
 
     def band_index(self, z):
         """The integer k, as a float, that takes nonzero z to the band:
@@ -227,18 +219,18 @@ def _fold(ufunc, out, rows):
 
 
 def _band_core(ctx: ThetaContext, v, order: int):
-    """Product and log-derivative sums over the factors other than (1 - 1/v).
+    """Product and sums over the band factors other than (v - 1)/v.
 
-    Returns (P, L, Lp) with P = C * prod_k D_k, L the sum of f'/f over these
-    factors and Lp its derivative, all complex.  Each pair of factors is
-    one symmetric factor
+    Returns (P, S1, S2): P = C * prod_k D_k, and at orders 1 and 2 the sums
+    S1 = sum t_k and S2 = sum t_k^2 of t_k = p_k / D_k (None past order).
+    Each pair of factors is one symmetric factor
 
         D_k = (1 - p_k v)(1 - p_k / v) = (1 + p_k^2) - p_k u,   u = v + 1/v,
 
-    none of which vanishes on the band.  With t_k = p_k / D_k, the sums
-    S1 = sum t_k and S2 = sum t_k^2 give L = -u' S1 and
-    Lp = -u'' S1 - u'^2 S2, where u' = 1 - 1/v^2 and u'' = 2/v^3; so a term
-    costs no division at order 0 and one, t_k, at orders 1 and 2.
+    none of which vanishes on the band.  With u' = 1 - 1/v^2 the
+    log-derivative of D_k is -u' t_k and the derivative of t_k is u' t_k^2,
+    so S1 and S2 carry the log slopes of :func:`_eval`; a term costs no
+    division at order 0 and one, t_k, at orders 1 and 2.
 
     Each chunk of _CHUNK points computes u once and builds the table of D_k,
     and of t_k at orders 1 and 2, one row per k, for a block of k at a time,
@@ -265,37 +257,7 @@ def _band_core(ctx: ThetaContext, v, order: int):
                 _fold(np.add, S1[chunk], t)
             if order >= 2:
                 _fold(np.add, S2[chunk], t * t)
-    if order < 1:
-        return P, None, None
-    # explicit calls keep the operand order of a complex product, which is
-    # not commutative bit for bit
-    du = 1.0 - 1.0 / (v * v)
-    L = np.multiply(-du, S1)
-    if order < 2:
-        return P, L, None
-    return P, L, np.multiply(-2.0 / (v * v * v), S1) - np.multiply(du * du, S2)
-
-
-def _band_eval(ctx: ThetaContext, v, order: int):
-    """(theta, theta', theta'') on the band r <= |v| <= 1/r.
-
-    The band's one zero is that of f0 = 1 - 1/v, which is split off at every
-    point: theta = f0 P, and the derivatives follow by the product rule from
-    f0' = 1/v^2, f0'' = -2/v^3 and the sums of :func:`_band_core`.  No term
-    is singular at v = 1, so the derivatives keep their relative precision
-    next to the zero and through it.
-    """
-    P, L, Lp = _band_core(ctx, v, order)
-    t0 = (1.0 - 1.0 / v) * P
-    t1 = t2 = None
-    if order >= 1:
-        f0p = 1.0 / (v * v)
-        t1 = f0p * P + t0 * L
-    if order >= 2:
-        # an explicit call: for large v the operator form would be
-        # evaluated as (L * L + Lp) * t0, which rounds differently
-        t2 = -2.0 / (v * v * v) * P + 2.0 * f0p * P * L + np.multiply(t0, L * L + Lp)
-    return t0, t1, t2
+    return P, S1, S2
 
 
 def _reduce_band(ctx: ThetaContext, z):
@@ -304,49 +266,16 @@ def _reduce_band(ctx: ThetaContext, z):
     k = ctx.band_index(z) puts v in the band r <= |v| <= 1/r, and k-fold use
     of theta1(z) = -r^2 z theta1(r^2 z) gives c = (-1)^k r^(k(k+1)).
     Returns (c, k, q, v): c and q float64, k int64, v complex.  A NaN point
-    gets k = 0 and stays NaN.
+    gets k = 0 and stays NaN; z = 0 and infinite z raise ValueError.
     """
+    if (z == 0).any() or np.isinf(z).any():
+        raise ValueError("theta1 is undefined at z = 0 and at infinity")
     k = ctx.band_index(z)
     k[np.isnan(k)] = 0.0
     k = k.astype(np.int64)
     q = np.power(ctx.r, 2.0 * k)
     c = np.where(k & 1, -1.0, 1.0) * np.power(ctx.r, k * (k + 1.0))
     return c, k, q, z * q
-
-
-def _eval(ctx: ThetaContext, z, order: int):
-    """theta1 and derivatives at nonzero finite complex128 arguments (flat
-    arrays).
-
-    Returns (theta, theta', theta''), with None past ``order``.  theta and
-    theta' do not depend on ``order``.
-    """
-    if (z == 0).any() or np.isinf(z).any():
-        raise ValueError("theta1 is undefined at z = 0 and at infinity")
-    c, k, q, v = _reduce_band(ctx, z)
-    t0, t1, t2 = _band_eval(ctx, v, order)
-    zk = np.power(z, k)
-    theta = c * zk * t0
-    dtheta = d2 = None
-    if order >= 1:
-        kz = k / z
-        dtheta = c * zk * (kz * t0 + q * t1)
-    if order >= 2:
-        d2 = c * zk * (k * (k - 1) / (z * z) * t0 + 2.0 * kz * q * t1 + q * q * t2)
-    return theta, dtheta, d2
-
-
-@pointwise
-def theta1(ctx: ThetaContext, z):
-    """The annular theta product at z: a Python complex for a scalar z, else
-    an array of z's shape (the :func:`pointwise` convention)."""
-    return _eval(ctx, z, 0)[0]
-
-
-@pointwise
-def dtheta1(ctx: ThetaContext, z):
-    """First derivative of theta1, exact through the zeros."""
-    return _eval(ctx, z, 1)[1]
 
 
 def _guard_zero(ctx: ThetaContext, z, k):
@@ -360,21 +289,70 @@ def _guard_zero(ctx: ThetaContext, z, k):
         raise ThetaPoleError(f"theta1 vanishes at z = {where}; nearest zero {location}", location=location)
 
 
-def _log_slopes(ctx: ThetaContext, z, order: int):
-    """(log_slope, log_slope_deriv, theta1) at the flat complex points z from
-    one kernel call, the second None unless order is 2."""
-    t0, t1, t2 = _eval(ctx, z, order)
-    _guard_zero(ctx, z, ctx.band_index(z))
-    h = z * t1 / t0
+def _eval(ctx: ThetaContext, z, order: int):
+    """(theta1, log_slope, log_slope_deriv) at nonzero finite complex128
+    arguments (flat arrays), with None past ``order``.
+
+    With v = q z in the band (:func:`_reduce_band`) and the sums of
+    :func:`_band_core`,
+
+        theta1(z)          = c z^k ((v - 1)/v) P,
+        log_slope(z)       = k + 1/(v - 1) - (v - 1/v) S1,
+        log_slope_deriv(z) = q (-1/(v - 1)^2 - (1 + 1/v^2) S1
+                                - (v - 1/v)(1 - 1/v^2) S2).
+
+    v - 1 is exact next to the band's zero v = 1, so all three keep their
+    relative precision there.  At orders 1 and 2 a point on a zero raises
+    ThetaPoleError before any division.  No value depends on ``order``.
+    """
+    c, k, q, v = _reduce_band(ctx, z)
+    if order >= 1:
+        _guard_zero(ctx, z, k)
+    P, S1, S2 = _band_core(ctx, v, order)
+    d = v - 1.0
+    zk = np.power(z, k)
+    theta = c * zk * (d / v * P)
+    if order < 1:
+        return theta, None, None
+    iv = 1.0 / v
+    w = v - iv
+    h = k + 1.0 / d - w * S1
     if order < 2:
-        return h, None, t0
-    return h, t1 / t0 + z * t2 / t0 - h * h / z, t0
+        return theta, h, None
+    iv2 = iv * iv
+    du = 1.0 - iv2
+    return theta, h, (-1.0 / (d * d) - (1.0 + iv2) * S1 - w * du * S2) * q
+
+
+@pointwise
+def theta1(ctx: ThetaContext, z):
+    """The annular theta product at z: a Python complex for a scalar z, else
+    an array of z's shape (the :func:`pointwise` convention)."""
+    return _eval(ctx, z, 0)[0]
+
+
+@pointwise
+def dtheta1(ctx: ThetaContext, z):
+    """First derivative of theta1, exact through the zeros.
+
+    The product rule on theta1 = c z^k f P, f = (v - 1)/v (see :func:`_eval`),
+    gives theta1' = c z^k (k/z f P + q P (1/v^2 - f (1 - 1/v^2) S1)).
+    Explicit calls keep the operand order of each complex product, which is
+    not commutative bit for bit, so a point gets the same bits in any batch.
+    """
+    c, k, q, v = _reduce_band(ctx, z)
+    P, S1, _ = _band_core(ctx, v, 1)
+    f = (v - 1.0) / v
+    iv2 = 1.0 / (v * v)
+    band = np.multiply(P, iv2 - np.multiply(f, 1.0 - iv2) * S1)
+    zk = np.power(z, k)
+    return c * zk * (k / z * (f * P) + q * band)
 
 
 def _pair_slope(ctx: ThetaContext, center, z):
     """pair_slope on flat complex arrays of centres and points, with both
     log_slope arguments in one kernel call."""
-    h = _log_slopes(ctx, np.concatenate([z / center, z * center]), 1)[0]
+    h = _eval(ctx, np.concatenate([z / center, z * center]), 1)[1]
     return h[: z.size] + h[z.size :]
 
 
@@ -451,13 +429,13 @@ def log_slope(ctx: ThetaContext, z):
     log_slope(z) = 1 + log_slope(r^2 z) and log_slope(z) + log_slope(1/z) = -1,
     in particular log_slope(r) = -1.
     """
-    return _log_slopes(ctx, z, 1)[0]
+    return _eval(ctx, z, 1)[1]
 
 
 @pointwise
 def log_slope_deriv(ctx: ThetaContext, z):
     """Derivative of log_slope with respect to z."""
-    return _log_slopes(ctx, z, 2)[1]
+    return _eval(ctx, z, 2)[2]
 
 
 def pair_slope(ctx: ThetaContext, center, z):

@@ -20,14 +20,13 @@ from flatfront.immersion import (
     first_form_rotational,
     hyperbolic_distance,
     immerse,
-    immerse_from_gauss_data,
     immerse_rotational,
-    rotational_gauss_data,
     shape_ratio,
 )
 from flatfront.solver import BracketError, solve_canonical
 from flatfront.theta import ThetaContext, log_slope, theta1, dtheta1
 from flatfront.validation import interior_grid
+from routes import immerse_from_gauss_data, rotational_disc, rotational_gauss_data
 
 
 def _verdict(capsys, n, label, ok, detail):
@@ -267,8 +266,8 @@ def test_criterion_7_cross_route(capsys, flagship):
     rot_gap = 0.0
     for bexp in (0.3, 0.6):
         rot = RotationalModuli.from_exponent(bexp)
-        lam = rot.dilation
-        rr = rot.r_disc * np.linspace(0.05, 1.0, 50)
+        r_disc, lam = rotational_disc(rot)
+        rr = r_disc * np.linspace(0.05, 1.0, 50)
         route1 = immerse_from_gauss_data(*rotational_gauss_data(rot, rr.astype(complex)))
         closed = immerse_rotational(rot, lam * rr)
         rot_gap = max(

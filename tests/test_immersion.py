@@ -33,12 +33,10 @@ from flatfront.immersion import (
     first_form_rotational,
     hyperbolic_distance,
     immerse,
-    immerse_from_gauss_data,
     immerse_rotational,
     intrinsic_curvature,
     intrinsic_curvature_rotational,
     klein_map,
-    rotational_gauss_data,
     shape_ratio,
 )
 from flatfront.meshing import canonical_mesh
@@ -47,6 +45,7 @@ from flatfront.theta import ThetaContext, dtheta1, log_slope, log_slope_deriv, t
 from flatfront.validation import validate_moduli
 
 import oracles
+from routes import immerse_from_gauss_data, rotational_disc, rotational_gauss_data
 from test_annulus import FLAGSHIP
 
 # Frozen independently of the evaluator (series oracle in oracles.py):
@@ -316,9 +315,9 @@ def test_rotational_two_routes():
     rng = np.random.default_rng(43)
     for b in (0.3, 0.6):
         rot = RotationalModuli.from_exponent(b)
-        lam = rot.dilation
-        assert lam * rot.r_disc == pytest.approx(rot.s_rot, rel=1e-14)
-        z = rot.r_disc * rng.uniform(0.05, 1.0, 50) * np.exp(1j * rng.uniform(0, 2 * np.pi, 50))
+        r_disc, lam = rotational_disc(rot)
+        assert lam * r_disc == pytest.approx(rot.s_rot, rel=1e-14)
+        z = r_disc * rng.uniform(0.05, 1.0, 50) * np.exp(1j * rng.uniform(0, 2 * np.pi, 50))
         route1 = immerse_from_gauss_data(*rotational_gauss_data(rot, z))
         closed = immerse_rotational(rot, lam * z)
         assert np.abs(lam * route1.horizontal - closed.horizontal).max() < 1e-12
@@ -329,7 +328,7 @@ def test_rotational_degenerate_guards():
     rot = RotationalModuli.from_exponent(0.5)
     assert rot.degenerate
     with pytest.raises(DegenerateConfigurationError):
-        _ = rot.dilation
+        rotational_disc(rot)
     with pytest.raises(DegenerateConfigurationError):
         rotational_gauss_data(rot, np.array([0.1 + 0.0j]))
     with pytest.raises(DegenerateConfigurationError):

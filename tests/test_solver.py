@@ -327,6 +327,9 @@ def test_solver_deterministic():
     b, tb = solve_canonical(0.37, -0.44)
     assert a == b
     assert a.to_json() == b.to_json()
+    # every field is a Python float, as after from_json
+    assert all(type(v) is float for v in a.to_dict().values())
+    assert a == annulus.CanonicalModuli.from_json(a.to_json())
     assert json.dumps(ta.to_dict(), sort_keys=True) == json.dumps(tb.to_dict(), sort_keys=True)
 
 

@@ -121,7 +121,8 @@ def test_truncation_convergence() -> None:
     # doubling the number of factors moves values by less than 1e-14 relative
     for r in (0.25, 0.7):
         ctx = T.ThetaContext.create(r)
-        wide = ctx.with_terms(2 * ctx.n_terms)
+        n = 2 * ctx.n_terms
+        wide = T.ThetaContext(r, n, float(np.prod(1.0 - r ** (2.0 * np.arange(1, n + 1)))))
         z = _sample_annulus(r, 50, seed=11)
         z = np.concatenate([z, z / r, z * r])  # spans [r^2-ish, 1/r-ish] moduli
         a = T.theta1(ctx, z)
@@ -170,9 +171,10 @@ def test_log_slope_near_zeros_of_thin_annuli(r) -> None:
 
 @pytest.mark.parametrize("r", [0.25, 0.7])
 def test_dtheta1_next_to_zeros(r) -> None:
-    # the factor (1 - 1/v) is split off at every point, so theta1' keeps
-    # its relative precision at any distance from a zero, inside the band
-    # and after reduction into it
+    # theta1' comes by the product rule from the factor (v - 1)/v and the
+    # sums of the other factors, none singular on the band, so it keeps its
+    # relative precision at any distance from a zero, inside the band and
+    # after reduction into it
     pts = [1.0 + 1.1e-6, 1.0 - 1.1e-6, 1.0 + 3e-6, 1.0 - 3e-6, 1.0 + 1e-5, 1.0 + 1e-4]
     pts += [r * r * (1.0 + 2e-6), (1.0 - 2e-6) / (r * r), complex(1.0 + 2e-6, 1e-6)]
     ctx = T.ThetaContext.create(r)
@@ -186,16 +188,28 @@ def test_log_slope_deriv_against_oracle(r) -> None:
     # the second-order path against mpmath's derivatives of the product:
     # both band edges |v| = r and 1/r, where the factors D_k come closest
     # to zero, one complex point inside the band, and 1 +- 1e-6 next to
-    # the zero.  Away from the zero the error is at most 3e-14; next to it
-    # the split-off factor 1 - 1/v carries an absolute rounding of about
-    # 1e-16, so the error there is about 1e-16 / 1e-6 (4.6e-11 measured)
+    # the zero, whose pole term -1/(v - 1)^2 takes the exact difference
+    # v - 1, so the error there is as small as elsewhere
     ctx = T.ThetaContext.create(r)
     edges = [rho * complex(np.cos(phi), np.sin(phi)) for rho in (r, 1.0 / r) for phi in (0.3, 1.9, -2.6)]
-    cases = [(z, 1e-13) for z in edges + [complex(0.6, -0.45)]]
-    cases += [(1.0 + 1e-6, 1e-10), (1.0 - 1e-6, 1e-10)]
-    for z, tol in cases:
+    for z in edges + [complex(0.6, -0.45), 1.0 + 1e-6, 1.0 - 1e-6]:
         want = complex(log_slope_deriv(r, z))
-        assert abs(T.log_slope_deriv(ctx, z) - want) <= tol * abs(want), z
+        assert abs(T.log_slope_deriv(ctx, z) - want) <= 1e-13 * abs(want), z
+
+
+def test_values_next_to_zeros_against_oracle() -> None:
+    # theta1 and both log slopes within 1e-14 relative of mpmath next to the
+    # zeros 1 and r^2, inside the band and after reduction into it: v - 1
+    # is exact there, where a rounded 1 - 1/v would leave an error of about
+    # 1e-16 / |v - 1|
+    r = 0.25
+    ctx = T.ThetaContext.create(r)
+    for z in (1.0 + 1e-6, 1.0 - 1e-6, 1.0 + 1e-9, complex(1.0 + 1e-9, 1e-9), r * r * (1.0 + 1e-8)):
+        th = theta_product(r, z)
+        h = z * theta_product_deriv(r, z) / th
+        for f, want in ((T.theta1, th), (T.log_slope, h), (T.log_slope_deriv, log_slope_deriv(r, z))):
+            want = complex(want)
+            assert abs(f(ctx, z) - want) <= 1e-14 * abs(want), (f.__name__, z)
 
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 0.9])
@@ -318,7 +332,7 @@ def test_real_path_equals_complex_path(r: float) -> None:
     assert set(k[6:]) == {-2.0, -1.0, 0.0, 1.0, 2.0}
     gap = np.abs(w / ctx.nearest_zero(w) - 1.0)
     h, dh = T._real_log_slopes(ctx, w, 2)
-    want_h, want_dh, _ = T._log_slopes(ctx, w.astype(np.complex128), 2)
+    _, want_h, want_dh = T._eval(ctx, w.astype(np.complex128), 2)
     for got, want in ((h, want_h), (dh, want_dh)):
         assert got.dtype == np.float64
         err = np.abs(got - want.real) / np.maximum(1.0, np.abs(want.real))
