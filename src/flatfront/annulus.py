@@ -1,4 +1,4 @@
-"""Conformal data on the annulus r < |z| < 1 built from theta products.
+"""Conformal data on the annulus r < |z| < 1 built from theta functions.
 
 The moduli of a two-singularity surface are three real markers
 z2 < z0 < z1 in (-1, -r) plus derived constants.  From them the module
@@ -18,7 +18,10 @@ evaluates:
   from the theta product form of g, with no poles on the closed annulus,
 * ``potential`` - the harmonic function u with exp(2u) = |Q1 z^m / (1-R)|,
   from the raw quotients (an independent route to the shape factor),
-* ``inv_gauss_gap`` / ``second_gauss_map`` - F = R/g and g* = g - 1/F.
+* ``inv_gauss_gap`` / ``second_gauss_map`` - F = R/g and g* = g - 1/F,
+* ``_surface_series`` - R, the shape factor and g, or g'/g and R', from one
+  pass of the complex modular series over the four theta arguments z0/z,
+  z0 z, z1 z and z2 z: the data of ``immerse`` and ``shape_ratio``.
 
 R is real on both circles, so it is elliptic on C*/r^2, with simple poles
 at z0 and 1/z0.  Once R(z1) = 1 and R(z2) = 0, comparing divisors gives
@@ -40,6 +43,17 @@ marker per point, and the four slit values that tie the stored fields to
 the markers (slit_map(z0, z1), slit_map(z0, z2), slit_map(z1, z0) and
 slit_map(z2, z0), see ``_marker_slits``) come from one two-call pass with
 the bits of four separate ``slit_map`` calls.
+
+Two kernels serve the module.  ``_surface_series``, which feeds the bulk
+evaluators immerse and shape_ratio of the mesh and the validation battery,
+runs on the complex modular series (theta._series_sums): 1 to 4 terms per
+argument at every r from 0.023, where the product takes 6 to 88 and more,
+and one log z and one exp per point shared by the four arguments.  Every
+public map here, the per-surface constants sqrt(C) and K', and the first
+form and curvature built on them in flatfront.immersion stay on the
+product: the benchmark's probe workload records each query it makes and
+its peak memory grows with their number, so faster single-point queries
+there wait until the benchmark keeps a record of fixed size per query.
 """
 
 from __future__ import annotations
@@ -50,7 +64,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .theta import ThetaContext, _eval, pointwise
+from .theta import _CHUNK, ThetaContext, _eval, _expm1, _guard_series_zeros, _modular_terms, _series_sums, pointwise
 
 ANNULUS_SLACK = 1e-12
 
@@ -150,18 +164,17 @@ def _require_annulus(ctx: ThetaContext, flat, who: str):
 
 
 def _slit_parts(ctx: ThetaContext, marker, z, order: int, who: str = "slit_map"):
-    """(slit_map, slit_map_deriv, theta1(marker/z), theta1(marker z)) at the
-    flat points z from one kernel call per argument, marker/z and marker z;
-    the derivative is None unless order is 2.  marker is a float or a float
+    """(slit_map, slit_map_deriv) at the flat points z from one kernel call
+    per argument, marker/z and marker z; the derivative is None unless order
+    is 2.  marker is a float or a float
     array that broadcasts against z.  No kernel value depends on the order,
     and a point's value not on its batch, so each value has the bits of its
     own evaluator."""
     _require_annulus(ctx, z, who)
-    theta_in, h_in, hp_in = _eval(ctx, marker / z, order)
-    theta_out, h_out, hp_out = _eval(ctx, marker * z, order)
+    _, h_in, hp_in = _eval(ctx, marker / z, order)
+    _, h_out, hp_out = _eval(ctx, marker * z, order)
     q = -(h_in + h_out) / marker
-    qp = hp_in / (z * z) - hp_out if order >= 2 else None
-    return q, qp, theta_in, theta_out
+    return q, (hp_in / (z * z) - hp_out if order >= 2 else None)
 
 
 def _marker_slits(ctx: ThetaContext, z0: float, z1: float, z2: float):
@@ -169,9 +182,7 @@ def _marker_slits(ctx: ThetaContext, z0: float, z1: float, z2: float):
     slit_map_deriv(z0, z2)), all but c1 and c2 complex, with the real parts
     c1 and c2 of slit_map(z1, z0) and slit_map(z2, z0), from one order-2
     pass over the four points, with the bits of one-point calls."""
-    q, qp, _, _ = _slit_parts(
-        ctx, np.array([z0, z0, z1, z2]), np.array([z1, z2, z0, z0], dtype=np.complex128), 2
-    )
+    q, qp = _slit_parts(ctx, np.array([z0, z0, z1, z2]), np.array([z1, z2, z0, z0], dtype=np.complex128), 2)
     c1, c2 = float(q[2].real), float(q[3].real)
     return complex(q[0]), complex(q[1]), c1, c2, complex(qp[0]), complex(qp[1])
 
@@ -320,16 +331,11 @@ def gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
     computed once per surface.  g is negative on (-1, -r).  Raises
     RepresentationError for moduli whose fields do not fit their markers.
     """
-    return _gauss_map_parts(moduli, ctx, z)[0]
-
-
-def _gauss_map_parts(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """(gauss_map, theta1(z1 z)) at the flat points z."""
     _require_annulus(ctx, z, "gauss_map")
     scale, _ = _surface_constants(moduli, ctx)
     num, _, _ = _eval(ctx, moduli.z2 * z, 0)
     den, _, _ = _eval(ctx, moduli.z1 * z, 0)
-    return scale * num / (z * den), den
+    return scale * num / (z * den)
 
 
 @pointwise
@@ -344,50 +350,170 @@ def gauss_map_square(moduli: CanonicalModuli, ctx: ThetaContext, z):
 
 
 def _gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z, g):
-    """g' at flat points z, from g at the same points."""
+    """g' = g (W'/(2W) - 1/z) at flat points z, from g at the same points:
+    first_form's route, which loses digits within about 1e-6 of z1 and z2
+    (see gauss_square_log_deriv)."""
     return g * (0.5 * gauss_square_log_deriv(moduli, ctx, z) - 1.0 / z)
 
 
 @pointwise
 def gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """g'(z) = g(z) * (W'/(2W) - 1/z)."""
-    return _gauss_map_deriv(moduli, ctx, z, gauss_map(moduli, ctx, z))
+    """g'(z) = g(z) * g'/g(z), with g'/g from the theta product form of g
+    (see _gauss_log_deriv), which keeps its digits next to z1 and z2."""
+    return gauss_map(moduli, ctx, z) * _gauss_log_deriv(moduli, ctx, z)
 
 
 # --- shape factor, potential and Gauss-map gap --------------------------
 
 
 def _gauss_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """(g'/g, theta1(z1 z)) at the flat points z from one order-1 kernel call
-    at each of z2 z and z1 z.
+    """g'/g at the flat points z from one order-1 kernel call at each of
+    z2 z and z1 z.
 
     The log-derivative of g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)) is
     g'/g = (h(z2 z) - h(z1 z) - 1) / z with h = log_slope.  Its terms have
     no poles on the closed annulus, so unlike W'/W (gauss_square_log_deriv)
     it keeps its digits next to z1 and z2.
     """
-    _, h2, _ = _eval(ctx, moduli.z2 * z, 1)
-    theta_z1, h1, _ = _eval(ctx, moduli.z1 * z, 1)
-    return (h2 - h1 - 1.0) / z, theta_z1
+    h2 = _eval(ctx, moduli.z2 * z, 1)[1]
+    h1 = _eval(ctx, moduli.z1 * z, 1)[1]
+    return (h2 - h1 - 1.0) / z
 
 
-def _shape_factor(moduli: CanonicalModuli, ctx: ThetaContext, z, thetas=None):
+def _shape_factor(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """Q1 z^m / (1-R) = -z^(m+1) theta1(z/z0) theta1(z0 z) / (z1 K' theta1(z1 z)^2).
 
     On flat arrays z, with the principal-branch z^m; its modulus is exp(2u).
     theta1(z/z0) is read as -(z0/z) theta1(z0/z), by theta1(1/w) = -w
     theta1(w), so the factor's arguments are z0/z and z0 z, those of the
-    slit map at z0, and z1 z, that of g.  thetas, when given, are
-    theta1(z0/z), theta1(z0 z) and theta1(z1 z) at the same points.  Regular
-    at z1 and z2 and zero at the end z0.  Raises RepresentationError for
+    slit map at z0, and z1 z, that of g.  Regular at z1 and z2 and zero at
+    the end z0.  Raises RepresentationError for
     moduli whose fields do not fit their markers.
     """
     _, k_prime = _surface_constants(moduli, ctx)
-    if thetas is None:
-        thetas = [_eval(ctx, w, 0)[0] for w in (moduli.z0 / z, moduli.z0 * z, moduli.z1 * z)]
-    a, b, c = thetas
+    a, b, c = (_eval(ctx, w, 0)[0] for w in (moduli.z0 / z, moduli.z0 * z, moduli.z1 * z))
     a = -(moduli.z0 / z) * a
     return -z * np.exp(moduli.m * np.log(z)) * a * b / (moduli.z1 * k_prime * c * c)
+
+
+@lru_cache(maxsize=128)
+def _series_constants(moduli: CanonicalModuli, ctx: ThetaContext):
+    """Per-surface constants of :func:`_surface_series`: (pi/l, the unit
+    factors a0, a1, a2 of E at z0 z, z1 z, z2 z, and the real coefficients
+    of g, the shape factor, R and R'), after the checks of
+    :func:`_surface_constants`."""
+    sqrt_c, k_prime = _surface_constants(moduli, ctx)
+    k = _modular_terms(ctx.r)[0]
+    ell = np.pi / k
+    l0, l1, l2 = (float(np.log(-x)) for x in (moduli.z0, moduli.z1, moduli.z2))
+    units = tuple(complex(np.exp(-1j * k * x)) for x in (l0, l1, l2))
+    g_coef = (float(np.log(sqrt_c)) + (l2 - l1) * ((l1 + l2) / (4.0 * ell) - 0.5), (l2 - l1) / (2.0 * ell) - 1.0)
+    f_coef = (
+        float(np.log(moduli.z0 / (moduli.z1 * k_prime))) + (l0 * l0 - l1 * l1) / (2.0 * ell) - (l0 - l1),
+        moduli.m + 1.0 - l1 / ell,
+    )
+    r_coef = (moduli.b_R - moduli.a_R * (l0 / ell - 1.0) / moduli.z0, -moduli.a_R * k / moduli.z0)
+    return k, units, g_coef, f_coef, r_coef
+
+
+def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, who: str):
+    """(R, shape factor, g) at order 1, (R, shape factor, g'/g, R') at order
+    2, at the flat points z, from the complex modular series at the four
+    theta arguments z0/z, z0 z, z1 z and z2 z.
+
+    A point is evaluated at zeta = z, or conj(z) when Im z has its sign bit
+    set, and conjugated back: every output is conjugate at conjugate points,
+    bit for bit.  With the principal log z of zeta (Im in [0, pi]) the four
+    arguments take the logs lv = log|z_j| + log z - i pi and
+    log|z0| + i pi - log z, all with |Im lv| <= pi, so their series variables
+    (see theta._theta_series) are E_j = a_j w and conj(a0) w for one
+    w = exp((pi/l) (Im log z - pi) - i (pi/l) Re log z) per point: one log
+    and one exp serve all four.  Where an argument's |E - 1| < 1/2, next to
+    a zero of theta1 (the end z0 for z0/z; 1/z2 or r^2/z1, just off the
+    annulus, for the others), E - 1 is recomputed by _near_zero_em1, so it
+    keeps its relative precision.
+
+    In the quotients of g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)) and of the
+    shape factor z^m z0 theta1(z0/z) theta1(z0 z) / (z1 K' theta1(z1 z)^2)
+    the series' constant cancels and the exp(lv^2/(4l)) factors combine to
+    exp(c + b log z) with real c and b, which takes in 1/z and z^m:
+
+        g      = exp(c_g + b_g log z) D2 / D1,
+        factor = exp(c_f + b_f log z) Din D0 / D1^2,
+        R      = R_c + i kappa (rho_in - rho_0),
+        g'/g   = (b_g - i (pi/l) (rho_2 - rho_1)) / z,
+        R'     = -(a_R/z0) (pi/l)^2 (tau_in - tau_0) / z,
+
+    with D, rho = N1/D and tau of theta._series_sums at each argument, while
+    sqrt(C) and K' still come from the product (_surface_constants).  Every
+    argument is guarded against the zeros of theta1; the operations are
+    elementwise and run over chunks of theta._CHUNK points, so a point gets
+    the same bits in any batch.
+    """
+    _require_annulus(ctx, z, who)
+    k, (a0, a1, a2), (cg, bg), (cf, bf), (r_c, kappa) = _series_constants(moduli, ctx)
+    z0 = moduli.z0
+    outs = [np.empty(z.shape, dtype=np.complex128) for _ in range(order + 2)]
+    for lo in range(0, z.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        zc = z[part]
+        lower = np.signbit(zc.imag)
+        mirrored = lower.any()
+        zeta = np.where(lower, np.conj(zc), zc) if mirrored else zc
+        lz = np.log(zeta)
+        w = np.empty(zc.shape, dtype=np.complex128)
+        w.real = k * (lz.imag - np.pi)
+        w.imag = -k * lz.real
+        w = np.exp(w)
+        sums = []
+        # (unit factor of E, sign s of E = exp(2isy), series order, marker,
+        # whether the argument is marker/z)
+        for unit, s, deg, marker, inverse in (
+            (np.conj(a0), 1.0, order, z0, True),
+            (a0, -1.0, order, z0, False),
+            (a1, -1.0, order - 1, moduli.z1, False),
+            (a2, -1.0, order - 1, moduli.z2, False),
+        ):
+            E = unit * w
+            em1 = E - 1.0
+            near = np.abs(em1) < 0.5
+            if near.any():
+                em1[near] = _near_zero_em1(ctx, k, s, marker, zeta[near], inverse)
+                E[near] = em1[near] + 1.0
+            _guard_series_zeros(ctx, em1, lambda m: marker / zc[m] if inverse else marker * zc[m])
+            sums.append(_series_sums(ctx, E, em1, deg))
+        (d_in, rho_in, tau_in), (d_0, rho_0, tau_0), (d_1, rho_1, _), (d_2, rho_2, _) = sums
+        vals = [
+            r_c + 1j * kappa * (rho_in - rho_0),
+            np.exp(cf + bf * lz) * d_in * d_0 / (d_1 * d_1),
+        ]
+        if order < 2:
+            vals.append(np.exp(cg + bg * lz) * d_2 / d_1)
+        else:
+            vals.append((bg - 1j * k * (rho_2 - rho_1)) / zeta)
+            vals.append(-moduli.a_R * k * k * (tau_in - tau_0) / (z0 * zeta))
+        for out, val in zip(outs, vals):
+            out[part] = np.where(lower, np.conj(val), val) if mirrored else val
+    return outs
+
+
+def _near_zero_em1(ctx: ThetaContext, k: float, s: float, marker: float, zeta, inverse: bool):
+    """E - 1 = expm1(i s (pi/l) log(v/v0)) at the argument v = marker/zeta
+    (inverse) or marker zeta, with v0 the zero of theta1 nearest v: E is
+    periodic in log v with period 2l, so the log may be taken from the zero.
+    With d = v/v0 - 1, exact in the numerator z0 - zeta for the argument
+    z0/zeta, the log is log1p-accurate: E - 1 keeps the relative precision
+    of d, where E - 1 from E alone would cancel."""
+    if inverse:
+        d = (marker - zeta) / zeta
+    else:
+        v = marker * zeta
+        d = v / ctx.nearest_zero(v) - 1.0
+    # i s k log(1 + d), log(1 + d) = log|1 + d| + i arg(1 + d)
+    x = np.empty(d.shape, dtype=np.complex128)
+    x.real = -s * k * np.arctan2(d.imag, 1.0 + d.real)
+    x.imag = 0.5 * s * k * np.log1p(d.real * (2.0 + d.real) + d.imag * d.imag)
+    return _expm1(x)
 
 
 @pointwise

@@ -16,6 +16,14 @@ shape ratio p with |p| = 1 exactly on the singular circles, a finite
 difference Gauss curvature (Brioschi) used to certify intrinsic flatness,
 the Klein ball change of model, and the closed-form rotational family used
 as an independent cross-check of the generic evaluator.
+
+immerse and shape_ratio, which the mesh and the validation battery call on
+thousands of points, are projections of one pass of the complex modular
+series (annulus._surface_series); shape_ratio's W still comes from the
+public gauss_map_square.  first_form and intrinsic_curvature stay on the
+theta product: they take most of the probe benchmark's query time, and a
+faster probe records more queries, whose records raise its peak memory
+until each record has a fixed size.
 """
 
 from __future__ import annotations
@@ -28,11 +36,9 @@ import numpy as np
 from .annulus import (
     CanonicalModuli,
     DegenerateConfigurationError,
-    _gauss_log_deriv,
     _gauss_map_deriv,
-    _gauss_map_parts,
     _shape_factor,
-    _slit_parts,
+    _surface_series,
     gauss_map,
     gauss_map_square,
     gauss_ratio,
@@ -81,17 +87,17 @@ def immerse(moduli: CanonicalModuli, ctx: ThetaContext, z):
     Each field of the result has z's shape, or is a Python scalar for a
     scalar z.  Points within END_TOL of the end z0 come back as the ideal
     limit (g(z0), 0); everything else is an interior point with height > 0.
+    g, R and e^2u come from one order-1 pass of the complex modular series
+    (annulus._surface_series), which keeps R and e^2u to full relative
+    precision next to the end.
     """
     near_end = np.abs(z - moduli.z0) < END_TOL
     work = z.copy()
     if near_end.any():
         work[near_end] = 0.5 * (moduli.z0 + moduli.z1)
 
-    # the shape factor's theta values come from the kernel calls of g and R
-    g, theta_z1 = _gauss_map_parts(moduli, ctx, work)
-    q0, _, theta_in, theta_z0 = _slit_parts(ctx, moduli.z0, work, 1)
-    R = moduli.a_R * q0 + moduli.b_R
-    e2 = np.abs(_shape_factor(moduli, ctx, work, (theta_in, theta_z0, theta_z1)))
+    R, factor, g = _surface_series(moduli, ctx, work, 1, "immerse")
+    e2 = np.abs(factor)
     F = R / g
     psi3 = e2 / (1.0 + e2 * e2 * np.abs(F) ** 2)
     horiz = g - psi3 * e2 * np.conj(F)
@@ -175,19 +181,15 @@ def shape_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z):
     p = factor^2 z^2 (R' / (g'/g) + R (R - 1)) / W with the shape factor
     Q1 z^m / (1-R) and W = (z g)^2.  Its principal-branch power z^m makes
     the phase of p (not its modulus) jump across arg z = pi.  g'/g comes
-    from the theta product form of g (see _gauss_log_deriv), which has no
+    from the theta form of g (see annulus._gauss_log_deriv), which has no
     poles to cancel, so p keeps its digits next to the markers z1 and z2.
-    The surface needs four theta arguments, z0/z, z0 z, z1 z and z2 z: R
-    and R' share the slit map's two kernel calls, g'/g takes one each at
-    z1 z and z2 z, and the shape factor reads its theta values from those
-    calls; W takes gauss_map_square's two.
+    R, R', g'/g and the shape factor come from one order-2 pass of the
+    complex modular series over the four theta arguments z0/z, z0 z, z1 z
+    and z2 z (annulus._surface_series); W from gauss_map_square's two
+    product calls.
     """
-    q0, q0p, theta_in, theta_z0 = _slit_parts(ctx, moduli.z0, z, 2)
-    R = moduli.a_R * q0 + moduli.b_R
-    Rp = moduli.a_R * q0p
-    g_log, theta_z1 = _gauss_log_deriv(moduli, ctx, z)
+    R, factor, g_log, Rp = _surface_series(moduli, ctx, z, 2, "shape_ratio")
     W = gauss_map_square(moduli, ctx, z)
-    factor = _shape_factor(moduli, ctx, z, (theta_in, theta_z0, theta_z1))
     return factor * factor * z * z * (Rp / g_log + R * (R - 1.0)) / W
 
 

@@ -355,7 +355,7 @@ def residuals(moduli: CanonicalModuli, ctx: ThetaContext | None = None) -> dict:
     if ctx is None:
         ctx = ThetaContext.create(moduli.r)
     # R'(z1) and R'(z2) from one pass, with the bits of one-point slit_map_deriv calls
-    _, qp, _, _ = _slit_parts(
+    _, qp = _slit_parts(
         ctx, moduli.z0, np.array([moduli.z1, moduli.z2], dtype=np.complex128), 2, "slit_map_deriv"
     )
     rp1, rp2 = moduli.a_R * qp.real

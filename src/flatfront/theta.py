@@ -44,6 +44,18 @@ an independent route to the same values as the product, so the solver's
 residual check, which evaluates the solved markers on the product,
 certifies the series' solve across the two kernels.
 
+The same transformation in its theta-quotient form gives theta1 at complex
+points (:func:`_theta_series`, :func:`_series_sums`): with a log lv of the
+argument, |Im lv| <= pi, theta1 = s D exp(phi), where phi is quadratic in
+lv and D = sum (-1)^n q'^(n(n+1)) (E^(n+1) - E^(-n)), E = exp(+-i pi lv/l),
+|E| <= 1.  Its n-th term is at most q'^(n^2), so it needs 4 terms at
+r = 0.05, 2 from r = 0.386 and 1 from r = 0.789, at every point and with no
+band reduction.  The annulus layer builds the data of immerse and
+shape_ratio from it (annulus._surface_series), the bulk of the mesh's and
+the validation battery's work; every other evaluator, the public functions
+here among them, stays on the product, which also keeps the per-surface
+constants and the solve's residual check on a route of their own.
+
 Each pair of factors of the band product is one symmetric factor
 
     D_k = (1 - r^(2k) v)(1 - r^(2k) / v) = (1 + r^(4k)) - r^(2k) (v + 1/v),
@@ -419,6 +431,115 @@ def _real_log_slopes(ctx: ThetaContext, w, order: int):
     S2 = np.zeros(w.shape)
     _fold(np.add, S2, na * np.cos(ny))
     return h, (1.0 / two_l + c * c * (8.0 * S2 - (1.0 + cot * cot))) / w
+
+
+@functools.lru_cache(maxsize=128)
+def _modular_terms(r: float):
+    """(pi/l, c_0..c_(N-1)) of the complex modular series at modulus r.
+
+    c_n = (-1)^n q'^(n(n+1)), with N the least count with q'^(N^2) <
+    TRUNCATION_TOL: the n-th term of the series is at most q'^(n^2) where
+    q' <= |E| <= 1.  N is 4 from r = 0.023, 3 from r = 0.118, 2 from
+    r = 0.386 and 1 from r = 0.789 on; the product takes 6, 10, 22 and 88
+    there.
+    """
+    x = math.pi * math.pi / -math.log(r)  # -log q'
+    n = math.floor(math.sqrt(-math.log(TRUNCATION_TOL) / x)) + 1
+    return x / math.pi, tuple((-1.0) ** j * math.exp(-x * j * (j + 1)) for j in range(n))
+
+
+def _series_sums(ctx: ThetaContext, E, em1, order: int):
+    """(D, N1/D, N2/D - (N1/D)^2) of the modular series at E, flat complex
+    arrays with q' <= |E| <= 1, em1 = E - 1; None past ``order``.
+
+        D  = sum c_n (E^(n+1) - E^(-n)) = (E - 1) sum c_n (E^-n + ... + E^n),
+        N1 = sum c_n ((n+1) E^(n+1) + n E^(-n)),
+        N2 = sum c_n ((n+1)^2 E^(n+1) - n^2 E^(-n)),
+
+    with the c_n of _modular_terms.  D vanishes only at E = 1, and only
+    through its factor E - 1: a caller that hands in a cancellation-free em1
+    keeps D's relative precision next to a zero.  The operations are
+    elementwise and run in a fixed order, so a point gets the same bits in
+    any batch.
+    """
+    c = _modular_terms(ctx.r)[1]
+    S, N1, N2 = 1.0, E, E
+    if len(c) > 1:
+        inv = 1.0 / E
+        up, down, G = E, inv, 1.0 + (E + inv)
+        for n in range(1, len(c)):
+            if n > 1:
+                down = down * inv
+                G = G + (up + down)
+            up = up * E
+            S = S + c[n] * G
+            if order >= 1:
+                N1 = N1 + c[n] * ((n + 1) * up + n * down)
+            if order >= 2:
+                N2 = N2 + c[n] * ((n + 1) ** 2 * up - n * n * down)
+    D = em1 * S
+    if order < 1:
+        return D, None, None
+    rho = N1 / D
+    return D, rho, (N2 / D - rho * rho if order >= 2 else None)
+
+
+def _expm1(w):
+    """exp(w) - 1 at complex w without cancellation next to w = 0."""
+    a, b = w.real, w.imag
+    s = np.sin(0.5 * b)
+    out = np.empty(w.shape, dtype=np.complex128)
+    out.real = np.expm1(a) * np.cos(b) - 2.0 * s * s
+    out.imag = np.exp(a) * np.sin(b)
+    return out
+
+
+def _theta_series(ctx: ThetaContext, lv, order: int):
+    """(s D, exp(phi), h, dh/dlv) at the points v = exp(lv) from the complex
+    modular series, for flat complex lv with |Im lv| <= pi; the last two
+    None past ``order``.
+
+    Jacobi's imaginary transformation (DLMF 20.7.30) takes theta1 to the
+    series 2 q'^(1/4) sum (-1)^n q'^(n(n+1)) sin((2n+1) y) at
+    y = pi lv / (2l) times a Gaussian in lv; it gives theta1(v) = s D exp(phi)
+    with D of _series_sums at E = exp(2isy), s = +-1 the sign with
+    |E| <= 1, and
+
+        phi   = log(pi/l)/2 + l/4 - pi^2/(4l) - i pi/2
+                + lv^2/(4l) - lv/2 - i s pi lv/(2l),
+        h     = lv/(2l) - 1/2 - i s pi/(2l) + i s (pi/l) N1/D,
+        dh/dlv = 1/(2l) - (pi/l)^2 (N2/D - (N1/D)^2).
+
+    The identity holds on every branch of lv, so no band reduction is
+    needed, and with |Im lv| <= pi the n-th term is at most q'^(n^2): 1 to 4
+    terms for r >= 0.023.  E - 1 is taken from expm1, so all four keep their
+    relative precision next to the zero lv = 0.  Raises ThetaPoleError as
+    the product does within ZERO_DIST of a zero.
+    """
+    k, _ = _modular_terms(ctx.r)
+    ell = math.pi / k
+    s = np.where(np.signbit(lv.imag), -1.0, 1.0)
+    w = np.empty(lv.shape, dtype=np.complex128)
+    w.real = -k * np.abs(lv.imag)
+    w.imag = s * k * lv.real
+    em1 = _expm1(w)
+    _guard_series_zeros(ctx, em1, lambda near: np.exp(lv[near]))
+    D, rho, tau = _series_sums(ctx, np.exp(w), em1, order)
+    isk = 1j * s * k
+    phi = (0.5 * math.log(k) + 0.25 * ell - 0.25 * math.pi * k - 0.5j * math.pi
+           + lv * (lv / (4.0 * ell) - 0.5 - 0.5 * isk))
+    h = lv / (2.0 * ell) - 0.5 - 0.5 * isk + isk * rho if order >= 1 else None
+    return s * D, np.exp(phi), h, (0.5 / ell - k * k * tau if order >= 2 else None)
+
+
+def _guard_series_zeros(ctx: ThetaContext, em1, args):
+    """Raise ThetaPoleError as :func:`_guard_zero` does at the points whose
+    series variable E is within a few ZERO_DIST (times pi/l) of 1, the image
+    of every zero; args(mask) gives those points' theta1 arguments."""
+    near = np.abs(em1) <= 2.0 * ZERO_DIST * _modular_terms(ctx.r)[0]
+    if near.any():
+        v = args(near)
+        _guard_zero(ctx, v, ctx.band_index(v))
 
 
 @pointwise

@@ -1,9 +1,11 @@
 """Invariant battery for solved configurations, aggregated into one report.
 
-Each field of ValidationReport has a documented tolerance; `passes` is the
-conjunction of all of them.  The residual gates scale with the master
-tolerance, the geometric gates are fixed by the convergence rates of the
-quantities they measure.
+Each field of ValidationReport but end_gap has a documented tolerance;
+`passes` is the conjunction of all of them, and of every float field being
+finite.  The residual gates scale with the master tolerance, the geometric
+gates are fixed by the convergence rates of the quantities they measure.
+end_gap, the rate-cancelled distance of the end circle from the end's ideal
+point, is reported without a gate of its own.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ class ValidationReport:
     sing1_error: float
     sing2_error: float
     end_error: float
+    end_gap: float
     rs_ok: bool
     outer_sign_changes: int
 
@@ -127,27 +130,39 @@ def boundary_ranges_ok(moduli: CanonicalModuli, ctx: ThetaContext | None = None)
     return bool(ok and r1 < rr)
 
 
-def _collapse_and_end_errors(moduli, ctx) -> tuple[float, float, float]:
-    """Collapse gaps of the circles |z| = 1 and |z| = r, and the end gap, from one immerse call.
+def _collapse_and_end_errors(moduli, ctx) -> tuple[float, float, float, float]:
+    """Collapse gaps of the circles |z| = 1 and |z| = r, the end error and the
+    end gap, from one immerse call.
 
     Per angle, the distance to a cone point decays linearly in the offset with
     a rate that depends on the configuration; 2 d(offset) - d(2 offset)
     cancels that term, so a gap measures failure to collapse, not the rate.
-    The cones and the end direction lie on the real axis, so every gap is
-    even under z -> conj(z) and each circle is sampled on its upper half.
+    The end error is the distance from the end circle at the offset to the
+    end's ideal point X_end = (g(z0), 0), which mostly measures the rate times
+    the offset; the end gap |2 X(offset) - X(2 offset) - X_end| cancels the
+    rate as the cone gaps do.  The cones and the end direction lie on the
+    real axis, so every gap is even under z -> conj(z) and each circle is
+    sampled on its upper half.
     """
     circle = _upper_circle(256)
     rhos = (1.0 - CIRCLE_OFFSET, 1.0 - 2.0 * CIRCLE_OFFSET,
             moduli.r + CIRCLE_OFFSET, moduli.r + 2.0 * CIRCLE_OFFSET)
-    end_circle = moduli.z0 + CIRCLE_OFFSET * _upper_circle(64)
-    pts = immerse(moduli, ctx, np.concatenate([*(rho * circle for rho in rhos), end_circle]))
+    end_circle = _upper_circle(64)
+    ends = [moduli.z0 + off * end_circle for off in (CIRCLE_OFFSET, 2.0 * CIRCLE_OFFSET)]
+    pts = immerse(moduli, ctx, np.concatenate([*(rho * circle for rho in rhos), *ends]))
     n = len(rhos) * circle.size
     near = HalfSpacePoint(pts.horizontal[:n].reshape(len(rhos), -1), pts.height[:n].reshape(len(rhos), -1))
     d = hyperbolic_distance(near, HalfSpacePoint(0.0 + 0.0j, np.repeat([1.0, moduli.c_height], 2)[:, None]))
     sing = np.abs(2.0 * d[0::2] - d[1::2]).max(axis=1)
-    # the end's target is an ideal point, so its gap is Euclidean by necessity
-    end = np.sqrt(np.abs(pts.horizontal[n:] - end_direction(moduli, ctx)) ** 2 + pts.height[n:] ** 2)
-    return float(sing[0]), float(sing[1]), float(end.max())
+    # the end's target is an ideal point, so its gaps are Euclidean by necessity
+    g_end = end_direction(moduli, ctx)
+    near, far = slice(n, n + end_circle.size), slice(n + end_circle.size, None)
+    end = np.sqrt(np.abs(pts.horizontal[near] - g_end) ** 2 + pts.height[near] ** 2)
+    gap = np.sqrt(
+        np.abs(2.0 * pts.horizontal[near] - pts.horizontal[far] - g_end) ** 2
+        + (2.0 * pts.height[near] - pts.height[far]) ** 2
+    )
+    return float(sing[0]), float(sing[1]), float(end.max()), float(gap.max())
 
 
 def validate_moduli(
@@ -193,7 +208,7 @@ def validate_moduli(
         p_abs = np.abs(shape_ratio(moduli, ctx, np.concatenate([interior, circle, moduli.r * circle, cand])))
         probes = cand[np.argsort(p_abs[n_int + n_bnd :])[:_CURV_PROBES]]
         ks = intrinsic_curvature(moduli, ctx, probes)
-        sing1, sing2, end = _collapse_and_end_errors(moduli, ctx)
+        sing1, sing2, end, end_gap = _collapse_and_end_errors(moduli, ctx)
         geo = {
             "max_abs_p_interior": float(p_abs[:n_int].max()),
             "boundary_p_deviation": float(np.abs(p_abs[n_int : n_int + n_bnd] - 1.0).max()),
@@ -201,11 +216,12 @@ def validate_moduli(
             "sing1_error": sing1,
             "sing2_error": sing2,
             "end_error": end,
+            "end_gap": end_gap,
         }
     except (RepresentationError, DegenerateConfigurationError, ThetaPoleError, ValueError):
         geo = {k: math.inf for k in (
             "max_abs_p_interior", "boundary_p_deviation", "max_abs_curvature",
-            "sing1_error", "sing2_error", "end_error",
+            "sing1_error", "sing2_error", "end_error", "end_gap",
         )}
 
     return ValidationReport(

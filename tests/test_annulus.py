@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import oracles
 from oracles import theta_product, theta_product_deriv
 from flatfront.solver import solve_canonical
 from flatfront.theta import ThetaContext, ThetaPoleError, pair_slope, theta1
@@ -16,7 +17,9 @@ from flatfront.annulus import (
     CanonicalModuli,
     DegenerateConfigurationError,
     RepresentationError,
+    _CHUNK,
     _shape_factor,
+    _surface_series,
     fit_gauss_ratio,
     gauss_map,
     gauss_map_deriv,
@@ -387,6 +390,18 @@ def test_gauss_map_deriv_matches_fd(mod, ctx):
     assert (np.abs(fd - dv) / np.abs(dv)).max() < 1e-6
 
 
+@pytest.mark.parametrize("marker", ["z1", "z2"])
+def test_gauss_map_deriv_near_the_markers_against_oracle(mod, ctx, marker):
+    # g' = g g'/g with g'/g from the closed form of g, which has no poles to
+    # cancel next to z1 and z2 (the W'/W route was off by 220% at 1e-9 from
+    # z1); r = 0.25 needs 40 terms for r^(2n) < 1e-48
+    for delta in (1e-9, 1e-7, 1e-5):
+        for z in (complex(getattr(mod, marker), delta), complex(getattr(mod, marker) + delta)):
+            want = complex(oracles.gauss_map_deriv(mod.to_dict(), z, n=40))
+            got = gauss_map_deriv(mod, ctx, z)
+            assert abs(got - want) <= 1e-10 * abs(want), (delta, z, got, want)
+
+
 def test_potential_matches_raw_modulus(mod, ctx):
     z = _away_from_markers(_annulus_samples(mod.r, 100, seed=23), mod)
     u = potential(mod, ctx, z)
@@ -428,3 +443,70 @@ def test_annulus_domain_guard(mod, ctx):
         ):
             with pytest.raises(ValueError):
                 fn(bad)
+
+
+def _series_test_points(moduli):
+    """Both circles at angles within 1e-12 rad of +-pi and at generic
+    angles, and points next to the end z0, where theta1(z0/z) vanishes."""
+    ring = np.exp(1j * np.array([np.pi - 1e-12, -(np.pi - 1e-12), 0.7, -2.1, 3.0]))
+    end = moduli.z0 + np.array([1e-4 * np.exp(0.3j), 1e-8 * np.exp(-2j), 1e-11j, 1e-4, -1e-9])
+    return np.concatenate([ring, moduli.r * ring, end])
+
+
+@pytest.mark.parametrize("r, s", [(0.05, -0.04), (0.25, -0.5), (0.45, -0.1), (0.7, -0.99)])
+def test_surface_series_against_oracle(r, s):
+    # the theta1 quotients of g and of the shape factor, and R, R' and g'/g,
+    # which carry h and h' at the four theta arguments, against their
+    # definitions on the plain product at 30 digits; R and R' relative to
+    # max(1, |value|), since both vanish on the real axis or at z2
+    mod, _ = solve_canonical(r, s)
+    ctx = mod.context()
+    z = _series_test_points(mod)
+    R, factor, g = _surface_series(mod, ctx, z, 1, "test")
+    _, _, g_log, Rp = _surface_series(mod, ctx, z, 2, "test")
+    n = int(np.ceil(20.0 / (-2.0 * np.log10(r))))
+    for i, x in enumerate(z):
+        with mp.workdps(30):
+            want = [complex(v) for v in oracles.surface_maps(mod.to_dict(), complex(x), n, 1e-20)]
+        for name, got, ref, scale in (
+            ("g", g[i], want[0], abs(want[0])),
+            ("g'/g", g_log[i], want[1], abs(want[1])),
+            ("R", R[i], want[2], max(1.0, abs(want[2]))),
+            ("R'", Rp[i], want[3], max(1.0, abs(want[3]))),
+            ("factor", factor[i], want[4], abs(want[4])),
+        ):
+            assert abs(got - ref) <= 1e-13 * scale, (x, name, got, ref)
+
+
+def test_surface_series_keeps_the_bits():
+    # one point alone and inside a batch of more than one chunk get the same
+    # bits, on both halves, next to the end and next to 1/z2; conjugate
+    # points get conjugate values
+    mod, _ = solve_canonical(0.7, -0.99)
+    ctx = mod.context()
+    rng = np.random.default_rng(5)
+    z = np.concatenate([
+        _series_test_points(mod),
+        mod.z0 + 1e-3 * np.exp(1j * rng.uniform(-np.pi, np.pi, 20)),
+        np.exp(1j * (np.pi - rng.uniform(-0.05, 0.05, 20))),
+        np.exp(rng.uniform(np.log(mod.r), 0.0, _CHUNK + 100)) * np.exp(1j * rng.uniform(-np.pi, np.pi, _CHUNK + 100)),
+    ])
+    for order in (1, 2):
+        full = _surface_series(mod, ctx, z, order, "test")
+        for a, b in zip(_surface_series(mod, ctx, np.conj(z), order, "test"), full):
+            assert a.tobytes() == np.conj(b).tobytes()
+        for i in np.r_[0:60, 60 : z.size : 41, _CHUNK - 1, _CHUNK, z.size - 1]:
+            for a, b in zip(_surface_series(mod, ctx, z[i : i + 1], order, "test"), full):
+                assert a.tobytes() == b[i : i + 1].tobytes()
+
+
+def test_surface_series_errors(mod, ctx):
+    # a theta1 zero raises as on the product, a point outside the annulus
+    # raises ValueError
+    for z in (complex(mod.z0), complex(mod.z0 * (1.0 + 1e-14))):
+        with pytest.raises(ThetaPoleError) as err:
+            _surface_series(mod, ctx, np.array([0.5j, z]), 2, "test")
+        assert err.value.location == 1.0
+    for bad in (complex(mod.r - 1e-6), complex(1.0 + 1e-6), 0.0j):
+        with pytest.raises(ValueError, match="test: argument outside"):
+            _surface_series(mod, ctx, np.array([bad]), 1, "test")

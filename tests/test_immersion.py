@@ -503,51 +503,81 @@ def test_mirror_symmetry_of_the_evaluators(r, s):
     assert _bits(kc) == _bits(k)
 
 
-@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.1, -0.1)])
+@pytest.mark.parametrize("r, s", [
+    (0.25, -0.5), (0.6, -0.8), (0.1, -0.1),
+    (0.05, -0.04), (0.321, -0.6), (0.375, -0.5), (0.429, -0.3), (0.5, -0.9),
+])
 def test_shared_theta_calls_keep_the_bits(r, s):
-    # shape_ratio and immerse read each theta argument once; their values
-    # equal the compositions of the public evaluators bit for bit
+    # shape_ratio and immerse are projections of one pass over the four theta
+    # arguments on the modular series: their values equal the compositions of
+    # that pass's outputs bit for bit, the order-1 and order-2 passes share R
+    # and the shape factor, and both evaluators match the compositions of the
+    # product evaluators within 1e-12 of max(1, |value|) on the point sets of
+    # validate and of the mesh
     moduli, _ = solve_canonical(r, s)
     ctx = moduli.context()
     pts = _evaluated_points(moduli, ctx)
     z = pts["shape_ratio"]
-    R = gauss_ratio(moduli, ctx, z)
-    Rp = gauss_ratio_deriv(moduli, ctx, z)
-    # g'/g of g = sqrt(C) theta1(z2 z) / (z theta1(z1 z))
-    g_log = (log_slope(ctx, moduli.z2 * z) - log_slope(ctx, moduli.z1 * z) - 1.0) / z
+    R, factor, g_log, Rp = annulus_module._surface_series(moduli, ctx, z, 2, "shape_ratio")
     W = gauss_map_square(moduli, ctx, z)
+    got = shape_ratio(moduli, ctx, z)
+    assert _bits(got) == _bits(factor * factor * z * z * (Rp / g_log + R * (R - 1.0)) / W)
+    R1, factor1, _ = annulus_module._surface_series(moduli, ctx, z, 1, "immerse")
+    assert _bits(R1) == _bits(R) and _bits(factor1) == _bits(factor)
+    # the product route: g'/g of g = sqrt(C) theta1(z2 z) / (z theta1(z1 z))
+    R = gauss_ratio(moduli, ctx, z)
+    g_log = (log_slope(ctx, moduli.z2 * z) - log_slope(ctx, moduli.z1 * z) - 1.0) / z
     factor = _shape_factor(moduli, ctx, z)
-    p = factor * factor * z * z * (Rp / g_log + R * (R - 1.0)) / W
-    assert shape_ratio(moduli, ctx, z).view(float).tobytes() == p.view(float).tobytes()
+    p = factor * factor * z * z * (gauss_ratio_deriv(moduli, ctx, z) / g_log + R * (R - 1.0)) / W
+    assert (np.abs(got - p) / np.maximum(1.0, np.abs(p))).max() <= 1e-12
 
     # a mesh vertex can sit on the end z0, which immerse maps to its ideal
-    # limit; the composition covers the other points
+    # limit; the compositions cover the other points
     got = immerse(moduli, ctx, pts["immerse"])
     keep = np.abs(pts["immerse"] - moduli.z0) >= 1e-10
     z = pts["immerse"][keep]
-    g = gauss_map(moduli, ctx, z)
-    e2 = np.abs(_shape_factor(moduli, ctx, z))
-    F = gauss_ratio(moduli, ctx, z) / g
-    psi3 = e2 / (1.0 + e2 * e2 * np.abs(F) ** 2)
-    horiz = g - psi3 * e2 * np.conj(F)
-    assert got.horizontal[keep].view(float).tobytes() == horiz.view(float).tobytes()
-    assert got.height[keep].view(float).tobytes() == psi3.view(float).tobytes()
+    R, factor, g = annulus_module._surface_series(moduli, ctx, z, 1, "immerse")
+    for g, R, e2, tol in (
+        (g, R, np.abs(factor), 0.0),
+        (gauss_map(moduli, ctx, z), gauss_ratio(moduli, ctx, z), np.abs(_shape_factor(moduli, ctx, z)), 1e-12),
+    ):
+        F = R / g
+        psi3 = e2 / (1.0 + e2 * e2 * np.abs(F) ** 2)
+        horiz = g - psi3 * e2 * np.conj(F)
+        for a, b in ((got.horizontal[keep], horiz), (got.height[keep], psi3)):
+            if tol == 0.0:
+                assert _bits(a) == _bits(b)
+            else:
+                assert (np.abs(a - b) / np.maximum(1.0, np.abs(b))).max() <= tol
 
 
 def test_kernel_calls_per_point(monkeypatch):
-    # shape_ratio reads four theta arguments in 6 calls (orders 0/1/2 in
-    # 2/2/2 calls; the order-0 pair is gauss_map_square's), immerse in 4;
-    # first_form keeps its separate R and R' calls
+    # shape_ratio and immerse make one series pass over four theta arguments
+    # (z0/z and z0 z at order 2 / 1, z1 z and z2 z at order 1 / 0); the only
+    # product calls left are W's order-0 pair in shape_ratio.  first_form
+    # stays on the product, with its separate R and R' calls
     ctx = FLAGSHIP.context()
     gauss_map(FLAGSHIP, ctx, 0.5j)  # fills the per-surface constants' cache
-    orders = []
+    orders, series = [], []
     for module in (theta_module, annulus_module):
         def counted(*args, fn=module._eval, **kw):
             orders.append(args[2])
             return fn(*args, **kw)
 
         monkeypatch.setattr(module, "_eval", counted)
-    for fn, want in ((shape_ratio, {0: 2, 1: 2, 2: 2}), (immerse, {0: 2, 1: 2}), (first_form, {0: 5, 1: 8, 2: 4})):
+
+    def series_counted(*args, fn=annulus_module._series_sums, **kw):
+        series.append(args[3])
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(annulus_module, "_series_sums", series_counted)
+    for fn, want, want_series in (
+        (shape_ratio, {0: 2}, [2, 2, 1, 1]),
+        (immerse, {}, [1, 1, 0, 0]),
+        (first_form, {0: 5, 1: 8, 2: 4}, []),
+    ):
         orders.clear()
+        series.clear()
         fn(FLAGSHIP, ctx, 0.4 + 0.3j)
         assert Counter(orders) == want, fn.__name__
+        assert series == want_series, fn.__name__

@@ -42,6 +42,7 @@ REPORT_FIELDS = [
     "sing1_error",
     "sing2_error",
     "end_error",
+    "end_gap",
     "rs_ok",
     "outer_sign_changes",
 ]
@@ -222,6 +223,17 @@ def test_validation_away_from_flagship():
         assert rep.sing1_error < 1e-3 and rep.sing2_error < 1e-3
 
 
+@pytest.mark.parametrize("r, s", [(0.7, -0.99), (0.65, -0.01)])
+def test_validation_at_the_pipeline_corners(r, s):
+    # cells of the gated rectangle where a marker sits next to a circle and
+    # |p| there comes closest to its 1e-8 gate: z2 + 1 = 1.3e-4 at
+    # (0.7, -0.99), z1 + r = -1.3e-4 at (0.65, -0.01)
+    moduli, _ = solve_canonical(r, s)
+    rep = validate_moduli(moduli)
+    assert rep.passes(), rep.to_dict()
+    assert rep.boundary_p_deviation < 1e-9
+
+
 def test_validation_rejects_corruption():
     bad = FLAGSHIP.to_dict()
     bad["z1"] += 1e-2
@@ -316,6 +328,8 @@ def _fields_equal_full_sets(r, s, grid):
         return np.abs(2.0 * d_near - d_far).max()
 
     end = immerse(moduli, ctx, moduli.z0 + off * _mirrored_circle(64))
+    end2 = immerse(moduli, ctx, moduli.z0 + 2.0 * off * _mirrored_circle(64))
+    g_end = end_direction(moduli, ctx)
     rebuilt = {
         "max_abs_p_interior": np.abs(shape_ratio(moduli, ctx, grid_pts)).max(),
         "boundary_p_deviation": max(
@@ -324,7 +338,10 @@ def _fields_equal_full_sets(r, s, grid):
         "max_abs_curvature": max(abs(intrinsic_curvature(moduli, ctx, complex(z))) for z in probes),
         "sing1_error": collapse_gap(1.0 - off, 1.0 - 2.0 * off, 1.0),
         "sing2_error": collapse_gap(r + off, r + 2.0 * off, moduli.c_height),
-        "end_error": np.sqrt(np.abs(end.horizontal - end_direction(moduli, ctx)) ** 2 + end.height**2).max(),
+        "end_error": np.sqrt(np.abs(end.horizontal - g_end) ** 2 + end.height**2).max(),
+        "end_gap": np.sqrt(
+            np.abs(2.0 * end.horizontal - end2.horizontal - g_end) ** 2 + (2.0 * end.height - end2.height) ** 2
+        ).max(),
     }
     for name, value in rebuilt.items():
         assert np.float64(getattr(rep, name)).tobytes() == np.float64(value).tobytes(), name

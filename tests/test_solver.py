@@ -31,6 +31,8 @@ from flatfront.solver import (
 )
 from flatfront.theta import ThetaContext, log_slope, log_slope_deriv, pair_slope, theta1
 
+import oracles
+
 # Reference solve at (r, s) = (0.4, -0.25), checked below against the
 # defining pairing conditions before any comparison is made.
 REFERENCE = {
@@ -229,6 +231,17 @@ def test_reference_solve_self_consistent():
     assert moduli.z1 * moduli.z2 == pytest.approx(P, abs=1e-13)
     for name, want in REFERENCE.items():
         assert getattr(moduli, name) == pytest.approx(want, rel=1e-10), name
+
+
+@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.05, -0.04), (0.45, -0.1), (0.7, -0.99), (0.236, -0.02)])
+def test_moduli_match_the_reference_solve(r, s):
+    # a 40-digit Newton solve of the three stage equations on mpmath's sums,
+    # started from the float solve, pins the markers and the exponent
+    moduli, _ = solve_canonical(r, s)
+    ref = oracles.solve_moduli(r, s, (moduli.m, moduli.z0, moduli.z2))
+    for name, want in zip(("m", "z0", "z1", "z2"), ref):
+        got = getattr(moduli, name)
+        assert abs(got - want) <= 1e-13 * abs(want), (name, got, want)
 
 
 def test_exponent_stage_alone():

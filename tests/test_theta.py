@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from flatfront import theta as T
-from oracles import log_slope_deriv, real_log_slopes, theta_product, theta_product_deriv
+from oracles import log_slope_deriv, log_slopes, theta_product, theta_product_deriv
 
 
 # Frozen from a 200-term product evaluated with mpmath at 50 digits
@@ -356,7 +357,7 @@ def test_real_log_slopes_against_oracle(r: float) -> None:
     assert set(ctx.band_index(w)) == {-2.0, -1.0, 0.0, 1.0, 2.0}
     h, dh = T._real_log_slopes(ctx, w, 2)
     for i, x in enumerate(w):
-        want_h, want_dh = (float(v) for v in real_log_slopes(r, x))
+        want_h, want_dh = (float(v) for v in log_slopes(r, x))
         assert abs(h[i] - want_h) <= 2e-13 * max(1.0, abs(want_h)), x
         assert abs(dh[i] - want_dh) <= 2e-13 * max(1.0, abs(want_dh)), x
 
@@ -366,3 +367,65 @@ def test_real_log_slopes_reject_non_positive_points(bad) -> None:
     ctx = T.ThetaContext.create(0.25)
     with pytest.raises(ValueError, match="finite positive"):
         T._real_log_slopes(ctx, np.array([0.5, bad]), 1)
+
+
+def _series_points(r: float) -> np.ndarray:
+    """Logs lv of theta1 arguments for the complex series: the moduli r, 1,
+    1/r and sqrt(r) at angles within 1e-12 rad of +-pi, at +-pi, and
+    generic, and points next to the zero lv = 0."""
+    lv = [
+        complex(np.log(rho), t)
+        for rho in (r, 1.0, 1.0 / r, np.sqrt(r))
+        for t in (np.pi - 1e-12, -(np.pi - 1e-12), np.pi, -np.pi, 0.7, -2.1)
+    ]
+    return np.array(lv + [complex(np.log(1.0 + d)) for d in (1e-9, 1e-6 * (1 + 1j), -1e-7j, -1e-4)])
+
+
+@pytest.mark.parametrize("r", [0.05, 0.25, 0.45, 0.7, 0.9])
+def test_theta_series_against_oracle(r: float) -> None:
+    # theta1 = s D exp(phi), h and dh/dlv of the complex modular series
+    # against the plain product and mpmath's sums at 30 digits
+    ctx = T.ThetaContext.create(r)
+    lv = _series_points(r)
+    sD, e_phi, h, dh = T._theta_series(ctx, lv, 2)
+    n = int(np.ceil(20.0 / (-2.0 * np.log10(r))))
+    with mp.workdps(30):
+        for i, x in enumerate(lv):
+            v = mp.exp(mp.mpc(x))
+            want_t = complex(theta_product(r, v, n))
+            want_h, want_hp = (complex(a) for a in log_slopes(r, v, 1e-20))
+            assert abs(sD[i] * e_phi[i] - want_t) <= 2e-14 * abs(want_t), (x, "theta1")
+            assert abs(h[i] - want_h) <= 2e-14 * max(1.0, abs(want_h)), (x, "h")
+            # dh/dlv = v h'(v)
+            want_dh = complex(v) * want_hp
+            assert abs(dh[i] - want_dh) <= 2e-14 * max(1.0, abs(want_dh)), (x, "dh/dlv")
+
+
+@pytest.mark.parametrize("r", [0.05, 0.45, 0.9])
+def test_theta_series_keeps_the_bits(r: float) -> None:
+    # elementwise arithmetic: one point alone and inside a batch of 2,600
+    # get the same bits, the lower orders' values are those of order 2, and
+    # conjugate logs give conjugate log slopes
+    ctx = T.ThetaContext.create(r)
+    rng = np.random.default_rng(3)
+    ell = -np.log(r)
+    lv = np.concatenate([
+        _series_points(r),
+        rng.uniform(-ell, ell, 2600) + 1j * rng.uniform(-np.pi, np.pi, 2600),
+    ])
+    full = T._theta_series(ctx, lv, 2)
+    for order in (0, 1):
+        for a, b in zip(T._theta_series(ctx, lv, order)[: order + 2], full):
+            assert a.tobytes() == b.tobytes()
+    for a, b in zip(T._theta_series(ctx, np.conj(lv), 2)[2:], full[2:]):
+        assert np.array_equal(a, np.conj(b))  # up to the sign of a zero
+    for i in np.r_[0 : lv.size : 97, lv.size - 1]:
+        for a, b in zip(T._theta_series(ctx, lv[i : i + 1], 2), full):
+            assert a.tobytes() == b[i : i + 1].tobytes()
+
+
+def test_theta_series_pole_guard() -> None:
+    ctx = T.ThetaContext.create(0.25)
+    with pytest.raises(T.ThetaPoleError) as err:
+        T._theta_series(ctx, np.array([0.3j, complex(np.log(1.0 + 1e-14))]), 1)
+    assert err.value.location == 1.0
