@@ -426,9 +426,10 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, w
     bit for bit.  With the principal log z of zeta (Im in [0, pi]) the four
     arguments take the logs lv = log|z_j| + log z - i pi and
     log|z0| + i pi - log z, all with |Im lv| <= pi, so their series variables
-    (see theta._theta_series) are E_j = a_j w and conj(a0) w for one
-    w = exp((pi/l) (Im log z - pi) - i (pi/l) Re log z) per point: one log
-    and one exp serve all four.  Where an argument's |E - 1| < 1/2, next to
+    E = exp(i s (pi/l) lv), s = +-1 the sign with |E| <= 1 (see the module
+    docstring of flatfront.theta and theta._series_sums), are E_j = a_j w
+    and conj(a0) w for one w = exp((pi/l) (Im log z - pi) - i (pi/l) Re log z)
+    per point: one log and one exp serve all four.  Where an argument's |E - 1| < 1/2, next to
     a zero of theta1 (the end z0 for z0/z; 1/z2 or r^2/z1, just off the
     annulus, for the others), E - 1 is recomputed by _near_zero_em1, so it
     keeps its relative precision.

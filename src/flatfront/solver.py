@@ -22,10 +22,13 @@ the candidates not yet settled.  No step depends on timing or randomness,
 so results are deterministic bit for bit.
 
 Every argument of the three stages is a positive real, so the stages take
-log_slope and its derivative from the modular series in float64 (see
-flatfront.theta), which needs 1 to 7 terms where the product needs 7 to 73.
-A Newton step takes both at all its points from one order-2 series call, a
-pairing value of the scan from one order-1 call.
+log_slope and its derivative from the modular series, which the surface
+evaluators take at complex points, in its real form in float64 (see
+flatfront.theta): it needs at most 4 terms from r = 0.023 on and 1 from
+r = 0.789, where the product needs 6 and 88.  A Newton step takes both at
+all its points from one order-2 series call, a pairing value of the scan
+from one order-1 call.  Every stage stops at the same rounding floor,
+FLOOR_ULPS.
 
 The closing step reads c1 = slit_map(z1, z0), c2 = slit_map(z2, z0), the
 two slit values of fit_gauss_ratio and R'(z1), R'(z2) from one stacked
@@ -58,6 +61,13 @@ MAX_ITERS = 200
 # r^2, a zero of theta1) to -inf at m = -2 (product 1); this inset keeps a
 # sign change for r from 0.01 to 0.99 and s from -0.999999 to -1e-6.
 EXPONENT_BRACKET = (-3.0 + 1e-3, -2.0 - 1e-3)
+# The rounding floor of every stage: a root finder stops after a step of at
+# most this many ulp.  Rounding noise in a pairing puts its root anywhere
+# within about 10 ulp where its slope is near 0.4 (stage 2 at r = 0.05,
+# s = -0.99); a Newton step inside that noise need not halve, so a lower
+# floor sends bracketed_root off bisecting a one-sided bracket, and stage 3
+# on a step or two that the noise decides.
+FLOOR_ULPS = 16.0
 
 
 class BracketError(RuntimeError):
@@ -75,7 +85,8 @@ class SolverTrace:
     exponent_iterations and scan_iterations count the iterations of
     bracketed_root in stage 1 and in the stage-2 solve of the scan, each one
     order-2 series call after the one at the bracket ends.  outer_iterations
-    counts the Newton steps of stage 3, each one order-2 series call.
+    counts the order-2 series calls of stage 3, one per Newton step taken or
+    refused.
     """
 
     r: float
@@ -116,8 +127,8 @@ def bracketed_root(fn, lo, hi):
     before it (the first step is measured against the bracket); otherwise
     the step bisects the bracket.  The new point replaces the end whose
     value has its sign.  An entry stops at f == 0 or after a step of at most
-    16 ulp; MAX_ITERS bounds the loop.  Returns (roots, iterations), the
-    iterations counting the calls after the one at the ends.  Entries
+    FLOOR_ULPS ulp; MAX_ITERS bounds the loop.  Returns (roots, iterations),
+    the iterations counting the calls after the one at the ends.  Entries
     without a sign change come back as NaN.
     """
     a, b = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
@@ -140,11 +151,7 @@ def bracketed_root(fn, lo, hi):
         new = np.where(inside & shrinks, newton, a + 0.5 * (b - a))
         step = np.where(active, np.abs(new - x), step)
         x = np.where(active, new, x)
-        # the rounding floor: rounding noise in f puts a root anywhere within
-        # about 10 ulp where |f'| is near 0.4 (stage 2 at r = 0.05,
-        # s = -0.99); a Newton step inside that noise need not halve, so a
-        # lower floor sends an entry off bisecting a one-sided bracket
-        active &= step > 16.0 * np.spacing(np.abs(x))
+        active &= step > FLOOR_ULPS * np.spacing(np.abs(x))
         i = np.flatnonzero(active)
         if i.size == 0:
             break
@@ -246,10 +253,11 @@ def _newton_markers(ctx: ThetaContext, s, P, z0, z2, bracket):
     Solves F1 = pair_slope(z0, z2) - s = 0 and F2 = pair_slope(z0, z1) -
     (s - 2) = 0 with z1 = P/z2.  Each step takes both pairings and their
     derivatives from one series call, builds the Jacobian by the chain rule
-    and solves it by Cramer's rule.  Newton reaches the rounding floor and
-    then wanders there, so the loop stops at F1 = F2 = 0 or at the first
-    step, measured in ulps, that is not at most half the one before (that
-    step is not taken).  Returns (z0, z2, steps).
+    and solves it by Cramer's rule.  Steps are measured in ulps of the
+    point they start from.  The loop stops at F1 = F2 = 0, right after a
+    step of at most FLOOR_ULPS, as bracketed_root does, or at a step that is
+    not at most half the one before, which is not taken: Newton has reached
+    the rounding noise.  Returns (z0, z2, series calls).
     """
     prev = math.inf
     for n in range(1, MAX_ITERS + 1):
@@ -274,6 +282,8 @@ def _newton_markers(ctx: ThetaContext, s, P, z0, z2, bracket):
             raise BracketError(f"stage 3: Newton step left the scan bracket {bracket}: z0={z0}")
         if not -1.0 < z2 < z0 < P / z2 < -ctx.r:
             raise BracketError(f"stage 3: Newton step broke -1 < z2 < z0 < z1 < -r: z0={z0}, z2={z2}")
+        if size <= FLOOR_ULPS:
+            return z0, z2, n
     raise BracketError(f"stage 3: Newton did not settle in {MAX_ITERS} steps")
 
 

@@ -28,33 +28,34 @@ nowhere else, so their guard is structural: a point within relative
 distance ZERO_DIST of its nearest zero r^(2k) raises ThetaPoleError, and
 every other point is evaluated, however small theta1 is there.
 
-The product runs in complex128.  The moduli solve needs log_slope and its
-derivative only at positive real points, where it takes them from a second
-kernel, the modular series (:func:`_real_log_slopes`).  Jacobi's imaginary
-transformation (DLMF 20.7.30) trades the nome r for q' = exp(-pi^2 / l),
-l = -log r, and turns the band v in [r, 1/r] into the real interval
-y = pi log v / (2 l) in [-pi/2, pi/2], where DLMF 20.5.10 gives
+The product runs in complex128.  A second kernel evaluates the same
+function by Jacobi's imaginary transformation (DLMF 20.7.30), which trades
+the nome r for q' = exp(-pi^2 / l), l = -log r, in its theta-quotient form:
+with y = pi lv / (2l) for a log lv of the argument, |Im lv| <= pi, theta1
+is a Gaussian in lv times
 
-    log_slope(v) = -1/2 + log v / (2 l) + (pi / 2l) (cot y + 4 sum a_n sin 2ny),
+    sum (-1)^n q'^(n(n+1)) sin((2n+1) y),
 
-a_n = q'^(2n) / (1 - q'^(2n)).  q' is small exactly where r is not: the
-series needs 7 terms at r = 0.05, 2 at r = 0.45 and 1 from r = 0.62 on,
-where the product needs 7, 26 and 44 or more.  It runs in float64 and is
-an independent route to the same values as the product, so the solver's
-residual check, which evaluates the solved markers on the product,
-certifies the series' solve across the two kernels.
+whose n-th term is at most q'^(n^2).  q' is small exactly where r is not:
+the series needs 6 terms at r = 0.001, 4 at r = 0.05, 2 from r = 0.386 and
+1 from r = 0.789 on, at every point and with no band reduction, where the
+product needs 3, 7, 22 and 88 or more.  One coefficient table
+(:func:`_modular_terms`) serves it in two precisions:
 
-The same transformation in its theta-quotient form gives theta1 at complex
-points (:func:`_theta_series`, :func:`_series_sums`): with a log lv of the
-argument, |Im lv| <= pi, theta1 = s D exp(phi), where phi is quadratic in
-lv and D = sum (-1)^n q'^(n(n+1)) (E^(n+1) - E^(-n)), E = exp(+-i pi lv/l),
-|E| <= 1.  Its n-th term is at most q'^(n^2), so it needs 4 terms at
-r = 0.05, 2 from r = 0.386 and 1 from r = 0.789, at every point and with no
-band reduction.  The annulus layer builds the data of immerse and
-shape_ratio from it (annulus._surface_series), the bulk of the mesh's and
-the validation battery's work; every other evaluator, the public functions
-here among them, stays on the product, which also keeps the per-surface
-constants and the solve's residual check on a route of their own.
+- float64 at positive real points, where y is real and the sum is a real
+  sine series: the moduli solve takes log_slope and its derivative there
+  (:func:`_real_log_slopes`);
+- complex128 elsewhere, as D = sum (-1)^n q'^(n(n+1)) (E^(n+1) - E^(-n)) in
+  E = exp(+-i pi lv / l), |E| <= 1 (:func:`_series_sums`): the annulus layer
+  builds the data of immerse and shape_ratio from it
+  (annulus._surface_series), the bulk of the mesh's and the validation
+  battery's work.
+
+Every other evaluator, the public functions here among them, stays on the
+product, which also keeps the per-surface constants and the solve's
+residual check on a route of their own: the check, which evaluates the
+solved markers on the product, certifies the series' solve across the two
+kernels.
 
 Each pair of factors of the band product is one symmetric factor
 
@@ -369,25 +370,29 @@ def _pair_slope(ctx: ThetaContext, center, z):
 
 
 @functools.lru_cache(maxsize=128)
-def _series_terms(r: float):
-    """(2l, pi/(2l), 2n, a_n, n a_n) of the modular series at modulus r.
+def _modular_terms(r: float):
+    """(pi/l, c, columns) of the modular series at modulus r.
 
-    l = -log r and q' = exp(-pi^2 / l).  The last three are read-only
-    (N, 1) float64 columns over n = 1..N, with a_n = q'^(2n) / (1 - q'^(2n))
-    and N the least count with q'^(2N) < TRUNCATION_TOL; N comes from
-    log q' = -pi^2 / l, not from q' itself, which underflows for r above
-    about 0.987 (N = 1 and a_1 = 0 there).
+    c holds c_n = (-1)^n q'^(n(n+1)) for n = 0..N-1 as Python floats, with
+    N the least count with q'^(N^2) < TRUNCATION_TOL: the n-th term of the
+    series is at most q'^(n^2) at real points and wherever q' <= |E| <= 1.
+    N is 4 from r = 0.023, 3 from r = 0.118, 2 from r = 0.386 and 1 from
+    r = 0.789 on; the product takes 6, 10, 22 and 88 there.  The complex
+    sums of :func:`_series_sums` scale whole arrays by them; the real sine
+    sums of :func:`_real_log_slopes` fold tables with a row per term, built
+    from the read-only (N, 1) float64 columns m_n = 2n + 1, c_n, m_n c_n and
+    m_n^2 c_n.
     """
-    ell = -math.log(r)
-    x = math.pi * math.pi / ell  # -log q'
-    n = range(1, max(1, math.ceil(math.log(TRUNCATION_TOL) / (-2.0 * x))) + 1)
-    a = [math.exp(-2.0 * j * x) / -math.expm1(-2.0 * j * x) for j in n]
-    cols = []
-    for vals in ([2.0 * j for j in n], a, [j * aj for j, aj in zip(n, a)]):
-        col = np.array(vals, dtype=np.float64).reshape(-1, 1)
-        col.flags.writeable = False
-        cols.append(col)
-    return (2.0 * ell, 0.5 * math.pi / ell, *cols)
+    x = math.pi * math.pi / -math.log(r)  # -log q'
+    n = math.floor(math.sqrt(-math.log(TRUNCATION_TOL) / x)) + 1
+    c = tuple((-1.0) ** j * math.exp(-x * j * (j + 1)) for j in range(n))
+    m = np.arange(1.0, 2.0 * n, 2.0).reshape(-1, 1)
+    col = np.array(c).reshape(-1, 1)
+    mc = m * col
+    columns = (m, col, mc, m * mc)
+    for a in columns:
+        a.flags.writeable = False
+    return x / math.pi, c, columns
 
 
 def _real_log_slopes(ctx: ThetaContext, w, order: int):
@@ -395,24 +400,30 @@ def _real_log_slopes(ctx: ThetaContext, w, order: int):
     modular series, the second None unless order is 2.
 
     w is reduced into the band as by the product, v = r^(2k) w with
-    k = ctx.band_index(w), and with y = pi log v / (2l) in [-pi/2, pi/2]
+    k = ctx.band_index(w).  At the real point y = pi log v / (2l) the sum
+    of :func:`_series_sums` is, up to a unit factor, the real sine series
+    S = sum c_n sin(m_n y); theta1(v) is S times a Gaussian in log v, and
+    with S1 = sum m_n c_n cos(m_n y) and S2 = sum m_n^2 c_n sin(m_n y)
+    (c_n, m_n of _modular_terms)
 
-        log_slope(w)       = k - 1/2 + log v / (2l) + (pi/2l) (cot y + 4 S1),
-        log_slope_deriv(w) = (1/w) (1/(2l) + (pi/2l)^2 (8 S2 - 1/sin^2 y)),
+        log_slope(w)       = k - 1/2 + log v / (2l) + (pi/2l) S1/S,
+        log_slope_deriv(w) = (1/(2l) - (pi/2l)^2 (S2/S + (S1/S)^2)) / w.
 
-    S1 = sum a_n sin 2ny and S2 = sum n a_n cos 2ny (see _series_terms).
-    log v is log w - 2kl, which carries the rounding of log w, about
-    eps |log w|, where |log w| < 2, and log(r^(2k) w), which carries that of
-    the two products, about 2 eps, elsewhere; the first keeps thin annuli,
-    where log_slope changes by (pi/2l)^2 per unit of log v, accurate.  Each
-    sum is built as a table with a row per n and folded in order of n, so
-    a point gets the same bits in any batch.  Raises ValueError unless every
-    w is finite and positive, and ThetaPoleError at a zero r^(2k) as
-    log_slope does.
+    S vanishes only at y = 0, through sin y, so both keep their relative
+    precision next to the zero.  log v is log w - 2kl, which carries the
+    rounding of log w, about eps |log w|, where |log w| < 2, and
+    log(r^(2k) w), which carries that of the two products, about 2 eps,
+    elsewhere; the first keeps thin annuli, where log_slope changes by
+    (pi/2l)^2 per unit of log v, accurate.  Each sum is built as a table
+    with a row per n and folded in order of n, so a point gets the same
+    bits in any batch.  Raises ValueError unless every w is finite and
+    positive, and ThetaPoleError at a zero r^(2k) as log_slope does.
     """
     if not np.all((w > 0.0) & (w < math.inf)):
         raise ValueError("the modular series takes finite positive arguments")
-    two_l, c, n2, a, na = _series_terms(ctx.r)
+    _, _, (m, c, mc, mmc) = _modular_terms(ctx.r)
+    two_l = -2.0 * math.log(ctx.r)
+    half = math.pi / two_l
     log_w = np.log(w)
     k = np.rint(log_w / two_l)  # ctx.band_index(w)
     _guard_zero(ctx, w, k)
@@ -420,32 +431,19 @@ def _real_log_slopes(ctx: ThetaContext, w, order: int):
     far = np.abs(log_w) >= 2.0
     if far.any():
         log_v[far] = np.log(w[far] * np.power(ctx.r, 2.0 * k[far]))
-    y = c * log_v
-    ny = n2 * y
+    my = m * (half * log_v)
+    sin_my = np.sin(my)
+    S = np.zeros(w.shape)
+    _fold(np.add, S, c * sin_my)
     S1 = np.zeros(w.shape)
-    _fold(np.add, S1, a * np.sin(ny))
-    cot = np.cos(y) / np.sin(y)
-    h = (k - 0.5) + log_v / two_l + c * (cot + 4.0 * S1)
+    _fold(np.add, S1, mc * np.cos(my))
+    rho = S1 / S
+    h = (k - 0.5) + log_v / two_l + half * rho
     if order < 2:
         return h, None
     S2 = np.zeros(w.shape)
-    _fold(np.add, S2, na * np.cos(ny))
-    return h, (1.0 / two_l + c * c * (8.0 * S2 - (1.0 + cot * cot))) / w
-
-
-@functools.lru_cache(maxsize=128)
-def _modular_terms(r: float):
-    """(pi/l, c_0..c_(N-1)) of the complex modular series at modulus r.
-
-    c_n = (-1)^n q'^(n(n+1)), with N the least count with q'^(N^2) <
-    TRUNCATION_TOL: the n-th term of the series is at most q'^(n^2) where
-    q' <= |E| <= 1.  N is 4 from r = 0.023, 3 from r = 0.118, 2 from
-    r = 0.386 and 1 from r = 0.789 on; the product takes 6, 10, 22 and 88
-    there.
-    """
-    x = math.pi * math.pi / -math.log(r)  # -log q'
-    n = math.floor(math.sqrt(-math.log(TRUNCATION_TOL) / x)) + 1
-    return x / math.pi, tuple((-1.0) ** j * math.exp(-x * j * (j + 1)) for j in range(n))
+    _fold(np.add, S2, mmc * sin_my)
+    return h, (1.0 / two_l - half * half * (S2 / S + rho * rho)) / w
 
 
 def _series_sums(ctx: ThetaContext, E, em1, order: int):
@@ -492,44 +490,6 @@ def _expm1(w):
     out.real = np.expm1(a) * np.cos(b) - 2.0 * s * s
     out.imag = np.exp(a) * np.sin(b)
     return out
-
-
-def _theta_series(ctx: ThetaContext, lv, order: int):
-    """(s D, exp(phi), h, dh/dlv) at the points v = exp(lv) from the complex
-    modular series, for flat complex lv with |Im lv| <= pi; the last two
-    None past ``order``.
-
-    Jacobi's imaginary transformation (DLMF 20.7.30) takes theta1 to the
-    series 2 q'^(1/4) sum (-1)^n q'^(n(n+1)) sin((2n+1) y) at
-    y = pi lv / (2l) times a Gaussian in lv; it gives theta1(v) = s D exp(phi)
-    with D of _series_sums at E = exp(2isy), s = +-1 the sign with
-    |E| <= 1, and
-
-        phi   = log(pi/l)/2 + l/4 - pi^2/(4l) - i pi/2
-                + lv^2/(4l) - lv/2 - i s pi lv/(2l),
-        h     = lv/(2l) - 1/2 - i s pi/(2l) + i s (pi/l) N1/D,
-        dh/dlv = 1/(2l) - (pi/l)^2 (N2/D - (N1/D)^2).
-
-    The identity holds on every branch of lv, so no band reduction is
-    needed, and with |Im lv| <= pi the n-th term is at most q'^(n^2): 1 to 4
-    terms for r >= 0.023.  E - 1 is taken from expm1, so all four keep their
-    relative precision next to the zero lv = 0.  Raises ThetaPoleError as
-    the product does within ZERO_DIST of a zero.
-    """
-    k, _ = _modular_terms(ctx.r)
-    ell = math.pi / k
-    s = np.where(np.signbit(lv.imag), -1.0, 1.0)
-    w = np.empty(lv.shape, dtype=np.complex128)
-    w.real = -k * np.abs(lv.imag)
-    w.imag = s * k * lv.real
-    em1 = _expm1(w)
-    _guard_series_zeros(ctx, em1, lambda near: np.exp(lv[near]))
-    D, rho, tau = _series_sums(ctx, np.exp(w), em1, order)
-    isk = 1j * s * k
-    phi = (0.5 * math.log(k) + 0.25 * ell - 0.25 * math.pi * k - 0.5j * math.pi
-           + lv * (lv / (4.0 * ell) - 0.5 - 0.5 * isk))
-    h = lv / (2.0 * ell) - 0.5 - 0.5 * isk + isk * rho if order >= 1 else None
-    return s * D, np.exp(phi), h, (0.5 / ell - k * k * tau if order >= 2 else None)
 
 
 def _guard_series_zeros(ctx: ThetaContext, em1, args):

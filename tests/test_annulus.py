@@ -35,6 +35,7 @@ from flatfront.annulus import (
     slit_map_deriv,
     theta_quotient,
 )
+from flatfront.immersion import first_form, immerse, shape_ratio
 
 # Closed-form configuration at r = 1/4, s = -1/2: m = -5/2, z0 = -sqrt(r),
 # z1 z2 = r.  The z2 split was pinned by bisection on the pairing condition;
@@ -376,10 +377,15 @@ def test_gauss_map_refinement_memory_is_bounded():
     assert np.array_equal(one, g[::32])
 
 
-def test_gauss_map_propagates_nan(mod, ctx):
+@pytest.mark.parametrize("evaluator", [gauss_map, immerse, shape_ratio, first_form], ids=lambda f: f.__name__)
+def test_gauss_map_propagates_nan(mod, ctx, evaluator):
+    # the product's and the complex series' evaluators alike: a NaN point
+    # gives NaN in every output, and its finite neighbour stays finite
     with np.errstate(invalid="ignore"):
-        g = gauss_map(mod, ctx, np.array([0.5 + 0.1j, complex(np.nan, 0.0)]))
-    assert np.isfinite(g[0]) and np.isnan(g[1])
+        out = evaluator(mod, ctx, np.array([0.5 + 0.1j, complex(np.nan, 0.0)]))
+    values = [getattr(out, f.name) for f in dataclasses.fields(out)] if dataclasses.is_dataclass(out) else [out]
+    for v in values:
+        assert np.isfinite(v[0]) and np.isnan(v[1])
 
 
 def test_gauss_map_deriv_matches_fd(mod, ctx):

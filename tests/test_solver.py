@@ -204,6 +204,27 @@ def test_newton_stage_fails_outside_its_bracket():
         _newton_markers(ctx, s, P, lo, moduli.z2, (lo, lo))
 
 
+@pytest.mark.parametrize(
+    "r, s",
+    [(0.25, -0.5), (0.05, -0.04), (0.45, -0.1), (0.7, -0.99), (0.236, -0.02), (0.6, -0.8), (0.1, -0.3)],
+)
+def test_newton_steps_ignore_last_bit_changes(monkeypatch, r, s):
+    # stage 3 stops after a step of at most solver.FLOOR_ULPS, as stages 1
+    # and 2 do, so its step count does not hang on steps taken in rounding
+    # noise: every log slope one ulp up, or one ulp down, leaves it unchanged
+    # at the reference-solve cells and two more
+    _, trace = solve_canonical(r, s)
+    exact = solver._real_log_slopes
+    for toward in (np.inf, -np.inf):
+
+        def nudged(ctx, w, order, toward=toward):
+            h, dh = exact(ctx, w, order)
+            return np.nextafter(h, toward), dh
+
+        monkeypatch.setattr(solver, "_real_log_slopes", nudged)
+        assert solve_canonical(r, s)[1].outer_iterations == trace.outer_iterations, toward
+
+
 def test_range_normalization():
     for r, s in [(1.2, -0.5), (0.0, -0.5), (0.25, 0.5), (0.25, -1.0), (0.25, 0.0)]:
         with pytest.raises(RangeNormalizationError):

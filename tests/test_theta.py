@@ -6,6 +6,7 @@ import pytest
 
 from flatfront import theta as T
 from oracles import log_slope_deriv, log_slopes, theta_product, theta_product_deriv
+from routes import theta_series
 
 
 # Frozen from a 200-term product evaluated with mpmath at 50 digits
@@ -326,7 +327,10 @@ def test_real_path_equals_complex_path(r: float) -> None:
     # either route's reduction into the band carries, about 1e-16 relative
     # to a point's distance from its zero.  A batch of 20,077 points (both
     # reductions of log v at r = 0.05 and 0.25) and one point at a time
-    # give the same bits
+    # give the same bits.  The real sums are the complex series' sums at
+    # real points: at the same band log v the one-argument complex route
+    # gives k + h and (dh/dlv)/w to within 3.5e-15 of max(1, |value|) at
+    # these radii, so 5e-14 leaves a margin of more than ten
     ctx = T.ThetaContext.create(r)
     w = _real_axis_points(r, 20_077)
     k = ctx.band_index(w)
@@ -338,6 +342,15 @@ def test_real_path_equals_complex_path(r: float) -> None:
         assert got.dtype == np.float64
         err = np.abs(got - want.real) / np.maximum(1.0, np.abs(want.real))
         assert np.all(err <= 1e-12 + 1e-15 / gap)
+    # the band log of _real_log_slopes: log w - 2kl, or log(r^(2k) w) where
+    # |log w| >= 2
+    log_w = np.log(w)
+    log_v = log_w + 2.0 * k * np.log(r)
+    far = np.abs(log_w) >= 2.0
+    log_v[far] = np.log(w[far] * np.power(r, 2.0 * k[far]))
+    _, _, series_h, series_dh = theta_series(ctx, log_v.astype(np.complex128), 2)
+    for got, want in ((h, k + series_h.real), (dh, series_dh.real / w)):
+        assert np.all(np.abs(got - want) <= 5e-14 * np.maximum(1.0, np.abs(want)))
     assert T._real_log_slopes(ctx, w, 1)[0].tobytes() == h.tobytes()
     for i in np.r_[0 : w.size : 16, w.size - 1]:
         one_h, one_dh = T._real_log_slopes(ctx, w[i : i + 1], 2)
@@ -387,7 +400,7 @@ def test_theta_series_against_oracle(r: float) -> None:
     # against the plain product and mpmath's sums at 30 digits
     ctx = T.ThetaContext.create(r)
     lv = _series_points(r)
-    sD, e_phi, h, dh = T._theta_series(ctx, lv, 2)
+    sD, e_phi, h, dh = theta_series(ctx, lv, 2)
     n = int(np.ceil(20.0 / (-2.0 * np.log10(r))))
     with mp.workdps(30):
         for i, x in enumerate(lv):
@@ -413,19 +426,19 @@ def test_theta_series_keeps_the_bits(r: float) -> None:
         _series_points(r),
         rng.uniform(-ell, ell, 2600) + 1j * rng.uniform(-np.pi, np.pi, 2600),
     ])
-    full = T._theta_series(ctx, lv, 2)
+    full = theta_series(ctx, lv, 2)
     for order in (0, 1):
-        for a, b in zip(T._theta_series(ctx, lv, order)[: order + 2], full):
+        for a, b in zip(theta_series(ctx, lv, order)[: order + 2], full):
             assert a.tobytes() == b.tobytes()
-    for a, b in zip(T._theta_series(ctx, np.conj(lv), 2)[2:], full[2:]):
+    for a, b in zip(theta_series(ctx, np.conj(lv), 2)[2:], full[2:]):
         assert np.array_equal(a, np.conj(b))  # up to the sign of a zero
     for i in np.r_[0 : lv.size : 97, lv.size - 1]:
-        for a, b in zip(T._theta_series(ctx, lv[i : i + 1], 2), full):
+        for a, b in zip(theta_series(ctx, lv[i : i + 1], 2), full):
             assert a.tobytes() == b[i : i + 1].tobytes()
 
 
 def test_theta_series_pole_guard() -> None:
     ctx = T.ThetaContext.create(0.25)
     with pytest.raises(T.ThetaPoleError) as err:
-        T._theta_series(ctx, np.array([0.3j, complex(np.log(1.0 + 1e-14))]), 1)
+        theta_series(ctx, np.array([0.3j, complex(np.log(1.0 + 1e-14))]), 1)
     assert err.value.location == 1.0
