@@ -37,12 +37,19 @@ and double poles at r^(2k)/z1, on the negative real axis off the annulus,
 so its square root is single-valued with no branch to track.  The two
 constants sqrt(C) and K' are computed once per surface.
 
-A slit value takes two kernel calls, at marker/z and marker z, and the
-kernel gives a point the same bits in any batch; so ``_slit_parts`` takes a
-marker per point, and the four slit values that tie the stored fields to
-the markers (slit_map(z0, z1), slit_map(z0, z2), slit_map(z1, z0) and
-slit_map(z2, z0), see ``_marker_slits``) come from one two-call pass with
-the bits of four separate ``slit_map`` calls.
+A slit value needs theta at marker/z and marker z, and the kernel gives a
+point the same bits in any batch and at any order.  So the four slit
+values that tie the stored fields to the markers (slit_map(z0, z1),
+slit_map(z0, z2), slit_map(z1, z0) and slit_map(z2, z0), with the
+derivatives at z1 and z2, see ``_marker_slits``) come from one kernel call
+over their eight arguments, with the bits of separate ``slit_map`` calls;
+the solve's closing step, ``solver.residuals`` and the per-surface
+constants each make that one call.  ``slit_map`` itself (``_slit_parts``)
+keeps its two calls, one per argument: stacking them, or gauss_map's two
+calls or the curvature stencils, would speed up first_form and
+intrinsic_curvature, about 80% of the query time of the benchmark's probe
+workload, whose peak memory grows with the number of queries it records
+(see the next paragraph).
 
 Two kernels serve the module.  ``_surface_series``, which feeds the bulk
 evaluators immerse and shape_ratio of the mesh and the validation battery,
@@ -166,10 +173,8 @@ def _require_annulus(ctx: ThetaContext, flat, who: str):
 def _slit_parts(ctx: ThetaContext, marker, z, order: int, who: str = "slit_map"):
     """(slit_map, slit_map_deriv) at the flat points z from one kernel call
     per argument, marker/z and marker z; the derivative is None unless order
-    is 2.  marker is a float or a float
-    array that broadcasts against z.  No kernel value depends on the order,
-    and a point's value not on its batch, so each value has the bits of its
-    own evaluator."""
+    is 2.  No kernel value depends on the order, and a point's value not on
+    its batch, so each value has the bits of its own evaluator."""
     _require_annulus(ctx, z, who)
     _, h_in, hp_in = _eval(ctx, marker / z, order)
     _, h_out, hp_out = _eval(ctx, marker * z, order)
@@ -177,14 +182,24 @@ def _slit_parts(ctx: ThetaContext, marker, z, order: int, who: str = "slit_map")
     return q, (hp_in / (z * z) - hp_out if order >= 2 else None)
 
 
-def _marker_slits(ctx: ThetaContext, z0: float, z1: float, z2: float):
+def _marker_slits(ctx: ThetaContext, z0: float, z1: float, z2: float, extra=()):
     """(slit_map(z0, z1), slit_map(z0, z2), c1, c2, slit_map_deriv(z0, z1),
-    slit_map_deriv(z0, z2)), all but c1 and c2 complex, with the real parts
-    c1 and c2 of slit_map(z1, z0) and slit_map(z2, z0), from one order-2
-    pass over the four points, with the bits of one-point calls."""
-    q, qp = _slit_parts(ctx, np.array([z0, z0, z1, z2]), np.array([z1, z2, z0, z0], dtype=np.complex128), 2)
+    slit_map_deriv(z0, z2), thetas), all but c1 and c2 complex, with the
+    real parts c1 and c2 of slit_map(z1, z0) and slit_map(z2, z0), from one
+    order-2 kernel call over the slit arguments marker/z and marker z of
+    the four (marker, z) pairs and the real points extra.  thetas holds
+    theta1 at z1 z0 and z2 z0, two of the slit arguments, then at extra.
+    No kernel value depends on the order, and a point's value not on its
+    batch, so each value has the bits of its one-point evaluator."""
+    markers = np.array([z0, z0, z1, z2])
+    z = np.array([z1, z2, z0, z0], dtype=np.complex128)
+    _require_annulus(ctx, z, "slit_map")
+    args = np.concatenate([markers / z, markers * z, np.array(extra, dtype=np.complex128)])
+    theta, h, hp = _eval(ctx, args, 2)
+    q = -(h[:4] + h[4:8]) / markers
+    qp = hp[:4] / (z * z) - hp[4:8]
     c1, c2 = float(q[2].real), float(q[3].real)
-    return complex(q[0]), complex(q[1]), c1, c2, complex(qp[0]), complex(qp[1])
+    return complex(q[0]), complex(q[1]), c1, c2, complex(qp[0]), complex(qp[1]), theta[6:]
 
 
 @pointwise
@@ -297,7 +312,10 @@ def _surface_constants(moduli: CanonicalModuli, ctx: ThetaContext) -> tuple[floa
     z1 z2 r^(2(m+2)) = 1.  RepresentationError names the first that fails.
     """
     z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
-    q1, q2, c1, c2, _, _ = _marker_slits(ctx, z0, z1, z2)
+    # theta1 at z1 z0 and z2 z0 comes with the slit arguments.  The
+    # quotients z1/z0 and z2/z0 are added in float64: the slit arguments are
+    # complex quotients, which round about a quarter of them differently
+    q1, q2, c1, c2, _, _, t = _marker_slits(ctx, z0, z1, z2, (z1 / z0, z2 / z0, z2 / z1, z2 * z1))
     gap = moduli.a_R * (q1 - q2) - 1.0
     if not (abs(gap) <= 1e-8 and abs(moduli.c1 - c1) <= 1e-8 * abs(c1)):
         raise RepresentationError(
@@ -314,9 +332,10 @@ def _surface_constants(moduli: CanonicalModuli, ctx: ThetaContext) -> tuple[floa
     m_gap = z1 * z2 * moduli.r ** (2.0 * (moduli.m + 2.0)) - 1.0
     if not abs(m_gap) <= 1e-8:
         raise RepresentationError(f"moduli do not fit the exponent m: z1 z2 r^(2(m+2)) - 1 = {m_gap}")
-    pts = np.array([z1 / z0, z1 * z0, z2 / z0, z2 * z0, z2 / z1, z2 * z1], dtype=np.complex128)
-    t = _eval(ctx, pts, 0)[0].real
-    return float(np.sqrt(-t[0] * t[1] / (t[2] * t[3]))), float(t[2] * t[3] / (t[4] * t[5]))
+    # theta1 at the products (p) z1 z0, z2 z0, the quotients (q) z1/z0,
+    # z2/z0, z2/z1 and the product z2 z1
+    p10, p20, q10, q20, q21, p21 = t.real
+    return float(np.sqrt(-q10 * p10 / (q20 * p20))), float(q20 * p20 / (q21 * p21))
 
 
 @pointwise
@@ -461,7 +480,11 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, w
         lower = np.signbit(zc.imag)
         mirrored = lower.any()
         zeta = np.where(lower, np.conj(zc), zc) if mirrored else zc
-        lz = np.log(zeta)
+        # log z from log|zeta| and arg zeta: numpy's complex log costs 5 to
+        # 20 times as much per point
+        lz = np.empty(zc.shape, dtype=np.complex128)
+        lz.real = np.log(np.abs(zeta))
+        lz.imag = np.arctan2(zeta.imag, zeta.real)
         w = np.empty(zc.shape, dtype=np.complex128)
         w.real = k * (lz.imag - np.pi)
         w.imag = -k * lz.real

@@ -6,7 +6,10 @@ stages:
 
 1. exponent: m in (-3, -2) from the balance
        2 log_slope(r^(-2(m+2))) = 1 + s + m,
-   which fixes the marker product P = r^(-2(m+2)) = z1 z2;
+   which fixes the marker product P = r^(-2(m+2)) = z1 z2; the root finder
+   runs on the balance times -sin(pi (m+2)), which is positive on (-3, -2)
+   and cancels the balance's poles at both ends, where P is a zero of
+   theta1;
 2. inner split: for a candidate end marker z0, the point z2 in (-1, z0)
    with pair_slope(z0, z2) = s;
 3. end marker: scan z0 over (-1, -r) for pair_slope(z0, P / z2(z0)) = s - 2,
@@ -17,9 +20,9 @@ stages:
 Every stage finds its root by Newton's method.  Stages 1 and 2 use
 bracketed_root, which bisects its sign bracket where a Newton step would
 leave it or fails to halve, elementwise on arrays: the scan solves stage 2
-for all its candidates in one array call, each iteration evaluating only
-the candidates not yet settled.  No step depends on timing or randomness,
-so results are deterministic bit for bit.
+for all its candidates in one array call, each iteration evaluating, and
+updating, only the candidates not yet settled.  No step depends on timing
+or randomness, so results are deterministic bit for bit.
 
 Every argument of the three stages is a positive real, so the stages take
 log_slope and its derivative from the modular series, which the surface
@@ -31,8 +34,9 @@ from one order-1 call.  Every stage stops at the same rounding floor,
 FLOOR_ULPS.
 
 The closing step reads c1 = slit_map(z1, z0), c2 = slit_map(z2, z0), the
-two slit values of fit_gauss_ratio and R'(z1), R'(z2) from one stacked
-order-2 pass of the product kernel (two calls over four points).  The
+two slit values of fit_gauss_ratio and R'(z1), R'(z2) from one marker pass
+of the product kernel (annulus._marker_slits: one order-2 call over the
+eight arguments marker/z and marker z of the four slit values).  The
 kernel gives a point the same bits in any batch, so the moduli and the
 residuals equal those of the one-point calls and of residuals() bit for
 bit.  The residuals thus come from the product, a route independent of
@@ -47,7 +51,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .annulus import CanonicalModuli, _marker_slits, _ratio_coefficients, _slit_parts
+from .annulus import CanonicalModuli, _marker_slits, _ratio_coefficients
 from .theta import ThetaContext, ThetaPoleError, _real_log_slopes
 
 SCAN_POINTS = 256
@@ -83,10 +87,12 @@ class SolverTrace:
     """Diagnostics of one canonical solve, serializable for the CLI sidecar.
 
     exponent_iterations and scan_iterations count the iterations of
-    bracketed_root in stage 1 and in the stage-2 solve of the scan, each one
-    order-2 series call after the one at the bracket ends.  outer_iterations
-    counts the order-2 series calls of stage 3, one per Newton step taken or
-    refused.
+    bracketed_root in stage 1, on the pole-free balance, and in the stage-2
+    solve of the scan, each one order-2 series call after the one at the
+    bracket ends.  outer_iterations counts the order-2 series calls of
+    stage 3, one per Newton step taken or refused.  The solve makes one
+    call of the product kernel, the closing marker pass, whose values also
+    give the residuals.
     """
 
     r: float
@@ -119,8 +125,9 @@ def bracketed_root(fn, lo, hi):
     flattened broadcast arrays of lo and hi, so fn subsets any per-entry
     parameter with i, and the roots come back in that flat order.  The
     first call takes both ends of every bracket, each later call the entries
-    still active only.  A point's value must not depend on the batch it is
-    evaluated in; then each entry gets the same bits as in a one-entry call.
+    still active only, in increasing order of i.  A point's value must not
+    depend on the batch it is evaluated in; then each entry gets the same
+    bits as in a one-entry call.
 
     Each entry starts at the end with the smaller |f|.  A step is Newton's,
     x - f/f', when that lands in the bracket and is at most half the step
@@ -130,38 +137,49 @@ def bracketed_root(fn, lo, hi):
     FLOOR_ULPS ulp; MAX_ITERS bounds the loop.  Returns (roots, iterations),
     the iterations counting the calls after the one at the ends.  Entries
     without a sign change come back as NaN.
+
+    The state of the active entries is held in compact arrays: an entry
+    leaves them once, when it stops, and its root is written out then, so
+    a step costs array operations on the active entries only.
     """
     a, b = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
     k = np.arange(a.size)
     both = np.concatenate([a, b])
     f, d = fn(both, np.concatenate([k, k]))
-    side = np.sign(f[: a.size])  # the sign a new point needs to replace a
-    bracketed = side * np.sign(f[a.size :]) < 0.0
-    root = np.where(f[: a.size] == 0.0, a, np.where(f[a.size :] == 0.0, b, np.nan))
-    start = np.where(np.abs(f[: a.size]) <= np.abs(f[a.size :]), k, k + a.size)
+    fa, fb = f[: a.size], f[a.size :]
+    roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    side = np.sign(fa)  # the sign a new point needs to replace a
+    live = np.flatnonzero(side * np.sign(fb) < 0.0)
+    start = np.where(np.abs(fa) <= np.abs(fb), k, k + a.size)[live]
     x, fx, dfx = both[start], f[start], d[start]
+    a, b, side = a[live], b[live], side[live]
     step = np.abs(b - a)
-    active = bracketed.copy()
     n = 0
-    while active.any() and n < MAX_ITERS:
+    while live.size and n < MAX_ITERS:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = x - fx / dfx
             inside = (np.minimum(a, b) <= newton) & (newton <= np.maximum(a, b))
             shrinks = np.abs(newton - x) <= 0.5 * step
         new = np.where(inside & shrinks, newton, a + 0.5 * (b - a))
-        step = np.where(active, np.abs(new - x), step)
-        x = np.where(active, new, x)
-        active &= step > FLOOR_ULPS * np.spacing(np.abs(x))
-        i = np.flatnonzero(active)
-        if i.size == 0:
+        step = np.abs(new - x)
+        # an entry stops on a zero of fn at x, or after a step to new of at
+        # most FLOOR_ULPS ulp
+        hit = fx == 0.0
+        done = hit | ~(step > FLOOR_ULPS * np.spacing(np.abs(new)))
+        if done.any():
+            roots[live[done]] = np.where(hit, x, new)[done]
+            keep = ~done
+            live, a, b, new, side, step = (v[keep] for v in (live, a, b, new, side, step))
+        x = new
+        if not live.size:
             break
-        fx[i], dfx[i] = fn(x[i], i)
+        fx, dfx = fn(x, live)
         n += 1
-        to_a = active & (np.sign(fx) == side)
+        to_a = np.sign(fx) == side
         a = np.where(to_a, x, a)
-        b = np.where(active & ~to_a, x, b)
-        active &= fx != 0.0
-    return np.where(bracketed, x, root), n
+        b = np.where(to_a, b, x)
+    roots[live] = x
+    return roots, n
 
 
 def solve_exponent(ctx: ThetaContext, s: float):
@@ -169,7 +187,12 @@ def solve_exponent(ctx: ThetaContext, s: float):
     iterations.
 
     With h = log_slope and P = r^(-2(m+2)), the balance is
-    2 h(P) - 1 - s - m and its m-derivative 2 h'(P) (-2 log r) P - 1.
+    f(m) = 2 h(P) - 1 - s - m, with m-derivative 2 h'(P) (-2 log r) P - 1.
+    It has poles at both ends of (-3, -2), where P is the zero r^2 or 1 of
+    theta1, and a Newton step from the bracket ends, 1e-3 inside them,
+    barely moves.  bracketed_root runs on F(m) = -sin(pi (m+2)) f(m)
+    instead: the factor is positive on (-3, -2), so F has the sign and the
+    root of f, and its simple zeros at m = -3 and m = -2 cancel the poles.
     """
     r = ctx.r
     dlogP = -2.0 * math.log(r)  # dP/dm = dlogP * P
@@ -177,7 +200,10 @@ def solve_exponent(ctx: ThetaContext, s: float):
     def balance(m, i):
         P = r ** (-2.0 * (m + 2.0))
         h, dh = _real_log_slopes(ctx, P, 2)
-        return 2.0 * h - 1.0 - s - m, 2.0 * dh * dlogP * P - 1.0
+        f = 2.0 * h - 1.0 - s - m
+        phase = math.pi * (m + 2.0)
+        sin, cos = np.sin(phase), np.cos(phase)
+        return -sin * f, -sin * (2.0 * dh * dlogP * P - 1.0) - math.pi * cos * f
 
     (m,), iters = bracketed_root(balance, *EXPONENT_BRACKET)
     if np.isnan(m):
@@ -332,7 +358,7 @@ def solve_canonical(
             trace.chosen_bracket,
         )
         z1 = P / z2
-        q1, q2, c1, c2, qp1, qp2 = _marker_slits(ctx, z0, z1, z2)
+        q1, q2, c1, c2, qp1, qp2, _ = _marker_slits(ctx, z0, z1, z2)
         a_R, b_R = _ratio_coefficients(q1, q2, z1, z2)
     except ThetaPoleError as exc:
         # a probe exactly on a zero r^(2k) of theta1 is a stage failure
@@ -364,12 +390,10 @@ def residuals(moduli: CanonicalModuli, ctx: ThetaContext | None = None) -> dict:
     """
     if ctx is None:
         ctx = ThetaContext.create(moduli.r)
-    # R'(z1) and R'(z2) from one pass, with the bits of one-point slit_map_deriv calls
-    _, qp = _slit_parts(
-        ctx, moduli.z0, np.array([moduli.z1, moduli.z2], dtype=np.complex128), 2, "slit_map_deriv"
-    )
-    rp1, rp2 = moduli.a_R * qp.real
-    return _closing_residuals(moduli, rp1, rp2)
+    # R'(z1) and R'(z2) from the solve's marker pass, with the bits of
+    # one-point slit_map_deriv calls
+    qp1, qp2 = _marker_slits(ctx, moduli.z0, moduli.z1, moduli.z2)[4:6]
+    return _closing_residuals(moduli, moduli.a_R * qp1.real, moduli.a_R * qp2.real)
 
 
 def _closing_residuals(moduli: CanonicalModuli, rp1, rp2) -> dict:

@@ -10,6 +10,11 @@ given by its log, from the complex modular series of flatfront.theta
 (``_series_sums``), which the annulus layer runs at four arguments at once.
 The tests pin it against mpmath and the product, and the solver's real
 form of the series against it.
+
+``bracketed_root_reference`` is the solver's safeguarded Newton loop
+written on full-length arrays, with an ``np.where`` update of every entry
+per step; ``solver.bracketed_root`` carries only the entries still active
+and must give the same roots and iteration counts bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 
 from flatfront.annulus import DegenerateConfigurationError
 from flatfront.immersion import HalfSpacePoint, RotationalModuli
+from flatfront.solver import FLOOR_ULPS, MAX_ITERS
 from flatfront.theta import _expm1, _guard_series_zeros, _modular_terms, _series_sums, pointwise
 
 
@@ -95,3 +101,40 @@ def theta_series(ctx, lv, order: int):
            + lv * (lv / (4.0 * ell) - 0.5 - 0.5 * isk))
     h = lv / (2.0 * ell) - 0.5 - 0.5 * isk + isk * rho if order >= 1 else None
     return s * D, np.exp(phi), h, (0.5 / ell - k * k * tau if order >= 2 else None)
+
+
+def bracketed_root_reference(fn, lo, hi):
+    """solver.bracketed_root on full-length arrays: the same step rule, the
+    same arithmetic and the same calls of fn, with every entry updated by
+    np.where at every step and stopped ones masked out."""
+    a, b = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
+    k = np.arange(a.size)
+    both = np.concatenate([a, b])
+    f, d = fn(both, np.concatenate([k, k]))
+    side = np.sign(f[: a.size])
+    bracketed = side * np.sign(f[a.size :]) < 0.0
+    root = np.where(f[: a.size] == 0.0, a, np.where(f[a.size :] == 0.0, b, np.nan))
+    start = np.where(np.abs(f[: a.size]) <= np.abs(f[a.size :]), k, k + a.size)
+    x, fx, dfx = both[start], f[start], d[start]
+    step = np.abs(b - a)
+    active = bracketed.copy()
+    n = 0
+    while active.any() and n < MAX_ITERS:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = x - fx / dfx
+            inside = (np.minimum(a, b) <= newton) & (newton <= np.maximum(a, b))
+            shrinks = np.abs(newton - x) <= 0.5 * step
+        new = np.where(inside & shrinks, newton, a + 0.5 * (b - a))
+        step = np.where(active, np.abs(new - x), step)
+        x = np.where(active, new, x)
+        active &= step > FLOOR_ULPS * np.spacing(np.abs(x))
+        i = np.flatnonzero(active)
+        if i.size == 0:
+            break
+        fx[i], dfx[i] = fn(x[i], i)
+        n += 1
+        to_a = active & (np.sign(fx) == side)
+        a = np.where(to_a, x, a)
+        b = np.where(active & ~to_a, x, b)
+        active &= fx != 0.0
+    return np.where(bracketed, x, root), n

@@ -32,6 +32,7 @@ from flatfront.solver import (
 from flatfront.theta import ThetaContext, log_slope, log_slope_deriv, pair_slope, theta1
 
 import oracles
+from routes import bracketed_root_reference
 
 # Reference solve at (r, s) = (0.4, -0.25), checked below against the
 # defining pairing conditions before any comparison is made.
@@ -120,6 +121,26 @@ def test_bracketed_root_array_evaluates_active_entries_only():
     for j in range(c.size):
         root, _ = bracketed_root(_cube_root_of(c[j : j + 1]), lo[j : j + 1], hi[j : j + 1])
         assert roots[j] == root[0], j
+
+
+REFERENCE_CELLS = [(0.25, -0.5), (0.05, -0.04), (0.45, -0.1), (0.7, -0.99), (0.236, -0.02)]
+
+
+@pytest.mark.parametrize("r, s", REFERENCE_CELLS)
+def test_bracketed_root_keeps_the_bits_of_the_reference_loop(monkeypatch, r, s):
+    # the root finder carries only its active entries; on the stage-2 scan
+    # and on stage 1 it gives the roots and iteration counts of the loop on
+    # full-length arrays bit for bit
+    ctx = ThetaContext.create(r)
+
+    def stages():
+        m, _, n_exp = solve_exponent(ctx, s)
+        _, _, z2s, n_scan = _outer_scan(ctx, s, r ** (-2.0 * (m + 2.0)))
+        return m, n_exp, z2s.tobytes(), n_scan
+
+    got = stages()
+    monkeypatch.setattr(solver, "bracketed_root", bracketed_root_reference)
+    assert got == stages()
 
 
 def test_inner_split_batch_matches_single_candidates():
@@ -254,7 +275,7 @@ def test_reference_solve_self_consistent():
         assert getattr(moduli, name) == pytest.approx(want, rel=1e-10), name
 
 
-@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.05, -0.04), (0.45, -0.1), (0.7, -0.99), (0.236, -0.02)])
+@pytest.mark.parametrize("r, s", REFERENCE_CELLS + [(0.05, -0.99), (0.75, -0.99), (0.75, -0.04)])
 def test_moduli_match_the_reference_solve(r, s):
     # a 40-digit Newton solve of the three stage equations on mpmath's sums,
     # started from the float solve, pins the markers and the exponent
@@ -273,6 +294,21 @@ def test_exponent_stage_alone():
     # closed form
     m_half, _, _ = solve_exponent(ctx, -0.5)
     assert abs(m_half + 2.5) < 1e-12
+
+
+def test_exponent_stage_on_the_pole_free_balance():
+    # stage 1 runs on the balance times -sin(pi (m+2)), which cancels the
+    # poles next to both bracket ends; the balance itself, from the public
+    # log_slope, vanishes at the root it returns
+    iters = []
+    for r in np.linspace(0.05, 0.75, 15):
+        ctx = ThetaContext.create(r)
+        for s in np.linspace(-0.99, -0.04, 8):
+            m, _, n = solve_exponent(ctx, s)
+            iters.append(n)
+            balance = 2.0 * log_slope(ctx, r ** (-2.0 * (m + 2.0))).real - 1.0 - s - m
+            assert abs(balance) <= 1e-12, (r, s, balance)
+    assert np.mean(iters) <= 4.5
 
 
 @pytest.mark.parametrize("s", [-0.999999, -0.99, -0.5, -0.01, -1e-6])
@@ -432,10 +468,11 @@ def test_stacked_slit_values_keep_the_bits(r, s):
 
 
 def test_kernel_calls_of_the_stacked_passes(monkeypatch):
-    # a slit pass is two kernel calls (marker/z and marker z) for any number
-    # of points; _surface_constants adds one call for its six theta values.
-    # The solve's stages run on the modular series, so its one pass of the
-    # product is the closing one, which also gives the residuals
+    # a marker pass is one kernel call over the arguments marker/z and
+    # marker z of its four slit values; _surface_constants adds its other
+    # theta values to that call.  The solve's stages run on the modular
+    # series, so its one call of the product is the closing pass, which
+    # residuals repeats.  fit_gauss_ratio keeps slit_map's two calls
     moduli, _ = solve_canonical(0.25, -0.5)
     ctx = moduli.context()
     orders = []
@@ -447,11 +484,11 @@ def test_kernel_calls_of_the_stacked_passes(monkeypatch):
         monkeypatch.setattr(module, "_eval", counted)
     z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
     for call, want in (
-        (lambda: solve_canonical(0.25, -0.5, ctx), {2: 2}),
-        (lambda: annulus._marker_slits(ctx, z0, z1, z2), {2: 2}),
+        (lambda: solve_canonical(0.25, -0.5, ctx), {2: 1}),
+        (lambda: annulus._marker_slits(ctx, z0, z1, z2), {2: 1}),
         (lambda: fit_gauss_ratio(ctx, z0, z1, z2), {1: 2}),
-        (lambda: residuals(moduli, ctx), {2: 2}),
-        (lambda: annulus._surface_constants.__wrapped__(moduli, ctx), {2: 2, 0: 1}),
+        (lambda: residuals(moduli, ctx), {2: 1}),
+        (lambda: annulus._surface_constants.__wrapped__(moduli, ctx), {2: 1}),
     ):
         orders.clear()
         call()
