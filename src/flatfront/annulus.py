@@ -34,8 +34,12 @@ theta1(1/w) = -w theta1(w) the composites W and Q1 z^m / (1-R) become plain
 theta products: the simple zeros and poles that cancel pairwise in the raw
 quotients, at z0, z1 and z2, never appear.  W has double zeros at r^(2k)/z2
 and double poles at r^(2k)/z1, on the negative real axis off the annulus,
-so its square root is single-valued with no branch to track.  The two
-constants sqrt(C) and K' are computed once per surface.
+so its square root is single-valued with no branch to track.
+
+Everything the evaluators read per surface is computed once, in one record
+(``_surface``, cached on the moduli): the checks of the stored fields,
+sqrt(C) and K', the end's ideal point g(z0), and the constants of the
+modular series.
 
 A slit value needs theta at marker/z and marker z, and the kernel gives a
 point the same bits in any batch and at any order.  So the four slit
@@ -43,24 +47,25 @@ values that tie the stored fields to the markers (slit_map(z0, z1),
 slit_map(z0, z2), slit_map(z1, z0) and slit_map(z2, z0), with the
 derivatives at z1 and z2, see ``_marker_slits``) come from one kernel call
 over their eight arguments, with the bits of separate ``slit_map`` calls;
-the solve's closing step, ``solver.residuals`` and the per-surface
-constants each make that one call.  ``slit_map`` itself (``_slit_parts``)
-keeps its two calls, one per argument: stacking them, or gauss_map's two
-calls or the curvature stencils, would speed up first_form and
-intrinsic_curvature, about 80% of the query time of the benchmark's probe
-workload, whose peak memory grows with the number of queries it records
-(see the next paragraph).
+the solve's closing step, ``solver.residuals`` and the per-surface record
+each make that one call, and the record's theta values at z1 z0 and
+z2 z0 give the end g(z0) with no further call.  ``slit_map`` itself
+(``_slit_parts``) keeps its two calls, one per argument: stacking them, or
+gauss_map's two calls or the curvature stencils, would speed up first_form
+and intrinsic_curvature, about 80% of the query time of the benchmark's
+probe workload, whose peak memory grows with the number of queries it
+records (see the next paragraph).
 
 Two kernels serve the module.  ``_surface_series``, which feeds the bulk
 evaluators immerse and shape_ratio of the mesh and the validation battery,
 runs on the complex modular series (theta._series_sums): 1 to 4 terms per
 argument at every r from 0.023, where the product takes 6 to 88 and more,
 and one log z and one exp per point shared by the four arguments.  Every
-public map here, the per-surface constants sqrt(C) and K', and the first
-form and curvature built on them in flatfront.immersion stay on the
-product: the benchmark's probe workload records each query it makes and
-its peak memory grows with their number, so faster single-point queries
-there wait until the benchmark keeps a record of fixed size per query.
+public map here, the record's sqrt(C) and K', and the first form and
+curvature built on them in flatfront.immersion stay on the product: the
+benchmark's probe workload records each query it makes and its peak memory
+grows with their number, so faster single-point queries there wait until
+the benchmark keeps a record of fixed size per query.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -298,9 +304,31 @@ def gauss_square_winding(moduli: CanonicalModuli, ctx: ThetaContext) -> int:
     return n
 
 
+class _Surface(NamedTuple):
+    """The per-surface data of the evaluators, built once per (moduli, ctx)
+    by :func:`_surface`.
+
+    sqrt_c and k_prime are sqrt(C) and K' of the theta-product forms of g
+    and the shape factor, end is the end's ideal point g(z0), and k, units,
+    g_coef, f_coef and r_coef are the constants of :func:`_surface_series`:
+    pi/l, the unit factors a0, a1, a2 of E at z0 z, z1 z and z2 z, and the
+    real coefficients (c, b) of g, the shape factor and (R_c, kappa) of R
+    and R'.
+    """
+
+    sqrt_c: float
+    k_prime: float
+    end: complex
+    k: float
+    units: tuple[complex, complex, complex]
+    g_coef: tuple[float, float]
+    f_coef: tuple[float, float]
+    r_coef: tuple[float, float]
+
+
 @lru_cache(maxsize=128)
-def _surface_constants(moduli: CanonicalModuli, ctx: ThetaContext) -> tuple[float, float]:
-    """(sqrt(C), K') of the theta-product forms of g and the shape factor.
+def _surface(moduli: CanonicalModuli, ctx: ThetaContext) -> _Surface:
+    """The :class:`_Surface` of the moduli, after checking their stored fields.
 
     C = -theta1(z1/z0) theta1(z1 z0) / (theta1(z2/z0) theta1(z2 z0)) and
     K' = theta1(z2/z0) theta1(z2 z0) / (theta1(z2/z1) theta1(z2 z1)); both
@@ -310,6 +338,8 @@ def _surface_constants(moduli: CanonicalModuli, ctx: ThetaContext) -> tuple[floa
     (as a_R (slit_map(z0, z1) - slit_map(z0, z2)) = 1) and
     c1 = slit_map(z1, z0); R(z2) = 0, c2 = slit_map(z2, z0) and s = -z2 c2;
     z1 z2 r^(2(m+2)) = 1.  RepresentationError names the first that fails.
+    Every theta value comes from the one marker pass, and the end g(z0) is
+    computed as gauss_map computes it, with its bits.
     """
     z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
     # theta1 at z1 z0 and z2 z0 comes with the slit arguments.  The
@@ -335,7 +365,20 @@ def _surface_constants(moduli: CanonicalModuli, ctx: ThetaContext) -> tuple[floa
     # theta1 at the products (p) z1 z0, z2 z0, the quotients (q) z1/z0,
     # z2/z0, z2/z1 and the product z2 z1
     p10, p20, q10, q20, q21, p21 = t.real
-    return float(np.sqrt(-q10 * p10 / (q20 * p20))), float(q20 * p20 / (q21 * p21))
+    sqrt_c = float(np.sqrt(-q10 * p10 / (q20 * p20)))
+    k_prime = float(q20 * p20 / (q21 * p21))
+    end = complex((sqrt_c * t[1:2] / (np.array([z0], dtype=np.complex128) * t[0:1]))[0])
+    k = _modular_terms(ctx.r)[0]
+    ell = np.pi / k
+    l0, l1, l2 = (float(np.log(-x)) for x in (z0, z1, z2))
+    units = tuple(complex(np.exp(-1j * k * x)) for x in (l0, l1, l2))
+    g_coef = (float(np.log(sqrt_c)) + (l2 - l1) * ((l1 + l2) / (4.0 * ell) - 0.5), (l2 - l1) / (2.0 * ell) - 1.0)
+    f_coef = (
+        float(np.log(z0 / (z1 * k_prime))) + (l0 * l0 - l1 * l1) / (2.0 * ell) - (l0 - l1),
+        moduli.m + 1.0 - l1 / ell,
+    )
+    r_coef = (moduli.b_R - moduli.a_R * (l0 / ell - 1.0) / z0, -moduli.a_R * k / z0)
+    return _Surface(sqrt_c, k_prime, end, k, units, g_coef, f_coef, r_coef)
 
 
 @pointwise
@@ -351,7 +394,7 @@ def gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
     RepresentationError for moduli whose fields do not fit their markers.
     """
     _require_annulus(ctx, z, "gauss_map")
-    scale, _ = _surface_constants(moduli, ctx)
+    scale = _surface(moduli, ctx).sqrt_c
     num, _, _ = _eval(ctx, moduli.z2 * z, 0)
     den, _, _ = _eval(ctx, moduli.z1 * z, 0)
     return scale * num / (z * den)
@@ -409,30 +452,10 @@ def _shape_factor(moduli: CanonicalModuli, ctx: ThetaContext, z):
     the end z0.  Raises RepresentationError for
     moduli whose fields do not fit their markers.
     """
-    _, k_prime = _surface_constants(moduli, ctx)
+    k_prime = _surface(moduli, ctx).k_prime
     a, b, c = (_eval(ctx, w, 0)[0] for w in (moduli.z0 / z, moduli.z0 * z, moduli.z1 * z))
     a = -(moduli.z0 / z) * a
     return -z * np.exp(moduli.m * np.log(z)) * a * b / (moduli.z1 * k_prime * c * c)
-
-
-@lru_cache(maxsize=128)
-def _series_constants(moduli: CanonicalModuli, ctx: ThetaContext):
-    """Per-surface constants of :func:`_surface_series`: (pi/l, the unit
-    factors a0, a1, a2 of E at z0 z, z1 z, z2 z, and the real coefficients
-    of g, the shape factor, R and R'), after the checks of
-    :func:`_surface_constants`."""
-    sqrt_c, k_prime = _surface_constants(moduli, ctx)
-    k = _modular_terms(ctx.r)[0]
-    ell = np.pi / k
-    l0, l1, l2 = (float(np.log(-x)) for x in (moduli.z0, moduli.z1, moduli.z2))
-    units = tuple(complex(np.exp(-1j * k * x)) for x in (l0, l1, l2))
-    g_coef = (float(np.log(sqrt_c)) + (l2 - l1) * ((l1 + l2) / (4.0 * ell) - 0.5), (l2 - l1) / (2.0 * ell) - 1.0)
-    f_coef = (
-        float(np.log(moduli.z0 / (moduli.z1 * k_prime))) + (l0 * l0 - l1 * l1) / (2.0 * ell) - (l0 - l1),
-        moduli.m + 1.0 - l1 / ell,
-    )
-    r_coef = (moduli.b_R - moduli.a_R * (l0 / ell - 1.0) / moduli.z0, -moduli.a_R * k / moduli.z0)
-    return k, units, g_coef, f_coef, r_coef
 
 
 def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, who: str):
@@ -464,14 +487,16 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, w
         g'/g   = (b_g - i (pi/l) (rho_2 - rho_1)) / z,
         R'     = -(a_R/z0) (pi/l)^2 (tau_in - tau_0) / z,
 
-    with D, rho = N1/D and tau of theta._series_sums at each argument, while
-    sqrt(C) and K' still come from the product (_surface_constants).  Every
-    argument is guarded against the zeros of theta1; the operations are
-    elementwise and run over chunks of theta._CHUNK points, so a point gets
-    the same bits in any batch.
+    with D, rho = N1/D and tau of theta._series_sums at each argument, and
+    the constants from the surface's record (_surface), whose sqrt(C) and
+    K' come from the product.  Every argument is guarded against the zeros
+    of theta1; the operations are elementwise and run over chunks of
+    theta._CHUNK points, so a point gets the same bits in any batch.
     """
     _require_annulus(ctx, z, who)
-    k, (a0, a1, a2), (cg, bg), (cf, bf), (r_c, kappa) = _series_constants(moduli, ctx)
+    surface = _surface(moduli, ctx)
+    k, (a0, a1, a2) = surface.k, surface.units
+    (cg, bg), (cf, bf), (r_c, kappa) = surface.g_coef, surface.f_coef, surface.r_coef
     z0 = moduli.z0
     outs = [np.empty(z.shape, dtype=np.complex128) for _ in range(order + 2)]
     for lo in range(0, z.size, _CHUNK):

@@ -29,7 +29,6 @@ until each record has a fixed size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .annulus import (
     DegenerateConfigurationError,
     _gauss_map_deriv,
     _shape_factor,
+    _surface,
     _surface_series,
     gauss_map,
     gauss_map_square,
@@ -74,10 +74,10 @@ class MetricSample:
     lambda_sq: np.ndarray | float
 
 
-@lru_cache(maxsize=128)
 def end_direction(moduli: CanonicalModuli, ctx: ThetaContext) -> complex:
-    """Horizontal limit g(z0) of the ideal end."""
-    return gauss_map(moduli, ctx, moduli.z0)
+    """Horizontal limit g(z0) of the ideal end, from the surface's record:
+    gauss_map(moduli, ctx, moduli.z0) bit for bit."""
+    return _surface(moduli, ctx).end
 
 
 @pointwise
@@ -206,25 +206,28 @@ def brioschi_curvature(E, F, G, h: float):
     E, F, G = (np.asarray(x, dtype=float) for x in (E, F, G))
     if E.shape[-2:] != (3, 3) or F.shape != E.shape or G.shape != E.shape:
         raise ValueError("brioschi_curvature expects 3x3 stencils")
-    Eu = (E[..., 1, 2] - E[..., 1, 0]) / (2 * h)
-    Ev = (E[..., 2, 1] - E[..., 0, 1]) / (2 * h)
-    Gu = (G[..., 1, 2] - G[..., 1, 0]) / (2 * h)
-    Gv = (G[..., 2, 1] - G[..., 0, 1]) / (2 * h)
-    Fu = (F[..., 1, 2] - F[..., 1, 0]) / (2 * h)
-    Fv = (F[..., 2, 1] - F[..., 0, 1]) / (2 * h)
-    Evv = ((E[..., 2, 1] + E[..., 0, 1]) - 2 * E[..., 1, 1]) / (h * h)
-    Guu = ((G[..., 1, 2] + G[..., 1, 0]) - 2 * G[..., 1, 1]) / (h * h)
-    Fuv = ((F[..., 2, 2] + F[..., 0, 0]) - (F[..., 2, 0] + F[..., 0, 2])) / (4 * h * h)
-    e, f, g = E[..., 1, 1], F[..., 1, 1], G[..., 1, 1]
-    det = e * g - f * f
-    # det [[a, 0.5 Eu, c], [d, e, f], [0.5 Gv, f, g]] by its first row
-    a = (-0.5 * Evv + Fuv) - 0.5 * Guu
-    c = Fu - 0.5 * Ev
-    d = Fv - 0.5 * Gu
-    det1 = a * det - 0.5 * Eu * (d * g - f * 0.5 * Gv) + c * (d * f - e * 0.5 * Gv)
-    # det [[0, 0.5 Ev, 0.5 Gu], [0.5 Ev, e, f], [0.5 Gu, f, g]] by its first row
-    det2 = -0.5 * Ev * (0.5 * Ev * g - f * 0.5 * Gu) + 0.5 * Gu * (0.5 * Ev * f - e * 0.5 * Gu)
-    k = (det1 - det2) / (det * det)
+    # a degenerate metric (det = 0) gives an inf or nan K, which the caller
+    # reports as a failing value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Eu = (E[..., 1, 2] - E[..., 1, 0]) / (2 * h)
+        Ev = (E[..., 2, 1] - E[..., 0, 1]) / (2 * h)
+        Gu = (G[..., 1, 2] - G[..., 1, 0]) / (2 * h)
+        Gv = (G[..., 2, 1] - G[..., 0, 1]) / (2 * h)
+        Fu = (F[..., 1, 2] - F[..., 1, 0]) / (2 * h)
+        Fv = (F[..., 2, 1] - F[..., 0, 1]) / (2 * h)
+        Evv = ((E[..., 2, 1] + E[..., 0, 1]) - 2 * E[..., 1, 1]) / (h * h)
+        Guu = ((G[..., 1, 2] + G[..., 1, 0]) - 2 * G[..., 1, 1]) / (h * h)
+        Fuv = ((F[..., 2, 2] + F[..., 0, 0]) - (F[..., 2, 0] + F[..., 0, 2])) / (4 * h * h)
+        e, f, g = E[..., 1, 1], F[..., 1, 1], G[..., 1, 1]
+        det = e * g - f * f
+        # det [[a, 0.5 Eu, c], [d, e, f], [0.5 Gv, f, g]] by its first row
+        a = (-0.5 * Evv + Fuv) - 0.5 * Guu
+        c = Fu - 0.5 * Ev
+        d = Fv - 0.5 * Gu
+        det1 = a * det - 0.5 * Eu * (d * g - f * 0.5 * Gv) + c * (d * f - e * 0.5 * Gv)
+        # det [[0, 0.5 Ev, 0.5 Gu], [0.5 Ev, e, f], [0.5 Gu, f, g]] by its first row
+        det2 = -0.5 * Ev * (0.5 * Ev * g - f * 0.5 * Gu) + 0.5 * Gu * (0.5 * Ev * f - e * 0.5 * Gu)
+        k = (det1 - det2) / (det * det)
     return float(k) if k.ndim == 0 else k
 
 
@@ -238,7 +241,9 @@ def _stencil_curvature(form, z, h: float):
         offs = np.array([[complex(i * hh, j * hh) for i in (-1, 0, 1)] for j in (-1, 0, 1)])
         ms = form(z[:, None, None] + offs)
         ks.append(brioschi_curvature(ms.E, ms.F, ms.G, hh))
-    return (4.0 * ks[1] - ks[0]) / 3.0
+    # inf - inf where both spacings see a degenerate metric: the nan is the value
+    with np.errstate(invalid="ignore"):
+        return (4.0 * ks[1] - ks[0]) / 3.0
 
 
 # Stencil spacing of intrinsic_curvature.  An h and an h/2 stencil are paired

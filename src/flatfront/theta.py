@@ -52,7 +52,7 @@ product needs 3, 7, 22 and 88 or more.  One coefficient table
   battery's work.
 
 Every other evaluator, the public functions here among them, stays on the
-product, which also keeps the per-surface constants and the solve's
+product, which also keeps the per-surface record and the solve's
 residual check on a route of their own: the check, which evaluates the
 solved markers on the product, certifies the series' solve across the two
 kernels.

@@ -35,7 +35,7 @@ from flatfront.annulus import (
     slit_map_deriv,
     theta_quotient,
 )
-from flatfront.immersion import first_form, immerse, shape_ratio
+from flatfront.immersion import end_direction, first_form, immerse, shape_ratio
 
 # Closed-form configuration at r = 1/4, s = -1/2: m = -5/2, z0 = -sqrt(r),
 # z1 z2 = r.  The z2 split was pinned by bisection on the pairing condition;
@@ -309,22 +309,36 @@ def test_gauss_square_is_constant_times_theta_quotient_squared(r, s):
     assert g.real.max() < 0.0
 
 
+def _assert_every_evaluator_rejects(mod, ctx, field, match=None):
+    # gauss_map, immerse, shape_ratio and end_direction all read the one
+    # per-surface record, whose builder checks the stored fields; each of
+    # them must raise for moduli with one field shifted
+    bad = dataclasses.replace(mod, **{field: getattr(mod, field) + 1e-3})
+    for evaluate in (gauss_map, immerse, shape_ratio):
+        with pytest.raises(RepresentationError, match=match):
+            evaluate(bad, ctx, np.array([0.5 + 0.1j, -0.6]))
+    with pytest.raises(RepresentationError, match=match):
+        end_direction(bad, ctx)
+
+
 @pytest.mark.parametrize("field", ["c1", "a_R"])
 def test_gauss_map_rejects_moduli_off_their_divisor(mod, ctx, field):
     # a shifted constant moves the zeros or poles of W off r^(2k)/z2 and
     # r^(2k)/z1, so no single-valued sqrt(W)/z of the closed form exists
-    bad = dataclasses.replace(mod, **{field: getattr(mod, field) + 1e-3})
-    with pytest.raises(RepresentationError):
-        gauss_map(bad, ctx, np.array([0.5 + 0.1j, -0.6]))
+    _assert_every_evaluator_rejects(mod, ctx, field)
 
 
 @pytest.mark.parametrize("field", ["c2", "b_R"])
 def test_gauss_map_rejects_moduli_off_the_marker_z2(mod, ctx, field):
     # c2 and b_R do not enter W away from z2, so the closed form alone cannot
     # see them; the check at z2 itself (R(z2) = 0, c2 = slit_map(z2, z0)) does
-    bad = dataclasses.replace(mod, **{field: getattr(mod, field) + 1e-3})
-    with pytest.raises(RepresentationError, match="marker z2"):
-        gauss_map(bad, ctx, np.array([0.5 + 0.1j, -0.6]))
+    _assert_every_evaluator_rejects(mod, ctx, field, "marker z2")
+
+
+def test_gauss_map_rejects_moduli_off_the_exponent(mod, ctx):
+    # m enters only the shape factor; the check z1 z2 r^(2(m+2)) = 1 ties it
+    # to the markers
+    _assert_every_evaluator_rejects(mod, ctx, "m", "exponent m")
 
 
 def test_gauss_map_conjugation_and_determinism(mod, ctx):

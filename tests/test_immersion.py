@@ -118,6 +118,15 @@ def test_end_limit(mod, ctx):
     assert errs[1] < 0.2 * errs[0]
 
 
+@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.65, -0.01), (0.7, -0.99), (0.05, -0.04)])
+def test_end_direction_is_gauss_map_at_the_end(r, s):
+    # the record takes g(z0) from the theta values of its marker pass, with
+    # the operations of gauss_map; at the cells of CI's console step
+    moduli, _ = solve_canonical(r, s)
+    ctx = moduli.context()
+    assert end_direction(moduli, ctx) == gauss_map(moduli, ctx, moduli.z0)
+
+
 def test_first_form_matches_fd_pullback(mod, ctx):
     zs = _interior_samples(mod, 40, seed=31)
     d = 1e-5
@@ -557,7 +566,7 @@ def test_kernel_calls_per_point(monkeypatch):
     # product calls left are W's order-0 pair in shape_ratio.  first_form
     # stays on the product, with its separate R and R' calls
     ctx = FLAGSHIP.context()
-    gauss_map(FLAGSHIP, ctx, 0.5j)  # fills the per-surface constants' cache
+    gauss_map(FLAGSHIP, ctx, 0.5j)  # builds the per-surface record
     orders, series = [], []
     for module in (theta_module, annulus_module):
         def counted(*args, fn=module._eval, **kw):

@@ -296,6 +296,16 @@ def test_validation_fails_on_a_nan_in_second_place(monkeypatch):
     assert not boundary_ranges_ok(FLAGSHIP)
 
 
+def test_validation_reports_a_degenerate_metric():
+    # at (0.97, -0.999) a curvature stencil's first form is singular
+    # (E G - F^2 = 0); with numpy warnings raised as errors, validate still
+    # returns its report, which fails on the non-finite curvature
+    moduli, _ = solve_canonical(0.97, -0.999)
+    rep = validate_moduli(moduli)
+    assert not math.isfinite(rep.max_abs_curvature)
+    assert not rep.passes()
+
+
 def _mirrored_circle(n):
     """The n points exp(i pi (2k - n) / n): conjugation maps the set onto itself."""
     return np.exp(1j * np.pi * (2 * np.arange(n) - n) / n)

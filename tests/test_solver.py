@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from flatfront import annulus, solver
 from flatfront import theta as theta_module
-from flatfront.annulus import fit_gauss_ratio, slit_map, slit_map_deriv
+from flatfront.annulus import fit_gauss_ratio, gauss_map, slit_map, slit_map_deriv
+from flatfront.immersion import end_direction
 from flatfront.solver import (
     EXPONENT_BRACKET,
     MAX_ITERS,
@@ -441,9 +442,9 @@ def test_nan_residual_fails_the_check(monkeypatch):
 
 @pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.1, -0.1)])
 def test_stacked_slit_values_keep_the_bits(r, s):
-    # the solve's closing step, residuals and the per-surface constants read
-    # their slit values from stacked passes; each value equals the one-point
-    # public composition bit for bit
+    # the solve's closing step, residuals and the per-surface record read
+    # their slit and theta values from stacked passes; each value equals the
+    # one-point public composition bit for bit
     moduli, trace = solve_canonical(r, s)
     ctx = moduli.context()
     z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
@@ -464,17 +465,22 @@ def test_stacked_slit_values_keep_the_bits(r, s):
 
     t = [theta1(ctx, complex(w)).real for w in (z1 / z0, z1 * z0, z2 / z0, z2 * z0, z2 / z1, z2 * z1)]
     scale = math.sqrt(-t[0] * t[1] / (t[2] * t[3]))
-    assert annulus._surface_constants.__wrapped__(moduli, ctx) == (scale, t[2] * t[3] / (t[4] * t[5]))
+    surface = annulus._surface.__wrapped__(moduli, ctx)
+    assert (surface.sqrt_c, surface.k_prime) == (scale, t[2] * t[3] / (t[4] * t[5]))
+    assert surface.end == end_direction(moduli, ctx) == gauss_map(moduli, ctx, z0)
 
 
 def test_kernel_calls_of_the_stacked_passes(monkeypatch):
     # a marker pass is one kernel call over the arguments marker/z and
-    # marker z of its four slit values; _surface_constants adds its other
-    # theta values to that call.  The solve's stages run on the modular
-    # series, so its one call of the product is the closing pass, which
-    # residuals repeats.  fit_gauss_ratio keeps slit_map's two calls
+    # marker z of its four slit values; the per-surface record adds its
+    # other theta values to that call, and takes the end direction from two
+    # of them, so end_direction on a built record calls no kernel.  The
+    # solve's stages run on the modular series, so its one call of the
+    # product is the closing pass, which residuals repeats.  fit_gauss_ratio
+    # keeps slit_map's two calls
     moduli, _ = solve_canonical(0.25, -0.5)
     ctx = moduli.context()
+    annulus._surface(moduli, ctx)
     orders = []
     for module in (theta_module, annulus):
         def counted(*args, fn=module._eval, **kw):
@@ -488,7 +494,8 @@ def test_kernel_calls_of_the_stacked_passes(monkeypatch):
         (lambda: annulus._marker_slits(ctx, z0, z1, z2), {2: 1}),
         (lambda: fit_gauss_ratio(ctx, z0, z1, z2), {1: 2}),
         (lambda: residuals(moduli, ctx), {2: 1}),
-        (lambda: annulus._surface_constants.__wrapped__(moduli, ctx), {2: 1}),
+        (lambda: annulus._surface.__wrapped__(moduli, ctx), {2: 1}),
+        (lambda: end_direction(moduli, ctx), {}),
     ):
         orders.clear()
         call()
