@@ -11,7 +11,7 @@ evaluates:
 * ``theta_quotient`` - the quotient theta1(marker/z) / theta1(marker z),
   unimodular on |z| = 1,
 * ``gauss_map`` - g = sqrt(W) / z for W = R/(1-R) * Q1/Q2, in the closed
-  form g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)),
+  form g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)), on the modular series,
 * ``gauss_map_square`` - W = (z g)^2,
 * ``_shape_factor`` - Q1 z^m / (1-R), whose modulus is exp(2u),
 * ``_gauss_log_deriv`` - g'/g = (log_slope(z2 z) - log_slope(z1 z) - 1) / z,
@@ -19,9 +19,11 @@ evaluates:
 * ``potential`` - the harmonic function u with exp(2u) = |Q1 z^m / (1-R)|,
   from the raw quotients (an independent route to the shape factor),
 * ``inv_gauss_gap`` / ``second_gauss_map`` - F = R/g and g* = g - 1/F,
-* ``_surface_series`` - R, the shape factor and g, or g'/g and R', from one
-  pass of the complex modular series over the four theta arguments z0/z,
-  z0 z, z1 z and z2 z: the data of ``immerse`` and ``shape_ratio``.
+* ``_surface_series`` - g alone from the two theta arguments z1 z and z2 z,
+  or R, the shape factor and g, or g'/g and R', from one pass of the
+  complex modular series over those and z0/z and z0 z: the data of
+  ``gauss_map``, ``immerse`` and ``shape_ratio``; ``_ratio_series``, R
+  alone from z0/z and z0 z, is the range check's of flatfront.validation.
 
 R is real on both circles, so it is elliptic on C*/r^2, with simple poles
 at z0 and 1/z0.  Once R(z1) = 1 and R(z2) = 0, comparing divisors gives
@@ -38,8 +40,8 @@ so its square root is single-valued with no branch to track.
 
 Everything the evaluators read per surface is computed once, in one record
 (``_surface``, cached on the moduli): the checks of the stored fields,
-sqrt(C) and K', the end's ideal point g(z0), and the constants of the
-modular series.
+sqrt(C) and K', the constants of the modular series, and the end's ideal
+point g(z0), from gauss_map's series pass.
 
 A slit value needs theta at marker/z and marker z, and the kernel gives a
 point the same bits in any batch and at any order.  So the four slit
@@ -48,24 +50,28 @@ slit_map(z0, z2), slit_map(z1, z0) and slit_map(z2, z0), with the
 derivatives at z1 and z2, see ``_marker_slits``) come from one kernel call
 over their eight arguments, with the bits of separate ``slit_map`` calls;
 the solve's closing step, ``solver.residuals`` and the per-surface record
-each make that one call, and the record's theta values at z1 z0 and
-z2 z0 give the end g(z0) with no further call.  ``slit_map`` itself
-(``_slit_parts``) keeps its two calls, one per argument: stacking them, or
-gauss_map's two calls or the curvature stencils, would speed up first_form
-and intrinsic_curvature, about 80% of the query time of the benchmark's
-probe workload, whose peak memory grows with the number of queries it
-records (see the next paragraph).
+each make that one call, and the record's end g(z0) calls no product.
+``slit_map`` itself (``_slit_parts``) keeps its two calls, one per
+argument: stacking them, or the curvature stencils, would speed up
+first_form and intrinsic_curvature, about 80% of the query time of the
+benchmark's probe workload, whose peak memory grows with the number of
+queries it records (see the next paragraph).
 
-Two kernels serve the module.  ``_surface_series``, which feeds the bulk
-evaluators immerse and shape_ratio of the mesh and the validation battery,
-runs on the complex modular series (theta._series_sums): 1 to 4 terms per
-argument at every r from 0.023, where the product takes 6 to 88 and more,
-and one log z and one exp per point shared by the four arguments.  Every
-public map here, the record's sqrt(C) and K', and the first form and
-curvature built on them in flatfront.immersion stay on the product: the
-benchmark's probe workload records each query it makes and its peak memory
-grows with their number, so faster single-point queries there wait until
-the benchmark keeps a record of fixed size per query.
+Two kernels serve the module.  ``_surface_series`` runs on the complex
+modular series (theta._series_sums): 1 to 4 terms per argument at every r
+from 0.023, where the product takes 6 to 88 and more, and one log z and
+one exp per point shared by its arguments.  It feeds gauss_map, and with
+it gauss_map_square, the g of gauss_map_deriv, inv_gauss_gap,
+second_gauss_map and first_form, the bulk evaluators immerse and
+shape_ratio of the mesh and the validation battery, and (as _ratio_series)
+the range check's R.  The slit maps and everything built on them (gauss_ratio and its
+derivative, gauss_square_log_deriv, fit_gauss_ratio, potential),
+theta_quotient, _gauss_log_deriv, _shape_factor, the marker passes with
+the record's sqrt(C) and K', and the other calls of first_form and the
+curvature in flatfront.immersion stay on the product: the benchmark's
+probe workload records each query it makes and its peak memory grows with
+their number, so faster single-point queries there wait until the
+benchmark keeps a record of fixed size per query.
 """
 
 from __future__ import annotations
@@ -309,11 +315,11 @@ class _Surface(NamedTuple):
     by :func:`_surface`.
 
     sqrt_c and k_prime are sqrt(C) and K' of the theta-product forms of g
-    and the shape factor, end is the end's ideal point g(z0), and k, units,
-    g_coef, f_coef and r_coef are the constants of :func:`_surface_series`:
-    pi/l, the unit factors a0, a1, a2 of E at z0 z, z1 z and z2 z, and the
-    real coefficients (c, b) of g, the shape factor and (R_c, kappa) of R
-    and R'.
+    and the shape factor, end is the end's ideal point g(z0), with the bits
+    of gauss_map there, and k, units, g_coef, f_coef and r_coef are the
+    constants of :func:`_surface_series`: pi/l, the unit factors a0, a1, a2
+    of E at z0 z, z1 z and z2 z, and the real coefficients (c, b) of g, the
+    shape factor and (R_c, kappa) of R and R'.
     """
 
     sqrt_c: float
@@ -338,8 +344,9 @@ def _surface(moduli: CanonicalModuli, ctx: ThetaContext) -> _Surface:
     (as a_R (slit_map(z0, z1) - slit_map(z0, z2)) = 1) and
     c1 = slit_map(z1, z0); R(z2) = 0, c2 = slit_map(z2, z0) and s = -z2 c2;
     z1 z2 r^(2(m+2)) = 1.  RepresentationError names the first that fails.
-    Every theta value comes from the one marker pass, and the end g(z0) is
-    computed as gauss_map computes it, with its bits.
+    Every theta value comes from the one marker pass, and the end g(z0)
+    from gauss_map's order-0 series pass with the record's constants, so it
+    has gauss_map's bits.
     """
     z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
     # theta1 at z1 z0 and z2 z0 comes with the slit arguments.  The
@@ -367,7 +374,6 @@ def _surface(moduli: CanonicalModuli, ctx: ThetaContext) -> _Surface:
     p10, p20, q10, q20, q21, p21 = t.real
     sqrt_c = float(np.sqrt(-q10 * p10 / (q20 * p20)))
     k_prime = float(q20 * p20 / (q21 * p21))
-    end = complex((sqrt_c * t[1:2] / (np.array([z0], dtype=np.complex128) * t[0:1]))[0])
     k = _modular_terms(ctx.r)[0]
     ell = np.pi / k
     l0, l1, l2 = (float(np.log(-x)) for x in (z0, z1, z2))
@@ -378,7 +384,9 @@ def _surface(moduli: CanonicalModuli, ctx: ThetaContext) -> _Surface:
         moduli.m + 1.0 - l1 / ell,
     )
     r_coef = (moduli.b_R - moduli.a_R * (l0 / ell - 1.0) / z0, -moduli.a_R * k / z0)
-    return _Surface(sqrt_c, k_prime, end, k, units, g_coef, f_coef, r_coef)
+    surface = _Surface(sqrt_c, k_prime, 0j, k, units, g_coef, f_coef, r_coef)
+    (end,) = _series_pass(moduli, ctx, surface, np.array([z0], dtype=np.complex128), 0)
+    return surface._replace(end=complex(end[0]))
 
 
 @pointwise
@@ -390,14 +398,13 @@ def gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
     double poles at r^(2k)/z1, all on the negative real axis outside the
     annulus; so does the squared theta quotient, and both gain (z1/z2)^2
     under z -> r^2 z.  Their ratio C is therefore constant, positive, and
-    computed once per surface.  g is negative on (-1, -r).  Raises
-    RepresentationError for moduli whose fields do not fit their markers.
+    computed once per surface, on the product.  g is negative on (-1, -r).
+    Evaluated by the order-0 pass of the complex modular series at z1 z and
+    z2 z (_surface_series), with the bits of the g of its order-1 pass.
+    Raises RepresentationError for moduli whose fields do not fit their
+    markers.
     """
-    _require_annulus(ctx, z, "gauss_map")
-    scale = _surface(moduli, ctx).sqrt_c
-    num, _, _ = _eval(ctx, moduli.z2 * z, 0)
-    den, _, _ = _eval(ctx, moduli.z1 * z, 0)
-    return scale * num / (z * den)
+    return _surface_series(moduli, ctx, z, 0, "gauss_map")[0]
 
 
 @pointwise
@@ -459,9 +466,11 @@ def _shape_factor(moduli: CanonicalModuli, ctx: ThetaContext, z):
 
 
 def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, who: str):
-    """(R, shape factor, g) at order 1, (R, shape factor, g'/g, R') at order
-    2, at the flat points z, from the complex modular series at the four
-    theta arguments z0/z, z0 z, z1 z and z2 z.
+    """[g] at order 0, [R, shape factor, g] at order 1 and [R, shape factor,
+    g'/g, R'] at order 2, at the flat points z, from the complex modular
+    series at the theta arguments z1 z and z2 z, and at orders 1 and 2 also
+    z0/z and z0 z.  g is regular at the end z0, where theta1(z0/z) vanishes,
+    so the order-0 pass does not touch z0/z.
 
     A point is evaluated at zeta = z, or conj(z) when Im z has its sign bit
     set, and conjugated back: every output is conjugate at conjugate points,
@@ -489,16 +498,39 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, w
 
     with D, rho = N1/D and tau of theta._series_sums at each argument, and
     the constants from the surface's record (_surface), whose sqrt(C) and
-    K' come from the product.  Every argument is guarded against the zeros
+    K' come from the product.  g takes the same operations at orders 0 and
+    1, so it has the same bits.  Every argument is guarded against the zeros
     of theta1; the operations are elementwise and run over chunks of
     theta._CHUNK points, so a point gets the same bits in any batch.
     """
     _require_annulus(ctx, z, who)
-    surface = _surface(moduli, ctx)
+    return _series_pass(moduli, ctx, _surface(moduli, ctx), z, order)
+
+
+def _ratio_series(moduli: CanonicalModuli, ctx: ThetaContext, z, who: str):
+    """R at the flat points z, with the bits of the order-1 pass's R, from
+    the two theta arguments it depends on, z0/z and z0 z: the range check
+    of flatfront.validation."""
+    _require_annulus(ctx, z, who)
+    return _series_pass(moduli, ctx, _surface(moduli, ctx), z, 1, gauss=False)[0]
+
+
+def _series_pass(moduli: CanonicalModuli, ctx: ThetaContext, surface: _Surface, z, order: int, gauss: bool = True):
+    """_surface_series on points already checked, with the constants of
+    ``surface``: the record's builder takes the end g(z0) from it.  Without
+    ``gauss`` the pass leaves out the arguments z1 z and z2 z of g, and at
+    order 1 returns [R] alone."""
     k, (a0, a1, a2) = surface.k, surface.units
     (cg, bg), (cf, bf), (r_c, kappa) = surface.g_coef, surface.f_coef, surface.r_coef
     z0 = moduli.z0
-    outs = [np.empty(z.shape, dtype=np.complex128) for _ in range(order + 2)]
+    # (unit factor of E, sign s of E = exp(2isy), series order, marker,
+    # whether the argument is marker/z)
+    args = []
+    if order:
+        args += [(np.conj(a0), 1.0, order, z0, True), (a0, -1.0, order, z0, False)]
+    if gauss:
+        args += [(a1, -1.0, max(order - 1, 0), moduli.z1, False), (a2, -1.0, max(order - 1, 0), moduli.z2, False)]
+    outs = [np.empty(z.shape, dtype=np.complex128) for _ in range((1, 3, 4)[order] if gauss else 1)]
     for lo in range(0, z.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
         zc = z[part]
@@ -515,32 +547,30 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, w
         w.imag = -k * lz.real
         w = np.exp(w)
         sums = []
-        # (unit factor of E, sign s of E = exp(2isy), series order, marker,
-        # whether the argument is marker/z)
-        for unit, s, deg, marker, inverse in (
-            (np.conj(a0), 1.0, order, z0, True),
-            (a0, -1.0, order, z0, False),
-            (a1, -1.0, order - 1, moduli.z1, False),
-            (a2, -1.0, order - 1, moduli.z2, False),
-        ):
+        for unit, s, deg, marker, inverse in args:
             E = unit * w
             em1 = E - 1.0
             near = np.abs(em1) < 0.5
             if near.any():
                 em1[near] = _near_zero_em1(ctx, k, s, marker, zeta[near], inverse)
                 E[near] = em1[near] + 1.0
-            _guard_series_zeros(ctx, em1, lambda m: marker / zc[m] if inverse else marker * zc[m])
+                # a zero of theta1 can only lie among these points
+                at = zc[near]
+                _guard_series_zeros(ctx, em1[near], lambda m: marker / at[m] if inverse else marker * at[m])
             sums.append(_series_sums(ctx, E, em1, deg))
-        (d_in, rho_in, tau_in), (d_0, rho_0, tau_0), (d_1, rho_1, _), (d_2, rho_2, _) = sums
-        vals = [
-            r_c + 1j * kappa * (rho_in - rho_0),
-            np.exp(cf + bf * lz) * d_in * d_0 / (d_1 * d_1),
-        ]
-        if order < 2:
-            vals.append(np.exp(cg + bg * lz) * d_2 / d_1)
-        else:
-            vals.append((bg - 1j * k * (rho_2 - rho_1)) / zeta)
-            vals.append(-moduli.a_R * k * k * (tau_in - tau_0) / (z0 * zeta))
+        vals = []
+        if order:
+            (d_in, rho_in, tau_in), (d_0, rho_0, tau_0) = sums[:2]
+            vals.append(r_c + 1j * kappa * (rho_in - rho_0))
+        if gauss:
+            (d_1, rho_1, _), (d_2, rho_2, _) = sums[-2:]
+            if order:
+                vals.append(np.exp(cf + bf * lz) * d_in * d_0 / (d_1 * d_1))
+            if order < 2:
+                vals.append(np.exp(cg + bg * lz) * d_2 / d_1)
+            else:
+                vals.append((bg - 1j * k * (rho_2 - rho_1)) / zeta)
+                vals.append(-moduli.a_R * k * k * (tau_in - tau_0) / (z0 * zeta))
         for out, val in zip(outs, vals):
             out[part] = np.where(lower, np.conj(val), val) if mirrored else val
     return outs

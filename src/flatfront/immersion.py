@@ -19,9 +19,11 @@ as an independent cross-check of the generic evaluator.
 
 immerse and shape_ratio, which the mesh and the validation battery call on
 thousands of points, are projections of one pass of the complex modular
-series (annulus._surface_series); shape_ratio's W still comes from the
-public gauss_map_square.  first_form and intrinsic_curvature stay on the
-theta product: they take most of the probe benchmark's query time, and a
+series (annulus._surface_series); shape_ratio's W comes from the public
+gauss_map_square, an order-0 pass of the same series.  first_form takes
+its g from that pass too, and its other parts (R, R', W'/W and the shape
+factor) from the theta product, and intrinsic_curvature is built on
+first_form: they take most of the probe benchmark's query time, and a
 faster probe records more queries, whose records raise its peak memory
 until each record has a fixed size.
 """
@@ -185,8 +187,8 @@ def shape_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z):
     poles to cancel, so p keeps its digits next to the markers z1 and z2.
     R, R', g'/g and the shape factor come from one order-2 pass of the
     complex modular series over the four theta arguments z0/z, z0 z, z1 z
-    and z2 z (annulus._surface_series); W from gauss_map_square's two
-    product calls.
+    and z2 z (annulus._surface_series); W from gauss_map_square, an order-0
+    pass of the series over z1 z and z2 z.
     """
     R, factor, g_log, Rp = _surface_series(moduli, ctx, z, 2, "shape_ratio")
     W = gauss_map_square(moduli, ctx, z)

@@ -198,13 +198,25 @@ def _ring_comment(tag: str, ring, one_based: bool) -> str:
 
 
 def write_obj(mesh: SurfaceMesh, path) -> None:
-    """Wavefront OBJ: v lines at 17 significant digits, 1-based f triangles."""
+    """Wavefront OBJ: v lines at 17 significant digits, 1-based f triangles.
+
+    The bytes are those of one f"v {x:.17g} {y:.17g} {z:.17g}" per vertex.
+    The mesh is mirror-symmetric, so about half of its coordinates repeat
+    another's magnitude: each distinct magnitude is formatted once, and a
+    coordinate with the sign bit set takes a "-" in front, as %.17g writes
+    -0 and -inf, except a NaN, which Python writes as nan whatever its sign.
+    """
     lines = [f"# model {mesh.model}"]
     for tag, ring in zip(("inner", "outer"), mesh.boundary_rings):
         lines.append(_ring_comment(tag, ring, one_based=True))
+    coords = mesh.vertices.ravel()
+    mags, index = np.unique(np.abs(coords), return_inverse=True)
     # one format operation per block: %.17g and %d render a float and an
     # int as the f-string specs .17g and plain {} do
-    vertices = ("v %.17g %.17g %.17g\n" * len(mesh.vertices)) % tuple(mesh.vertices.ravel().tolist())
+    text = np.array((("%.17g\n" * len(mags)) % tuple(mags.tolist())).split("\n"), dtype=object)[index]
+    neg = np.signbit(coords) & ~np.isnan(coords)
+    text[neg] = "-" + text[neg]
+    vertices = ("v %s %s %s\n" * len(mesh.vertices)) % tuple(text.tolist())
     faces = ("f %d %d %d\n" * len(mesh.faces)) % tuple((mesh.faces + 1).ravel().tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n" + vertices + faces)

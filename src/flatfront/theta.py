@@ -47,15 +47,15 @@ product needs 3, 7, 22 and 88 or more.  One coefficient table
   (:func:`_real_log_slopes`);
 - complex128 elsewhere, as D = sum (-1)^n q'^(n(n+1)) (E^(n+1) - E^(-n)) in
   E = exp(+-i pi lv / l), |E| <= 1 (:func:`_series_sums`): the annulus layer
-  builds the data of immerse and shape_ratio from it
-  (annulus._surface_series), the bulk of the mesh's and the validation
-  battery's work.
+  builds the data of immerse, shape_ratio and gauss_map and the range
+  check's R from it (annulus._surface_series), the bulk of the mesh's and
+  the validation battery's work.
 
 Every other evaluator, the public functions here among them, stays on the
-product, which also keeps the per-surface record and the solve's
-residual check on a route of their own: the check, which evaluates the
-solved markers on the product, certifies the series' solve across the two
-kernels.
+product, which also keeps the per-surface record's sqrt(C) and K' and the
+solve's residual check on a route of their own: the check, which evaluates
+the solved markers on the product, certifies the series' solve across the
+two kernels.
 
 Each pair of factors of the band product is one symmetric factor
 

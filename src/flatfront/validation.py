@@ -21,7 +21,7 @@ from .annulus import (
     DegenerateConfigurationError,
     RepresentationError,
     _mirror_angles,
-    gauss_ratio,
+    _ratio_series,
 )
 from .immersion import (
     HalfSpacePoint,
@@ -118,12 +118,20 @@ def boundary_ranges_ok(moduli: CanonicalModuli, ctx: ThetaContext | None = None)
     Checks that the ratio is real there with values inside (0, 1), and that
     its value at z = 1 sits below its value at z = r.  The solver reports
     this rather than enforcing it.  The ratio is conjugate at conjugate
-    points, so each circle is sampled on its closed upper half.
+    points, so each circle is sampled on its closed upper half.  R comes
+    from the complex modular series at z0/z and z0 z (annulus._ratio_series,
+    with the bits of the R of immerse's pass), whose per-surface record
+    checks the stored fields against the markers: moduli that fail that
+    check (a crafted file) fail the normalization too.
     """
     if ctx is None:
         ctx = moduli.context()
     circle = _upper_circle(N_BOUNDARY)
-    vals = gauss_ratio(moduli, ctx, np.concatenate([circle, moduli.r * circle, [1.0, moduli.r]]))
+    z = np.concatenate([circle, moduli.r * circle, [1.0, moduli.r]])
+    try:
+        vals = _ratio_series(moduli, ctx, z, "boundary_ranges_ok")
+    except RepresentationError:
+        return False
     bnd, (r1, rr) = vals[:-2], vals[-2:].real
     # each test is written so that a NaN fails it
     ok = np.abs(bnd.imag).max() <= 1e-10 and 0.0 < bnd.real.min() and bnd.real.max() < 1.0

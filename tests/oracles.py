@@ -161,6 +161,21 @@ def gauss_map_deriv(moduli, z, n=N_TERMS):
     return mp.diff(lambda w: scale * th(z2 * w) / (w * th(z1 * w)), mp.mpc(z))
 
 
+def gauss_map(moduli, z, n=N_TERMS):
+    """g = sqrt(C) theta(z2 z) / (z theta(z1 z)) at z, with C as in
+    gauss_map_deriv, on the plain product: the g of surface_maps, which
+    unlike the other maps there is regular at the end z0."""
+    r = mp.mpf(moduli["r"])
+    z0, z1, z2 = (mp.mpf(moduli[k]) for k in ("z0", "z1", "z2"))
+    z = mp.mpc(z)
+
+    def th(w):
+        return theta_product(r, w, n)
+
+    C = -th(z1 / z0) * th(z1 * z0) / (th(z2 / z0) * th(z2 * z0))
+    return mp.sqrt(C) * th(z2 * z) / (z * th(z1 * z))
+
+
 def surface_maps(moduli, z, n=N_TERMS, tol=1e-40):
     """(g, g'/g, R, R', shape factor) at z, for a mapping of the float moduli
     fields r, m, z0, z1, z2, a_R and b_R, from their definitions on the plain
@@ -181,9 +196,8 @@ def surface_maps(moduli, z, n=N_TERMS, tol=1e-40):
     (h_in, hp_in), (h_0, hp_0), (h_1, _), (h_2, _) = (
         log_slopes(r, w, tol) for w in (z0 / z, z0 * z, z1 * z, z2 * z)
     )
-    C = -th(z1 / z0) * th(z1 * z0) / (th(z2 / z0) * th(z2 * z0))
     k_prime = th(z2 / z0) * th(z2 * z0) / (th(z2 / z1) * th(z2 * z1))
-    g = mp.sqrt(C) * th(z2 * z) / (z * th(z1 * z))
+    g = gauss_map(moduli, z, n)
     factor = -mp.power(z, m + 1) * th(z / z0) * th(z * z0) / (z1 * k_prime * th(z * z1) ** 2)
     R = a_R * -(h_in + h_0) / z0 + b_R
     return g, (h_2 - h_1 - 1) / z, R, a_R * (hp_in / z**2 - hp_0), factor

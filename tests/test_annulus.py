@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from flatfront import annulus as annulus_module
 from oracles import theta_product, theta_product_deriv
 from flatfront.solver import solve_canonical
 from flatfront.theta import ThetaContext, ThetaPoleError, pair_slope, theta1
@@ -496,6 +497,39 @@ def test_surface_series_against_oracle(r, s):
             ("factor", factor[i], want[4], abs(want[4])),
         ):
             assert abs(got - ref) <= 1e-13 * scale, (x, name, got, ref)
+
+
+@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.7, -0.99), (0.05, -0.04), (0.5, -0.999)])
+def test_gauss_map_against_oracle(monkeypatch, r, s):
+    # gauss_map is the order-0 series pass over z1 z and z2 z: against the
+    # plain product at 40 digits, within 1e-13 relative, at the end z0 (the
+    # pass does not touch z0/z, which vanishes there), on both circles next
+    # to +-pi and, where z2 lies within 1e-3 of -1, on the unit circle next
+    # to the zero 1/z2 of g, where _near_zero_em1 recomputes E - 1.  The
+    # angles keep Re z at exactly -1 or -r, so the float arguments z1 z and
+    # z2 z carry no rounding that the oracle would not see.  Off z0, g has
+    # the bits of the order-1 pass, and g(z0) is the end direction
+    mod, _ = solve_canonical(r, s)
+    ctx = mod.context()
+    near_markers = []
+    near_zero_em1 = annulus_module._near_zero_em1
+
+    def recorded(ctx, k, s, marker, zeta, inverse):
+        near_markers.append(marker)
+        return near_zero_em1(ctx, k, s, marker, zeta, inverse)
+
+    monkeypatch.setattr(annulus_module, "_near_zero_em1", recorded)
+    ring = np.exp(1j * np.array([np.pi, -np.pi, np.pi - 1e-12, 1e-12 - np.pi, np.pi - 1e-8, 1e-8 - np.pi, 1.0]))
+    z = np.concatenate([[mod.z0], ring, mod.r * ring])
+    g = gauss_map(mod, ctx, z)
+    assert mod.z2 in near_markers or mod.z2 + 1.0 >= 1e-3
+    n = int(np.ceil(40.0 / (-2.0 * np.log10(r))))
+    for x, got in zip(z, g):
+        with mp.workdps(40):
+            want = complex(oracles.gauss_map(mod.to_dict(), complex(x), n))
+        assert abs(got - want) <= 1e-13 * abs(want), (x, got, want)
+    assert g[1:].tobytes() == _surface_series(mod, ctx, z[1:], 1, "test")[2].tobytes()
+    assert end_direction(mod, ctx) == g[0]
 
 
 def test_surface_series_keeps_the_bits():

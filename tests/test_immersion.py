@@ -120,8 +120,8 @@ def test_end_limit(mod, ctx):
 
 @pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.65, -0.01), (0.7, -0.99), (0.05, -0.04)])
 def test_end_direction_is_gauss_map_at_the_end(r, s):
-    # the record takes g(z0) from the theta values of its marker pass, with
-    # the operations of gauss_map; at the cells of CI's console step
+    # the record takes g(z0) from gauss_map's order-0 series pass, bit for
+    # bit; at the cells of CI's console step
     moduli, _ = solve_canonical(r, s)
     ctx = moduli.context()
     assert end_direction(moduli, ctx) == gauss_map(moduli, ctx, moduli.z0)
@@ -562,9 +562,11 @@ def test_shared_theta_calls_keep_the_bits(r, s):
 
 def test_kernel_calls_per_point(monkeypatch):
     # shape_ratio and immerse make one series pass over four theta arguments
-    # (z0/z and z0 z at order 2 / 1, z1 z and z2 z at order 1 / 0); the only
-    # product calls left are W's order-0 pair in shape_ratio.  first_form
-    # stays on the product, with its separate R and R' calls
+    # (z0/z and z0 z at order 2 / 1, z1 z and z2 z at order 1 / 0), and
+    # shape_ratio's W one more over the two arguments of g (z1 z and z2 z at
+    # order 0), so neither calls the product.  first_form's g is that order-0
+    # pass too; its other parts stay on the product, with separate R and R'
+    # calls
     ctx = FLAGSHIP.context()
     gauss_map(FLAGSHIP, ctx, 0.5j)  # builds the per-surface record
     orders, series = [], []
@@ -581,12 +583,19 @@ def test_kernel_calls_per_point(monkeypatch):
 
     monkeypatch.setattr(annulus_module, "_series_sums", series_counted)
     for fn, want, want_series in (
-        (shape_ratio, {0: 2}, [2, 2, 1, 1]),
+        (shape_ratio, {}, [2, 2, 1, 1, 0, 0]),
         (immerse, {}, [1, 1, 0, 0]),
-        (first_form, {0: 5, 1: 8, 2: 4}, []),
+        (gauss_map, {}, [0, 0]),
+        (first_form, {0: 3, 1: 8, 2: 4}, [0, 0]),
     ):
         orders.clear()
         series.clear()
         fn(FLAGSHIP, ctx, 0.4 + 0.3j)
         assert Counter(orders) == want, fn.__name__
         assert series == want_series, fn.__name__
+    # the range check sums the series at z0/z and z0 z alone, on its 516
+    # points in one chunk
+    orders.clear()
+    series.clear()
+    assert validation.boundary_ranges_ok(FLAGSHIP, ctx)
+    assert Counter(orders) == {} and series == [1, 1]

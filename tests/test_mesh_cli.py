@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from flatfront import annulus, meshing, validation
-from flatfront.annulus import gauss_ratio
+from flatfront.annulus import CanonicalModuli, gauss_ratio
 from flatfront.cli import _master_tol, main
 from flatfront.immersion import (
     HalfSpacePoint,
@@ -164,22 +164,46 @@ def test_obj_round_trip(tmp_path, mesh16):
     assert int(fs[0][0]) >= 1  # one-based indices
 
 
-@pytest.mark.parametrize("model", ["halfspace", "klein"])
-def test_obj_bytes_equal_per_line_rendering(tmp_path, model):
-    # the block-formatted writer gives the bytes of one f-string per line,
-    # also for a negative zero, a tiny height and a huge coordinate
-    mesh = canonical_mesh(FLAGSHIP, n_rho=8, n_theta=12, model=model)
-    mesh.vertices[0] = (-0.0, 0.5, 1e-300)
-    mesh.vertices[1, 0] = -1.2345678901234567e300
-    path = tmp_path / "m.obj"
-    write_obj(mesh, path)
-    lines = [f"# model {model}"]
+def _per_line_obj(mesh) -> bytes:
+    lines = [f"# model {mesh.model}"]
     for tag, ring in zip(("inner", "outer"), mesh.boundary_rings):
         lines.append(f"# ring {tag} " + " ".join(str(i + 1) for i in ring))
     lines += [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices.tolist()]
     lines += [f"f {a} {b} {c}" for a, b, c in (mesh.faces + 1).tolist()]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-    assert b"\nv -0 0.5 1e-300\n" in path.read_bytes()
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("model", ["halfspace", "klein"])
+def test_obj_bytes_equal_per_line_rendering(tmp_path, model):
+    # the writer formats each distinct magnitude once and puts the sign back;
+    # it gives the bytes of one f-string per line, also for a negative zero,
+    # a tiny height and a huge coordinate in a mesh, and in a hand-built one
+    # for signed zeros, NaNs with either sign bit, infinities, subnormals and
+    # magnitudes repeated with both signs
+    mesh = canonical_mesh(FLAGSHIP, n_rho=8, n_theta=12, model=model)
+    mesh.vertices[0] = (-0.0, 0.5, 1e-300)
+    mesh.vertices[1, 0] = -1.2345678901234567e300
+    neg_nan = np.copysign(np.nan, -1.0)
+    assert np.signbit(neg_nan)
+    special = SurfaceMesh(
+        [
+            [0.0, -0.0, 0.1],
+            [neg_nan, np.nan, -0.1],
+            [np.inf, -np.inf, 0.1],
+            [5e-324, -5e-324, -2.5e-310],
+            [2.5e-310, 1.0 / 3.0, -1.0 / 3.0],
+            [-0.1, 0.1, np.inf],
+            [-0.0, 0.0, neg_nan],
+        ],
+        [[0, 1, 2], [3, 4, 5], [4, 5, 6]],
+        model,
+    )
+    for name, m in (("mesh", mesh), ("special", special)):
+        path = tmp_path / f"{name}.obj"
+        write_obj(m, path)
+        assert path.read_bytes() == _per_line_obj(m), name
+    assert b"\nv -0 0.5 1e-300\n" in (tmp_path / "mesh.obj").read_bytes()
+    assert b"\nv nan nan -0.10000000000000001\n" in (tmp_path / "special.obj").read_bytes()
 
 
 def test_ply_round_trip(tmp_path, mesh16):
@@ -248,6 +272,35 @@ def test_boundary_ranges_ok():
     assert boundary_ranges_ok(FLAGSHIP)
 
 
+# the eight reference-solve cells of test_solver, the cells of CI's console
+# step, and cells where R(r) - R(1) falls from 4e-12 to 0 (0 at r = 0.776)
+RANGE_CELLS = [
+    (0.25, -0.5), (0.05, -0.04), (0.45, -0.1), (0.7, -0.99), (0.236, -0.02),
+    (0.05, -0.99), (0.75, -0.99), (0.75, -0.04),
+    (0.65, -0.01),
+    *((r, s) for r in (0.70, 0.74, 0.776) for s in (-0.5, -0.99)),
+]
+
+
+@pytest.mark.parametrize("r, s", RANGE_CELLS)
+def test_boundary_ranges_ok_agrees_with_the_product_route(r, s):
+    # the check takes R from the complex modular series, with the bits of
+    # the order-1 pass; the product route (gauss_ratio) on the same points
+    # gives the same verdict, R to 4e-15 and the gap R(r) - R(1) to 2e-16
+    moduli, _ = solve_canonical(r, s)
+    ctx = moduli.context()
+    circle = validation._upper_circle(validation.N_BOUNDARY)
+    z = np.concatenate([circle, r * circle, [1.0, r]])
+    vals = gauss_ratio(moduli, ctx, z)
+    bnd, (r1, rr) = vals[:-2], vals[-2:].real
+    want = np.abs(bnd.imag).max() <= 1e-10 and 0.0 < bnd.real.min() and bnd.real.max() < 1.0 and r1 < rr
+    assert boundary_ranges_ok(moduli, ctx) == want
+    series = annulus._ratio_series(moduli, ctx, z, "test")
+    assert series.tobytes() == annulus._surface_series(moduli, ctx, z, 1, "test")[0].tobytes()
+    assert np.abs(series - vals).max() <= 4e-15
+    assert abs((series[-1] - series[-2]).real - (rr - r1)) <= 2e-16
+
+
 def test_validation_grid_guard():
     with pytest.raises(ValueError):
         validate_moduli(FLAGSHIP, grid=4)
@@ -269,7 +322,7 @@ def test_validation_fails_on_a_nan_in_second_place(monkeypatch):
     # Python's max keeps a NaN only when it comes first; the report must fail
     # on a NaN at the second curvature probe and on the inner circle, which
     # is the second of the two boundary circles
-    real_k, real_p, real_ratio = validation.intrinsic_curvature, validation.shape_ratio, validation.gauss_ratio
+    real_k, real_p, real_ratio = validation.intrinsic_curvature, validation.shape_ratio, validation._ratio_series
 
     def nan_second_probe(moduli, ctx, z):
         k = real_k(moduli, ctx, z)
@@ -277,8 +330,8 @@ def test_validation_fails_on_a_nan_in_second_place(monkeypatch):
         return k
 
     def nan_on_inner_circle(real):
-        def fn(moduli, ctx, z):
-            out = real(moduli, ctx, z)
+        def fn(moduli, ctx, z, *rest):
+            out = real(moduli, ctx, z, *rest)
             out[np.abs(np.abs(z) - moduli.r) < 1e-12] = np.nan
             return out
 
@@ -292,7 +345,7 @@ def test_validation_fails_on_a_nan_in_second_place(monkeypatch):
             m.setattr(validation, name, fake)
             rep = validate_moduli(FLAGSHIP, grid=16)
         assert math.isnan(getattr(rep, field)) and not rep.passes(), name
-    monkeypatch.setattr(validation, "gauss_ratio", nan_on_inner_circle(real_ratio))
+    monkeypatch.setattr(validation, "_ratio_series", nan_on_inner_circle(real_ratio))
     assert not boundary_ranges_ok(FLAGSHIP)
 
 
@@ -465,7 +518,13 @@ def test_cli_mesh_rejects_moduli_off_their_divisor(tmp_path, capsys, field):
     assert main(["mesh", str(crafted), "--nu", "12", "--nv", "16", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("flatfront: W is not a constant")
     assert not out.exists()
-    assert main(["validate", str(crafted), "--grid", "16"]) == 1
+    # the range check's series pass has no record for these moduli: the
+    # check fails them rather than raising, and validate still writes its
+    # failing report
+    assert boundary_ranges_ok(CanonicalModuli.from_json(crafted.read_text())) is False
+    report = tmp_path / "report.json"
+    assert main(["validate", str(crafted), "--grid", "16", "--out", str(report)]) == 1
+    assert json.loads(report.read_text())["rs_ok"] is False
     capsys.readouterr()
 
 

@@ -473,8 +473,8 @@ def test_stacked_slit_values_keep_the_bits(r, s):
 def test_kernel_calls_of_the_stacked_passes(monkeypatch):
     # a marker pass is one kernel call over the arguments marker/z and
     # marker z of its four slit values; the per-surface record adds its
-    # other theta values to that call, and takes the end direction from two
-    # of them, so end_direction on a built record calls no kernel.  The
+    # other theta values to that call and takes the end direction from the
+    # modular series, so end_direction on a built record calls no kernel.  The
     # solve's stages run on the modular series, so its one call of the
     # product is the closing pass, which residuals repeats.  fit_gauss_ratio
     # keeps slit_map's two calls
