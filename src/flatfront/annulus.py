@@ -22,8 +22,8 @@ evaluates:
 * ``_surface_series`` - g alone from the two theta arguments z1 z and z2 z,
   or R, the shape factor and g, or g'/g and R', from one pass of the
   complex modular series over those and z0/z and z0 z: the data of
-  ``gauss_map``, ``immerse`` and ``shape_ratio``; ``_ratio_series``, R
-  alone from z0/z and z0 z, is the range check's of flatfront.validation.
+  ``gauss_map``, ``immerse``, ``shape_ratio`` and the range check of
+  flatfront.validation.
 
 R is real on both circles, so it is elliptic on C*/r^2, with simple poles
 at z0 and 1/z0.  Once R(z1) = 1 and R(z2) = 0, comparing divisors gives
@@ -41,7 +41,7 @@ so its square root is single-valued with no branch to track.
 Everything the evaluators read per surface is computed once, in one record
 (``_surface``, cached on the moduli): the checks of the stored fields,
 sqrt(C) and K', the constants of the modular series, and the end's ideal
-point g(z0), from gauss_map's series pass.
+point g(z0), the real part of gauss_map's series pass there.
 
 A slit value needs theta at marker/z and marker z, and the kernel gives a
 point the same bits in any batch and at any order.  So the four slit
@@ -63,8 +63,8 @@ from 0.023, where the product takes 6 to 88 and more, and one log z and
 one exp per point shared by its arguments.  It feeds gauss_map, and with
 it gauss_map_square, the g of gauss_map_deriv, inv_gauss_gap,
 second_gauss_map and first_form, the bulk evaluators immerse and
-shape_ratio of the mesh and the validation battery, and (as _ratio_series)
-the range check's R.  The slit maps and everything built on them (gauss_ratio and its
+shape_ratio of the mesh and the validation battery, and the range check's
+R.  The slit maps and everything built on them (gauss_ratio and its
 derivative, gauss_square_log_deriv, fit_gauss_ratio, potential),
 theta_quotient, _gauss_log_deriv, _shape_factor, the marker passes with
 the record's sqrt(C) and K', and the other calls of first_form and the
@@ -315,11 +315,11 @@ class _Surface(NamedTuple):
     by :func:`_surface`.
 
     sqrt_c and k_prime are sqrt(C) and K' of the theta-product forms of g
-    and the shape factor, end is the end's ideal point g(z0), with the bits
-    of gauss_map there, and k, units, g_coef, f_coef and r_coef are the
-    constants of :func:`_surface_series`: pi/l, the unit factors a0, a1, a2
-    of E at z0 z, z1 z and z2 z, and the real coefficients (c, b) of g, the
-    shape factor and (R_c, kappa) of R and R'.
+    and the shape factor, end is the end's ideal point g(z0), the real part
+    of gauss_map there bit for bit, and k, units, g_coef, f_coef and r_coef
+    are the constants of :func:`_surface_series`: pi/l, the unit factors
+    a0, a1, a2 of E at z0 z, z1 z and z2 z, and the real coefficients (c, b)
+    of g, the shape factor and (R_c, kappa) of R and R'.
     """
 
     sqrt_c: float
@@ -346,7 +346,7 @@ def _surface(moduli: CanonicalModuli, ctx: ThetaContext) -> _Surface:
     z1 z2 r^(2(m+2)) = 1.  RepresentationError names the first that fails.
     Every theta value comes from the one marker pass, and the end g(z0)
     from gauss_map's order-0 series pass with the record's constants, so it
-    has gauss_map's bits.
+    has the bits of gauss_map's real part there.
     """
     z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
     # theta1 at z1 z0 and z2 z0 comes with the slit arguments.  The
@@ -386,7 +386,9 @@ def _surface(moduli: CanonicalModuli, ctx: ThetaContext) -> _Surface:
     r_coef = (moduli.b_R - moduli.a_R * (l0 / ell - 1.0) / z0, -moduli.a_R * k / z0)
     surface = _Surface(sqrt_c, k_prime, 0j, k, units, g_coef, f_coef, r_coef)
     (end,) = _series_pass(moduli, ctx, surface, np.array([z0], dtype=np.complex128), 0)
-    return surface._replace(end=complex(end[0]))
+    # g is real on the real axis; the series' complex arithmetic leaves a
+    # rounding-level imaginary part there, which the record drops
+    return surface._replace(end=complex(end[0].real))
 
 
 @pointwise
@@ -507,30 +509,18 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, w
     return _series_pass(moduli, ctx, _surface(moduli, ctx), z, order)
 
 
-def _ratio_series(moduli: CanonicalModuli, ctx: ThetaContext, z, who: str):
-    """R at the flat points z, with the bits of the order-1 pass's R, from
-    the two theta arguments it depends on, z0/z and z0 z: the range check
-    of flatfront.validation."""
-    _require_annulus(ctx, z, who)
-    return _series_pass(moduli, ctx, _surface(moduli, ctx), z, 1, gauss=False)[0]
-
-
-def _series_pass(moduli: CanonicalModuli, ctx: ThetaContext, surface: _Surface, z, order: int, gauss: bool = True):
+def _series_pass(moduli: CanonicalModuli, ctx: ThetaContext, surface: _Surface, z, order: int):
     """_surface_series on points already checked, with the constants of
-    ``surface``: the record's builder takes the end g(z0) from it.  Without
-    ``gauss`` the pass leaves out the arguments z1 z and z2 z of g, and at
-    order 1 returns [R] alone."""
+    ``surface``: the record's builder takes the end g(z0) from it."""
     k, (a0, a1, a2) = surface.k, surface.units
     (cg, bg), (cf, bf), (r_c, kappa) = surface.g_coef, surface.f_coef, surface.r_coef
     z0 = moduli.z0
     # (unit factor of E, sign s of E = exp(2isy), series order, marker,
     # whether the argument is marker/z)
-    args = []
+    args = [(a1, -1.0, max(order - 1, 0), moduli.z1, False), (a2, -1.0, max(order - 1, 0), moduli.z2, False)]
     if order:
-        args += [(np.conj(a0), 1.0, order, z0, True), (a0, -1.0, order, z0, False)]
-    if gauss:
-        args += [(a1, -1.0, max(order - 1, 0), moduli.z1, False), (a2, -1.0, max(order - 1, 0), moduli.z2, False)]
-    outs = [np.empty(z.shape, dtype=np.complex128) for _ in range((1, 3, 4)[order] if gauss else 1)]
+        args = [(np.conj(a0), 1.0, order, z0, True), (a0, -1.0, order, z0, False), *args]
+    outs = [np.empty(z.shape, dtype=np.complex128) for _ in range(order + 2 if order else 1)]
     for lo in range(0, z.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
         zc = z[part]
@@ -558,19 +548,17 @@ def _series_pass(moduli: CanonicalModuli, ctx: ThetaContext, surface: _Surface, 
                 at = zc[near]
                 _guard_series_zeros(ctx, em1[near], lambda m: marker / at[m] if inverse else marker * at[m])
             sums.append(_series_sums(ctx, E, em1, deg))
+        (d_1, rho_1, _), (d_2, rho_2, _) = sums[-2:]
         vals = []
         if order:
             (d_in, rho_in, tau_in), (d_0, rho_0, tau_0) = sums[:2]
             vals.append(r_c + 1j * kappa * (rho_in - rho_0))
-        if gauss:
-            (d_1, rho_1, _), (d_2, rho_2, _) = sums[-2:]
-            if order:
-                vals.append(np.exp(cf + bf * lz) * d_in * d_0 / (d_1 * d_1))
-            if order < 2:
-                vals.append(np.exp(cg + bg * lz) * d_2 / d_1)
-            else:
-                vals.append((bg - 1j * k * (rho_2 - rho_1)) / zeta)
-                vals.append(-moduli.a_R * k * k * (tau_in - tau_0) / (z0 * zeta))
+            vals.append(np.exp(cf + bf * lz) * d_in * d_0 / (d_1 * d_1))
+        if order < 2:
+            vals.append(np.exp(cg + bg * lz) * d_2 / d_1)
+        else:
+            vals.append((bg - 1j * k * (rho_2 - rho_1)) / zeta)
+            vals.append(-moduli.a_R * k * k * (tau_in - tau_0) / (z0 * zeta))
         for out, val in zip(outs, vals):
             out[part] = np.where(lower, np.conj(val), val) if mirrored else val
     return outs

@@ -78,7 +78,8 @@ class MetricSample:
 
 def end_direction(moduli: CanonicalModuli, ctx: ThetaContext) -> complex:
     """Horizontal limit g(z0) of the ideal end, from the surface's record:
-    gauss_map(moduli, ctx, moduli.z0) bit for bit."""
+    real, and the real part of gauss_map(moduli, ctx, moduli.z0) bit for
+    bit."""
     return _surface(moduli, ctx).end
 
 

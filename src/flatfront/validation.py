@@ -21,7 +21,7 @@ from .annulus import (
     DegenerateConfigurationError,
     RepresentationError,
     _mirror_angles,
-    _ratio_series,
+    _surface_series,
 )
 from .immersion import (
     HalfSpacePoint,
@@ -119,17 +119,18 @@ def boundary_ranges_ok(moduli: CanonicalModuli, ctx: ThetaContext | None = None)
     its value at z = 1 sits below its value at z = r.  The solver reports
     this rather than enforcing it.  The ratio is conjugate at conjugate
     points, so each circle is sampled on its closed upper half.  R comes
-    from the complex modular series at z0/z and z0 z (annulus._ratio_series,
-    with the bits of the R of immerse's pass), whose per-surface record
-    checks the stored fields against the markers: moduli that fail that
-    check (a crafted file) fail the normalization too.
+    from the order-1 pass of the complex modular series
+    (annulus._surface_series, the pass of immerse), whose per-surface record
+    checks the stored fields against the markers.  Any moduli that record
+    rejects with RepresentationError, a crafted file or a solve's own
+    output alike, fail this check rather than raise.
     """
     if ctx is None:
         ctx = moduli.context()
     circle = _upper_circle(N_BOUNDARY)
     z = np.concatenate([circle, moduli.r * circle, [1.0, moduli.r]])
     try:
-        vals = _ratio_series(moduli, ctx, z, "boundary_ranges_ok")
+        vals = _surface_series(moduli, ctx, z, 1, "boundary_ranges_ok")[0]
     except RepresentationError:
         return False
     bnd, (r1, rr) = vals[:-2], vals[-2:].real
