@@ -22,8 +22,8 @@ evaluates:
 * ``_surface_series`` - g alone from the two theta arguments z1 z and z2 z,
   or R, the shape factor and g, or g'/g and R', from one pass of the
   complex modular series over those and z0/z and z0 z: the data of
-  ``gauss_map``, ``immerse``, ``shape_ratio`` and the range check of
-  flatfront.validation.
+  ``gauss_map``, the end direction, ``immerse``, ``shape_ratio`` and the
+  range check of flatfront.validation.
 
 R is real on both circles, so it is elliptic on C*/r^2, with simple poles
 at z0 and 1/z0.  Once R(z1) = 1 and R(z2) = 0, comparing divisors gives
@@ -38,40 +38,27 @@ quotients, at z0, z1 and z2, never appear.  W has double zeros at r^(2k)/z2
 and double poles at r^(2k)/z1, on the negative real axis off the annulus,
 so its square root is single-valued with no branch to track.
 
-Everything the evaluators read per surface is computed once, in one record
-(``_surface``, cached on the moduli): the checks of the stored fields,
-sqrt(C) and K', the constants of the modular series, and the end's ideal
-point g(z0), the real part of gauss_map's series pass there.
-
-A slit value needs theta at marker/z and marker z, and the kernel gives a
-point the same bits in any batch and at any order.  So the four slit
-values that tie the stored fields to the markers (slit_map(z0, z1),
-slit_map(z0, z2), slit_map(z1, z0) and slit_map(z2, z0), with the
-derivatives at z1 and z2, see ``_marker_slits``) come from one kernel call
-over their eight arguments, with the bits of separate ``slit_map`` calls;
-the solve's closing step, ``solver.residuals`` and the per-surface record
-each make that one call, and the record's end g(z0) calls no product.
-``slit_map`` itself (``_slit_parts``) keeps its two calls, one per
-argument: stacking them, or the curvature stencils, would speed up
-first_form and intrinsic_curvature, about 80% of the query time of the
-benchmark's probe workload, whose peak memory grows with the number of
-queries it records (see the next paragraph).
+Per surface the evaluators read one record (``_surface``, cached on the
+moduli and the theta context): the checks of the stored fields, sqrt(C)
+and K', and the constants of the modular series; the per-radius tables
+are the context's own.  An evaluator given a context for another radius
+than the moduli's raises ValueError.  The record's theta values, like the
+solve's closing step and ``solver.residuals``, come from one kernel call
+over the eight arguments of the four slit values that tie the stored
+fields to the markers (``_marker_slits``), with the bits of separate
+``slit_map`` calls.
 
 Two kernels serve the module.  ``_surface_series`` runs on the complex
-modular series (theta._series_sums): 1 to 4 terms per argument at every r
-from 0.023, where the product takes 6 to 88 and more, and one log z and
-one exp per point shared by its arguments.  It feeds gauss_map, and with
-it gauss_map_square, the g of gauss_map_deriv, inv_gauss_gap,
-second_gauss_map and first_form, the bulk evaluators immerse and
-shape_ratio of the mesh and the validation battery, and the range check's
-R.  The slit maps and everything built on them (gauss_ratio and its
-derivative, gauss_square_log_deriv, fit_gauss_ratio, potential),
-theta_quotient, _gauss_log_deriv, _shape_factor, the marker passes with
-the record's sqrt(C) and K', and the other calls of first_form and the
-curvature in flatfront.immersion stay on the product: the benchmark's
-probe workload records each query it makes and its peak memory grows with
-their number, so faster single-point queries there wait until the
-benchmark keeps a record of fixed size per query.
+modular series (theta._series_sums), with 1 to 4 terms per argument from
+r = 0.023, where the product takes 6 to 88 and more, and one log z and one
+exp per point.  It feeds gauss_map and with it gauss_map_square, the end
+direction, inv_gauss_gap, second_gauss_map and the g of gauss_map_deriv
+and first_form; immerse, shape_ratio and the range check's R.  The slit
+maps and all built on them, theta_quotient, _gauss_log_deriv,
+_shape_factor and the rest of first_form and the curvature stay on the
+product: they take about 80% of the probe benchmark's query time, and its
+peak memory grows with the queries it records, so faster queries wait
+until it keeps a record of fixed size per query.
 """
 
 from __future__ import annotations
@@ -83,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .theta import _CHUNK, ThetaContext, _eval, _expm1, _guard_series_zeros, _modular_terms, _series_sums, pointwise
+from .theta import _CHUNK, ThetaContext, _eval, _expm1, _guard_series_zeros, _series_sums, pointwise
 
 ANNULUS_SLACK = 1e-12
 
@@ -141,7 +128,7 @@ class CanonicalModuli:
             raise ValueError("c_height must be positive")
 
     def context(self) -> ThetaContext:
-        return _context_for(self.r)
+        return ThetaContext.create(self.r)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -171,9 +158,10 @@ def _mirror_angles(n: int, half_step: bool = False) -> tuple[np.ndarray, np.ndar
     return np.pi * num / n, np.flatnonzero((num >= 0) | (num == -n))
 
 
-@lru_cache(maxsize=64)
-def _context_for(r: float) -> ThetaContext:
-    return ThetaContext.create(r)
+def _require_context(moduli: CanonicalModuli, ctx: ThetaContext):
+    """Raise ValueError unless ctx is a context for the moduli's radius."""
+    if ctx.r != moduli.r:
+        raise ValueError(f"theta context for r = {ctx.r} used with moduli of r = {moduli.r}")
 
 
 def _require_annulus(ctx: ThetaContext, flat, who: str):
@@ -267,10 +255,12 @@ def _ratio_coefficients(q_at_1: complex, q_at_2: complex, z1: float, z2: float):
 
 def gauss_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """R(z) = a_R * slit_map(z0, z) + b_R; simple pole at z0."""
+    _require_context(moduli, ctx)
     return moduli.a_R * slit_map(ctx, moduli.z0, z) + moduli.b_R
 
 
 def gauss_ratio_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
+    _require_context(moduli, ctx)
     return moduli.a_R * slit_map_deriv(ctx, moduli.z0, z)
 
 
@@ -281,6 +271,7 @@ def gauss_square_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     The poles at z1 and z2 cancel between the two groups; the subtraction
     loses accuracy within ~1e-6 of those markers but is exact elsewhere.
     """
+    _require_context(moduli, ctx)
     R, Rp = gauss_ratio(moduli, ctx, z), gauss_ratio_deriv(moduli, ctx, z)
     q1v, q2v = slit_map(ctx, moduli.z1, z), slit_map(ctx, moduli.z2, z)
     return Rp / (R * (1.0 - R)) + (moduli.z1 * q1v - moduli.z2 * q2v) / z
@@ -311,21 +302,18 @@ def gauss_square_winding(moduli: CanonicalModuli, ctx: ThetaContext) -> int:
 
 
 class _Surface(NamedTuple):
-    """The per-surface data of the evaluators, built once per (moduli, ctx)
-    by :func:`_surface`.
+    """The per-surface constants of the evaluators, built once per
+    (moduli, ctx) by :func:`_surface`.
 
     sqrt_c and k_prime are sqrt(C) and K' of the theta-product forms of g
-    and the shape factor, end is the end's ideal point g(z0), the real part
-    of gauss_map there bit for bit, and k, units, g_coef, f_coef and r_coef
-    are the constants of :func:`_surface_series`: pi/l, the unit factors
-    a0, a1, a2 of E at z0 z, z1 z and z2 z, and the real coefficients (c, b)
-    of g, the shape factor and (R_c, kappa) of R and R'.
+    and the shape factor, and units, g_coef, f_coef and r_coef are the
+    constants of :func:`_surface_series`: the unit factors a0, a1, a2 of E
+    at z0 z, z1 z and z2 z, and the real coefficients (c, b) of g, the
+    shape factor and (R_c, kappa) of R and R'.
     """
 
     sqrt_c: float
     k_prime: float
-    end: complex
-    k: float
     units: tuple[complex, complex, complex]
     g_coef: tuple[float, float]
     f_coef: tuple[float, float]
@@ -343,11 +331,11 @@ def _surface(moduli: CanonicalModuli, ctx: ThetaContext) -> _Surface:
     against them first, each to 1e-8 (relative for c1 and c2): R(z1) = 1
     (as a_R (slit_map(z0, z1) - slit_map(z0, z2)) = 1) and
     c1 = slit_map(z1, z0); R(z2) = 0, c2 = slit_map(z2, z0) and s = -z2 c2;
-    z1 z2 r^(2(m+2)) = 1.  RepresentationError names the first that fails.
-    Every theta value comes from the one marker pass, and the end g(z0)
-    from gauss_map's order-0 series pass with the record's constants, so it
-    has the bits of gauss_map's real part there.
+    z1 z2 r^(2(m+2)) = 1.  RepresentationError names the first that fails,
+    and ValueError a context for another radius.  Every theta value comes
+    from the one marker pass.
     """
+    _require_context(moduli, ctx)
     z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
     # theta1 at z1 z0 and z2 z0 comes with the slit arguments.  The
     # quotients z1/z0 and z2/z0 are added in float64: the slit arguments are
@@ -374,7 +362,7 @@ def _surface(moduli: CanonicalModuli, ctx: ThetaContext) -> _Surface:
     p10, p20, q10, q20, q21, p21 = t.real
     sqrt_c = float(np.sqrt(-q10 * p10 / (q20 * p20)))
     k_prime = float(q20 * p20 / (q21 * p21))
-    k = _modular_terms(ctx.r)[0]
+    k = ctx.k
     ell = np.pi / k
     l0, l1, l2 = (float(np.log(-x)) for x in (z0, z1, z2))
     units = tuple(complex(np.exp(-1j * k * x)) for x in (l0, l1, l2))
@@ -384,11 +372,7 @@ def _surface(moduli: CanonicalModuli, ctx: ThetaContext) -> _Surface:
         moduli.m + 1.0 - l1 / ell,
     )
     r_coef = (moduli.b_R - moduli.a_R * (l0 / ell - 1.0) / z0, -moduli.a_R * k / z0)
-    surface = _Surface(sqrt_c, k_prime, 0j, k, units, g_coef, f_coef, r_coef)
-    (end,) = _series_pass(moduli, ctx, surface, np.array([z0], dtype=np.complex128), 0)
-    # g is real on the real axis; the series' complex arithmetic leaves a
-    # rounding-level imaginary part there, which the record drops
-    return surface._replace(end=complex(end[0].real))
+    return _Surface(sqrt_c, k_prime, units, g_coef, f_coef, r_coef)
 
 
 @pointwise
@@ -498,21 +482,16 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, w
         g'/g   = (b_g - i (pi/l) (rho_2 - rho_1)) / z,
         R'     = -(a_R/z0) (pi/l)^2 (tau_in - tau_0) / z,
 
-    with D, rho = N1/D and tau of theta._series_sums at each argument, and
-    the constants from the surface's record (_surface), whose sqrt(C) and
-    K' come from the product.  g takes the same operations at orders 0 and
-    1, so it has the same bits.  Every argument is guarded against the zeros
-    of theta1; the operations are elementwise and run over chunks of
-    theta._CHUNK points, so a point gets the same bits in any batch.
+    with D, rho = N1/D and tau of theta._series_sums at each argument, pi/l
+    from the context and the other constants from the record (_surface),
+    whose sqrt(C) and K' come from the product.  g takes the same operations
+    at orders 0 and 1, so it has the same bits.  Every argument is guarded
+    against the zeros of theta1; the operations are elementwise and run over
+    chunks of theta._CHUNK points, so a point gets the same bits in any batch.
     """
     _require_annulus(ctx, z, who)
-    return _series_pass(moduli, ctx, _surface(moduli, ctx), z, order)
-
-
-def _series_pass(moduli: CanonicalModuli, ctx: ThetaContext, surface: _Surface, z, order: int):
-    """_surface_series on points already checked, with the constants of
-    ``surface``: the record's builder takes the end g(z0) from it."""
-    k, (a0, a1, a2) = surface.k, surface.units
+    surface = _surface(moduli, ctx)
+    k, (a0, a1, a2) = ctx.k, surface.units
     (cg, bg), (cf, bf), (r_c, kappa) = surface.g_coef, surface.f_coef, surface.r_coef
     z0 = moduli.z0
     # (unit factor of E, sign s of E = exp(2isy), series order, marker,
@@ -542,7 +521,7 @@ def _series_pass(moduli: CanonicalModuli, ctx: ThetaContext, surface: _Surface, 
             em1 = E - 1.0
             near = np.abs(em1) < 0.5
             if near.any():
-                em1[near] = _near_zero_em1(ctx, k, s, marker, zeta[near], inverse)
+                em1[near] = _near_zero_em1(ctx, s, marker, zeta[near], inverse)
                 E[near] = em1[near] + 1.0
                 # a zero of theta1 can only lie among these points
                 at = zc[near]
@@ -564,7 +543,7 @@ def _series_pass(moduli: CanonicalModuli, ctx: ThetaContext, surface: _Surface, 
     return outs
 
 
-def _near_zero_em1(ctx: ThetaContext, k: float, s: float, marker: float, zeta, inverse: bool):
+def _near_zero_em1(ctx: ThetaContext, s: float, marker: float, zeta, inverse: bool):
     """E - 1 = expm1(i s (pi/l) log(v/v0)) at the argument v = marker/zeta
     (inverse) or marker zeta, with v0 the zero of theta1 nearest v: E is
     periodic in log v with period 2l, so the log may be taken from the zero.
@@ -578,8 +557,8 @@ def _near_zero_em1(ctx: ThetaContext, k: float, s: float, marker: float, zeta, i
         d = v / ctx.nearest_zero(v) - 1.0
     # i s k log(1 + d), log(1 + d) = log|1 + d| + i arg(1 + d)
     x = np.empty(d.shape, dtype=np.complex128)
-    x.real = -s * k * np.arctan2(d.imag, 1.0 + d.real)
-    x.imag = 0.5 * s * k * np.log1p(d.real * (2.0 + d.real) + d.imag * d.imag)
+    x.real = -s * ctx.k * np.arctan2(d.imag, 1.0 + d.real)
+    x.imag = 0.5 * s * ctx.k * np.log1p(d.real * (2.0 + d.real) + d.imag * d.imag)
     return _expm1(x)
 
 
@@ -590,6 +569,7 @@ def potential(moduli: CanonicalModuli, ctx: ThetaContext, z):
     Blows up logarithmically at the end z0 (where R has its pole); the
     evaluation there raises the underlying pole error.
     """
+    _require_context(moduli, ctx)
     _require_annulus(ctx, z, "potential")
     q1 = np.abs(theta_quotient(ctx, moduli.z1, z))
     R = gauss_ratio(moduli, ctx, z)

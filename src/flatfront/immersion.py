@@ -17,15 +17,11 @@ difference Gauss curvature (Brioschi) used to certify intrinsic flatness,
 the Klein ball change of model, and the closed-form rotational family used
 as an independent cross-check of the generic evaluator.
 
-immerse and shape_ratio, which the mesh and the validation battery call on
-thousands of points, are projections of one pass of the complex modular
-series (annulus._surface_series); shape_ratio's W comes from the public
-gauss_map_square, an order-0 pass of the same series.  first_form takes
-its g from that pass too, and its other parts (R, R', W'/W and the shape
-factor) from the theta product, and intrinsic_curvature is built on
-first_form: they take most of the probe benchmark's query time, and a
-faster probe records more queries, whose records raise its peak memory
-until each record has a fixed size.
+immerse, shape_ratio and end_direction are projections of the complex
+modular series (annulus._surface_series).  first_form takes its g from it
+and its other parts (R, R', W'/W and the shape factor) from the theta
+product, and intrinsic_curvature is built on first_form; the annulus
+module's docstring says why those stay on the product.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ from .annulus import (
     DegenerateConfigurationError,
     _gauss_map_deriv,
     _shape_factor,
-    _surface,
     _surface_series,
     gauss_map,
     gauss_map_square,
@@ -77,10 +72,12 @@ class MetricSample:
 
 
 def end_direction(moduli: CanonicalModuli, ctx: ThetaContext) -> complex:
-    """Horizontal limit g(z0) of the ideal end, from the surface's record:
-    real, and the real part of gauss_map(moduli, ctx, moduli.z0) bit for
-    bit."""
-    return _surface(moduli, ctx).end
+    """Horizontal limit g(z0) of the ideal end: the real part of
+    gauss_map(moduli, ctx, moduli.z0), bit for bit.  g is real on the real
+    axis; the series' complex arithmetic leaves a rounding-level imaginary
+    part there, which this drops."""
+    g = _surface_series(moduli, ctx, np.array([moduli.z0], dtype=np.complex128), 0, "end_direction")[0]
+    return complex(g[0].real)
 
 
 @pointwise

@@ -51,7 +51,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .annulus import CanonicalModuli, _marker_slits, _ratio_coefficients
+from .annulus import CanonicalModuli, _marker_slits, _ratio_coefficients, _require_context
 from .theta import ThetaContext, ThetaPoleError, _real_log_slopes
 
 SCAN_POINTS = 256
@@ -195,7 +195,7 @@ def solve_exponent(ctx: ThetaContext, s: float):
     root of f, and its simple zeros at m = -3 and m = -2 cancel the poles.
     """
     r = ctx.r
-    dlogP = -2.0 * math.log(r)  # dP/dm = dlogP * P
+    dlogP = ctx.two_l  # dP/dm = dlogP * P
 
     def balance(m, i):
         P = r ** (-2.0 * (m + 2.0))
@@ -387,9 +387,11 @@ def residuals(moduli: CanonicalModuli, ctx: ThetaContext | None = None) -> dict:
 
     All three vanish identically for correctly solved moduli; they are
     evaluated from the stored fields only, so corrupted files show up.
+    Raises ValueError for a context for another radius.
     """
     if ctx is None:
         ctx = ThetaContext.create(moduli.r)
+    _require_context(moduli, ctx)
     # R'(z1) and R'(z2) from the solve's marker pass, with the bits of
     # one-point slit_map_deriv calls
     qp1, qp2 = _marker_slits(ctx, moduli.z0, moduli.z1, moduli.z2)[4:6]

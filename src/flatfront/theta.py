@@ -39,8 +39,8 @@ is a Gaussian in lv times
 whose n-th term is at most q'^(n^2).  q' is small exactly where r is not:
 the series needs 6 terms at r = 0.001, 4 at r = 0.05, 2 from r = 0.386 and
 1 from r = 0.789 on, at every point and with no band reduction, where the
-product needs 3, 7, 22 and 88 or more.  One coefficient table
-(:func:`_modular_terms`) serves it in two precisions:
+product needs 3, 7, 22 and 88 or more.  One coefficient table, the
+context's c_n (ThetaContext.series_coefs), serves it in two precisions:
 
 - float64 at positive real points, where y is real and the sum is a real
   sine series: the moduli solve takes log_slope and its derivative there
@@ -66,12 +66,12 @@ the form of the classical product theta1 = 2 q^(1/4) sin z prod (1 - q^(2n))
 for theta and one, r^(2k) / D_k, for the logarithmic derivatives.
 
 Evaluation runs over chunks of points.  Each chunk builds the table of D_k
-for a block of k in a few array operations, plus the table of the
-log-derivative terms, and multiplies (or adds) the rows into the result in
-order of k.  Every point sees the same operations in the same order as in a
-term-by-term loop, so a value does not depend on the batch it is computed
-in: a scalar call and the same point inside a batch of any size agree bit
-for bit.
+for a block of k in a few array operations, from the context's columns
+(ThetaContext.term_columns), plus the table of the log-derivative terms,
+and multiplies (or adds) the rows into the result in order of k.  Every
+point sees the same operations in the same order as in a term-by-term
+loop, so a value does not depend on the batch it is computed in: a scalar
+call and the same point inside a batch of any size agree bit for bit.
 """
 
 from __future__ import annotations
@@ -108,7 +108,8 @@ class ThetaContext:
 
     c_const is the tail constant C = prod (1 - r^(2k)); it lies in (0, 1).
     Build instances with :meth:`create` so n_terms honors the truncation
-    tolerance.
+    tolerance.  The two kernels' term tables are built on first use and kept
+    on the instance; equality and hashing read the three fields alone.
     """
 
     r: float
@@ -138,10 +139,47 @@ class ThetaContext:
             )
         return cls(r=r, n_terms=n, c_const=c)
 
+    @functools.cached_property
+    def two_l(self) -> float:
+        """2l = -2 log r, the log-modulus period of the band reduction."""
+        return -2.0 * math.log(self.r)
+
+    @functools.cached_property
+    def term_columns(self):
+        """The product's read-only complex columns p_k = r^(2k) and 1 + p_k^2,
+        k = 1..n_terms, from the Python floats r ** (2 * k): a table row has
+        the operands of one factor D_k = (1 + p_k^2) - p_k (v + 1/v)."""
+        p = [self.r ** (2 * k) for k in range(1, self.n_terms + 1)]
+        return tuple(_column(np.array(vals, dtype=np.complex128)) for vals in (p, [1.0 + x * x for x in p]))
+
+    @functools.cached_property
+    def k(self) -> float:
+        """pi/l, l = -log r, the modular series' rate: q' = exp(-pi k)."""
+        return math.pi * math.pi / -math.log(self.r) / math.pi
+
+    @functools.cached_property
+    def series_coefs(self) -> tuple:
+        """c_n = (-1)^n q'^(n(n+1)), n < N, of the modular series as Python
+        floats, with N the least count with q'^(N^2) < TRUNCATION_TOL: the
+        n-th term is at most q'^(n^2) at real points and wherever
+        q' <= |E| <= 1.  N is 4 from r = 0.023, 3 from r = 0.118, 2 from
+        r = 0.386 and 1 from r = 0.789 on; the product takes 6, 10, 22, 88."""
+        x = math.pi * math.pi / -math.log(self.r)  # -log q'
+        n = math.floor(math.sqrt(-math.log(TRUNCATION_TOL) / x)) + 1
+        return tuple((-1.0) ** j * math.exp(-x * j * (j + 1)) for j in range(n))
+
+    @functools.cached_property
+    def sine_columns(self):
+        """The read-only float64 columns m_n = 2n + 1, c_n, m_n c_n and
+        m_n^2 c_n of the real sine sums (:func:`_real_log_slopes`)."""
+        m, c = np.arange(1.0, 2.0 * len(self.series_coefs), 2.0), np.array(self.series_coefs)
+        mc = m * c
+        return tuple(_column(a) for a in (m, c, mc, m * mc))
+
     def band_index(self, z):
         """The integer k, as a float, that takes nonzero z to the band:
         r <= |z r^(2k)| <= 1/r, elementwise."""
-        return np.rint(np.log(np.abs(z)) / (-2.0 * math.log(self.r)))
+        return np.rint(np.log(np.abs(z)) / self.two_l)
 
     def nearest_zero(self, z):
         """The zero r^(-2k) nearest to nonzero z in log-modulus, elementwise,
@@ -151,6 +189,13 @@ class ThetaContext:
         power over an array may round that value differently in the last bit.
         """
         return self.r ** (-2.0 * self.band_index(z))
+
+
+def _column(values):
+    """values as a read-only (n, 1) column."""
+    col = values.reshape(-1, 1)
+    col.flags.writeable = False
+    return col
 
 
 def _shaped(arr, shape):
@@ -197,23 +242,6 @@ _TABLE_MIN = 4096
 _TABLE_MAX = 32768
 
 
-@functools.lru_cache(maxsize=128)
-def _term_columns(r: float, n_terms: int):
-    """The columns p_k = r^(2k) and 1 + p_k^2 for k = 1..n_terms.
-
-    Each is a read-only complex (n_terms, 1) array built from the Python
-    floats r ** (2 * k), so a table row carries the same operands as one
-    factor D_k = (1 + p_k^2) - p_k (v + 1/v) of the product.
-    """
-    p = [r ** (2 * k) for k in range(1, n_terms + 1)]
-    cols = []
-    for vals in (p, [1.0 + x * x for x in p]):
-        col = np.array(vals, dtype=np.complex128).reshape(-1, 1)
-        col.flags.writeable = False
-        cols.append(col)
-    return tuple(cols)
-
-
 def _fold(ufunc, out, rows):
     """out = ufunc(out, row) for each row in turn, left operand first.
 
@@ -252,8 +280,7 @@ def _band_core(ctx: ThetaContext, v, order: int):
     whatever batch it is part of.
     """
     step = min(max(v.size, _TABLE_MIN), _TABLE_MAX) // max(min(v.size, _CHUNK), 1)
-    cols = _term_columns(ctx.r, ctx.n_terms)
-    blocks = [[col[k : k + step] for col in cols] for k in range(0, ctx.n_terms, step)]
+    blocks = [[col[k : k + step] for col in ctx.term_columns] for k in range(0, ctx.n_terms, step)]
     P = np.empty(v.shape, dtype=v.dtype)
     S1 = np.zeros(v.shape, dtype=v.dtype) if order >= 1 else None
     S2 = np.zeros(v.shape, dtype=v.dtype) if order >= 2 else None
@@ -362,39 +389,6 @@ def dtheta1(ctx: ThetaContext, z):
     return c * zk * (k / z * (f * P) + q * band)
 
 
-def _pair_slope(ctx: ThetaContext, center, z):
-    """pair_slope on flat complex arrays of centres and points, with both
-    log_slope arguments in one kernel call."""
-    h = _eval(ctx, np.concatenate([z / center, z * center]), 1)[1]
-    return h[: z.size] + h[z.size :]
-
-
-@functools.lru_cache(maxsize=128)
-def _modular_terms(r: float):
-    """(pi/l, c, columns) of the modular series at modulus r.
-
-    c holds c_n = (-1)^n q'^(n(n+1)) for n = 0..N-1 as Python floats, with
-    N the least count with q'^(N^2) < TRUNCATION_TOL: the n-th term of the
-    series is at most q'^(n^2) at real points and wherever q' <= |E| <= 1.
-    N is 4 from r = 0.023, 3 from r = 0.118, 2 from r = 0.386 and 1 from
-    r = 0.789 on; the product takes 6, 10, 22 and 88 there.  The complex
-    sums of :func:`_series_sums` scale whole arrays by them; the real sine
-    sums of :func:`_real_log_slopes` fold tables with a row per term, built
-    from the read-only (N, 1) float64 columns m_n = 2n + 1, c_n, m_n c_n and
-    m_n^2 c_n.
-    """
-    x = math.pi * math.pi / -math.log(r)  # -log q'
-    n = math.floor(math.sqrt(-math.log(TRUNCATION_TOL) / x)) + 1
-    c = tuple((-1.0) ** j * math.exp(-x * j * (j + 1)) for j in range(n))
-    m = np.arange(1.0, 2.0 * n, 2.0).reshape(-1, 1)
-    col = np.array(c).reshape(-1, 1)
-    mc = m * col
-    columns = (m, col, mc, m * mc)
-    for a in columns:
-        a.flags.writeable = False
-    return x / math.pi, c, columns
-
-
 def _real_log_slopes(ctx: ThetaContext, w, order: int):
     """(log_slope, log_slope_deriv) at flat float64 points w > 0 from the
     modular series, the second None unless order is 2.
@@ -404,7 +398,7 @@ def _real_log_slopes(ctx: ThetaContext, w, order: int):
     of :func:`_series_sums` is, up to a unit factor, the real sine series
     S = sum c_n sin(m_n y); theta1(v) is S times a Gaussian in log v, and
     with S1 = sum m_n c_n cos(m_n y) and S2 = sum m_n^2 c_n sin(m_n y)
-    (c_n, m_n of _modular_terms)
+    (c_n, m_n of ThetaContext.sine_columns)
 
         log_slope(w)       = k - 1/2 + log v / (2l) + (pi/2l) S1/S,
         log_slope_deriv(w) = (1/(2l) - (pi/2l)^2 (S2/S + (S1/S)^2)) / w.
@@ -421,13 +415,12 @@ def _real_log_slopes(ctx: ThetaContext, w, order: int):
     """
     if not np.all((w > 0.0) & (w < math.inf)):
         raise ValueError("the modular series takes finite positive arguments")
-    _, _, (m, c, mc, mmc) = _modular_terms(ctx.r)
-    two_l = -2.0 * math.log(ctx.r)
-    half = math.pi / two_l
+    m, c, mc, mmc = ctx.sine_columns
+    half = math.pi / ctx.two_l
     log_w = np.log(w)
-    k = np.rint(log_w / two_l)  # ctx.band_index(w)
+    k = np.rint(log_w / ctx.two_l)  # ctx.band_index(w)
     _guard_zero(ctx, w, k)
-    log_v = log_w - k * two_l
+    log_v = log_w - k * ctx.two_l
     far = np.abs(log_w) >= 2.0
     if far.any():
         log_v[far] = np.log(w[far] * np.power(ctx.r, 2.0 * k[far]))
@@ -438,12 +431,12 @@ def _real_log_slopes(ctx: ThetaContext, w, order: int):
     S1 = np.zeros(w.shape)
     _fold(np.add, S1, mc * np.cos(my))
     rho = S1 / S
-    h = (k - 0.5) + log_v / two_l + half * rho
+    h = (k - 0.5) + log_v / ctx.two_l + half * rho
     if order < 2:
         return h, None
     S2 = np.zeros(w.shape)
     _fold(np.add, S2, mmc * sin_my)
-    return h, (1.0 / two_l - half * half * (S2 / S + rho * rho)) / w
+    return h, (1.0 / ctx.two_l - half * half * (S2 / S + rho * rho)) / w
 
 
 def _series_sums(ctx: ThetaContext, E, em1, order: int):
@@ -454,13 +447,13 @@ def _series_sums(ctx: ThetaContext, E, em1, order: int):
         N1 = sum c_n ((n+1) E^(n+1) + n E^(-n)),
         N2 = sum c_n ((n+1)^2 E^(n+1) - n^2 E^(-n)),
 
-    with the c_n of _modular_terms.  D vanishes only at E = 1, and only
-    through its factor E - 1: a caller that hands in a cancellation-free em1
-    keeps D's relative precision next to a zero.  The operations are
+    with the c_n of ThetaContext.series_coefs.  D vanishes only at E = 1,
+    and only through its factor E - 1: a caller that hands in a
+    cancellation-free em1 keeps D's relative precision next to a zero.  The operations are
     elementwise and run in a fixed order, so a point gets the same bits in
     any batch.
     """
-    c = _modular_terms(ctx.r)[1]
+    c = ctx.series_coefs
     S, N1, N2 = 1.0, E, E
     if len(c) > 1:
         inv = 1.0 / E
@@ -496,7 +489,7 @@ def _guard_series_zeros(ctx: ThetaContext, em1, args):
     """Raise ThetaPoleError as :func:`_guard_zero` does at the points whose
     series variable E is within a few ZERO_DIST (times pi/l) of 1, the image
     of every zero; args(mask) gives those points' theta1 arguments."""
-    near = np.abs(em1) <= 2.0 * ZERO_DIST * _modular_terms(ctx.r)[0]
+    near = np.abs(em1) <= 2.0 * ZERO_DIST * ctx.k
     if near.any():
         v = args(near)
         _guard_zero(ctx, v, ctx.band_index(v))
@@ -531,4 +524,7 @@ def pair_slope(ctx: ThetaContext, center, z):
     center, z = np.broadcast_arrays(
         np.asarray(center, dtype=np.complex128), np.asarray(z, dtype=np.complex128)
     )
-    return _shaped(_pair_slope(ctx, center.reshape(-1), z.reshape(-1)), z.shape)
+    c, w = center.reshape(-1), z.reshape(-1)
+    # both log_slope arguments in one kernel call
+    h = _eval(ctx, np.concatenate([w / c, w * c]), 1)[1]
+    return _shaped(h[: w.size] + h[w.size :], z.shape)

@@ -26,7 +26,7 @@ import numpy as np
 from flatfront.annulus import DegenerateConfigurationError
 from flatfront.immersion import HalfSpacePoint, RotationalModuli
 from flatfront.solver import FLOOR_ULPS, MAX_ITERS
-from flatfront.theta import _expm1, _guard_series_zeros, _modular_terms, _series_sums, pointwise
+from flatfront.theta import _expm1, _guard_series_zeros, _series_sums, pointwise
 
 
 @pointwise
@@ -87,7 +87,7 @@ def theta_series(ctx, lv, order: int):
     relative precision next to the zero lv = 0.  Raises ThetaPoleError as
     the product does within ZERO_DIST of a zero.
     """
-    k = _modular_terms(ctx.r)[0]
+    k = ctx.k
     ell = math.pi / k
     s = np.where(np.signbit(lv.imag), -1.0, 1.0)
     w = np.empty(lv.shape, dtype=np.complex128)

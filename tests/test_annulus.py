@@ -11,7 +11,7 @@ import pytest
 import oracles
 from flatfront import annulus as annulus_module
 from oracles import theta_product, theta_product_deriv
-from flatfront.solver import solve_canonical
+from flatfront.solver import residuals, solve_canonical
 from flatfront.theta import ThetaContext, ThetaPoleError, pair_slope, theta1
 from flatfront.annulus import (
     AT_INFINITY,
@@ -310,6 +310,39 @@ def test_gauss_square_is_constant_times_theta_quotient_squared(r, s):
     assert g.real.max() < 0.0
 
 
+def test_evaluators_reject_a_context_for_another_radius(mod):
+    # a context carries the tables of its own radius: with one for r = 0.2
+    # the flagship's potential would read 0.60038 for 0.54657 at
+    # z = 0.4 + 0.3i, so every evaluator that takes (moduli, ctx) raises
+    other = ThetaContext.create(0.2)
+    z = np.array([0.4 + 0.3j])
+    evaluators = (
+        gauss_ratio, gauss_ratio_deriv, gauss_square_log_deriv, potential, gauss_map,
+        gauss_map_square, gauss_map_deriv, inv_gauss_gap, second_gauss_map, immerse, shape_ratio,
+    )
+    for evaluate in evaluators:
+        with pytest.raises(ValueError, match=r"r = 0\.2 used with moduli of r = 0\.25"):
+            evaluate(mod, other, z)
+    for evaluate in (end_direction, residuals):
+        with pytest.raises(ValueError, match=r"r = 0\.2 used with moduli of r = 0\.25"):
+            evaluate(mod, other)
+
+
+def test_equal_contexts_share_one_surface_record(mod):
+    # the per-surface record is keyed on (moduli, ctx), and a context's
+    # equality and hash read r, n_terms and c_const alone: two contexts
+    # created separately, one with its tables built, hit one entry
+    annulus_module._surface.cache_clear()
+    first, second = ThetaContext.create(mod.r), ThetaContext.create(mod.r)
+    assert first is not second
+    g = gauss_map(mod, first, 0.4 + 0.3j)
+    assert {"term_columns", "k", "series_coefs"} <= vars(first).keys()
+    assert first == second and hash(first) == hash(second)
+    assert gauss_map(mod, second, 0.4 + 0.3j) == g
+    info = annulus_module._surface.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
 def _assert_every_evaluator_rejects(mod, ctx, field, match=None):
     # gauss_map, immerse, shape_ratio and end_direction all read the one
     # per-surface record, whose builder checks the stored fields; each of
@@ -514,9 +547,9 @@ def test_gauss_map_against_oracle(monkeypatch, r, s):
     near_markers = []
     near_zero_em1 = annulus_module._near_zero_em1
 
-    def recorded(ctx, k, s, marker, zeta, inverse):
+    def recorded(ctx, s, marker, zeta, inverse):
         near_markers.append(marker)
-        return near_zero_em1(ctx, k, s, marker, zeta, inverse)
+        return near_zero_em1(ctx, s, marker, zeta, inverse)
 
     monkeypatch.setattr(annulus_module, "_near_zero_em1", recorded)
     ring = np.exp(1j * np.array([np.pi, -np.pi, np.pi - 1e-12, 1e-12 - np.pi, np.pi - 1e-8, 1e-8 - np.pi, 1.0]))

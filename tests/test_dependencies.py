@@ -1,12 +1,16 @@
-"""The package needs nothing at run time beyond the standard library and numpy."""
+"""The package needs nothing at run time beyond the standard library and
+numpy, and keeps one process-global cache."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import flatfront
+from flatfront import annulus
 
 SRC = str(Path(flatfront.__file__).resolve().parent.parent)
 
@@ -31,3 +35,18 @@ def test_import_adds_only_stdlib_numpy_and_flatfront():
     extra = sorted(m for m in loaded - bare if m.split(".")[0] not in allowed)
     assert "flatfront.cli" in loaded
     assert not extra, extra
+
+
+def test_one_cache_in_the_package():
+    # the per-radius tables live on the theta context, so the one
+    # process-global cache is the per-surface record annulus._surface
+    modules = [flatfront] + [
+        importlib.import_module(f"flatfront.{info.name}") for info in pkgutil.iter_modules(flatfront.__path__)
+    ]
+    found = {
+        id(value): value
+        for module in modules
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_clear", None))
+    }
+    assert list(found.values()) == [annulus._surface]

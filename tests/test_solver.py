@@ -189,6 +189,26 @@ def test_pair_minus_s_equals_complex_pair_slope(r):
         assert one.tobytes() == got[i : i + 1].tobytes()
 
 
+@pytest.mark.parametrize("r", [0.05, 0.25, 0.45, 0.7, 0.9])
+def test_outer_pairing_at_the_left_edge_is_exact(r):
+    # pair_slope(c, -r) = -2 for every centre c in (-1, -r): with u = -c,
+    # log_slope(r u) = log_slope(u/r) - 1 = -2 - log_slope(r/u).  So the
+    # stage-3 residual pair_slope(z0, z1) - (s - 2) is exactly -s > 0 at the
+    # edge z1 = -r.  Checked on the product's pair_slope and on the
+    # solver's real-series pairing, to 1e-12 relative to the size of either
+    # term, which grows next to the zero at c = -r (at most 3.0e-13 on the
+    # product, at r = 0.7 next to c = -r, and 3.5e-14 on the series)
+    ctx = ThetaContext.create(r)
+    c = np.linspace(-1.0 + 1e-3, -r * (1.0 + 1e-3), 50)
+    edge = np.full(c.shape, -r)
+    scale = np.maximum(1.0, np.abs(log_slope(ctx, -r / c + 0j).real))
+    product = pair_slope(ctx, c + 0j, edge + 0j)
+    series = _pairing(ctx, c, edge)[0]
+    assert np.all(np.abs(product.imag) <= 1e-12 * scale)
+    assert np.all(np.abs(product.real + 2.0) <= 1e-12 * scale)
+    assert np.all(np.abs(series + 2.0) <= 1e-12 * scale)
+
+
 @pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.9, -0.04)])
 def test_newton_evaluation_equals_separate_calls(r, s):
     # one order-2 series call at the points of a Newton step near the root
@@ -467,14 +487,14 @@ def test_stacked_slit_values_keep_the_bits(r, s):
     scale = math.sqrt(-t[0] * t[1] / (t[2] * t[3]))
     surface = annulus._surface.__wrapped__(moduli, ctx)
     assert (surface.sqrt_c, surface.k_prime) == (scale, t[2] * t[3] / (t[4] * t[5]))
-    assert surface.end == end_direction(moduli, ctx) == complex(gauss_map(moduli, ctx, z0).real)
+    assert end_direction(moduli, ctx) == complex(gauss_map(moduli, ctx, z0).real)
 
 
 def test_kernel_calls_of_the_stacked_passes(monkeypatch):
     # a marker pass is one kernel call over the arguments marker/z and
     # marker z of its four slit values; the per-surface record adds its
-    # other theta values to that call and takes the end direction from the
-    # modular series, so end_direction on a built record calls no kernel.  The
+    # other theta values to that call, and end_direction takes the end
+    # direction from the modular series, so it calls no product kernel.  The
     # solve's stages run on the modular series, so its one call of the
     # product is the closing pass, which residuals repeats.  fit_gauss_ratio
     # keeps slit_map's two calls
