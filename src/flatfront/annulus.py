@@ -17,13 +17,11 @@ evaluates:
 * ``_gauss_log_deriv`` - g'/g = (log_slope(z2 z) - log_slope(z1 z) - 1) / z,
   from the theta product form of g, with no poles on the closed annulus,
 * ``potential`` - the harmonic function u with exp(2u) = |Q1 z^m / (1-R)|,
-  from the raw quotients (an independent route to the shape factor),
+  the modulus of the shape factor,
 * ``inv_gauss_gap`` / ``second_gauss_map`` - F = R/g and g* = g - 1/F,
 * ``_surface_series`` - g alone from the two theta arguments z1 z and z2 z,
   or R, the shape factor and g, or g'/g and R', from one pass of the
-  complex modular series over those and z0/z and z0 z: the data of
-  ``gauss_map``, the end direction, ``immerse``, ``shape_ratio`` and the
-  range check of flatfront.validation.
+  complex modular series over those and z0/z and z0 z.
 
 R is real on both circles, so it is elliptic on C*/r^2, with simple poles
 at z0 and 1/z0.  Once R(z1) = 1 and R(z2) = 0, comparing divisors gives
@@ -51,14 +49,15 @@ fields to the markers (``_marker_slits``), with the bits of separate
 Two kernels serve the module.  ``_surface_series`` runs on the complex
 modular series (theta._series_sums), with 1 to 4 terms per argument from
 r = 0.023, where the product takes 6 to 88 and more, and one log z and one
-exp per point.  It feeds gauss_map and with it gauss_map_square, the end
-direction, inv_gauss_gap, second_gauss_map and the g of gauss_map_deriv
-and first_form; immerse, shape_ratio and the range check's R.  The slit
-maps and all built on them, theta_quotient, _gauss_log_deriv,
+exp per point.  Its order-0 pass is gauss_map, and with it
+gauss_map_square, the end direction and the g of gauss_map_deriv and
+first_form.  Its order-1 pass feeds potential, inv_gauss_gap and
+second_gauss_map, immerse, shape_ratio and the range check's R.  The slit
+maps and all built on them, theta_quotient, gauss_ratio, _gauss_log_deriv,
 _shape_factor and the rest of first_form and the curvature stay on the
-product: they take about 80% of the probe benchmark's query time, and its
-peak memory grows with the queries it records, so faster queries wait
-until it keeps a record of fixed size per query.
+product: they take most of the probe benchmark's query time, and its peak
+memory grows with the queries it records, so faster queries wait until it
+keeps a record of fixed size per query.
 """
 
 from __future__ import annotations
@@ -564,29 +563,28 @@ def _near_zero_em1(ctx: ThetaContext, s: float, marker: float, zeta, inverse: bo
 
 @pointwise
 def potential(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """Harmonic potential u with exp(2u) = |Q1(z) z^m / (1 - R(z))|.
-
-    Blows up logarithmically at the end z0 (where R has its pole); the
-    evaluation there raises the underlying pole error.
-    """
-    _require_context(moduli, ctx)
-    _require_annulus(ctx, z, "potential")
-    q1 = np.abs(theta_quotient(ctx, moduli.z1, z))
-    R = gauss_ratio(moduli, ctx, z)
-    return 0.5 * (np.log(q1) + moduli.m * np.log(np.abs(z)) - np.log(np.abs(1.0 - R)))
+    """Harmonic potential u with exp(2u) = |Q1(z) z^m / (1 - R(z))|, the
+    modulus of the shape factor: log|factor| / 2 from the order-1 pass of
+    _surface_series, finite at z1, where Q1 and 1 - R both vanish.  Blows
+    up logarithmically at the end z0, where R has its pole and the
+    evaluation raises the underlying pole error."""
+    return 0.5 * np.log(np.abs(_surface_series(moduli, ctx, z, 1, "potential")[1]))
 
 
 @pointwise
 def inv_gauss_gap(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """F = R / g = 1 / (g - g*); simple pole at z0, zero at z2."""
-    return gauss_ratio(moduli, ctx, z) / gauss_map(moduli, ctx, z)
+    """F = R / g = 1 / (g - g*); simple pole at z0, zero at z2.  R and g
+    come from one order-1 pass of _surface_series."""
+    R, _, g = _surface_series(moduli, ctx, z, 1, "inv_gauss_gap")
+    return R / g
 
 
 @pointwise
 def second_gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """g* = g (R - 1) / R; the tagged value AT_INFINITY where R = 0 (at z2)."""
-    g = gauss_map(moduli, ctx, z)
-    R = gauss_ratio(moduli, ctx, z)
+    """g* = g (R - 1) / R, with R and g from one order-1 pass of
+    _surface_series; the tagged value AT_INFINITY at z2, the one zero of R
+    on the annulus, whatever R's rounding reads there."""
+    R, _, g = _surface_series(moduli, ctx, z, 1, "second_gauss_map")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = g * (R - 1.0) / R
-    return np.where(np.abs(R) < 1e-300, AT_INFINITY, out)
+    return np.where(z == moduli.z2, AT_INFINITY, out)

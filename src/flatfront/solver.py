@@ -322,13 +322,15 @@ def solve_canonical(
     rectangle and BracketError, its message starting with the failing
     stage, when a root stage fails to bracket or converge or the solved
     configuration misses the residual tolerance.  Raises ValueError unless
-    tol is a finite positive number.
+    tol is a finite positive number, and for a context for another radius.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol}")
     _check_rs(r, s)
     if ctx is None:
         ctx = ThetaContext.create(r)
+    elif ctx.r != r:
+        raise ValueError(f"theta context for r = {ctx.r} used to solve at r = {r}")
     trace = SolverTrace(r=r, s=s)
 
     stage = 1

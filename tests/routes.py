@@ -11,6 +11,13 @@ given by its log, from the complex modular series of flatfront.theta
 The tests pin it against mpmath and the product, and the solver's real
 form of the series against it.
 
+``potential_product`` and ``second_gauss_map_product`` take u and g* from
+the raw quotients on the theta product (``theta_quotient`` and
+``gauss_ratio``), where the library takes both from the modular series
+pass that ``immerse`` runs; the cross-route tests feed them to
+``immerse_from_gauss_data``, so the two routes share no evaluation of u,
+R or g*.
+
 ``bracketed_root_reference`` is the solver's safeguarded Newton loop
 written on full-length arrays, with an ``np.where`` update of every entry
 per step; ``solver.bracketed_root`` carries only the entries still active
@@ -23,7 +30,13 @@ import math
 
 import numpy as np
 
-from flatfront.annulus import DegenerateConfigurationError
+from flatfront.annulus import (
+    AT_INFINITY,
+    DegenerateConfigurationError,
+    gauss_map,
+    gauss_ratio,
+    theta_quotient,
+)
 from flatfront.immersion import HalfSpacePoint, RotationalModuli
 from flatfront.solver import FLOOR_ULPS, MAX_ITERS
 from flatfront.theta import _expm1, _guard_series_zeros, _series_sums, pointwise
@@ -44,6 +57,27 @@ def immerse_from_gauss_data(g, g_star, xi_abs):
     psi3 = e2 / (1.0 + e2 * e2 * np.abs(F) ** 2)
     horiz = g - psi3 * e2 * np.conj(F)
     return HalfSpacePoint(horiz, psi3)
+
+
+@pointwise
+def potential_product(moduli, ctx, z):
+    """u with exp(2u) = |Q1(z) z^m / (1 - R(z))| from the raw quotients
+    Q1 = theta_quotient(z1, z) and R = gauss_ratio(z) on the product; NaN at
+    z1, where both vanish."""
+    q1 = np.abs(theta_quotient(ctx, moduli.z1, z))
+    R = gauss_ratio(moduli, ctx, z)
+    return 0.5 * (np.log(q1) + moduli.m * np.log(np.abs(z)) - np.log(np.abs(1.0 - R)))
+
+
+@pointwise
+def second_gauss_map_product(moduli, ctx, z):
+    """g* = g (R - 1) / R with R = gauss_ratio(z) on the product; the tagged
+    value AT_INFINITY where |R| < 1e-300."""
+    g = gauss_map(moduli, ctx, z)
+    R = gauss_ratio(moduli, ctx, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = g * (R - 1.0) / R
+    return np.where(np.abs(R) < 1e-300, AT_INFINITY, out)
 
 
 def rotational_disc(rot: RotationalModuli) -> tuple[float, float]:

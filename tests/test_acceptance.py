@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from flatfront.annulus import gauss_map, potential, second_gauss_map
+from flatfront.annulus import gauss_map
 from flatfront.cli import main
 from flatfront.immersion import (
     HalfSpacePoint,
@@ -26,7 +26,13 @@ from flatfront.immersion import (
 from flatfront.solver import BracketError, solve_canonical
 from flatfront.theta import ThetaContext, log_slope, theta1, dtheta1
 from flatfront.validation import interior_grid
-from routes import immerse_from_gauss_data, rotational_disc, rotational_gauss_data
+from routes import (
+    immerse_from_gauss_data,
+    potential_product,
+    rotational_disc,
+    rotational_gauss_data,
+    second_gauss_map_product,
+)
 
 
 def _verdict(capsys, n, label, ok, detail):
@@ -253,9 +259,11 @@ def test_criterion_6_metric_validation(capsys, flagship):
 def test_criterion_7_cross_route(capsys, flagship):
     moduli, ctx = flagship
     zs = _interior_points(moduli, 100, seed=17)
+    # u and g* from the raw quotients on the theta product: immerse takes
+    # R and e^2u from the modular series
     g = gauss_map(moduli, ctx, zs)
-    gs = second_gauss_map(moduli, ctx, zs)
-    xi = np.exp(potential(moduli, ctx, zs))
+    gs = second_gauss_map_product(moduli, ctx, zs)
+    xi = np.exp(potential_product(moduli, ctx, zs))
     a = immerse(moduli, ctx, zs)
     b = immerse_from_gauss_data(g, gs, xi)
     gap = max(

@@ -465,6 +465,46 @@ def test_potential_matches_raw_modulus(mod, ctx):
     assert (np.abs(np.exp(2.0 * u) - ref) / ref).max() < 1e-13
 
 
+@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.05, -0.04), (0.45, -0.1), (0.7, -0.99)])
+def test_potential_next_to_z1_against_oracle(r, s):
+    # u = log|factor| / 2 stays finite at z1, where the raw quotients Q1 and
+    # 1 - R both vanish (their route reads log 0 - log 0 there), and keeps its
+    # digits next to it, where their logs cancel; against 40 digits
+    mod, _ = solve_canonical(r, s)
+    ctx = mod.context()
+    assert np.isfinite(potential(mod, ctx, complex(mod.z1)))
+    n = int(np.ceil(40.0 / (-2.0 * np.log10(r))))
+    for delta in (1e-9, 1e-7, 1e-5):
+        for z in (complex(mod.z1 + delta), complex(mod.z1, delta)):
+            with mp.workdps(40):
+                want = float(0.5 * mp.log(abs(oracles.surface_maps(mod.to_dict(), z, n)[4])))
+            got = potential(mod, ctx, z)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (delta, z, got, want)
+
+
+def test_gauss_data_make_no_product_call(monkeypatch, mod, ctx):
+    # potential, second_gauss_map and inv_gauss_gap are projections of one
+    # order-1 series pass: once the surface record is built, none of them
+    # reaches the product kernel
+    z = np.array([0.4 + 0.3j, -0.6 - 0.1j])
+    annulus_module._surface(mod, ctx)
+
+    def product(*args):
+        raise AssertionError("theta product called")
+
+    monkeypatch.setattr(annulus_module, "_eval", product)
+    for evaluate in (potential, second_gauss_map, inv_gauss_gap):
+        assert np.isfinite(evaluate(mod, ctx, z)).all()
+
+
+def test_gauss_data_raise_at_the_end(mod, ctx):
+    # at z0, where R has its pole, every evaluator of the order-1 pass raises
+    # the pole error of theta1(z0/z)
+    for evaluate in (potential, second_gauss_map, inv_gauss_gap):
+        with pytest.raises(ThetaPoleError):
+            evaluate(mod, ctx, complex(mod.z0))
+
+
 def test_gauss_gap_identities(mod, ctx):
     z = _away_from_markers(_annulus_samples(mod.r, 80, seed=25), mod)
     g = gauss_map(mod, ctx, z)
@@ -476,14 +516,15 @@ def test_gauss_gap_identities(mod, ctx):
 
 
 def test_second_gauss_map_sentinel():
-    # solved moduli put R(z2) at exactly 0, so g* there is the tagged value;
-    # the frozen FLAGSHIP's a_R and b_R are not the solver's bits, and its
-    # R(z2) is only of the order of rounding
-    mod, _ = solve_canonical(0.25, -0.5)
-    ctx = mod.context()
-    w = second_gauss_map(mod, ctx, complex(mod.z2))
-    assert w == AT_INFINITY
-    assert abs(inv_gauss_gap(mod, ctx, complex(mod.z2))) < 1e-10
+    # z2 is the one zero of R on the annulus, so g* there is the tagged value
+    # for solved moduli and for the frozen FLAGSHIP alike, whose a_R and b_R
+    # are not the solver's bits and whose R(z2) is only of the order of
+    # rounding; a point next to z2 gets a finite value
+    for mod in (solve_canonical(0.25, -0.5)[0], FLAGSHIP):
+        ctx = mod.context()
+        assert second_gauss_map(mod, ctx, complex(mod.z2)) == AT_INFINITY
+        assert abs(inv_gauss_gap(mod, ctx, complex(mod.z2))) < 1e-10
+        assert np.isfinite(second_gauss_map(mod, ctx, complex(mod.z2, 1e-9)))
 
 
 def test_annulus_domain_guard(mod, ctx):

@@ -45,7 +45,13 @@ from flatfront.theta import ThetaContext, dtheta1, log_slope, log_slope_deriv, t
 from flatfront.validation import validate_moduli
 
 import oracles
-from routes import immerse_from_gauss_data, rotational_disc, rotational_gauss_data
+from routes import (
+    immerse_from_gauss_data,
+    potential_product,
+    rotational_disc,
+    rotational_gauss_data,
+    second_gauss_map_product,
+)
 from test_annulus import FLAGSHIP
 
 # Frozen independently of the evaluator (series oracle in oracles.py):
@@ -193,13 +199,14 @@ def test_shape_ratio_bounds(mod, ctx):
 
 
 def test_shape_ratio_dual_route(mod, ctx):
-    # |p| = e^4u |w_hopf / g'| from independently assembled pieces
+    # |p| = e^4u |w_hopf / g'| from independently assembled pieces, R, R'
+    # and u on the theta product
     zs = _interior_samples(mod, 60, seed=37)
     g = gauss_map(mod, ctx, zs)
     gp = gauss_map_deriv(mod, ctx, zs)
     R = gauss_ratio(mod, ctx, zs)
     Rp = gauss_ratio_deriv(mod, ctx, zs)
-    e2 = np.exp(2.0 * potential(mod, ctx, zs))
+    e2 = np.exp(2.0 * potential_product(mod, ctx, zs))
     F = R / g
     w_hopf = Rp / g - R * gp / (g * g) + F * F * gp
     ref = e2**2 * np.abs(w_hopf / gp)
@@ -231,11 +238,12 @@ def test_shape_ratio_holomorphic(mod, ctx):
 
 
 def test_cross_route_agreement(mod, ctx):
-    # generic-data route (g, g*, |xi| = e^u) against the direct route
+    # generic-data route (g, g*, |xi| = e^u) against the direct route, with
+    # g* and u from the raw quotients on the theta product
     zs = _interior_samples(mod, 100, seed=41)
     g = gauss_map(mod, ctx, zs)
-    gs = second_gauss_map(mod, ctx, zs)
-    xi = np.exp(potential(mod, ctx, zs))
+    gs = second_gauss_map_product(mod, ctx, zs)
+    xi = np.exp(potential_product(mod, ctx, zs))
     a = immerse(mod, ctx, zs)
     b = immerse_from_gauss_data(g, gs, xi)
     assert np.abs(a.horizontal - b.horizontal).max() < 1e-9

@@ -449,6 +449,17 @@ def test_tolerance_must_be_finite_and_positive(tol):
         solve_canonical(0.25, -0.5, tol=tol)
 
 
+def test_context_for_another_radius_is_refused(monkeypatch):
+    # a context carries the tables of its own radius: with one for r = 0.2
+    # the three stages would solve the wrong system, and the closing check
+    # would blame the residuals, so the solve refuses it before stage 1
+    calls = []
+    monkeypatch.setattr(solver, "solve_exponent", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"r = 0\.2 used to solve at r = 0\.25"):
+        solve_canonical(0.25, -0.5, ThetaContext.create(0.2))
+    assert calls == []
+
+
 def test_nan_residual_fails_the_check(monkeypatch):
     real = solver._closing_residuals
 
