@@ -14,14 +14,9 @@ evaluates:
   form g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)), on the modular series,
 * ``gauss_map_square`` - W = (z g)^2,
 * ``_shape_factor`` - Q1 z^m / (1-R), whose modulus is exp(2u),
-* ``_gauss_log_deriv`` - g'/g = (log_slope(z2 z) - log_slope(z1 z) - 1) / z,
-  from the theta product form of g, with no poles on the closed annulus,
 * ``potential`` - the harmonic function u with exp(2u) = |Q1 z^m / (1-R)|,
   the modulus of the shape factor,
-* ``inv_gauss_gap`` / ``second_gauss_map`` - F = R/g and g* = g - 1/F,
-* ``_surface_series`` - g alone from the two theta arguments z1 z and z2 z,
-  or R, the shape factor and g, or g'/g and R', from one pass of the
-  complex modular series over those and z0/z and z0 z.
+* ``inv_gauss_gap`` / ``second_gauss_map`` - F = R/g and g* = g - 1/F.
 
 R is real on both circles, so it is elliptic on C*/r^2, with simple poles
 at z0 and 1/z0.  Once R(z1) = 1 and R(z2) = 0, comparing divisors gives
@@ -49,11 +44,14 @@ fields to the markers (``_marker_slits``), with the bits of separate
 Two kernels serve the module.  ``_surface_series`` runs on the complex
 modular series (theta._series_sums), with 1 to 4 terms per argument from
 r = 0.023, where the product takes 6 to 88 and more, and one log z and one
-exp per point.  Its order-0 pass is gauss_map, and with it
-gauss_map_square, the end direction and the g of gauss_map_deriv and
-first_form.  Its order-1 pass feeds potential, inv_gauss_gap and
-second_gauss_map, immerse, shape_ratio and the range check's R.  The slit
-maps and all built on them, theta_quotient, gauss_ratio, _gauss_log_deriv,
+exp per point.  Each evaluator names the fields it uses, and the pass
+evaluates only the theta arguments those need:
+
+    g, g'/g (g_log)        z1 z, z2 z
+    shape factor (factor)  z0/z, z0 z, z1 z
+    R, R' (R, Rp)          z0/z, z0 z
+
+The slit maps and all built on them, theta_quotient, gauss_ratio,
 _shape_factor and the rest of first_form and the curvature stay on the
 product: they take most of the probe benchmark's query time, and its peak
 memory grows with the queries it records, so faster queries wait until it
@@ -384,12 +382,11 @@ def gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
     annulus; so does the squared theta quotient, and both gain (z1/z2)^2
     under z -> r^2 z.  Their ratio C is therefore constant, positive, and
     computed once per surface, on the product.  g is negative on (-1, -r).
-    Evaluated by the order-0 pass of the complex modular series at z1 z and
-    z2 z (_surface_series), with the bits of the g of its order-1 pass.
-    Raises RepresentationError for moduli whose fields do not fit their
-    markers.
+    The g field of the complex modular series (_surface_series) at z1 z and
+    z2 z.  Raises RepresentationError for moduli whose fields do not fit
+    their markers.
     """
-    return _surface_series(moduli, ctx, z, 0, "gauss_map")[0]
+    return _surface_series(moduli, ctx, z, ("g",), "gauss_map").g
 
 
 @pointwise
@@ -412,26 +409,15 @@ def _gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z, g):
 
 @pointwise
 def gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """g'(z) = g(z) * g'/g(z), with g'/g from the theta product form of g
-    (see _gauss_log_deriv), which keeps its digits next to z1 and z2."""
-    return gauss_map(moduli, ctx, z) * _gauss_log_deriv(moduli, ctx, z)
+    """g' = g * g'/g, both from one pass of the complex modular series at
+    z1 z and z2 z (_surface_series).  g'/g has no poles on the closed
+    annulus, so unlike W'/W (gauss_square_log_deriv) it keeps its digits
+    next to z1 and z2, and g' is finite at the end z0."""
+    s = _surface_series(moduli, ctx, z, ("g", "g_log"), "gauss_map_deriv")
+    return s.g * s.g_log
 
 
 # --- shape factor, potential and Gauss-map gap --------------------------
-
-
-def _gauss_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """g'/g at the flat points z from one order-1 kernel call at each of
-    z2 z and z1 z.
-
-    The log-derivative of g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)) is
-    g'/g = (h(z2 z) - h(z1 z) - 1) / z with h = log_slope.  Its terms have
-    no poles on the closed annulus, so unlike W'/W (gauss_square_log_deriv)
-    it keeps its digits next to z1 and z2.
-    """
-    h2 = _eval(ctx, moduli.z2 * z, 1)[1]
-    h1 = _eval(ctx, moduli.z1 * z, 1)[1]
-    return (h2 - h1 - 1.0) / z
 
 
 def _shape_factor(moduli: CanonicalModuli, ctx: ThetaContext, z):
@@ -450,16 +436,38 @@ def _shape_factor(moduli: CanonicalModuli, ctx: ThetaContext, z):
     return -z * np.exp(moduli.m * np.log(z)) * a * b / (moduli.z1 * k_prime * c * c)
 
 
-def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, who: str):
-    """[g] at order 0, [R, shape factor, g] at order 1 and [R, shape factor,
-    g'/g, R'] at order 2, at the flat points z, from the complex modular
-    series at the theta arguments z1 z and z2 z, and at orders 1 and 2 also
-    z0/z and z0 z.  g is regular at the end z0, where theta1(z0/z) vanishes,
-    so the order-0 pass does not touch z0/z.
+class _Series(NamedTuple):
+    """The fields of one :func:`_surface_series` pass, None where not asked."""
+
+    g: np.ndarray | None
+    g_log: np.ndarray | None
+    R: np.ndarray | None
+    factor: np.ndarray | None
+    Rp: np.ndarray | None
+
+
+def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: str) -> _Series:
+    """The fields of :class:`_Series` named in ``fields`` (g, g'/g, the shape
+    factor, R and R') at the flat points z, from one pass of the complex
+    modular series over the theta arguments they use, each at the highest
+    series degree asked of it:
+
+        g       z1 z, z2 z (degree 0)      exp(c_g + b_g log z) D2 / D1
+        g_log   z1 z, z2 z (1)             (b_g - i (pi/l) (rho_2 - rho_1)) / z
+        factor  z0/z, z0 z, z1 z (0)       exp(c_f + b_f log z) Din D0 / D1^2
+        R       z0/z, z0 z (1)             R_c + i kappa (rho_in - rho_0)
+        Rp      z0/z, z0 z (2)             -(a_R/z0) (pi/l)^2 (tau_in - tau_0) / z
+
+    with D, rho = N1/D and tau of theta._series_sums at each argument.  No
+    value depends on the degree, so a field has the same bits whatever
+    fields come with it.  g and g_log are regular at the end z0, where
+    theta1(z0/z) vanishes; a pass without factor, R and Rp skips z0/z.
 
     A point is evaluated at zeta = z, or conj(z) when Im z has its sign bit
-    set, and conjugated back: every output is conjugate at conjugate points,
-    bit for bit.  With the principal log z of zeta (Im in [0, pi]) the four
+    set, and conjugated back: every field is conjugate at conjugate points,
+    bit for bit.  g, g_log, R and Rp are real on the real axis, where the
+    pass takes their real parts before that step; the shape factor keeps the
+    phase of its principal z^m.  With the principal log z of zeta (Im in [0, pi]) the four
     arguments take the logs lv = log|z_j| + log z - i pi and
     log|z0| + i pi - log z, all with |Im lv| <= pi, so their series variables
     E = exp(i s (pi/l) lv), s = +-1 the sign with |E| <= 1 (see the module
@@ -473,37 +481,35 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, w
     In the quotients of g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)) and of the
     shape factor z^m z0 theta1(z0/z) theta1(z0 z) / (z1 K' theta1(z1 z)^2)
     the series' constant cancels and the exp(lv^2/(4l)) factors combine to
-    exp(c + b log z) with real c and b, which takes in 1/z and z^m:
-
-        g      = exp(c_g + b_g log z) D2 / D1,
-        factor = exp(c_f + b_f log z) Din D0 / D1^2,
-        R      = R_c + i kappa (rho_in - rho_0),
-        g'/g   = (b_g - i (pi/l) (rho_2 - rho_1)) / z,
-        R'     = -(a_R/z0) (pi/l)^2 (tau_in - tau_0) / z,
-
-    with D, rho = N1/D and tau of theta._series_sums at each argument, pi/l
-    from the context and the other constants from the record (_surface),
-    whose sqrt(C) and K' come from the product.  g takes the same operations
-    at orders 0 and 1, so it has the same bits.  Every argument is guarded
-    against the zeros of theta1; the operations are elementwise and run over
-    chunks of theta._CHUNK points, so a point gets the same bits in any batch.
+    exp(c + b log z) with real c and b, which takes in 1/z and z^m.  pi/l
+    comes from the context and the other constants from the record
+    (_surface), whose sqrt(C) and K' come from the product.  Every argument
+    is guarded against the zeros of theta1; the operations are elementwise
+    and run over chunks of theta._CHUNK points, so a point gets the same
+    bits in any batch.
     """
     _require_annulus(ctx, z, who)
     surface = _surface(moduli, ctx)
     k, (a0, a1, a2) = ctx.k, surface.units
     (cg, bg), (cf, bf), (r_c, kappa) = surface.g_coef, surface.f_coef, surface.r_coef
     z0 = moduli.z0
-    # (unit factor of E, sign s of E = exp(2isy), series order, marker,
+    ask_g, ask_log, ask_r, ask_f, ask_rp = map(fields.__contains__, _Series._fields)
+    # the series degree of z0/z and z0 z, of z1 z and of z2 z (None: unused)
+    deg_0 = 2 if ask_rp else 1 if ask_r else 0 if ask_f else None
+    deg_1 = 1 if ask_log else 0 if ask_g or ask_f else None
+    deg_2 = 1 if ask_log else 0 if ask_g else None
+    # (unit factor of E, sign s of E = exp(2isy), series degree, marker,
     # whether the argument is marker/z)
-    args = [(a1, -1.0, max(order - 1, 0), moduli.z1, False), (a2, -1.0, max(order - 1, 0), moduli.z2, False)]
-    if order:
-        args = [(np.conj(a0), 1.0, order, z0, True), (a0, -1.0, order, z0, False), *args]
-    outs = [np.empty(z.shape, dtype=np.complex128) for _ in range(order + 2 if order else 1)]
+    args = ((a0.conjugate(), 1.0, deg_0, z0, True), (a0, -1.0, deg_0, z0, False),
+            (a1, -1.0, deg_1, moduli.z1, False), (a2, -1.0, deg_2, moduli.z2, False))
+    outs = [np.empty(z.shape, dtype=np.complex128) if name in fields else None for name in _Series._fields]
     for lo in range(0, z.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
         zc = z[part]
+        # count_nonzero costs a fraction of any() on a batch of a few points
         lower = np.signbit(zc.imag)
-        mirrored = lower.any()
+        mirrored = np.count_nonzero(lower)
+        axis = zc.imag == 0.0 if np.count_nonzero(zc.imag) < zc.size else None
         zeta = np.where(lower, np.conj(zc), zc) if mirrored else zc
         # log z from log|zeta| and arg zeta: numpy's complex log costs 5 to
         # 20 times as much per point
@@ -516,6 +522,9 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, w
         w = np.exp(w)
         sums = []
         for unit, s, deg, marker, inverse in args:
+            if deg is None:
+                sums.append((None, None, None))
+                continue
             E = unit * w
             em1 = E - 1.0
             near = np.abs(em1) < 0.5
@@ -526,20 +535,21 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, order: int, w
                 at = zc[near]
                 _guard_series_zeros(ctx, em1[near], lambda m: marker / at[m] if inverse else marker * at[m])
             sums.append(_series_sums(ctx, E, em1, deg))
-        (d_1, rho_1, _), (d_2, rho_2, _) = sums[-2:]
-        vals = []
-        if order:
-            (d_in, rho_in, tau_in), (d_0, rho_0, tau_0) = sums[:2]
-            vals.append(r_c + 1j * kappa * (rho_in - rho_0))
-            vals.append(np.exp(cf + bf * lz) * d_in * d_0 / (d_1 * d_1))
-        if order < 2:
-            vals.append(np.exp(cg + bg * lz) * d_2 / d_1)
-        else:
-            vals.append((bg - 1j * k * (rho_2 - rho_1)) / zeta)
-            vals.append(-moduli.a_R * k * k * (tau_in - tau_0) / (z0 * zeta))
-        for out, val in zip(outs, vals):
+        (d_in, rho_in, tau_in), (d_0, rho_0, tau_0), (d_1, rho_1, _), (d_2, rho_2, _) = sums
+        vals = (
+            np.exp(cg + bg * lz) * d_2 / d_1 if ask_g else None,
+            (bg - 1j * k * (rho_2 - rho_1)) / zeta if ask_log else None,
+            r_c + 1j * kappa * (rho_in - rho_0) if ask_r else None,
+            np.exp(cf + bf * lz) * d_in * d_0 / (d_1 * d_1) if ask_f else None,
+            -moduli.a_R * k * k * (tau_in - tau_0) / (z0 * zeta) if ask_rp else None,
+        )
+        for field, val, out in zip(_Series._fields, vals, outs):
+            if val is None:
+                continue
+            if axis is not None and field != "factor":
+                val[axis] = val[axis].real
             out[part] = np.where(lower, np.conj(val), val) if mirrored else val
-    return outs
+    return _Series(*outs)
 
 
 def _near_zero_em1(ctx: ThetaContext, s: float, marker: float, zeta, inverse: bool):
@@ -564,27 +574,27 @@ def _near_zero_em1(ctx: ThetaContext, s: float, marker: float, zeta, inverse: bo
 @pointwise
 def potential(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """Harmonic potential u with exp(2u) = |Q1(z) z^m / (1 - R(z))|, the
-    modulus of the shape factor: log|factor| / 2 from the order-1 pass of
+    modulus of the shape factor: log|factor| / 2 from the factor field of
     _surface_series, finite at z1, where Q1 and 1 - R both vanish.  Blows
     up logarithmically at the end z0, where R has its pole and the
     evaluation raises the underlying pole error."""
-    return 0.5 * np.log(np.abs(_surface_series(moduli, ctx, z, 1, "potential")[1]))
+    return 0.5 * np.log(np.abs(_surface_series(moduli, ctx, z, ("factor",), "potential").factor))
 
 
 @pointwise
 def inv_gauss_gap(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """F = R / g = 1 / (g - g*); simple pole at z0, zero at z2.  R and g
-    come from one order-1 pass of _surface_series."""
-    R, _, g = _surface_series(moduli, ctx, z, 1, "inv_gauss_gap")
-    return R / g
+    come from one pass of _surface_series."""
+    s = _surface_series(moduli, ctx, z, ("g", "R"), "inv_gauss_gap")
+    return s.R / s.g
 
 
 @pointwise
 def second_gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """g* = g (R - 1) / R, with R and g from one order-1 pass of
-    _surface_series; the tagged value AT_INFINITY at z2, the one zero of R
-    on the annulus, whatever R's rounding reads there."""
-    R, _, g = _surface_series(moduli, ctx, z, 1, "second_gauss_map")
+    """g* = g (R - 1) / R, with R and g from one pass of _surface_series;
+    the tagged value AT_INFINITY at z2, the one zero of R on the annulus,
+    whatever R's rounding reads there."""
+    s = _surface_series(moduli, ctx, z, ("g", "R"), "second_gauss_map")
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = g * (R - 1.0) / R
+        out = s.g * (s.R - 1.0) / s.R
     return np.where(z == moduli.z2, AT_INFINITY, out)

@@ -72,12 +72,9 @@ class MetricSample:
 
 
 def end_direction(moduli: CanonicalModuli, ctx: ThetaContext) -> complex:
-    """Horizontal limit g(z0) of the ideal end: the real part of
-    gauss_map(moduli, ctx, moduli.z0), bit for bit.  g is real on the real
-    axis; the series' complex arithmetic leaves a rounding-level imaginary
-    part there, which this drops."""
-    g = _surface_series(moduli, ctx, np.array([moduli.z0], dtype=np.complex128), 0, "end_direction")[0]
-    return complex(g[0].real)
+    """Horizontal limit g(z0) of the ideal end: gauss_map at z0, bit for bit."""
+    g = _surface_series(moduli, ctx, np.array([moduli.z0], dtype=np.complex128), ("g",), "end_direction").g
+    return complex(g[0])
 
 
 @pointwise
@@ -87,20 +84,21 @@ def immerse(moduli: CanonicalModuli, ctx: ThetaContext, z):
     Each field of the result has z's shape, or is a Python scalar for a
     scalar z.  Points within END_TOL of the end z0 come back as the ideal
     limit (g(z0), 0); everything else is an interior point with height > 0.
-    g, R and e^2u come from one order-1 pass of the complex modular series
+    g, R and e^2u come from one pass of the complex modular series
     (annulus._surface_series), which keeps R and e^2u to full relative
-    precision next to the end.
+    precision next to the end; on the real axis, where g and R are real,
+    the horizontal part is real too.
     """
     near_end = np.abs(z - moduli.z0) < END_TOL
     work = z.copy()
     if near_end.any():
         work[near_end] = 0.5 * (moduli.z0 + moduli.z1)
 
-    R, factor, g = _surface_series(moduli, ctx, work, 1, "immerse")
-    e2 = np.abs(factor)
-    F = R / g
+    s = _surface_series(moduli, ctx, work, ("g", "R", "factor"), "immerse")
+    e2 = np.abs(s.factor)
+    F = s.R / s.g
     psi3 = e2 / (1.0 + e2 * e2 * np.abs(F) ** 2)
-    horiz = g - psi3 * e2 * np.conj(F)
+    horiz = s.g - psi3 * e2 * np.conj(F)
 
     if near_end.any():
         horiz[near_end] = end_direction(moduli, ctx)
@@ -181,16 +179,16 @@ def shape_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z):
     p = factor^2 z^2 (R' / (g'/g) + R (R - 1)) / W with the shape factor
     Q1 z^m / (1-R) and W = (z g)^2.  Its principal-branch power z^m makes
     the phase of p (not its modulus) jump across arg z = pi.  g'/g comes
-    from the theta form of g (see annulus._gauss_log_deriv), which has no
+    from the theta form of g (see annulus.gauss_map_deriv), which has no
     poles to cancel, so p keeps its digits next to the markers z1 and z2.
-    R, R', g'/g and the shape factor come from one order-2 pass of the
-    complex modular series over the four theta arguments z0/z, z0 z, z1 z
-    and z2 z (annulus._surface_series); W from gauss_map_square, an order-0
-    pass of the series over z1 z and z2 z.
+    R, R', g'/g and the shape factor come from one pass of the complex
+    modular series over the four theta arguments z0/z, z0 z, z1 z and z2 z
+    (annulus._surface_series); W from gauss_map_square, a pass of the
+    series over z1 z and z2 z.
     """
-    R, factor, g_log, Rp = _surface_series(moduli, ctx, z, 2, "shape_ratio")
+    s = _surface_series(moduli, ctx, z, ("g_log", "R", "factor", "Rp"), "shape_ratio")
     W = gauss_map_square(moduli, ctx, z)
-    return factor * factor * z * z * (Rp / g_log + R * (R - 1.0)) / W
+    return s.factor * s.factor * z * z * (s.Rp / s.g_log + s.R * (s.R - 1.0)) / W
 
 
 def brioschi_curvature(E, F, G, h: float):

@@ -213,12 +213,6 @@ def solve_exponent(ctx: ThetaContext, s: float):
     return float(m), EXPONENT_BRACKET, iters
 
 
-def _pair_minus_s(ctx, centers, w, s):
-    """pair_slope(centers, w) - s on flat arrays, from one order-1 series call."""
-    h, _ = _real_log_slopes(ctx, np.concatenate([w / centers, w * centers]), 1)
-    return h[: w.size] + h[w.size :] - s
-
-
 def _pairing(ctx: ThetaContext, z0, w):
     """pair_slope(z0, w) on a flat array w, with its derivatives in w and in
     z0, from one order-2 series call; z0 is a float or an array like w."""
@@ -263,7 +257,7 @@ def _outer_scan(ctx: ThetaContext, s: float, P: float, n=SCAN_POINTS):
         ok = (z0s * z2s > P) & (z1s < -r)
     vals = np.full(z0s.shape, np.nan)
     if ok.any():
-        vals[ok] = _pair_minus_s(ctx, z0s[ok], z1s[ok], s - 2.0)
+        vals[ok] = _pairing(ctx, z0s[ok], z1s[ok])[0] - (s - 2.0)
     return z0s, vals, z2s, iters
 
 

@@ -232,13 +232,11 @@ def pointwise(fn):
     return wrapper
 
 
-# Points per chunk, and bounds on the entries of one table.  A table has a
-# row per term k and a column per point of the chunk; it covers as many k at
-# a time as fit in one entry per point of the batch, but no fewer than
-# _TABLE_MIN and no more than _TABLE_MAX entries (64 to 512 KiB).  So a small
-# batch needs little scratch memory, and a large one folds long rows.
+# Points per chunk, and the entries of one table: a row per term k and a
+# column per point of the chunk, for as many k at a time as fit in
+# _TABLE_MAX entries (512 KiB).  So a call of a few dozen points, the
+# product's usual size, folds every term in one block, and a chunk 16.
 _CHUNK = 2048
-_TABLE_MIN = 4096
 _TABLE_MAX = 32768
 
 
@@ -279,7 +277,7 @@ def _band_core(ctx: ThetaContext, v, order: int):
     point is that of a term-by-term loop, so a point gets the same bits
     whatever batch it is part of.
     """
-    step = min(max(v.size, _TABLE_MIN), _TABLE_MAX) // max(min(v.size, _CHUNK), 1)
+    step = _TABLE_MAX // max(min(v.size, _CHUNK), 1)
     blocks = [[col[k : k + step] for col in ctx.term_columns] for k in range(0, ctx.n_terms, step)]
     P = np.empty(v.shape, dtype=v.dtype)
     S1 = np.zeros(v.shape, dtype=v.dtype) if order >= 1 else None

@@ -119,8 +119,8 @@ def boundary_ranges_ok(moduli: CanonicalModuli, ctx: ThetaContext | None = None)
     its value at z = 1 sits below its value at z = r.  The solver reports
     this rather than enforcing it.  The ratio is conjugate at conjugate
     points, so each circle is sampled on its closed upper half.  R comes
-    from the order-1 pass of the complex modular series
-    (annulus._surface_series, the pass of immerse), whose per-surface record
+    from the complex modular series at its two arguments z0/z and z0 z
+    (annulus._surface_series), whose per-surface record
     checks the stored fields against the markers.  Any moduli that record
     rejects with RepresentationError, a crafted file or a solve's own
     output alike, fail this check rather than raise.
@@ -130,7 +130,7 @@ def boundary_ranges_ok(moduli: CanonicalModuli, ctx: ThetaContext | None = None)
     circle = _upper_circle(N_BOUNDARY)
     z = np.concatenate([circle, moduli.r * circle, [1.0, moduli.r]])
     try:
-        vals = _surface_series(moduli, ctx, z, 1, "boundary_ranges_ok")[0]
+        vals = _surface_series(moduli, ctx, z, ("R",), "boundary_ranges_ok").R
     except RepresentationError:
         return False
     bnd, (r1, rr) = vals[:-2], vals[-2:].real

@@ -540,6 +540,9 @@ def test_annulus_domain_guard(mod, ctx):
                 fn(bad)
 
 
+SERIES_FIELDS = ("g", "g_log", "R", "factor", "Rp")
+
+
 def _series_test_points(moduli):
     """Both circles at angles within 1e-12 rad of +-pi and at generic
     angles, and points next to the end z0, where theta1(z0/z) vanishes."""
@@ -557,8 +560,8 @@ def test_surface_series_against_oracle(r, s):
     mod, _ = solve_canonical(r, s)
     ctx = mod.context()
     z = _series_test_points(mod)
-    R, factor, g = _surface_series(mod, ctx, z, 1, "test")
-    _, _, g_log, Rp = _surface_series(mod, ctx, z, 2, "test")
+    series = _surface_series(mod, ctx, z, SERIES_FIELDS, "test")
+    g, g_log, R, factor, Rp = series.g, series.g_log, series.R, series.factor, series.Rp
     n = int(np.ceil(20.0 / (-2.0 * np.log10(r))))
     for i, x in enumerate(z):
         with mp.workdps(30):
@@ -575,14 +578,15 @@ def test_surface_series_against_oracle(r, s):
 
 @pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.7, -0.99), (0.05, -0.04), (0.5, -0.999)])
 def test_gauss_map_against_oracle(monkeypatch, r, s):
-    # gauss_map is the order-0 series pass over z1 z and z2 z: against the
+    # gauss_map is the series' g field, over z1 z and z2 z: against the
     # plain product at 40 digits, within 1e-13 relative, at the end z0 (the
     # pass does not touch z0/z, which vanishes there), on both circles next
     # to +-pi and, where z2 lies within 1e-3 of -1, on the unit circle next
     # to the zero 1/z2 of g, where _near_zero_em1 recomputes E - 1.  The
     # angles keep Re z at exactly -1 or -r, so the float arguments z1 z and
     # z2 z carry no rounding that the oracle would not see.  Off z0, g has
-    # the bits of the order-1 pass, and g(z0) is the end direction
+    # the bits of the pass that also gives R and the shape factor, and g(z0)
+    # is the end direction
     mod, _ = solve_canonical(r, s)
     ctx = mod.context()
     near_markers = []
@@ -602,8 +606,8 @@ def test_gauss_map_against_oracle(monkeypatch, r, s):
         with mp.workdps(40):
             want = complex(oracles.gauss_map(mod.to_dict(), complex(x), n))
         assert abs(got - want) <= 1e-13 * abs(want), (x, got, want)
-    assert g[1:].tobytes() == _surface_series(mod, ctx, z[1:], 1, "test")[2].tobytes()
-    assert end_direction(mod, ctx) == complex(g[0].real)
+    assert g[1:].tobytes() == _surface_series(mod, ctx, z[1:], ("g", "R", "factor"), "test").g.tobytes()
+    assert end_direction(mod, ctx) == g[0]
 
 
 def test_surface_series_keeps_the_bits():
@@ -619,13 +623,15 @@ def test_surface_series_keeps_the_bits():
         np.exp(1j * (np.pi - rng.uniform(-0.05, 0.05, 20))),
         np.exp(rng.uniform(np.log(mod.r), 0.0, _CHUNK + 100)) * np.exp(1j * rng.uniform(-np.pi, np.pi, _CHUNK + 100)),
     ])
-    for order in (1, 2):
-        full = _surface_series(mod, ctx, z, order, "test")
-        for a, b in zip(_surface_series(mod, ctx, np.conj(z), order, "test"), full):
-            assert a.tobytes() == np.conj(b).tobytes()
+    for fields in (("g", "R", "factor"), ("g_log", "R", "factor", "Rp")):
+        full = _surface_series(mod, ctx, z, fields, "test")
+        conj = _surface_series(mod, ctx, np.conj(z), fields, "test")
+        for name in fields:
+            assert getattr(conj, name).tobytes() == np.conj(getattr(full, name)).tobytes()
         for i in np.r_[0:60, 60 : z.size : 41, _CHUNK - 1, _CHUNK, z.size - 1]:
-            for a, b in zip(_surface_series(mod, ctx, z[i : i + 1], order, "test"), full):
-                assert a.tobytes() == b[i : i + 1].tobytes()
+            one = _surface_series(mod, ctx, z[i : i + 1], fields, "test")
+            for name in fields:
+                assert getattr(one, name).tobytes() == getattr(full, name)[i : i + 1].tobytes()
 
 
 def test_surface_series_errors(mod, ctx):
@@ -633,8 +639,74 @@ def test_surface_series_errors(mod, ctx):
     # raises ValueError
     for z in (complex(mod.z0), complex(mod.z0 * (1.0 + 1e-14))):
         with pytest.raises(ThetaPoleError) as err:
-            _surface_series(mod, ctx, np.array([0.5j, z]), 2, "test")
+            _surface_series(mod, ctx, np.array([0.5j, z]), ("g_log", "R", "factor", "Rp"), "test")
         assert err.value.location == 1.0
     for bad in (complex(mod.r - 1e-6), complex(1.0 + 1e-6), 0.0j):
         with pytest.raises(ValueError, match="test: argument outside"):
-            _surface_series(mod, ctx, np.array([bad]), 1, "test")
+            _surface_series(mod, ctx, np.array([bad]), ("g", "R", "factor"), "test")
+
+
+def test_surface_series_fields_keep_their_bits():
+    # each field has the same bits whatever other fields it is asked with,
+    # though the pass skips the theta arguments and series degrees that no
+    # field asked for needs; a field not asked for is None
+    mod, _ = solve_canonical(0.45, -0.3)
+    ctx = mod.context()
+    rng = np.random.default_rng(11)
+    z = np.concatenate([
+        _series_test_points(mod),
+        np.exp(rng.uniform(np.log(mod.r), 0.0, 200)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200)),
+        _real_axis_points(mod),
+    ])
+    full = _surface_series(mod, ctx, z, SERIES_FIELDS, "test")
+    for mask in range(1, 2 ** len(SERIES_FIELDS)):
+        fields = tuple(f for i, f in enumerate(SERIES_FIELDS) if mask >> i & 1)
+        got = _surface_series(mod, ctx, z, fields, "test")
+        for name in SERIES_FIELDS:
+            if name in fields:
+                assert getattr(got, name).tobytes() == getattr(full, name).tobytes(), (fields, name)
+            else:
+                assert getattr(got, name) is None, (fields, name)
+
+
+def test_gauss_map_deriv_makes_no_product_call(monkeypatch, mod, ctx):
+    # g and g'/g come from one series pass over z1 z and z2 z, which does not
+    # touch z0/z, so g' is finite at the end z0 as well
+    annulus_module._surface(mod, ctx)
+
+    def product(*args):
+        raise AssertionError("theta product called")
+
+    monkeypatch.setattr(annulus_module, "_eval", product)
+    z = np.array([0.4 + 0.3j, -0.6 - 0.1j, mod.z0, complex(mod.z0, 1e-9)])
+    assert np.isfinite(gauss_map_deriv(mod, ctx, z)).all()
+
+
+def _real_axis_points(mod):
+    """Points on both half-axes, the negative one on both sides of the end
+    z0 and at z1 and z2, each with Im z = 0.0 and with Im z = -0.0."""
+    x = np.concatenate([
+        np.linspace(mod.r, 1.0, 9),
+        -np.linspace(mod.r, 1.0, 9),
+        [mod.z1, mod.z2, mod.z0 + 1e-6, mod.z0 - 1e-6, 0.5 * (mod.z0 + mod.z1)],
+    ])
+    z = np.empty(2 * x.size, dtype=np.complex128)
+    z.real = np.concatenate([x, x])
+    z.imag = np.repeat([0.0, -0.0], x.size)
+    return z
+
+
+@pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.65, -0.01), (0.7, -0.99), (0.05, -0.04)])
+def test_series_is_real_on_the_real_axis(r, s):
+    # g, g'/g, R and R' are real on the real axis, where the markers lie, and
+    # so are immerse's horizontal part, the end direction g(z0) and F(z2):
+    # their imaginary parts are exactly 0, not rounding-level
+    mod, _ = solve_canonical(r, s)
+    ctx = mod.context()
+    z = _real_axis_points(mod)
+    series = _surface_series(mod, ctx, z, SERIES_FIELDS, "test")
+    for name in ("g", "g_log", "R", "Rp"):
+        assert (getattr(series, name).imag == 0.0).all(), name
+    assert (immerse(mod, ctx, z).horizontal.imag == 0.0).all()
+    assert end_direction(mod, ctx) == gauss_map(mod, ctx, mod.z0)
+    assert inv_gauss_gap(mod, ctx, complex(mod.z2)).imag == 0.0

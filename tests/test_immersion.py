@@ -530,20 +530,21 @@ def test_mirror_symmetry_of_the_evaluators(r, s):
 def test_shared_theta_calls_keep_the_bits(r, s):
     # shape_ratio and immerse are projections of one pass over the four theta
     # arguments on the modular series: their values equal the compositions of
-    # that pass's outputs bit for bit, the order-1 and order-2 passes share R
-    # and the shape factor, and both evaluators match the compositions of the
+    # that pass's fields bit for bit, the two passes share R and the shape
+    # factor, and both evaluators match the compositions of the
     # product evaluators within 1e-12 of max(1, |value|) on the point sets of
     # validate and of the mesh
     moduli, _ = solve_canonical(r, s)
     ctx = moduli.context()
     pts = _evaluated_points(moduli, ctx)
     z = pts["shape_ratio"]
-    R, factor, g_log, Rp = annulus_module._surface_series(moduli, ctx, z, 2, "shape_ratio")
+    series = annulus_module._surface_series(moduli, ctx, z, ("g_log", "R", "factor", "Rp"), "shape_ratio")
+    R, factor, g_log, Rp = series.R, series.factor, series.g_log, series.Rp
     W = gauss_map_square(moduli, ctx, z)
     got = shape_ratio(moduli, ctx, z)
     assert _bits(got) == _bits(factor * factor * z * z * (Rp / g_log + R * (R - 1.0)) / W)
-    R1, factor1, _ = annulus_module._surface_series(moduli, ctx, z, 1, "immerse")
-    assert _bits(R1) == _bits(R) and _bits(factor1) == _bits(factor)
+    series = annulus_module._surface_series(moduli, ctx, z, ("g", "R", "factor"), "immerse")
+    assert _bits(series.R) == _bits(R) and _bits(series.factor) == _bits(factor)
     # the product route: g'/g of g = sqrt(C) theta1(z2 z) / (z theta1(z1 z))
     R = gauss_ratio(moduli, ctx, z)
     g_log = (log_slope(ctx, moduli.z2 * z) - log_slope(ctx, moduli.z1 * z) - 1.0) / z
@@ -556,9 +557,9 @@ def test_shared_theta_calls_keep_the_bits(r, s):
     got = immerse(moduli, ctx, pts["immerse"])
     keep = np.abs(pts["immerse"] - moduli.z0) >= 1e-10
     z = pts["immerse"][keep]
-    R, factor, g = annulus_module._surface_series(moduli, ctx, z, 1, "immerse")
+    series = annulus_module._surface_series(moduli, ctx, z, ("g", "R", "factor"), "immerse")
     for g, R, e2, tol in (
-        (g, R, np.abs(factor), 0.0),
+        (series.g, series.R, np.abs(series.factor), 0.0),
         (gauss_map(moduli, ctx, z), gauss_ratio(moduli, ctx, z), np.abs(_shape_factor(moduli, ctx, z)), 1e-12),
     ):
         F = R / g
@@ -573,11 +574,11 @@ def test_shared_theta_calls_keep_the_bits(r, s):
 
 def test_kernel_calls_per_point(monkeypatch):
     # shape_ratio and immerse make one series pass over four theta arguments
-    # (z0/z and z0 z at order 2 / 1, z1 z and z2 z at order 1 / 0), and
+    # (z0/z and z0 z at degree 2 / 1, z1 z and z2 z at degree 1 / 0), and
     # shape_ratio's W one more over the two arguments of g (z1 z and z2 z at
-    # order 0), so neither calls the product.  first_form's g is that order-0
-    # pass too; its other parts stay on the product, with separate R and R'
-    # calls
+    # degree 0), so neither calls the product.  first_form's g is that
+    # degree-0 pass too; its other parts stay on the product, with separate R
+    # and R' calls
     ctx = FLAGSHIP.context()
     gauss_map(FLAGSHIP, ctx, 0.5j)  # builds the per-surface record
     orders, series = [], []
@@ -604,9 +605,9 @@ def test_kernel_calls_per_point(monkeypatch):
         fn(FLAGSHIP, ctx, 0.4 + 0.3j)
         assert Counter(orders) == want, fn.__name__
         assert series == want_series, fn.__name__
-    # the range check is immerse's order-1 pass, on its 516 points in one
-    # chunk
+    # the range check takes R alone, from z0/z and z0 z at degree 1, on its
+    # 516 points in one chunk
     orders.clear()
     series.clear()
     assert validation.boundary_ranges_ok(FLAGSHIP, ctx)
-    assert Counter(orders) == {} and series == [1, 1, 0, 0]
+    assert Counter(orders) == {} and series == [1, 1]

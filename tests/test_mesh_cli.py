@@ -284,7 +284,7 @@ RANGE_CELLS = [
 
 @pytest.mark.parametrize("r, s", RANGE_CELLS)
 def test_boundary_ranges_ok_agrees_with_the_product_route(r, s):
-    # the check takes R from the order-1 pass of the complex modular series;
+    # the check takes R from the complex modular series;
     # the product route (gauss_ratio) on the same points gives the same
     # verdict, R to 4e-15 and the gap R(r) - R(1) to 2e-16
     moduli, _ = solve_canonical(r, s)
@@ -295,7 +295,7 @@ def test_boundary_ranges_ok_agrees_with_the_product_route(r, s):
     bnd, (r1, rr) = vals[:-2], vals[-2:].real
     want = np.abs(bnd.imag).max() <= 1e-10 and 0.0 < bnd.real.min() and bnd.real.max() < 1.0 and r1 < rr
     assert boundary_ranges_ok(moduli, ctx) == want
-    series = annulus._surface_series(moduli, ctx, z, 1, "test")[0]
+    series = annulus._surface_series(moduli, ctx, z, ("R",), "test").R
     assert np.abs(series - vals).max() <= 4e-15
     assert abs((series[-1] - series[-2]).real - (rr - r1)) <= 2e-16
 
@@ -331,8 +331,9 @@ def test_validation_fails_on_a_nan_in_second_place(monkeypatch):
     def nan_on_inner_circle(real):
         def fn(moduli, ctx, z, *rest):
             out = real(moduli, ctx, z, *rest)
-            for part in out if isinstance(out, list) else [out]:
-                part[np.abs(np.abs(z) - moduli.r) < 1e-12] = np.nan
+            for part in out if isinstance(out, tuple) else [out]:
+                if part is not None:
+                    part[np.abs(np.abs(z) - moduli.r) < 1e-12] = np.nan
             return out
 
         return fn

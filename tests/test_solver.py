@@ -27,7 +27,6 @@ from flatfront.solver import (
     _inner_split,
     _newton_markers,
     _outer_scan,
-    _pair_minus_s,
     _pairing,
 )
 from flatfront.theta import ThetaContext, log_slope, log_slope_deriv, pair_slope, theta1
@@ -180,12 +179,12 @@ def test_pair_minus_s_equals_complex_pair_slope(r):
     c = rng.uniform(-1.0, -r, 300)
     w = rng.uniform(-1.0, -r, 300)
     s = -0.3
-    got = _pair_minus_s(ctx, c, w, s)
+    got = _pairing(ctx, c, w)[0] - s
     want = pair_slope(ctx, c + 0j, w + 0j).real - s
     tol = 1e-12 + 1e-15 / np.abs(w / c - 1.0)
     assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
     for i in range(0, c.size, 37):
-        one = _pair_minus_s(ctx, c[i : i + 1], w[i : i + 1], s)
+        one = _pairing(ctx, c[i : i + 1], w[i : i + 1])[0] - s
         assert one.tobytes() == got[i : i + 1].tobytes()
 
 
@@ -211,8 +210,9 @@ def test_outer_pairing_at_the_left_edge_is_exact(r):
 
 @pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.9, -0.04)])
 def test_newton_evaluation_equals_separate_calls(r, s):
-    # one order-2 series call at the points of a Newton step near the root
-    # gives the pairings of the scan's order-1 calls bit for bit, and its
+    # one series call at the points of a Newton step near the root, with a
+    # scalar z0, gives the pairings of the scan's calls, with an array of z0,
+    # bit for bit, and its
     # pairings and derivatives agree with the product's log_slope and
     # log_slope_deriv to 1e-12 relative to max(1, |value|)
     moduli, _ = solve_canonical(r, s)
@@ -220,7 +220,7 @@ def test_newton_evaluation_equals_separate_calls(r, s):
     z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
     w = np.array([z2, z1])
     pair, dw, dz0 = _pairing(ctx, z0, w)
-    assert pair.tobytes() == _pair_minus_s(ctx, np.full(2, z0), w, 0.0).tobytes()
+    assert pair.tobytes() == _pairing(ctx, np.full(2, z0), w)[0].tobytes()
     for i in range(2):
         one = _pairing(ctx, z0, w[i : i + 1])
         assert all(a.tobytes() == b[i : i + 1].tobytes() for a, b in zip(one, (pair, dw, dz0)))
