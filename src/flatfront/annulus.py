@@ -31,15 +31,17 @@ quotients, at z0, z1 and z2, never appear.  W has double zeros at r^(2k)/z2
 and double poles at r^(2k)/z1, on the negative real axis off the annulus,
 so its square root is single-valued with no branch to track.
 
-Per surface the evaluators read one record (``_surface``, cached on the
-moduli and the theta context): the checks of the stored fields, sqrt(C)
-and K', and the constants of the modular series; the per-radius tables
-are the context's own.  An evaluator given a context for another radius
-than the moduli's raises ValueError.  The record's theta values, like the
-solve's closing step and ``solver.residuals``, come from one kernel call
-over the eight arguments of the four slit values that tie the stored
-fields to the markers (``_marker_slits``), with the bits of separate
-``slit_map`` calls.
+A theta context is its radius, so a function of the whole surface, such
+as ``gauss_square_winding``, takes the moduli alone and builds its context
+with ``moduli.context()``.  A point evaluator takes (moduli, ctx, z) and
+raises ValueError for a context of another radius than the moduli's.  Per
+surface the evaluators read one record (``_surface``, cached on the moduli
+and their context): the checks of the stored fields, sqrt(C) and K', and
+the constants of the modular series; the per-radius tables are the
+context's own.  The record's theta values, like the solve's closing step
+and ``solver.residuals``, come from one kernel call over the eight
+arguments of the four slit values that tie the stored fields to the
+markers (``_marker_slits``), with the bits of separate ``slit_map`` calls.
 
 Two kernels serve the module.  ``_surface_series`` runs on the complex
 modular series (theta._series_sums), with 1 to 4 terms per argument from
@@ -163,7 +165,7 @@ def _require_context(moduli: CanonicalModuli, ctx: ThetaContext):
 
 def _require_annulus(ctx: ThetaContext, flat, who: str):
     a = np.abs(flat)
-    if (a < ctx.r - ANNULUS_SLACK).any() or (a > 1.0 + ANNULUS_SLACK).any():
+    if np.count_nonzero(a < ctx.r - ANNULUS_SLACK) or np.count_nonzero(a > 1.0 + ANNULUS_SLACK):
         raise ValueError(f"{who}: argument outside the closed annulus [{ctx.r}, 1]")
 
 
@@ -268,7 +270,6 @@ def gauss_square_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     The poles at z1 and z2 cancel between the two groups; the subtraction
     loses accuracy within ~1e-6 of those markers but is exact elsewhere.
     """
-    _require_context(moduli, ctx)
     R, Rp = gauss_ratio(moduli, ctx, z), gauss_ratio_deriv(moduli, ctx, z)
     q1v, q2v = slit_map(ctx, moduli.z1, z), slit_map(ctx, moduli.z2, z)
     return Rp / (R * (1.0 - R)) + (moduli.z1 * q1v - moduli.z2 * q2v) / z
@@ -279,15 +280,16 @@ def gauss_square_log_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
 _RING_STEPS = 4096
 
 
-def gauss_square_winding(moduli: CanonicalModuli, ctx: ThetaContext) -> int:
-    """Winding number of W around the core circle |z| = sqrt(r).
+def gauss_square_winding(moduli: CanonicalModuli) -> int:
+    """Winding number of W around the core circle |z| = sqrt(r), in the
+    moduli's theta context.
 
     Zero for valid moduli.  A plain walk of W over the circle; W is built
     from the closed form of :func:`gauss_map`, so the walk audits that form
     (zero- and pole-free on the core circle), not an independent route.
     """
     th = np.linspace(0.0, 2.0 * np.pi, _RING_STEPS + 1)
-    vals = gauss_map_square(moduli, ctx, np.sqrt(moduli.r) * np.exp(1j * th))
+    vals = gauss_map_square(moduli, moduli.context(), np.sqrt(moduli.r) * np.exp(1j * th))
     inc = np.angle(vals[1:] / vals[:-1])
     if np.abs(inc).max() > 2.0:
         raise RepresentationError("winding audit needs more steps")
@@ -528,7 +530,7 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
             E = unit * w
             em1 = E - 1.0
             near = np.abs(em1) < 0.5
-            if near.any():
+            if np.count_nonzero(near):
                 em1[near] = _near_zero_em1(ctx, s, marker, zeta[near], inverse)
                 E[near] = em1[near] + 1.0
                 # a zero of theta1 can only lie among these points

@@ -71,9 +71,11 @@ class MetricSample:
     lambda_sq: np.ndarray | float
 
 
-def end_direction(moduli: CanonicalModuli, ctx: ThetaContext) -> complex:
-    """Horizontal limit g(z0) of the ideal end: gauss_map at z0, bit for bit."""
-    g = _surface_series(moduli, ctx, np.array([moduli.z0], dtype=np.complex128), ("g",), "end_direction").g
+def end_direction(moduli: CanonicalModuli) -> complex:
+    """Horizontal limit g(z0) of the ideal end: gauss_map at z0, bit for bit,
+    from the moduli's own theta context."""
+    z0 = np.array([moduli.z0], dtype=np.complex128)
+    g = _surface_series(moduli, moduli.context(), z0, ("g",), "end_direction").g
     return complex(g[0])
 
 
@@ -101,7 +103,7 @@ def immerse(moduli: CanonicalModuli, ctx: ThetaContext, z):
     horiz = s.g - psi3 * e2 * np.conj(F)
 
     if near_end.any():
-        horiz[near_end] = end_direction(moduli, ctx)
+        horiz[near_end] = end_direction(moduli)
         psi3[near_end] = 0.0
     return HalfSpacePoint(horiz, psi3)
 

@@ -20,7 +20,6 @@ from .immersion import (
     immerse_rotational,
     klein_map,
 )
-from .theta import ThetaContext
 
 # Circle offset used for the two-point radial-limit extrapolation onto the
 # singular circles.  Evaluating exactly on |z| = 1 or |z| = r is 0/0-adjacent.
@@ -43,6 +42,8 @@ class SurfaceMesh:
         self.faces = np.asarray(self.faces, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValueError("vertices must be an (n, 3) array")
+        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
+            raise ValueError("faces must be an (m, 3) array")
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise ValueError("face indices out of range")
         if self.model not in ("halfspace", "klein"):
@@ -105,7 +106,6 @@ def _compact(vertices, faces, rings):
 
 def canonical_mesh(
     moduli: CanonicalModuli,
-    ctx: ThetaContext | None = None,
     n_rho: int = 32,
     n_theta: int = 64,
     model: str = "halfspace",
@@ -121,13 +121,12 @@ def canonical_mesh(
     at angle pi (2j - n_theta) / n_theta; the surface is symmetric under
     z -> conj(z), so only the columns at -pi and at angles >= 0 are
     immersed, and column j < n_theta / 2 is column n_theta - j mirrored.
+    The immersion runs in the moduli's theta context (moduli.context()).
     """
     if n_rho < 8 or n_theta < 8:
         raise ValueError("n_rho and n_theta must both be at least 8")
     if not rho_end > 0:
         raise ValueError(f"rho_end must be positive, got {rho_end}")
-    if ctx is None:
-        ctx = moduli.context()
     r = moduli.r
     theta, upper = _mirror_angles(n_theta)
     rho = np.exp(np.log(r) * (1.0 - np.arange(n_rho + 1) / n_rho))
@@ -142,7 +141,7 @@ def canonical_mesh(
 
     d = BOUNDARY_OFFSET
     levels = np.concatenate([[r + d, r + 2 * d], rho[1:-1], [1 - d, 1 - 2 * d]])
-    pts = immerse(moduli, ctx, levels[:, None] * np.exp(1j * theta[upper])[None, :])
+    pts = immerse(moduli, moduli.context(), levels[:, None] * np.exp(1j * theta[upper])[None, :])
     H = np.empty((levels.size, n_theta), dtype=complex)
     V = np.empty((levels.size, n_theta))
     H[:, upper], V[:, upper] = pts.horizontal, pts.height
@@ -167,20 +166,17 @@ def rotational_mesh(
     n_rho: int = 32,
     n_theta: int = 64,
     model: str = "halfspace",
-    inner_frac: float = DEFAULT_RHO_END,
 ) -> SurfaceMesh:
     """Mesh the rotational surface over the punctured disc of radius s_rot.
 
     The end sits at the puncture, so rings run log-uniformly from
-    inner_frac * s_rot out to the singular circle itself, where the closed
-    form is regular.
+    DEFAULT_RHO_END * s_rot out to the singular circle itself, where the
+    closed form is regular.
     """
     if n_rho < 8 or n_theta < 8:
         raise ValueError("n_rho and n_theta must both be at least 8")
-    if not 0.0 < inner_frac < 1.0:
-        raise ValueError("inner_frac must lie in (0, 1)")
     theta = -np.pi + 2.0 * np.pi * np.arange(n_theta) / n_theta
-    radii = rot.s_rot * np.exp(np.log(inner_frac) * (1.0 - np.arange(n_rho + 1) / n_rho))
+    radii = rot.s_rot * np.exp(np.log(DEFAULT_RHO_END) * (1.0 - np.arange(n_rho + 1) / n_rho))
     pts = immerse_rotational(rot, radii[:, None] * np.exp(1j * theta)[None, :])
     flat = HalfSpacePoint(pts.horizontal.ravel(), pts.height.ravel())
     rings = (

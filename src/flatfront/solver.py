@@ -51,7 +51,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .annulus import CanonicalModuli, _marker_slits, _ratio_coefficients, _require_context
+from .annulus import CanonicalModuli, _marker_slits, _ratio_coefficients
 from .theta import ThetaContext, ThetaPoleError, _real_log_slopes
 
 SCAN_POINTS = 256
@@ -213,10 +213,14 @@ def solve_exponent(ctx: ThetaContext, s: float):
     return float(m), EXPONENT_BRACKET, iters
 
 
-def _pairing(ctx: ThetaContext, z0, w):
+def _pairing(ctx: ThetaContext, z0, w, order: int):
     """pair_slope(z0, w) on a flat array w, with its derivatives in w and in
-    z0, from one order-2 series call; z0 is a float or an array like w."""
-    L, D = _real_log_slopes(ctx, np.concatenate([w / z0, w * z0]), 2)
+    z0 at order 2 (None at order 1), from one series call of that order; z0
+    is a float or an array like w.  The pairing does not depend on the
+    order."""
+    L, D = _real_log_slopes(ctx, np.concatenate([w / z0, w * z0]), order)
+    if order < 2:
+        return L[: w.size] + L[w.size :], None, None
     inv, fwd = D[: w.size], D[w.size :]
     # d pair_slope(z0, w) / d w  = L'(w/z0) / z0 + L'(w z0) z0
     # d pair_slope(z0, w) / d z0 = w (L'(w z0) - L'(w/z0) / z0^2)
@@ -235,7 +239,7 @@ def _inner_split(ctx: ThetaContext, z0s, s):
     hi = z0s - np.abs(z0s) * 1e-9
 
     def split(w, i):
-        pair, dw, _ = _pairing(ctx, z0s[i], w)
+        pair, dw, _ = _pairing(ctx, z0s[i], w, 2)
         return pair - s, dw
 
     return bracketed_root(split, lo, hi)
@@ -257,7 +261,7 @@ def _outer_scan(ctx: ThetaContext, s: float, P: float, n=SCAN_POINTS):
         ok = (z0s * z2s > P) & (z1s < -r)
     vals = np.full(z0s.shape, np.nan)
     if ok.any():
-        vals[ok] = _pairing(ctx, z0s[ok], z1s[ok])[0] - (s - 2.0)
+        vals[ok] = _pairing(ctx, z0s[ok], z1s[ok], 1)[0] - (s - 2.0)
     return z0s, vals, z2s, iters
 
 
@@ -282,7 +286,7 @@ def _newton_markers(ctx: ThetaContext, s, P, z0, z2, bracket):
     prev = math.inf
     for n in range(1, MAX_ITERS + 1):
         z1 = P / z2
-        pair, dw, dz0 = _pairing(ctx, z0, np.array([z2, z1]))
+        pair, dw, dz0 = _pairing(ctx, z0, np.array([z2, z1]), 2)
         f1 = pair[0] - s
         f2 = pair[1] - (s - 2.0)
         if f1 == 0.0 and f2 == 0.0:
@@ -307,24 +311,20 @@ def _newton_markers(ctx: ThetaContext, s, P, z0, z2, bracket):
     raise BracketError(f"stage 3: Newton did not settle in {MAX_ITERS} steps")
 
 
-def solve_canonical(
-    r: float, s: float, ctx: ThetaContext | None = None, tol: float = RESIDUAL_TOL
-):
+def solve_canonical(r: float, s: float, tol: float = RESIDUAL_TOL):
     """Full canonical solve: (r, s) -> (CanonicalModuli, SolverTrace).
 
     Raises RangeNormalizationError for parameters outside the normalized
     rectangle and BracketError, its message starting with the failing
     stage, when a root stage fails to bracket or converge or the solved
     configuration misses the residual tolerance.  Raises ValueError unless
-    tol is a finite positive number, and for a context for another radius.
+    tol is a finite positive number, and for an r too close to 1 for
+    double precision (ThetaContext).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol}")
     _check_rs(r, s)
-    if ctx is None:
-        ctx = ThetaContext.create(r)
-    elif ctx.r != r:
-        raise ValueError(f"theta context for r = {ctx.r} used to solve at r = {r}")
+    ctx = ThetaContext.create(r)
     trace = SolverTrace(r=r, s=s)
 
     stage = 1
@@ -374,7 +374,7 @@ def solve_canonical(
     return moduli, trace
 
 
-def residuals(moduli: CanonicalModuli, ctx: ThetaContext | None = None) -> dict:
+def residuals(moduli: CanonicalModuli) -> dict:
     """Raw closing residuals of a configuration, from scratch.
 
     c1_res: period balance  m + c1 z1 - z1 R'(z1) + z2 R'(z2)
@@ -383,14 +383,10 @@ def residuals(moduli: CanonicalModuli, ctx: ThetaContext | None = None) -> dict:
 
     All three vanish identically for correctly solved moduli; they are
     evaluated from the stored fields only, so corrupted files show up.
-    Raises ValueError for a context for another radius.
     """
-    if ctx is None:
-        ctx = ThetaContext.create(moduli.r)
-    _require_context(moduli, ctx)
     # R'(z1) and R'(z2) from the solve's marker pass, with the bits of
     # one-point slit_map_deriv calls
-    qp1, qp2 = _marker_slits(ctx, moduli.z0, moduli.z1, moduli.z2)[4:6]
+    qp1, qp2 = _marker_slits(moduli.context(), moduli.z0, moduli.z1, moduli.z2)[4:6]
     return _closing_residuals(moduli, moduli.a_R * qp1.real, moduli.a_R * qp2.real)
 
 

@@ -104,40 +104,40 @@ class ThetaPoleError(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Modulus r plus the truncation data shared by every evaluation.
+    """The modulus r of the annulus, the one field.
 
-    c_const is the tail constant C = prod (1 - r^(2k)); it lies in (0, 1).
-    Build instances with :meth:`create` so n_terms honors the truncation
-    tolerance.  The two kernels' term tables are built on first use and kept
-    on the instance; equality and hashing read the three fields alone.
+    Everything else the kernels read is a function of r, built on first use
+    and kept on the instance: the product's truncation n_terms and tail
+    constant c_const, and the two kernels' term tables.  Equality and
+    hashing read r alone.  Raises ValueError unless r lies in (0, 1) and
+    c_const is positive in double precision.
     """
 
     r: float
-    n_terms: int
-    c_const: float
 
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
             raise ValueError(f"modulus r must lie in (0, 1), got {self.r}")
-        if self.n_terms < 1:
-            raise ValueError("n_terms must be at least 1")
-        if not 0.0 < self.c_const < 1.0:
-            raise ValueError("c_const must lie in (0, 1)")
+        if self.c_const <= 0.0:
+            # the factor product underflows long before this r reaches 1
+            raise ValueError(
+                f"modulus r={self.r} is too close to 1 for double precision "
+                "(truncated product constant underflows)"
+            )
 
     @classmethod
     def create(cls, r: float) -> "ThetaContext":
-        r = float(r)
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"modulus r must lie in (0, 1), got {r}")
-        n = max(1, math.ceil(math.log(TRUNCATION_TOL) / (2.0 * math.log(r))))
-        c = float(np.prod(1.0 - r ** (2.0 * np.arange(1, n + 1))))
-        if c <= 0.0:
-            # the factor product underflows long before this r reaches 1
-            raise ValueError(
-                f"modulus r={r} is too close to 1 for double precision "
-                "(truncated product constant underflows)"
-            )
-        return cls(r=r, n_terms=n, c_const=c)
+        return cls(float(r))
+
+    @functools.cached_property
+    def n_terms(self) -> int:
+        """The product's term count: the least n >= 1 with r^(2n) < TRUNCATION_TOL."""
+        return max(1, math.ceil(math.log(TRUNCATION_TOL) / (2.0 * math.log(self.r))))
+
+    @functools.cached_property
+    def c_const(self) -> float:
+        """The tail constant C = prod_{k <= n_terms} (1 - r^(2k)), in (0, 1)."""
+        return float(np.prod(1.0 - self.r ** (2.0 * np.arange(1, self.n_terms + 1))))
 
     @functools.cached_property
     def two_l(self) -> float:
@@ -306,7 +306,7 @@ def _reduce_band(ctx: ThetaContext, z):
     Returns (c, k, q, v): c and q float64, k int64, v complex.  A NaN point
     gets k = 0 and stays NaN; z = 0 and infinite z raise ValueError.
     """
-    if (z == 0).any() or np.isinf(z).any():
+    if np.count_nonzero(z == 0) or np.count_nonzero(np.isinf(z)):
         raise ValueError("theta1 is undefined at z = 0 and at infinity")
     k = ctx.band_index(z)
     k[np.isnan(k)] = 0.0
@@ -321,7 +321,7 @@ def _guard_zero(ctx: ThetaContext, z, k):
     ctx.band_index(z), so r^(-2k) is each point's nearest zero."""
     zero = ctx.r ** (-2.0 * k)
     bad = np.abs(z - zero) <= ZERO_DIST * zero
-    if bad.any():
+    if np.count_nonzero(bad):
         where = complex(z[bad.argmax()])
         location = float(ctx.nearest_zero(where))
         raise ThetaPoleError(f"theta1 vanishes at z = {where}; nearest zero {location}", location=location)
@@ -420,7 +420,7 @@ def _real_log_slopes(ctx: ThetaContext, w, order: int):
     _guard_zero(ctx, w, k)
     log_v = log_w - k * ctx.two_l
     far = np.abs(log_w) >= 2.0
-    if far.any():
+    if np.count_nonzero(far):
         log_v[far] = np.log(w[far] * np.power(ctx.r, 2.0 * k[far]))
     my = m * (half * log_v)
     sin_my = np.sin(my)
@@ -488,7 +488,7 @@ def _guard_series_zeros(ctx: ThetaContext, em1, args):
     series variable E is within a few ZERO_DIST (times pi/l) of 1, the image
     of every zero; args(mask) gives those points' theta1 arguments."""
     near = np.abs(em1) <= 2.0 * ZERO_DIST * ctx.k
-    if near.any():
+    if np.count_nonzero(near):
         v = args(near)
         _guard_zero(ctx, v, ctx.band_index(v))
 

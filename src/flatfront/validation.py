@@ -32,7 +32,7 @@ from .immersion import (
     shape_ratio,
 )
 from .solver import _outer_scan, _sign_changes, residuals
-from .theta import ThetaContext, ThetaPoleError
+from .theta import ThetaPoleError
 
 MASTER_TOL = 1e-10
 BOUNDARY_P_TOL = 1e-8
@@ -112,7 +112,7 @@ class ValidationReport:
         )
 
 
-def boundary_ranges_ok(moduli: CanonicalModuli, ctx: ThetaContext | None = None) -> bool:
+def boundary_ranges_ok(moduli: CanonicalModuli) -> bool:
     """Range normalization of the ratio function on the two boundary circles.
 
     Checks that the ratio is real there with values inside (0, 1), and that
@@ -120,17 +120,15 @@ def boundary_ranges_ok(moduli: CanonicalModuli, ctx: ThetaContext | None = None)
     this rather than enforcing it.  The ratio is conjugate at conjugate
     points, so each circle is sampled on its closed upper half.  R comes
     from the complex modular series at its two arguments z0/z and z0 z
-    (annulus._surface_series), whose per-surface record
-    checks the stored fields against the markers.  Any moduli that record
-    rejects with RepresentationError, a crafted file or a solve's own
-    output alike, fail this check rather than raise.
+    (annulus._surface_series) in the moduli's theta context, and that
+    pass's per-surface record checks the stored fields against the markers.
+    Any moduli that record rejects with RepresentationError, a crafted file
+    or a solve's own output alike, fail this check rather than raise.
     """
-    if ctx is None:
-        ctx = moduli.context()
     circle = _upper_circle(N_BOUNDARY)
     z = np.concatenate([circle, moduli.r * circle, [1.0, moduli.r]])
     try:
-        vals = _surface_series(moduli, ctx, z, ("R",), "boundary_ranges_ok").R
+        vals = _surface_series(moduli, moduli.context(), z, ("R",), "boundary_ranges_ok").R
     except RepresentationError:
         return False
     bnd, (r1, rr) = vals[:-2], vals[-2:].real
@@ -164,7 +162,7 @@ def _collapse_and_end_errors(moduli, ctx) -> tuple[float, float, float, float]:
     d = hyperbolic_distance(near, HalfSpacePoint(0.0 + 0.0j, np.repeat([1.0, moduli.c_height], 2)[:, None]))
     sing = np.abs(2.0 * d[0::2] - d[1::2]).max(axis=1)
     # the end's target is an ideal point, so its gaps are Euclidean by necessity
-    g_end = end_direction(moduli, ctx)
+    g_end = end_direction(moduli)
     near, far = slice(n, n + end_circle.size), slice(n + end_circle.size, None)
     end = np.sqrt(np.abs(pts.horizontal[near] - g_end) ** 2 + pts.height[near] ** 2)
     gap = np.sqrt(
@@ -174,9 +172,7 @@ def _collapse_and_end_errors(moduli, ctx) -> tuple[float, float, float, float]:
     return float(sing[0]), float(sing[1]), float(end.max()), float(gap.max())
 
 
-def validate_moduli(
-    moduli: CanonicalModuli, ctx: ThetaContext | None = None, grid: int = 64
-) -> ValidationReport:
+def validate_moduli(moduli: CanonicalModuli, grid: int = 64) -> ValidationReport:
     """Run the full battery against a solved configuration.
 
     Every geometric field is a maximum of a quantity that is even under
@@ -185,17 +181,18 @@ def validate_moduli(
     only its closed upper half is evaluated: the grid columns j >= grid // 2,
     the upper halves of the circles, and the curvature candidates at
     positive angles.  The fields equal those of the full sets bit for bit.
+    Every evaluation runs in the moduli's theta context (moduli.context()).
+    Raises ValueError for a grid below 8.
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
-    if ctx is None:
-        ctx = moduli.context()
+    ctx = moduli.context()
 
     # a crafted file can place markers a few ulp apart, landing the residual
     # evaluation on a theta zero; report that as non-finite rather than raise
     try:
-        res = residuals(moduli, ctx)
-        rs_ok = boundary_ranges_ok(moduli, ctx)
+        res = residuals(moduli)
+        rs_ok = boundary_ranges_ok(moduli)
         _, scan_vals, _, _ = _outer_scan(ctx, moduli.s, moduli.r ** (-2.0 * (moduli.m + 2.0)))
         n_scan_changes = len(_sign_changes(scan_vals))
     except ThetaPoleError:

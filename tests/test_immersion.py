@@ -109,7 +109,7 @@ def test_boundary_circles_collapse(mod, ctx):
 
 
 def test_end_limit(mod, ctx):
-    g0 = end_direction(mod, ctx)
+    g0 = end_direction(mod)
     at = immerse(mod, ctx, complex(mod.z0))
     assert at.horizontal == g0
     assert at.height == 0.0
@@ -133,7 +133,7 @@ def test_end_direction_is_gauss_map_at_the_end(r, s):
     ctx = moduli.context()
     g_end = gauss_map(moduli, ctx, moduli.z0)
     assert abs(g_end.imag) <= 1e-15 * abs(g_end)
-    assert end_direction(moduli, ctx) == complex(g_end.real)
+    assert end_direction(moduli) == complex(g_end.real)
 
 
 def test_first_form_matches_fd_pullback(mod, ctx):
@@ -468,7 +468,7 @@ def test_first_form_stencil_batch_equals_per_stencil_calls():
         assert type(k) is float and np.float64(k).tobytes() == stacked_k[i].tobytes()
 
 
-def _evaluated_points(moduli, ctx):
+def _evaluated_points(moduli):
     """The points validate passes to shape_ratio and immerse, and the mesh
     rings canonical_mesh passes to immerse."""
     seen = {"shape_ratio": [], "immerse": []}
@@ -479,8 +479,8 @@ def _evaluated_points(moduli, ctx):
                 return real(mod_, ctx_, z)
 
             m.setattr(module, name, recorded)
-        validate_moduli(moduli, ctx)
-        canonical_mesh(moduli, ctx)
+        validate_moduli(moduli)
+        canonical_mesh(moduli)
     return {name: np.concatenate(zs) for name, zs in seen.items()}
 
 
@@ -536,7 +536,7 @@ def test_shared_theta_calls_keep_the_bits(r, s):
     # validate and of the mesh
     moduli, _ = solve_canonical(r, s)
     ctx = moduli.context()
-    pts = _evaluated_points(moduli, ctx)
+    pts = _evaluated_points(moduli)
     z = pts["shape_ratio"]
     series = annulus_module._surface_series(moduli, ctx, z, ("g_log", "R", "factor", "Rp"), "shape_ratio")
     R, factor, g_log, Rp = series.R, series.factor, series.g_log, series.Rp
@@ -609,5 +609,5 @@ def test_kernel_calls_per_point(monkeypatch):
     # 516 points in one chunk
     orders.clear()
     series.clear()
-    assert validation.boundary_ranges_ok(FLAGSHIP, ctx)
+    assert validation.boundary_ranges_ok(FLAGSHIP)
     assert Counter(orders) == {} and series == [1, 1]

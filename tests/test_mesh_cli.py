@@ -1,8 +1,11 @@
-"""Tests for mesh generation, export formats, validation reports, and the CLI."""
+"""Tests for mesh generation, export formats, validation reports, the CLI,
+and the README's library example."""
 
 import json
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from flatfront.immersion import (
     end_direction,
     hyperbolic_distance,
     immerse,
+    immerse_rotational,
     intrinsic_curvature,
     shape_ratio,
 )
@@ -130,6 +134,10 @@ def test_mesh_guards():
         canonical_mesh(FLAGSHIP, n_rho=16, n_theta=24, model="poincare")
     with pytest.raises(ValueError):
         SurfaceMesh(np.zeros((3, 3)), np.array([[0, 1, 5]]), "halfspace")
+    # a face row of another length, or a flat list, is no triangle list
+    for faces in ([[0, 1, 2, 0]], [0, 1, 2, 0]):
+        with pytest.raises(ValueError, match=r"faces must be an \(m, 3\) array"):
+            SurfaceMesh(np.zeros((3, 3)), np.array(faces), "halfspace")
 
 
 def test_rotational_mesh_collapses_singular_circle():
@@ -140,9 +148,8 @@ def test_rotational_mesh_collapses_singular_circle():
     # singular circle maps to the single point (0, 0, apex) exactly
     assert np.abs(ring[:, :2]).max() < 1e-12
     assert np.abs(ring[:, 2] - 1.0).max() < 1e-12
-    # the end: heights sink toward 0 with the inner sampling radius
-    fine = rotational_mesh(rot, n_rho=12, n_theta=16, inner_frac=1e-4)
-    assert fine.vertices[:, 2].min() < 1e-3 < mesh.vertices[:, 2].min() + 1e-2
+    # the end: heights sink toward 0 with the sampling radius
+    assert immerse_rotational(rot, 1e-4 * rot.s_rot).height < 1e-3 < mesh.vertices[:, 2].min() + 1e-2
 
 
 def test_euler_characteristic_triangle():
@@ -294,7 +301,7 @@ def test_boundary_ranges_ok_agrees_with_the_product_route(r, s):
     vals = gauss_ratio(moduli, ctx, z)
     bnd, (r1, rr) = vals[:-2], vals[-2:].real
     want = np.abs(bnd.imag).max() <= 1e-10 and 0.0 < bnd.real.min() and bnd.real.max() < 1.0 and r1 < rr
-    assert boundary_ranges_ok(moduli, ctx) == want
+    assert boundary_ranges_ok(moduli) == want
     series = annulus._surface_series(moduli, ctx, z, ("R",), "test").R
     assert np.abs(series - vals).max() <= 4e-15
     assert abs((series[-1] - series[-2]).real - (rr - r1)) <= 2e-16
@@ -373,7 +380,7 @@ def _fields_equal_full_sets(r, s, grid):
     # full candidate lattice) and one immerse call per circle
     moduli, _ = solve_canonical(r, s)
     ctx = moduli.context()
-    rep = validate_moduli(moduli, ctx, grid=grid)
+    rep = validate_moduli(moduli, grid=grid)
     assert rep.passes()
     off = validation.CIRCLE_OFFSET
     circle = _mirrored_circle(validation.N_BOUNDARY)
@@ -393,7 +400,7 @@ def _fields_equal_full_sets(r, s, grid):
 
     end = immerse(moduli, ctx, moduli.z0 + off * _mirrored_circle(64))
     end2 = immerse(moduli, ctx, moduli.z0 + 2.0 * off * _mirrored_circle(64))
-    g_end = end_direction(moduli, ctx)
+    g_end = end_direction(moduli)
     rebuilt = {
         "max_abs_p_interior": np.abs(shape_ratio(moduli, ctx, grid_pts)).max(),
         "boundary_p_deviation": max(
@@ -659,3 +666,12 @@ def test_cli_env_tolerance(tmp_path, capsys, monkeypatch):
         assert main(["validate", str(moduli), "--grid", "16"]) == 0
         err = capsys.readouterr().err
         assert err.count(f"flatfront: warning: ignoring unparseable FLATFRONT_TOL={raw}") == 3
+
+
+def test_readme_library_example_runs():
+    # the python block under "## Library example" runs as written, so a
+    # signature change cannot leave it stale
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})

@@ -179,12 +179,12 @@ def test_pair_minus_s_equals_complex_pair_slope(r):
     c = rng.uniform(-1.0, -r, 300)
     w = rng.uniform(-1.0, -r, 300)
     s = -0.3
-    got = _pairing(ctx, c, w)[0] - s
+    got = _pairing(ctx, c, w, 1)[0] - s
     want = pair_slope(ctx, c + 0j, w + 0j).real - s
     tol = 1e-12 + 1e-15 / np.abs(w / c - 1.0)
     assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
     for i in range(0, c.size, 37):
-        one = _pairing(ctx, c[i : i + 1], w[i : i + 1])[0] - s
+        one = _pairing(ctx, c[i : i + 1], w[i : i + 1], 1)[0] - s
         assert one.tobytes() == got[i : i + 1].tobytes()
 
 
@@ -202,7 +202,7 @@ def test_outer_pairing_at_the_left_edge_is_exact(r):
     edge = np.full(c.shape, -r)
     scale = np.maximum(1.0, np.abs(log_slope(ctx, -r / c + 0j).real))
     product = pair_slope(ctx, c + 0j, edge + 0j)
-    series = _pairing(ctx, c, edge)[0]
+    series = _pairing(ctx, c, edge, 1)[0]
     assert np.all(np.abs(product.imag) <= 1e-12 * scale)
     assert np.all(np.abs(product.real + 2.0) <= 1e-12 * scale)
     assert np.all(np.abs(series + 2.0) <= 1e-12 * scale)
@@ -211,18 +211,19 @@ def test_outer_pairing_at_the_left_edge_is_exact(r):
 @pytest.mark.parametrize("r, s", [(0.25, -0.5), (0.6, -0.8), (0.9, -0.04)])
 def test_newton_evaluation_equals_separate_calls(r, s):
     # one series call at the points of a Newton step near the root, with a
-    # scalar z0, gives the pairings of the scan's calls, with an array of z0,
-    # bit for bit, and its
+    # scalar z0, gives the pairings of the scan's order-1 calls, with an
+    # array of z0 and no derivatives, bit for bit, and its
     # pairings and derivatives agree with the product's log_slope and
     # log_slope_deriv to 1e-12 relative to max(1, |value|)
     moduli, _ = solve_canonical(r, s)
     ctx = ThetaContext.create(r)
     z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
     w = np.array([z2, z1])
-    pair, dw, dz0 = _pairing(ctx, z0, w)
-    assert pair.tobytes() == _pairing(ctx, np.full(2, z0), w)[0].tobytes()
+    pair, dw, dz0 = _pairing(ctx, z0, w, 2)
+    scan = _pairing(ctx, np.full(2, z0), w, 1)
+    assert scan[0].tobytes() == pair.tobytes() and scan[1:] == (None, None)
     for i in range(2):
-        one = _pairing(ctx, z0, w[i : i + 1])
+        one = _pairing(ctx, z0, w[i : i + 1], 2)
         assert all(a.tobytes() == b[i : i + 1].tobytes() for a, b in zip(one, (pair, dw, dz0)))
     L = log_slope(ctx, w / z0 + 0j).real, log_slope(ctx, w * z0 + 0j).real
     D = log_slope_deriv(ctx, w / z0 + 0j).real, log_slope_deriv(ctx, w * z0 + 0j).real
@@ -449,17 +450,6 @@ def test_tolerance_must_be_finite_and_positive(tol):
         solve_canonical(0.25, -0.5, tol=tol)
 
 
-def test_context_for_another_radius_is_refused(monkeypatch):
-    # a context carries the tables of its own radius: with one for r = 0.2
-    # the three stages would solve the wrong system, and the closing check
-    # would blame the residuals, so the solve refuses it before stage 1
-    calls = []
-    monkeypatch.setattr(solver, "solve_exponent", lambda *args: calls.append(args))
-    with pytest.raises(ValueError, match=r"r = 0\.2 used to solve at r = 0\.25"):
-        solve_canonical(0.25, -0.5, ThetaContext.create(0.2))
-    assert calls == []
-
-
 def test_nan_residual_fails_the_check(monkeypatch):
     real = solver._closing_residuals
 
@@ -492,13 +482,13 @@ def test_stacked_slit_values_keep_the_bits(r, s):
         "c2_res": moduli.c1 * z1 - moduli.c2 * z2 - 2.0,
         "c3_res": z1 * z2 * r ** (2.0 * (moduli.m + 2.0)) - 1.0,
     }
-    assert trace.residuals == residuals(moduli, ctx) == want
+    assert trace.residuals == residuals(moduli) == want
 
     t = [theta1(ctx, complex(w)).real for w in (z1 / z0, z1 * z0, z2 / z0, z2 * z0, z2 / z1, z2 * z1)]
     scale = math.sqrt(-t[0] * t[1] / (t[2] * t[3]))
     surface = annulus._surface.__wrapped__(moduli, ctx)
     assert (surface.sqrt_c, surface.k_prime) == (scale, t[2] * t[3] / (t[4] * t[5]))
-    assert end_direction(moduli, ctx) == complex(gauss_map(moduli, ctx, z0).real)
+    assert end_direction(moduli) == complex(gauss_map(moduli, ctx, z0).real)
 
 
 def test_kernel_calls_of_the_stacked_passes(monkeypatch):
@@ -521,12 +511,12 @@ def test_kernel_calls_of_the_stacked_passes(monkeypatch):
         monkeypatch.setattr(module, "_eval", counted)
     z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
     for call, want in (
-        (lambda: solve_canonical(0.25, -0.5, ctx), {2: 1}),
+        (lambda: solve_canonical(0.25, -0.5), {2: 1}),
         (lambda: annulus._marker_slits(ctx, z0, z1, z2), {2: 1}),
         (lambda: fit_gauss_ratio(ctx, z0, z1, z2), {1: 2}),
-        (lambda: residuals(moduli, ctx), {2: 1}),
+        (lambda: residuals(moduli), {2: 1}),
         (lambda: annulus._surface.__wrapped__(moduli, ctx), {2: 1}),
-        (lambda: end_direction(moduli, ctx), {}),
+        (lambda: end_direction(moduli), {}),
     ):
         orders.clear()
         call()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -43,6 +45,17 @@ def test_context_construction() -> None:
         T.ThetaContext.create(1.5)
     with pytest.raises(ValueError):
         T.ThetaContext.create(0.0)
+
+
+def test_context_is_its_radius() -> None:
+    # r is the one field; the truncation data are functions of it, so equal
+    # radii give equal contexts with equal hashes
+    assert [f.name for f in dataclasses.fields(T.ThetaContext)] == ["r"]
+    ctx = T.ThetaContext.create(0.25)
+    assert ctx == T.ThetaContext(0.25) and hash(ctx) == hash(T.ThetaContext(0.25))
+    assert ctx != T.ThetaContext(0.2)
+    with pytest.raises(ValueError, match="too close to 1"):
+        T.ThetaContext.create(0.9999)
 
 
 def test_zeros_are_exact() -> None:
@@ -119,12 +132,15 @@ def test_derivative_functional_equations() -> None:
     assert np.max(np.abs(lhs3 - rhs3) / (scale / r**2)) < 1e-12
 
 
-def test_truncation_convergence() -> None:
-    # doubling the number of factors moves values by less than 1e-14 relative
+def test_truncation_convergence(monkeypatch) -> None:
+    # doubling the number of factors, by squaring the truncation tolerance,
+    # moves values by less than 1e-14 relative
     for r in (0.25, 0.7):
         ctx = T.ThetaContext.create(r)
-        n = 2 * ctx.n_terms
-        wide = T.ThetaContext(r, n, float(np.prod(1.0 - r ** (2.0 * np.arange(1, n + 1)))))
+        with monkeypatch.context() as m:
+            m.setattr(T, "TRUNCATION_TOL", 1e-36)
+            wide = T.ThetaContext.create(r)
+            assert wide.n_terms >= 2 * ctx.n_terms - 1
         z = _sample_annulus(r, 50, seed=11)
         z = np.concatenate([z, z / r, z * r])  # spans [r^2-ish, 1/r-ish] moduli
         a = T.theta1(ctx, z)
