@@ -32,9 +32,10 @@ and double poles at r^(2k)/z1, on the negative real axis off the annulus,
 so its square root is single-valued with no branch to track.
 
 A theta context is its radius, so a function of the whole surface, such
-as ``gauss_square_winding``, takes the moduli alone and builds its context
-with ``moduli.context()``.  A point evaluator takes (moduli, ctx, z) and
-raises ValueError for a context of another radius than the moduli's.  Per
+as ``gauss_square_winding``, takes the moduli alone and reads the context
+the moduli build once and keep, ``moduli.context()``.  A point evaluator
+takes (moduli, ctx, z) and raises ValueError for a context of another
+radius than the moduli's.  Per
 surface the evaluators read one record (``_surface``, cached on the moduli
 and their context): the checks of the stored fields, sqrt(C) and K', and
 the constants of the modular series; the per-radius tables are the
@@ -47,7 +48,8 @@ Two kernels serve the module.  ``_surface_series`` runs on the complex
 modular series (theta._series_sums), with 1 to 4 terms per argument from
 r = 0.023, where the product takes 6 to 88 and more, and one log z and one
 exp per point.  Each evaluator names the fields it uses, and the pass
-evaluates only the theta arguments those need:
+evaluates only the theta arguments those need, in one table and one series
+call per series degree:
 
     g, g'/g (g_log)        z1 z, z2 z
     shape factor (factor)  z0/z, z0 z, z1 z
@@ -64,7 +66,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -127,6 +129,11 @@ class CanonicalModuli:
             raise ValueError("c_height must be positive")
 
     def context(self) -> ThetaContext:
+        """The theta context of radius r, built once per instance."""
+        return self._context
+
+    @cached_property
+    def _context(self) -> ThetaContext:
         return ThetaContext.create(self.r)
 
     def to_dict(self) -> dict:
@@ -393,12 +400,12 @@ def gauss_map(moduli: CanonicalModuli, ctx: ThetaContext, z):
 
 @pointwise
 def gauss_map_square(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """W(z) = R/(1-R) * Q1/Q2 = (z * gauss_map)^2.
+    """W(z) = R/(1-R) * Q1/Q2 = (z g)^2, with g from _surface_series.
 
     Zero- and pole-free on the closed annulus: the 0/0 of the raw quotients
     at z0, z1 and z2 does not arise in the theta-product form.
     """
-    zg = z * gauss_map(moduli, ctx, z)
+    zg = z * _surface_series(moduli, ctx, z, ("g",), "gauss_map_square").g
     return zg * zg
 
 
@@ -486,9 +493,11 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
     exp(c + b log z) with real c and b, which takes in 1/z and z^m.  pi/l
     comes from the context and the other constants from the record
     (_surface), whose sqrt(C) and K' come from the product.  Every argument
-    is guarded against the zeros of theta1; the operations are elementwise
-    and run over chunks of theta._CHUNK points, so a point gets the same
-    bits in any batch.
+    is guarded against the zeros of theta1, row by row.  The arguments at
+    one series degree form one table, a row each, and theta._series_sums
+    runs once per table; a chunk takes theta._CHUNK // (rows of the largest
+    table) points, so no table holds more than theta._CHUNK entries.  The
+    operations are elementwise, so a point gets the same bits in any batch.
     """
     _require_annulus(ctx, z, who)
     surface = _surface(moduli, ctx)
@@ -500,13 +509,18 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
     deg_0 = 2 if ask_rp else 1 if ask_r else 0 if ask_f else None
     deg_1 = 1 if ask_log else 0 if ask_g or ask_f else None
     deg_2 = 1 if ask_log else 0 if ask_g else None
-    # (unit factor of E, sign s of E = exp(2isy), series degree, marker,
-    # whether the argument is marker/z)
-    args = ((a0.conjugate(), 1.0, deg_0, z0, True), (a0, -1.0, deg_0, z0, False),
-            (a1, -1.0, deg_1, moduli.z1, False), (a2, -1.0, deg_2, moduli.z2, False))
+    # (unit factor of E, sign s of E = exp(2isy), marker, whether the
+    # argument is marker/z)
+    args = ((a0.conjugate(), 1.0, z0, True), (a0, -1.0, z0, False), (a1, -1.0, moduli.z1, False),
+            (a2, -1.0, moduli.z2, False))
+    # one table per series degree, highest first, with a row per argument at
+    # that degree; a chunk gives the largest table _CHUNK entries at most
+    degs = (deg_0, deg_0, deg_1, deg_2)
+    tables = [(deg, rows) for deg in (2, 1, 0) if (rows := [i for i, d in enumerate(degs) if d == deg])]
+    step = _CHUNK // max(len(rows) for _, rows in tables)
     outs = [np.empty(z.shape, dtype=np.complex128) if name in fields else None for name in _Series._fields]
-    for lo in range(0, z.size, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
+    for lo in range(0, z.size, step):
+        part = slice(lo, lo + step)
         zc = z[part]
         # count_nonzero costs a fraction of any() on a batch of a few points
         lower = np.signbit(zc.imag)
@@ -522,21 +536,27 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
         w.real = k * (lz.imag - np.pi)
         w.imag = -k * lz.real
         w = np.exp(w)
-        sums = []
-        for unit, s, deg, marker, inverse in args:
-            if deg is None:
-                sums.append((None, None, None))
-                continue
-            E = unit * w
+        sums = [(None, None, None)] * len(args)
+        for deg, rows in tables:
+            E = np.empty((len(rows), zc.size), dtype=np.complex128)
+            # each row is the scalar-times-array product a lone argument
+            # takes, so its bits do not depend on the table's shape
+            for j, i in enumerate(rows):
+                E[j] = args[i][0] * w
             em1 = E - 1.0
             near = np.abs(em1) < 0.5
             if np.count_nonzero(near):
-                em1[near] = _near_zero_em1(ctx, s, marker, zeta[near], inverse)
-                E[near] = em1[near] + 1.0
-                # a zero of theta1 can only lie among these points
-                at = zc[near]
-                _guard_series_zeros(ctx, em1[near], lambda m: marker / at[m] if inverse else marker * at[m])
-            sums.append(_series_sums(ctx, E, em1, deg))
+                for i, mask, e, d in zip(rows, near, E, em1):
+                    if np.count_nonzero(mask):
+                        _, s, marker, inverse = args[i]
+                        d[mask] = dm = _near_zero_em1(ctx, s, marker, zeta[mask], inverse)
+                        e[mask] = dm + 1.0
+                        # a zero of theta1 can only lie among these points
+                        at = zc[mask]
+                        _guard_series_zeros(ctx, dm, lambda m: marker / at[m] if inverse else marker * at[m])
+            table = _series_sums(ctx, E, em1, deg)
+            for j, i in enumerate(rows):
+                sums[i] = [None if t is None else t[j] for t in table]
         (d_in, rho_in, tau_in), (d_0, rho_0, tau_0), (d_1, rho_1, _), (d_2, rho_2, _) = sums
         vals = (
             np.exp(cg + bg * lz) * d_2 / d_1 if ask_g else None,

@@ -92,9 +92,8 @@ def immerse(moduli: CanonicalModuli, ctx: ThetaContext, z):
     the horizontal part is real too.
     """
     near_end = np.abs(z - moduli.z0) < END_TOL
-    work = z.copy()
-    if near_end.any():
-        work[near_end] = 0.5 * (moduli.z0 + moduli.z1)
+    at_end = np.count_nonzero(near_end)
+    work = np.where(near_end, 0.5 * (moduli.z0 + moduli.z1), z) if at_end else z
 
     s = _surface_series(moduli, ctx, work, ("g", "R", "factor"), "immerse")
     e2 = np.abs(s.factor)
@@ -102,7 +101,7 @@ def immerse(moduli: CanonicalModuli, ctx: ThetaContext, z):
     psi3 = e2 / (1.0 + e2 * e2 * np.abs(F) ** 2)
     horiz = s.g - psi3 * e2 * np.conj(F)
 
-    if near_end.any():
+    if at_end:
         horiz[near_end] = end_direction(moduli)
         psi3[near_end] = 0.0
     return HalfSpacePoint(horiz, psi3)
@@ -116,7 +115,7 @@ def hyperbolic_distance(a: HalfSpacePoint, b: HalfSpacePoint):
     """
     ha = np.asarray(a.height, dtype=float)
     hb = np.asarray(b.height, dtype=float)
-    if (ha <= 0).any() or (hb <= 0).any():
+    if np.count_nonzero(ha <= 0) or np.count_nonzero(hb <= 0):
         raise ValueError("hyperbolic_distance: heights must be positive")
     gap2 = np.abs(np.asarray(a.horizontal) - np.asarray(b.horizontal)) ** 2 + (ha - hb) ** 2
     out = np.arccosh(1.0 + gap2 / (2.0 * ha * hb))
@@ -131,7 +130,7 @@ def klein_map(point: HalfSpacePoint) -> np.ndarray:
     """
     horiz = np.asarray(point.horizontal, dtype=np.complex128)
     h = np.asarray(point.height, dtype=float)
-    if (h < 0).any():
+    if np.count_nonzero(h < 0):
         raise ValueError("klein_map: negative height")
     n2 = np.abs(horiz) ** 2 + h * h
     den = n2 + 1.0
@@ -184,9 +183,9 @@ def shape_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z):
     from the theta form of g (see annulus.gauss_map_deriv), which has no
     poles to cancel, so p keeps its digits next to the markers z1 and z2.
     R, R', g'/g and the shape factor come from one pass of the complex
-    modular series over the four theta arguments z0/z, z0 z, z1 z and z2 z
-    (annulus._surface_series); W from gauss_map_square, a pass of the
-    series over z1 z and z2 z.
+    modular series (annulus._surface_series), with z0/z and z0 z at degree
+    2 and z1 z and z2 z at degree 1; W from gauss_map_square, a degree-0
+    pass over z1 z and z2 z: three series calls, one per table.
     """
     s = _surface_series(moduli, ctx, z, ("g_log", "R", "factor", "Rp"), "shape_ratio")
     W = gauss_map_square(moduli, ctx, z)
@@ -295,7 +294,7 @@ class RotationalModuli:
 
 
 def _check_rot_domain(rot, am):
-    if (am <= 0.0).any() or (am > rot.s_rot * (1.0 + 1e-12)).any():
+    if np.count_nonzero(am <= 0.0) or np.count_nonzero(am > rot.s_rot * (1.0 + 1e-12)):
         raise ValueError(f"rotational domain is 0 < |g| <= {rot.s_rot}")
 
 

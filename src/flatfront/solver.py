@@ -166,7 +166,7 @@ def bracketed_root(fn, lo, hi):
         # most FLOOR_ULPS ulp
         hit = fx == 0.0
         done = hit | ~(step > FLOOR_ULPS * np.spacing(np.abs(new)))
-        if done.any():
+        if np.count_nonzero(done):
             roots[live[done]] = np.where(hit, x, new)[done]
             keep = ~done
             live, a, b, new, side, step = (v[keep] for v in (live, a, b, new, side, step))
@@ -260,7 +260,7 @@ def _outer_scan(ctx: ThetaContext, s: float, P: float, n=SCAN_POINTS):
         z1s = P / z2s
         ok = (z0s * z2s > P) & (z1s < -r)
     vals = np.full(z0s.shape, np.nan)
-    if ok.any():
+    if np.count_nonzero(ok):
         vals[ok] = _pairing(ctx, z0s[ok], z1s[ok], 1)[0] - (s - 2.0)
     return z0s, vals, z2s, iters
 

@@ -608,9 +608,11 @@ def test_gauss_map_against_oracle(monkeypatch, r, s):
 
 
 def test_surface_series_keeps_the_bits():
-    # one point alone and inside a batch of more than one chunk get the same
-    # bits, on both halves, next to the end and next to 1/z2; conjugate
-    # points get conjugate values
+    # for every set of fields, one point alone and inside a batch of more
+    # than one chunk get the same bits, on both halves, next to the end and
+    # next to 1/z2, and at the chunk edges of passes whose largest table has
+    # 2, 3 or 4 rows (_CHUNK // rows points per chunk); conjugate points get
+    # conjugate values
     mod, _ = solve_canonical(0.7, -0.99)
     ctx = mod.context()
     rng = np.random.default_rng(5)
@@ -620,15 +622,18 @@ def test_surface_series_keeps_the_bits():
         np.exp(1j * (np.pi - rng.uniform(-0.05, 0.05, 20))),
         np.exp(rng.uniform(np.log(mod.r), 0.0, _CHUNK + 100)) * np.exp(1j * rng.uniform(-np.pi, np.pi, _CHUNK + 100)),
     ])
-    for fields in (("g", "R", "factor"), ("g_log", "R", "factor", "Rp")):
+    edges = {e for step in (_CHUNK // 4, _CHUNK // 3, _CHUNK // 2, _CHUNK) for e in range(step, z.size, step)}
+    picks = np.r_[0:60, 60 : z.size : 41, sorted(edges), [e - 1 for e in sorted(edges)], z.size - 1]
+    for mask in range(1, 2 ** len(SERIES_FIELDS)):
+        fields = tuple(f for i, f in enumerate(SERIES_FIELDS) if mask >> i & 1)
         full = _surface_series(mod, ctx, z, fields, "test")
         conj = _surface_series(mod, ctx, np.conj(z), fields, "test")
         for name in fields:
             assert getattr(conj, name).tobytes() == np.conj(getattr(full, name)).tobytes()
-        for i in np.r_[0:60, 60 : z.size : 41, _CHUNK - 1, _CHUNK, z.size - 1]:
+        for i in picks:
             one = _surface_series(mod, ctx, z[i : i + 1], fields, "test")
             for name in fields:
-                assert getattr(one, name).tobytes() == getattr(full, name)[i : i + 1].tobytes()
+                assert getattr(one, name).tobytes() == getattr(full, name)[i : i + 1].tobytes(), (fields, name, i)
 
 
 def test_surface_series_errors(mod, ctx):

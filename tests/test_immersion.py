@@ -41,7 +41,7 @@ from flatfront.immersion import (
 )
 from flatfront.meshing import canonical_mesh
 from flatfront.solver import solve_canonical
-from flatfront.theta import ThetaContext, dtheta1, log_slope, log_slope_deriv, theta1
+from flatfront.theta import _CHUNK, ThetaContext, dtheta1, log_slope, log_slope_deriv, theta1
 from flatfront.validation import validate_moduli
 
 import oracles
@@ -573,12 +573,14 @@ def test_shared_theta_calls_keep_the_bits(r, s):
 
 
 def test_kernel_calls_per_point(monkeypatch):
-    # shape_ratio and immerse make one series pass over four theta arguments
-    # (z0/z and z0 z at degree 2 / 1, z1 z and z2 z at degree 1 / 0), and
-    # shape_ratio's W one more over the two arguments of g (z1 z and z2 z at
-    # degree 0), so neither calls the product.  first_form's g is that
-    # degree-0 pass too; its other parts stay on the product, with separate R
-    # and R' calls
+    # a series pass makes one call per series degree, on a table with a row
+    # per theta argument at that degree.  shape_ratio's pass has z0/z and
+    # z0 z at degree 2 and z1 z and z2 z at degree 1, immerse's the same
+    # pairs at degrees 1 and 0, and shape_ratio's W one more pass over the
+    # two arguments of g (z1 z and z2 z at degree 0); potential's shape
+    # factor has z0/z, z0 z and z1 z at degree 0.  None calls the product.
+    # first_form's g is the degree-0 pass of g too; its other parts stay on
+    # the product, with separate R and R' calls
     ctx = FLAGSHIP.context()
     gauss_map(FLAGSHIP, ctx, 0.5j)  # builds the per-surface record
     orders, series = [], []
@@ -590,15 +592,16 @@ def test_kernel_calls_per_point(monkeypatch):
         monkeypatch.setattr(module, "_eval", counted)
 
     def series_counted(*args, fn=annulus_module._series_sums, **kw):
-        series.append(args[3])
+        series.append((args[3], len(args[1])))
         return fn(*args, **kw)
 
     monkeypatch.setattr(annulus_module, "_series_sums", series_counted)
     for fn, want, want_series in (
-        (shape_ratio, {}, [2, 2, 1, 1, 0, 0]),
-        (immerse, {}, [1, 1, 0, 0]),
-        (gauss_map, {}, [0, 0]),
-        (first_form, {0: 3, 1: 8, 2: 4}, [0, 0]),
+        (shape_ratio, {}, [(2, 2), (1, 2), (0, 2)]),
+        (immerse, {}, [(1, 2), (0, 2)]),
+        (gauss_map, {}, [(0, 2)]),
+        (potential, {}, [(0, 3)]),
+        (first_form, {0: 3, 1: 8, 2: 4}, [(0, 2)]),
     ):
         orders.clear()
         series.clear()
@@ -610,4 +613,30 @@ def test_kernel_calls_per_point(monkeypatch):
     orders.clear()
     series.clear()
     assert validation.boundary_ranges_ok(FLAGSHIP)
-    assert Counter(orders) == {} and series == [1, 1]
+    assert Counter(orders) == {} and series == [(1, 2)]
+
+
+def test_series_tables_hold_at_most_a_chunk(monkeypatch):
+    # no table handed to the series holds more than _CHUNK entries, and a
+    # chunk takes as many points as its pass's largest table allows: 1,024
+    # for two-row tables, 682 for potential's three rows
+    ctx = FLAGSHIP.context()
+    shapes = []
+
+    def series_counted(*args, fn=annulus_module._series_sums, **kw):
+        shapes.append(args[1].shape)
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(annulus_module, "_series_sums", series_counted)
+    rng = np.random.default_rng(17)
+    z = np.exp(rng.uniform(np.log(FLAGSHIP.r), 0.0, 5000)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 5000))
+    pass_2 = [(2, 1024)] * 4 + [(2, 904)]
+    for fn, want in (
+        (shape_ratio, [(2, 1024)] * 8 + [(2, 904)] * 2 + pass_2),
+        (immerse, [(2, 1024)] * 8 + [(2, 904)] * 2),
+        (potential, [(3, 682)] * 7 + [(3, 226)]),
+    ):
+        shapes.clear()
+        fn(FLAGSHIP, ctx, z)
+        assert shapes == want, fn.__name__
+        assert max(rows * n for rows, n in shapes) <= _CHUNK

@@ -1,6 +1,7 @@
 """Tests for mesh generation, export formats, validation reports, the CLI,
 and the README's library example."""
 
+import dataclasses
 import json
 import math
 import re
@@ -32,6 +33,7 @@ from flatfront.meshing import (
     write_ply,
 )
 from flatfront.solver import solve_canonical
+from flatfront.theta import ThetaContext
 from flatfront.validation import MASTER_TOL, ValidationReport, boundary_ranges_ok, validate_moduli
 
 from test_annulus import FLAGSHIP
@@ -229,6 +231,28 @@ def test_ply_round_trip(tmp_path, mesh16):
 
 
 # --- validation ------------------------------------------------------------
+
+
+def test_moduli_keep_one_theta_context(monkeypatch):
+    # a moduli instance builds its theta context once, so validate_moduli
+    # and canonical_mesh each build one; equality, hashing, to_dict and
+    # replace do not see it
+    built = []
+
+    def counted(self, fn=ThetaContext.__post_init__):
+        built.append(self.r)
+        fn(self)
+
+    monkeypatch.setattr(ThetaContext, "__post_init__", counted)
+    for run in (lambda m: validate_moduli(m, grid=16), canonical_mesh):
+        moduli = CanonicalModuli.from_dict(FLAGSHIP.to_dict())
+        built.clear()
+        run(moduli)
+        assert built == [FLAGSHIP.r]
+        assert moduli.context() is moduli.context()
+        assert moduli == FLAGSHIP and hash(moduli) == hash(FLAGSHIP)
+        assert moduli.to_dict() == FLAGSHIP.to_dict()
+        assert dataclasses.replace(moduli) == moduli
 
 
 def test_validation_report_flagship():
