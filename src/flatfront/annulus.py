@@ -13,9 +13,8 @@ evaluates:
 * ``gauss_map`` - g = sqrt(W) / z for W = R/(1-R) * Q1/Q2, in the closed
   form g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)), on the modular series,
 * ``gauss_map_square`` - W = (z g)^2,
-* ``_shape_factor`` - Q1 z^m / (1-R), whose modulus is exp(2u),
 * ``potential`` - the harmonic function u with exp(2u) = |Q1 z^m / (1-R)|,
-  the modulus of the shape factor,
+  the modulus of the shape factor Q1 z^m / (1-R),
 * ``inv_gauss_gap`` / ``second_gauss_map`` - F = R/g and g* = g - 1/F.
 
 R is real on both circles, so it is elliptic on C*/r^2, with simple poles
@@ -55,11 +54,12 @@ call per series degree:
     shape factor (factor)  z0/z, z0 z, z1 z
     R, R' (R, Rp)          z0/z, z0 z
 
-The slit maps and all built on them, theta_quotient, gauss_ratio,
-_shape_factor and the rest of first_form and the curvature stay on the
-product: they take most of the probe benchmark's query time, and its peak
-memory grows with the queries it records, so faster queries wait until it
-keeps a record of fixed size per query.
+first_form reads g and the shape factor from one such pass, a degree-0
+table of all four arguments.  The slit maps and all built on them,
+theta_quotient, gauss_ratio and first_form's R, R' and W'/W, and so the
+curvature, stay on the product: they take most of the probe benchmark's
+query time, and its peak memory grows with the queries it records, so
+faster queries wait until it keeps a record of fixed size per query.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class CanonicalModuli:
             raise ValueError("c_height must be positive")
 
     def context(self) -> ThetaContext:
-        """The theta context of radius r, built once per instance."""
+        """The theta context of radius r, built once per instance or kept from the solve."""
         return self._context
 
     @cached_property
@@ -409,13 +409,6 @@ def gauss_map_square(moduli: CanonicalModuli, ctx: ThetaContext, z):
     return zg * zg
 
 
-def _gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z, g):
-    """g' = g (W'/(2W) - 1/z) at flat points z, from g at the same points:
-    first_form's route, which loses digits within about 1e-6 of z1 and z2
-    (see gauss_square_log_deriv)."""
-    return g * (0.5 * gauss_square_log_deriv(moduli, ctx, z) - 1.0 / z)
-
-
 @pointwise
 def gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """g' = g * g'/g, both from one pass of the complex modular series at
@@ -427,22 +420,6 @@ def gauss_map_deriv(moduli: CanonicalModuli, ctx: ThetaContext, z):
 
 
 # --- shape factor, potential and Gauss-map gap --------------------------
-
-
-def _shape_factor(moduli: CanonicalModuli, ctx: ThetaContext, z):
-    """Q1 z^m / (1-R) = -z^(m+1) theta1(z/z0) theta1(z0 z) / (z1 K' theta1(z1 z)^2).
-
-    On flat arrays z, with the principal-branch z^m; its modulus is exp(2u).
-    theta1(z/z0) is read as -(z0/z) theta1(z0/z), by theta1(1/w) = -w
-    theta1(w), so the factor's arguments are z0/z and z0 z, those of the
-    slit map at z0, and z1 z, that of g.  Regular at z1 and z2 and zero at
-    the end z0.  Raises RepresentationError for
-    moduli whose fields do not fit their markers.
-    """
-    k_prime = _surface(moduli, ctx).k_prime
-    a, b, c = (_eval(ctx, w, 0)[0] for w in (moduli.z0 / z, moduli.z0 * z, moduli.z1 * z))
-    a = -(moduli.z0 / z) * a
-    return -z * np.exp(moduli.m * np.log(z)) * a * b / (moduli.z1 * k_prime * c * c)
 
 
 class _Series(NamedTuple):

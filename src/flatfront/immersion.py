@@ -18,10 +18,10 @@ the Klein ball change of model, and the closed-form rotational family used
 as an independent cross-check of the generic evaluator.
 
 immerse, shape_ratio and end_direction are projections of the complex
-modular series (annulus._surface_series).  first_form takes its g from it
-and its other parts (R, R', W'/W and the shape factor) from the theta
-product, and intrinsic_curvature is built on first_form; the annulus
-module's docstring says why those stay on the product.
+modular series (annulus._surface_series).  first_form takes g and the
+shape factor from it and R, R' and W'/W from the theta product, and
+intrinsic_curvature is built on first_form; the annulus module's
+docstring says why those stay on the product.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ import numpy as np
 from .annulus import (
     CanonicalModuli,
     DegenerateConfigurationError,
-    _gauss_map_deriv,
-    _shape_factor,
     _surface_series,
-    gauss_map,
     gauss_map_square,
     gauss_ratio,
     gauss_ratio_deriv,
+    gauss_square_log_deriv,
 )
 from .theta import ThetaContext, pointwise
 
@@ -158,13 +156,17 @@ def first_form(moduli: CanonicalModuli, ctx: ThetaContext, z):
     """First fundamental form of the front at interior points.
 
     Each field has z's shape (a Python float for a scalar z).  Undefined at
-    the end z0 itself (the conformal factor blows up there).
+    the end z0 itself (the conformal factor blows up there).  g and the
+    shape factor (|factor| = e^2u) come from one degree-0 series pass over
+    all four theta arguments (annulus._surface_series); R, R' and W'/W, and
+    so g' = g (W'/(2W) - 1/z), from the theta product, where W'/W loses
+    digits within about 1e-6 of z1 and z2 (annulus.gauss_square_log_deriv).
     """
-    g = gauss_map(moduli, ctx, z)
-    gp = _gauss_map_deriv(moduli, ctx, z, g)
+    s = _surface_series(moduli, ctx, z, ("g", "factor"), "first_form")
+    g, e2 = s.g, np.abs(s.factor)
+    gp = g * (0.5 * gauss_square_log_deriv(moduli, ctx, z) - 1.0 / z)
     R = gauss_ratio(moduli, ctx, z)
     Rp = gauss_ratio_deriv(moduli, ctx, z)
-    e2 = np.abs(_shape_factor(moduli, ctx, z))
     F = R / g
     Fp = Rp / g - R * gp / (g * g)
     w_hopf = Fp + F * F * gp

@@ -365,6 +365,8 @@ def solve_canonical(r: float, s: float, tol: float = RESIDUAL_TOL):
         r=r, s=s, m=m, z0=float(z0), z1=float(z1), z2=float(z2), c1=c1, c2=c2,
         a_R=a_R, b_R=b_R, c_height=float(abs(z1) * r ** (m + 1.0)),
     )
+    # the moduli keep the solve's context and its tables (moduli.context())
+    vars(moduli)["_context"] = ctx
 
     res = _closing_residuals(moduli, a_R * qp1.real, a_R * qp2.real)
     trace.residuals = res

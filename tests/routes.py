@@ -16,7 +16,10 @@ the raw quotients on the theta product (``theta_quotient`` and
 ``gauss_ratio``), where the library takes both from the modular series
 pass that ``immerse`` runs; the cross-route tests feed them to
 ``immerse_from_gauss_data``, so the two routes share no evaluation of u,
-R or g*.
+R or g*.  ``shape_factor_product`` is the shape factor, whose modulus is
+e^2u, as a theta product without the raw quotients' cancellation at z1;
+the library takes it from the series pass of ``immerse`` and
+``first_form``.
 
 ``bracketed_root_reference`` is the solver's safeguarded Newton loop
 written on full-length arrays, with an ``np.where`` update of every entry
@@ -33,13 +36,14 @@ import numpy as np
 from flatfront.annulus import (
     AT_INFINITY,
     DegenerateConfigurationError,
+    _surface,
     gauss_map,
     gauss_ratio,
     theta_quotient,
 )
 from flatfront.immersion import HalfSpacePoint, RotationalModuli
 from flatfront.solver import FLOOR_ULPS, MAX_ITERS
-from flatfront.theta import _expm1, _guard_series_zeros, _series_sums, pointwise
+from flatfront.theta import _eval, _expm1, _guard_series_zeros, _series_sums, pointwise
 
 
 @pointwise
@@ -78,6 +82,19 @@ def second_gauss_map_product(moduli, ctx, z):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = g * (R - 1.0) / R
     return np.where(np.abs(R) < 1e-300, AT_INFINITY, out)
+
+
+@pointwise
+def shape_factor_product(moduli, ctx, z):
+    """Q1 z^m / (1-R) = -z^(m+1) theta1(z/z0) theta1(z0 z) / (z1 K' theta1(z1 z)^2)
+    on the theta product, with the principal-branch z^m; its modulus is
+    exp(2u).  theta1(z/z0) is read as -(z0/z) theta1(z0/z), by
+    theta1(1/w) = -w theta1(w), so the arguments are z0/z, z0 z and z1 z.
+    Regular at z1 and z2 and zero at the end z0."""
+    k_prime = _surface(moduli, ctx).k_prime
+    a, b, c = (_eval(ctx, w, 0)[0] for w in (moduli.z0 / z, moduli.z0 * z, moduli.z1 * z))
+    a = -(moduli.z0 / z) * a
+    return -z * np.exp(moduli.m * np.log(z)) * a * b / (moduli.z1 * k_prime * c * c)
 
 
 def rotational_disc(rot: RotationalModuli) -> tuple[float, float]:

@@ -19,7 +19,6 @@ from flatfront.annulus import (
     DegenerateConfigurationError,
     RepresentationError,
     _CHUNK,
-    _shape_factor,
     _surface_series,
     fit_gauss_ratio,
     gauss_map,
@@ -37,6 +36,7 @@ from flatfront.annulus import (
     theta_quotient,
 )
 from flatfront.immersion import end_direction, first_form, immerse, shape_ratio
+from routes import shape_factor_product
 
 # Closed-form configuration at r = 1/4, s = -1/2: m = -5/2, z0 = -sqrt(r),
 # z1 z2 = r.  The z2 split was pinned by bisection on the pairing condition;
@@ -198,7 +198,7 @@ def test_gauss_square_matches_raw_composite(r, s):
     W = gauss_map_square(mod, ctx, z)
     assert (np.abs(raw - W) / np.abs(W)).max() < 1e-12
     raw_e2u = np.abs(q1) * np.abs(z) ** mod.m / np.abs(1.0 - R)
-    e2u = np.abs(_shape_factor(mod, ctx, z))
+    e2u = np.abs(shape_factor_product(mod, ctx, z))
     assert (np.abs(raw_e2u - e2u) / raw_e2u).max() < 1e-12
 
 

@@ -10,7 +10,6 @@ from flatfront import meshing, validation
 from flatfront import theta as theta_module
 from flatfront.annulus import (
     DegenerateConfigurationError,
-    _shape_factor,
     gauss_map,
     gauss_map_deriv,
     gauss_map_square,
@@ -27,6 +26,7 @@ from flatfront.annulus import (
 from flatfront.immersion import (
     HalfSpacePoint,
     RotationalModuli,
+    _metric_from,
     brioschi_curvature,
     end_direction,
     first_form,
@@ -51,6 +51,7 @@ from routes import (
     rotational_disc,
     rotational_gauss_data,
     second_gauss_map_product,
+    shape_factor_product,
 )
 from test_annulus import FLAGSHIP
 
@@ -172,8 +173,9 @@ def test_metric_determinant_identity_and_comparison(mod, ctx):
 
 
 def test_metric_regular_at_ratio_markers(mod, ctx):
-    # the raw e^2u = |Q1 z^m / (1-R)| is 0/0 at z1; the theta-product shape
-    # factor has no such cancellation and must sail through both markers
+    # the raw e^2u = |Q1 z^m / (1-R)| is 0/0 at z1; the shape factor, on the
+    # series in first_form and on the product in the cross-route oracle, has
+    # no such cancellation and must sail through both markers
     for mk in (mod.z1, mod.z2):
         tri = [first_form(mod, ctx, complex(mk + k * 1e-7)) for k in (1, 2, 3)]
         assert all(np.isfinite(t.E) and np.isfinite(t.G) and t.E > 0 for t in tri)
@@ -181,12 +183,38 @@ def test_metric_regular_at_ratio_markers(mod, ctx):
         es = [t.E for t in tri]
         assert max(es) / min(es) < 1.01
     line = np.linspace(mod.z1 - 2e-6, mod.z1 + 2e-6, 41).astype(complex)
-    e2_line = np.abs(_shape_factor(mod, ctx, line))
+    e2_line = np.abs(shape_factor_product(mod, ctx, line))
     assert np.all(np.isfinite(e2_line))
     assert e2_line.max() / e2_line.min() < 1.0 + 1e-3
     # smooth through z1: increments stay uniform
     inc = np.diff(e2_line)
     assert np.abs(inc - inc.mean()).max() < 1e-2 * np.abs(inc.mean())
+
+
+@pytest.mark.parametrize(
+    "r, s", [(0.25, -0.5), (0.05, -0.04), (0.65, -0.01), (0.7, -0.99), (0.45, -0.3), (0.6, -0.8)]
+)
+def test_first_form_matches_the_product_shape_factor(r, s):
+    # first_form reads g and the shape factor from one series pass; the
+    # route with g from gauss_map and e^2u from the product shape factor
+    # gives E, F, G and lambda^2 within 1e-13 (E + G), over the annulus and
+    # on the real axis through z1 and z2, at least 1e-2 from the end z0
+    moduli, _ = solve_canonical(r, s)
+    ctx = moduli.context()
+    rng = np.random.default_rng(41)
+    z = np.exp(np.log(r) * rng.uniform(0.0, 1.0, 400)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 400))
+    z = np.concatenate([z, np.linspace(-1.0, -r, 101)[1:-1]])
+    z = z[np.abs(z - moduli.z0) > 1e-2]
+    g = gauss_map(moduli, ctx, z)
+    gp = g * (0.5 * gauss_square_log_deriv(moduli, ctx, z) - 1.0 / z)
+    R, Rp = gauss_ratio(moduli, ctx, z), gauss_ratio_deriv(moduli, ctx, z)
+    F = R / g
+    w_hopf = (Rp / g - R * gp / (g * g)) + F * F * gp
+    want = _metric_from(np.abs(shape_factor_product(moduli, ctx, z)), w_hopf, gp)
+    ms = first_form(moduli, ctx, z)
+    scale = ms.E + ms.G
+    for got, ref in zip((ms.E, ms.F, ms.G, ms.lambda_sq), want):
+        assert (np.abs(got - ref) / scale).max() <= 1e-13
 
 
 def test_shape_ratio_bounds(mod, ctx):
@@ -548,7 +576,7 @@ def test_shared_theta_calls_keep_the_bits(r, s):
     # the product route: g'/g of g = sqrt(C) theta1(z2 z) / (z theta1(z1 z))
     R = gauss_ratio(moduli, ctx, z)
     g_log = (log_slope(ctx, moduli.z2 * z) - log_slope(ctx, moduli.z1 * z) - 1.0) / z
-    factor = _shape_factor(moduli, ctx, z)
+    factor = shape_factor_product(moduli, ctx, z)
     p = factor * factor * z * z * (gauss_ratio_deriv(moduli, ctx, z) / g_log + R * (R - 1.0)) / W
     assert (np.abs(got - p) / np.maximum(1.0, np.abs(p))).max() <= 1e-12
 
@@ -560,7 +588,7 @@ def test_shared_theta_calls_keep_the_bits(r, s):
     series = annulus_module._surface_series(moduli, ctx, z, ("g", "R", "factor"), "immerse")
     for g, R, e2, tol in (
         (series.g, series.R, np.abs(series.factor), 0.0),
-        (gauss_map(moduli, ctx, z), gauss_ratio(moduli, ctx, z), np.abs(_shape_factor(moduli, ctx, z)), 1e-12),
+        (gauss_map(moduli, ctx, z), gauss_ratio(moduli, ctx, z), np.abs(shape_factor_product(moduli, ctx, z)), 1e-12),
     ):
         F = R / g
         psi3 = e2 / (1.0 + e2 * e2 * np.abs(F) ** 2)
@@ -579,8 +607,9 @@ def test_kernel_calls_per_point(monkeypatch):
     # pairs at degrees 1 and 0, and shape_ratio's W one more pass over the
     # two arguments of g (z1 z and z2 z at degree 0); potential's shape
     # factor has z0/z, z0 z and z1 z at degree 0.  None calls the product.
-    # first_form's g is the degree-0 pass of g too; its other parts stay on
-    # the product, with separate R and R' calls
+    # first_form takes g and the shape factor from one degree-0 table of all
+    # four arguments; R, R' and W'/W stay on the product, with separate R
+    # and R' calls
     ctx = FLAGSHIP.context()
     gauss_map(FLAGSHIP, ctx, 0.5j)  # builds the per-surface record
     orders, series = [], []
@@ -601,7 +630,7 @@ def test_kernel_calls_per_point(monkeypatch):
         (immerse, {}, [(1, 2), (0, 2)]),
         (gauss_map, {}, [(0, 2)]),
         (potential, {}, [(0, 3)]),
-        (first_form, {0: 3, 1: 8, 2: 4}, [(0, 2)]),
+        (first_form, {1: 8, 2: 4}, [(0, 4)]),
     ):
         orders.clear()
         series.clear()

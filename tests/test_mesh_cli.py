@@ -233,10 +233,11 @@ def test_ply_round_trip(tmp_path, mesh16):
 # --- validation ------------------------------------------------------------
 
 
-def test_moduli_keep_one_theta_context(monkeypatch):
+def test_moduli_keep_one_theta_context(monkeypatch, tmp_path):
     # a moduli instance builds its theta context once, so validate_moduli
-    # and canonical_mesh each build one; equality, hashing, to_dict and
-    # replace do not see it
+    # and canonical_mesh each build one, and the solve hands its own to the
+    # moduli it returns, so `flatfront solve` builds one for the solve and
+    # its range check; equality, hashing, to_dict and replace do not see it
     built = []
 
     def counted(self, fn=ThetaContext.__post_init__):
@@ -253,6 +254,13 @@ def test_moduli_keep_one_theta_context(monkeypatch):
         assert moduli == FLAGSHIP and hash(moduli) == hash(FLAGSHIP)
         assert moduli.to_dict() == FLAGSHIP.to_dict()
         assert dataclasses.replace(moduli) == moduli
+    built.clear()
+    assert main(["solve", "--r", "0.25", "--s", "-0.5", "--out", str(tmp_path / "moduli.json")]) == 0
+    assert built == [0.25]
+    moduli, _ = solve_canonical(0.25, -0.5)
+    fresh = CanonicalModuli.from_dict(moduli.to_dict())
+    assert moduli == fresh and hash(moduli) == hash(fresh) and dataclasses.replace(moduli) == fresh
+    assert moduli.to_dict() == fresh.to_dict()
 
 
 def test_validation_report_flagship():
@@ -382,10 +390,10 @@ def test_validation_fails_on_a_nan_in_second_place(monkeypatch):
 
 
 def test_validation_reports_a_degenerate_metric():
-    # at (0.97, -0.999) a curvature stencil's first form is singular
+    # at (0.97, -0.99) a curvature stencil's first form is singular
     # (E G - F^2 = 0); with numpy warnings raised as errors, validate still
     # returns its report, which fails on the non-finite curvature
-    moduli, _ = solve_canonical(0.97, -0.999)
+    moduli, _ = solve_canonical(0.97, -0.99)
     rep = validate_moduli(moduli)
     assert not math.isfinite(rep.max_abs_curvature)
     assert not rep.passes()
