@@ -47,15 +47,15 @@ Two kernels serve the module.  ``_surface_series`` runs on the complex
 modular series (theta._series_sums), with 1 to 4 terms per argument from
 r = 0.023, where the product takes 6 to 88 and more, and one log z and one
 exp per point.  Each evaluator names the fields it uses, and the pass
-evaluates only the theta arguments those need, in one table and one series
-call per series degree:
+evaluates only the theta arguments those need, in one table per pass and
+one series call per chunk:
 
     g, g'/g (g_log)        z1 z, z2 z
     shape factor (factor)  z0/z, z0 z, z1 z
     R, R' (R, Rp)          z0/z, z0 z
 
-first_form reads g and the shape factor from one such pass, a degree-0
-table of all four arguments.  The slit maps and all built on them,
+first_form reads g and the shape factor from one such pass over all four
+arguments.  The slit maps and all built on them,
 theta_quotient, gauss_ratio and first_form's R, R' and W'/W, and so the
 curvature, stay on the product: they take most of the probe benchmark's
 query time, and its peak memory grows with the queries it records, so
@@ -470,11 +470,11 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
     exp(c + b log z) with real c and b, which takes in 1/z and z^m.  pi/l
     comes from the context and the other constants from the record
     (_surface), whose sqrt(C) and K' come from the product.  Every argument
-    is guarded against the zeros of theta1, row by row.  The arguments at
-    one series degree form one table, a row each, and theta._series_sums
-    runs once per table; a chunk takes theta._CHUNK // (rows of the largest
-    table) points, so no table holds more than theta._CHUNK entries.  The
-    operations are elementwise, so a point gets the same bits in any batch.
+    is guarded against the zeros of theta1, row by row.  One table per pass
+    holds the arguments, a row each, highest series degree first, and
+    theta._series_sums runs once per chunk of theta._CHUNK // rows points,
+    so no table holds more than theta._CHUNK entries.  The operations are
+    elementwise, so a point gets the same bits in any batch.
     """
     _require_annulus(ctx, z, who)
     surface = _surface(moduli, ctx)
@@ -490,11 +490,12 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
     # argument is marker/z)
     args = ((a0.conjugate(), 1.0, z0, True), (a0, -1.0, z0, False), (a1, -1.0, moduli.z1, False),
             (a2, -1.0, moduli.z2, False))
-    # one table per series degree, highest first, with a row per argument at
-    # that degree; a chunk gives the largest table _CHUNK entries at most
+    # one table, a row per argument used, highest series degree first: N1/D
+    # is wanted on its first n1 rows and the degree-2 sum on its first n2
     degs = (deg_0, deg_0, deg_1, deg_2)
-    tables = [(deg, rows) for deg in (2, 1, 0) if (rows := [i for i, d in enumerate(degs) if d == deg])]
-    step = _CHUNK // max(len(rows) for _, rows in tables)
+    rows = sorted((i for i, d in enumerate(degs) if d is not None), key=lambda i: -degs[i])
+    n1, n2 = (sum(degs[i] >= deg for i in rows) for deg in (1, 2))
+    step = _CHUNK // len(rows)
     outs = [np.empty(z.shape, dtype=np.complex128) if name in fields else None for name in _Series._fields]
     for lo in range(0, z.size, step):
         part = slice(lo, lo + step)
@@ -513,27 +514,26 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
         w.real = k * (lz.imag - np.pi)
         w.imag = -k * lz.real
         w = np.exp(w)
+        E = np.empty((len(rows), zc.size), dtype=np.complex128)
+        # each row is the scalar-times-array product a lone argument takes,
+        # so its bits do not depend on the table's shape
+        for j, i in enumerate(rows):
+            E[j] = args[i][0] * w
+        em1 = E - 1.0
+        near = np.abs(em1) < 0.5
+        if np.count_nonzero(near):
+            for i, mask, e, d in zip(rows, near, E, em1):
+                if np.count_nonzero(mask):
+                    _, s, marker, inverse = args[i]
+                    d[mask] = dm = _near_zero_em1(ctx, s, marker, zeta[mask], inverse)
+                    e[mask] = dm + 1.0
+                    # a zero of theta1 can only lie among these points
+                    at = zc[mask]
+                    _guard_series_zeros(ctx, dm, lambda m: marker / at[m] if inverse else marker * at[m])
+        D, rho, tau = _series_sums(ctx, E, em1, n1, n2)
         sums = [(None, None, None)] * len(args)
-        for deg, rows in tables:
-            E = np.empty((len(rows), zc.size), dtype=np.complex128)
-            # each row is the scalar-times-array product a lone argument
-            # takes, so its bits do not depend on the table's shape
-            for j, i in enumerate(rows):
-                E[j] = args[i][0] * w
-            em1 = E - 1.0
-            near = np.abs(em1) < 0.5
-            if np.count_nonzero(near):
-                for i, mask, e, d in zip(rows, near, E, em1):
-                    if np.count_nonzero(mask):
-                        _, s, marker, inverse = args[i]
-                        d[mask] = dm = _near_zero_em1(ctx, s, marker, zeta[mask], inverse)
-                        e[mask] = dm + 1.0
-                        # a zero of theta1 can only lie among these points
-                        at = zc[mask]
-                        _guard_series_zeros(ctx, dm, lambda m: marker / at[m] if inverse else marker * at[m])
-            table = _series_sums(ctx, E, em1, deg)
-            for j, i in enumerate(rows):
-                sums[i] = [None if t is None else t[j] for t in table]
+        for j, i in enumerate(rows):
+            sums[i] = (D[j], rho[j] if j < n1 else None, tau[j] if j < n2 else None)
         (d_in, rho_in, tau_in), (d_0, rho_0, tau_0), (d_1, rho_1, _), (d_2, rho_2, _) = sums
         vals = (
             np.exp(cg + bg * lz) * d_2 / d_1 if ask_g else None,

@@ -187,7 +187,7 @@ def shape_ratio(moduli: CanonicalModuli, ctx: ThetaContext, z):
     R, R', g'/g and the shape factor come from one pass of the complex
     modular series (annulus._surface_series), with z0/z and z0 z at degree
     2 and z1 z and z2 z at degree 1; W from gauss_map_square, a degree-0
-    pass over z1 z and z2 z: three series calls, one per table.
+    pass over z1 z and z2 z: two series calls, one per pass.
     """
     s = _surface_series(moduli, ctx, z, ("g_log", "R", "factor", "Rp"), "shape_ratio")
     W = gauss_map_square(moduli, ctx, z)

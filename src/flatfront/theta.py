@@ -437,9 +437,10 @@ def _real_log_slopes(ctx: ThetaContext, w, order: int):
     return h, (1.0 / ctx.two_l - half * half * (S2 / S + rho * rho)) / w
 
 
-def _series_sums(ctx: ThetaContext, E, em1, order: int):
-    """(D, N1/D, N2/D - (N1/D)^2) of the modular series at E, flat complex
-    arrays with q' <= |E| <= 1, em1 = E - 1; None past ``order``.
+def _series_sums(ctx: ThetaContext, E, em1, n1: int, n2: int):
+    """(D, N1/D, N2/D - (N1/D)^2) of the modular series on a (rows, points)
+    table E with q' <= |E| <= 1, em1 = E - 1: D on every row, N1/D on the
+    first n1 rows and the third on the first n2 <= n1, None for no rows.
 
         D  = sum c_n (E^(n+1) - E^(-n)) = (E - 1) sum c_n (E^-n + ... + E^n),
         N1 = sum c_n ((n+1) E^(n+1) + n E^(-n)),
@@ -447,12 +448,12 @@ def _series_sums(ctx: ThetaContext, E, em1, order: int):
 
     with the c_n of ThetaContext.series_coefs.  D vanishes only at E = 1,
     and only through its factor E - 1: a caller that hands in a
-    cancellation-free em1 keeps D's relative precision next to a zero.  The operations are
-    elementwise and run in a fixed order, so a point gets the same bits in
-    any batch.
+    cancellation-free em1 keeps D's relative precision next to a zero.  The
+    operations are elementwise and run in a fixed order on every row, so a
+    point gets the same bits in any batch and any table.
     """
     c = ctx.series_coefs
-    S, N1, N2 = 1.0, E, E
+    S, N1, N2 = 1.0, E[:n1], E[:n2]
     if len(c) > 1:
         inv = 1.0 / E
         up, down, G = E, inv, 1.0 + (E + inv)
@@ -462,15 +463,13 @@ def _series_sums(ctx: ThetaContext, E, em1, order: int):
                 G = G + (up + down)
             up = up * E
             S = S + c[n] * G
-            if order >= 1:
-                N1 = N1 + c[n] * ((n + 1) * up + n * down)
-            if order >= 2:
-                N2 = N2 + c[n] * ((n + 1) ** 2 * up - n * n * down)
+            if n1:
+                N1 = N1 + c[n] * ((n + 1) * up[:n1] + n * down[:n1])
+            if n2:
+                N2 = N2 + c[n] * ((n + 1) ** 2 * up[:n2] - n * n * down[:n2])
     D = em1 * S
-    if order < 1:
-        return D, None, None
-    rho = N1 / D
-    return D, rho, (N2 / D - rho * rho if order >= 2 else None)
+    rho = N1 / D[:n1] if n1 else None
+    return D, rho, (N2 / D[:n2] - rho[:n2] * rho[:n2] if n2 else None)
 
 
 def _expm1(w):

@@ -146,7 +146,9 @@ def theta_series(ctx, lv, order: int):
     w.imag = s * k * lv.real
     em1 = _expm1(w)
     _guard_series_zeros(ctx, em1, lambda near: np.exp(lv[near]))
-    D, rho, tau = _series_sums(ctx, np.exp(w), em1, order)
+    # a one-row table
+    sums = _series_sums(ctx, np.exp(w)[None], em1[None], int(order >= 1), int(order >= 2))
+    D, rho, tau = (t if t is None else t[0] for t in sums)
     isk = 1j * s * k
     phi = (0.5 * math.log(k) + 0.25 * ell - 0.25 * math.pi * k - 0.5j * math.pi
            + lv * (lv / (4.0 * ell) - 0.5 - 0.5 * isk))

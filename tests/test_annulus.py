@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import digests
 import oracles
 from flatfront import annulus as annulus_module
 from oracles import theta_product, theta_product_deriv
@@ -610,8 +611,8 @@ def test_gauss_map_against_oracle(monkeypatch, r, s):
 def test_surface_series_keeps_the_bits():
     # for every set of fields, one point alone and inside a batch of more
     # than one chunk get the same bits, on both halves, next to the end and
-    # next to 1/z2, and at the chunk edges of passes whose largest table has
-    # 2, 3 or 4 rows (_CHUNK // rows points per chunk); conjugate points get
+    # next to 1/z2, and at the chunk edges of passes whose table has 2, 3 or
+    # 4 rows (_CHUNK // rows points per chunk); conjugate points get
     # conjugate values
     mod, _ = solve_canonical(0.7, -0.99)
     ctx = mod.context()
@@ -649,26 +650,51 @@ def test_surface_series_errors(mod, ctx):
 
 
 def test_surface_series_fields_keep_their_bits():
-    # each field has the same bits whatever other fields it is asked with,
-    # though the pass skips the theta arguments and series degrees that no
-    # field asked for needs; a field not asked for is None
-    mod, _ = solve_canonical(0.45, -0.3)
-    ctx = mod.context()
-    rng = np.random.default_rng(11)
-    z = np.concatenate([
-        _series_test_points(mod),
-        np.exp(rng.uniform(np.log(mod.r), 0.0, 200)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200)),
-        _real_axis_points(mod),
-    ])
-    full = _surface_series(mod, ctx, z, SERIES_FIELDS, "test")
-    for mask in range(1, 2 ** len(SERIES_FIELDS)):
-        fields = tuple(f for i, f in enumerate(SERIES_FIELDS) if mask >> i & 1)
-        got = _surface_series(mod, ctx, z, fields, "test")
-        for name in SERIES_FIELDS:
-            if name in fields:
-                assert getattr(got, name).tobytes() == getattr(full, name).tobytes(), (fields, name)
-            else:
-                assert getattr(got, name) is None, (fields, name)
+    # each field has the bits it has when asked alone, whatever other fields
+    # it is asked with, though the pass skips the theta arguments that no
+    # field asked for needs and puts the others in one table, a row each in
+    # order of series degree; a field not asked for is None.  On both
+    # halves, next to the end z0 and to 1/z2, on the real axis and across
+    # the chunk edges of tables of 2, 3 and 4 rows, at a cell with two to
+    # four series terms and at r >= 0.789, where the series has one
+    for r, s in ((0.45, -0.3), (0.8, -0.99)):
+        mod, _ = solve_canonical(r, s)
+        ctx = mod.context()
+        rng = np.random.default_rng(11)
+        z = np.concatenate([
+            _series_test_points(mod),
+            np.exp(1j * (np.pi - rng.uniform(-0.05, 0.05, 20))),
+            _real_axis_points(mod),
+            np.exp(rng.uniform(np.log(mod.r), 0.0, _CHUNK + 100)) * np.exp(1j * rng.uniform(-np.pi, np.pi, _CHUNK + 100)),
+        ])
+        alone = {name: getattr(_surface_series(mod, ctx, z, (name,), "test"), name).tobytes() for name in SERIES_FIELDS}
+        for mask in range(1, 2 ** len(SERIES_FIELDS)):
+            fields = tuple(f for i, f in enumerate(SERIES_FIELDS) if mask >> i & 1)
+            got = _surface_series(mod, ctx, z, fields, "test")
+            for name in SERIES_FIELDS:
+                if name in fields:
+                    assert getattr(got, name).tobytes() == alone[name], (r, fields, name)
+                else:
+                    assert getattr(got, name) is None, (r, fields, name)
+
+
+def test_digests_cover_every_field_set_and_evaluator():
+    # the bit-identity digests (tests/digests.py) give one record per field
+    # set of the series and per public evaluator, batched and a point per
+    # call, and one for the validate report and the mesh vertices
+    cell = digests.CELLS[0]
+    records = list(digests.digests(*cell))
+    keys = {(tuple(rec["cell"]), rec["what"], rec["mode"]) for rec in records}
+    field_sets = [[f for i, f in enumerate(SERIES_FIELDS) if mask >> i & 1] for mask in range(1, 2 ** len(SERIES_FIELDS))]
+    evaluators = (
+        "gauss_map", "gauss_map_deriv", "gauss_map_square", "potential", "inv_gauss_gap", "second_gauss_map",
+        "immerse", "shape_ratio", "first_form", "intrinsic_curvature",
+    )
+    whats = ["series:" + "+".join(f) for f in field_sets] + list(evaluators)
+    want = {(cell, what, mode) for what in whats for mode in ("batch", "one")}
+    want |= {(cell, "validate_moduli", "batch"), (cell, "canonical_mesh", "batch")}
+    assert keys == want and len(records) == len(want)
+    assert all(len(rec["sha256"]) == 64 for rec in records)
 
 
 def test_gauss_map_deriv_makes_no_product_call(monkeypatch, mod, ctx):

@@ -601,15 +601,17 @@ def test_shared_theta_calls_keep_the_bits(r, s):
 
 
 def test_kernel_calls_per_point(monkeypatch):
-    # a series pass makes one call per series degree, on a table with a row
-    # per theta argument at that degree.  shape_ratio's pass has z0/z and
-    # z0 z at degree 2 and z1 z and z2 z at degree 1, immerse's the same
-    # pairs at degrees 1 and 0, and shape_ratio's W one more pass over the
-    # two arguments of g (z1 z and z2 z at degree 0); potential's shape
-    # factor has z0/z, z0 z and z1 z at degree 0.  None calls the product.
-    # first_form takes g and the shape factor from one degree-0 table of all
-    # four arguments; R, R' and W'/W stay on the product, with separate R
-    # and R' calls
+    # a series pass makes one call, on one table with a row per theta
+    # argument, highest series degree first, and names the leading rows that
+    # need N1/D and the degree-2 sum: (rows, n1, n2).  shape_ratio's pass has
+    # z0/z and z0 z at degree 2 and z1 z and z2 z at degree 1, and its W one
+    # more pass over the two arguments of g (z1 z and z2 z at degree 0);
+    # immerse, second_gauss_map and inv_gauss_gap have z0/z and z0 z at
+    # degree 1 and z1 z and z2 z at degree 0; potential's shape factor has
+    # z0/z, z0 z and z1 z at degree 0.  None calls the product.  first_form
+    # takes g and the shape factor from a degree-0 table of all four
+    # arguments; R, R' and W'/W stay on the product, with separate R and R'
+    # calls
     ctx = FLAGSHIP.context()
     gauss_map(FLAGSHIP, ctx, 0.5j)  # builds the per-surface record
     orders, series = [], []
@@ -620,17 +622,19 @@ def test_kernel_calls_per_point(monkeypatch):
 
         monkeypatch.setattr(module, "_eval", counted)
 
-    def series_counted(*args, fn=annulus_module._series_sums, **kw):
-        series.append((args[3], len(args[1])))
-        return fn(*args, **kw)
+    def series_counted(ctx, E, em1, n1, n2, fn=annulus_module._series_sums):
+        series.append((len(E), n1, n2))
+        return fn(ctx, E, em1, n1, n2)
 
     monkeypatch.setattr(annulus_module, "_series_sums", series_counted)
     for fn, want, want_series in (
-        (shape_ratio, {}, [(2, 2), (1, 2), (0, 2)]),
-        (immerse, {}, [(1, 2), (0, 2)]),
-        (gauss_map, {}, [(0, 2)]),
-        (potential, {}, [(0, 3)]),
-        (first_form, {1: 8, 2: 4}, [(0, 4)]),
+        (shape_ratio, {}, [(4, 4, 2), (2, 0, 0)]),
+        (immerse, {}, [(4, 2, 0)]),
+        (second_gauss_map, {}, [(4, 2, 0)]),
+        (inv_gauss_gap, {}, [(4, 2, 0)]),
+        (gauss_map, {}, [(2, 0, 0)]),
+        (potential, {}, [(3, 0, 0)]),
+        (first_form, {1: 8, 2: 4}, [(4, 0, 0)]),
     ):
         orders.clear()
         series.clear()
@@ -642,13 +646,13 @@ def test_kernel_calls_per_point(monkeypatch):
     orders.clear()
     series.clear()
     assert validation.boundary_ranges_ok(FLAGSHIP)
-    assert Counter(orders) == {} and series == [(1, 2)]
+    assert Counter(orders) == {} and series == [(2, 2, 0)]
 
 
 def test_series_tables_hold_at_most_a_chunk(monkeypatch):
     # no table handed to the series holds more than _CHUNK entries, and a
-    # chunk takes as many points as its pass's largest table allows: 1,024
-    # for two-row tables, 682 for potential's three rows
+    # chunk takes as many points as its pass's table allows: 512 for four
+    # rows, 682 for potential's three, 1,024 for two
     ctx = FLAGSHIP.context()
     shapes = []
 
@@ -659,10 +663,10 @@ def test_series_tables_hold_at_most_a_chunk(monkeypatch):
     monkeypatch.setattr(annulus_module, "_series_sums", series_counted)
     rng = np.random.default_rng(17)
     z = np.exp(rng.uniform(np.log(FLAGSHIP.r), 0.0, 5000)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 5000))
-    pass_2 = [(2, 1024)] * 4 + [(2, 904)]
+    four_rows = [(4, 512)] * 9 + [(4, 392)]
     for fn, want in (
-        (shape_ratio, [(2, 1024)] * 8 + [(2, 904)] * 2 + pass_2),
-        (immerse, [(2, 1024)] * 8 + [(2, 904)] * 2),
+        (shape_ratio, four_rows + [(2, 1024)] * 4 + [(2, 904)]),
+        (immerse, four_rows),
         (potential, [(3, 682)] * 7 + [(3, 226)]),
     ):
         shapes.clear()
