@@ -34,11 +34,11 @@ A theta context is its radius, so a function of the whole surface, such
 as ``gauss_square_winding``, takes the moduli alone and reads the context
 the moduli build once and keep, ``moduli.context()``.  A point evaluator
 takes (moduli, ctx, z) and raises ValueError for a context of another
-radius than the moduli's.  Per
-surface the evaluators read one record (``_surface``, cached on the moduli
-and their context): the checks of the stored fields, sqrt(C) and K', and
-the constants of the modular series; the per-radius tables are the
-context's own.  The record's theta values, like the solve's closing step
+radius than the moduli's.  Per surface the evaluators read one record
+(``_surface``, cached on the moduli and their context), built once the
+stored fields pass their checks: the constants of the modular series per
+theta argument and per field; the per-radius tables are the context's
+own.  The record's theta values, like the solve's closing step
 and ``solver.residuals``, come from one kernel call over the eight
 arguments of the four slit values that tie the stored fields to the
 markers (``_marker_slits``), with the bits of separate ``slit_map`` calls.
@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .theta import _CHUNK, ThetaContext, _eval, _expm1, _guard_series_zeros, _series_sums, pointwise
+from .theta import _CHUNK, ThetaContext, _column, _eval, _expm1, _guard_series_zeros, _series_sums, pointwise
 
 ANNULUS_SLACK = 1e-12
 
@@ -308,19 +308,20 @@ def gauss_square_winding(moduli: CanonicalModuli) -> int:
 
 
 class _Surface(NamedTuple):
-    """The per-surface constants of the evaluators, built once per
+    """The per-surface constants of :func:`_surface_series`, built once per
     (moduli, ctx) by :func:`_surface`.
 
-    sqrt_c and k_prime are sqrt(C) and K' of the theta-product forms of g
-    and the shape factor, and units, g_coef, f_coef and r_coef are the
-    constants of :func:`_surface_series`: the unit factors a0, a1, a2 of E
-    at z0 z, z1 z and z2 z, and the real coefficients (c, b) of g, the
-    shape factor and (R_c, kappa) of R and R'.
+    unit, sign, marker and inverse are read-only columns over the pass's
+    theta arguments z0/z, z0 z, z1 z, z2 z: the unit factor of E (conj(a0),
+    a0, a1, a2), the sign s of E = exp(2isy), the marker and whether the
+    argument is marker/z.  g_coef, f_coef and r_coef are the real
+    coefficients (c, b) of g, the shape factor and (R_c, kappa) of R and R'.
     """
 
-    sqrt_c: float
-    k_prime: float
-    units: tuple[complex, complex, complex]
+    unit: np.ndarray
+    sign: np.ndarray
+    marker: np.ndarray
+    inverse: np.ndarray
     g_coef: tuple[float, float]
     f_coef: tuple[float, float]
     r_coef: tuple[float, float]
@@ -371,14 +372,15 @@ def _surface(moduli: CanonicalModuli, ctx: ThetaContext) -> _Surface:
     k = ctx.k
     ell = np.pi / k
     l0, l1, l2 = (float(np.log(-x)) for x in (z0, z1, z2))
-    units = tuple(complex(np.exp(-1j * k * x)) for x in (l0, l1, l2))
+    a0, a1, a2 = (complex(np.exp(-1j * k * x)) for x in (l0, l1, l2))
     g_coef = (float(np.log(sqrt_c)) + (l2 - l1) * ((l1 + l2) / (4.0 * ell) - 0.5), (l2 - l1) / (2.0 * ell) - 1.0)
     f_coef = (
         float(np.log(z0 / (z1 * k_prime))) + (l0 * l0 - l1 * l1) / (2.0 * ell) - (l0 - l1),
         moduli.m + 1.0 - l1 / ell,
     )
     r_coef = (moduli.b_R - moduli.a_R * (l0 / ell - 1.0) / z0, -moduli.a_R * k / z0)
-    return _Surface(sqrt_c, k_prime, units, g_coef, f_coef, r_coef)
+    args = ([a0.conjugate(), a0, a1, a2], [1.0, -1.0, -1.0, -1.0], [z0, z0, z1, z2], [True, False, False, False])
+    return _Surface(*(_column(np.array(a)) for a in args), g_coef, f_coef, r_coef)
 
 
 @pointwise
@@ -459,26 +461,29 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
     E = exp(i s (pi/l) lv), s = +-1 the sign with |E| <= 1 (see the module
     docstring of flatfront.theta and theta._series_sums), are E_j = a_j w
     and conj(a0) w for one w = exp((pi/l) (Im log z - pi) - i (pi/l) Re log z)
-    per point: one log and one exp serve all four.  Where an argument's |E - 1| < 1/2, next to
-    a zero of theta1 (the end z0 for z0/z; 1/z2 or r^2/z1, just off the
-    annulus, for the others), E - 1 is recomputed by _near_zero_em1, so it
-    keeps its relative precision.
+    per point: one log and one exp serve all four, and the table of E is
+    one product of the record's unit factors with w.  Where an entry has
+    |E - 1| < 1/2, next to a zero of theta1 (the end z0 for z0/z; 1/z2 or
+    r^2/z1, just off the annulus, for the others), one _near_zero_em1 call
+    per chunk recomputes E - 1 at all such entries, with the sign, marker
+    and flag of each one's argument from the record, so it keeps its
+    relative precision, and one _guard_series_zeros call guards them.
 
     In the quotients of g = sqrt(C) theta1(z2 z) / (z theta1(z1 z)) and of the
     shape factor z^m z0 theta1(z0/z) theta1(z0 z) / (z1 K' theta1(z1 z)^2)
     the series' constant cancels and the exp(lv^2/(4l)) factors combine to
     exp(c + b log z) with real c and b, which takes in 1/z and z^m.  pi/l
     comes from the context and the other constants from the record
-    (_surface), whose sqrt(C) and K' come from the product.  Every argument
-    is guarded against the zeros of theta1, row by row.  One table per pass
-    holds the arguments, a row each, highest series degree first, and
+    (_surface), whose c and b take sqrt(C) and K' from the product.  One
+    table per pass holds the arguments, a row each, highest degree first;
+    the fields read its rows by index, and
     theta._series_sums runs once per chunk of theta._CHUNK // rows points,
     so no table holds more than theta._CHUNK entries.  The operations are
     elementwise, so a point gets the same bits in any batch.
     """
     _require_annulus(ctx, z, who)
     surface = _surface(moduli, ctx)
-    k, (a0, a1, a2) = ctx.k, surface.units
+    k = ctx.k
     (cg, bg), (cf, bf), (r_c, kappa) = surface.g_coef, surface.f_coef, surface.r_coef
     z0 = moduli.z0
     ask_g, ask_log, ask_r, ask_f, ask_rp = map(fields.__contains__, _Series._fields)
@@ -486,15 +491,15 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
     deg_0 = 2 if ask_rp else 1 if ask_r else 0 if ask_f else None
     deg_1 = 1 if ask_log else 0 if ask_g or ask_f else None
     deg_2 = 1 if ask_log else 0 if ask_g else None
-    # (unit factor of E, sign s of E = exp(2isy), marker, whether the
-    # argument is marker/z)
-    args = ((a0.conjugate(), 1.0, z0, True), (a0, -1.0, z0, False), (a1, -1.0, moduli.z1, False),
-            (a2, -1.0, moduli.z2, False))
     # one table, a row per argument used, highest series degree first: N1/D
     # is wanted on its first n1 rows and the degree-2 sum on its first n2
     degs = (deg_0, deg_0, deg_1, deg_2)
     rows = sorted((i for i, d in enumerate(degs) if d is not None), key=lambda i: -degs[i])
     n1, n2 = (sum(degs[i] >= deg for i in rows) for deg in (1, 2))
+    # the table row of z0/z, z0 z, z1 z and z2 z (None: unused)
+    j_in, j_0, j_1, j_2 = map({i: j for j, i in enumerate(rows)}.get, range(4))
+    rows = np.array(rows)
+    unit = surface.unit[rows]
     step = _CHUNK // len(rows)
     outs = [np.empty(z.shape, dtype=np.complex128) if name in fields else None for name in _Series._fields]
     for lo in range(0, z.size, step):
@@ -514,33 +519,27 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
         w.real = k * (lz.imag - np.pi)
         w.imag = -k * lz.real
         w = np.exp(w)
-        E = np.empty((len(rows), zc.size), dtype=np.complex128)
-        # each row is the scalar-times-array product a lone argument takes,
-        # so its bits do not depend on the table's shape
-        for j, i in enumerate(rows):
-            E[j] = args[i][0] * w
+        # a row is the unit-times-array product a lone argument takes, so
+        # its bits do not depend on the table's shape
+        E = unit * w
         em1 = E - 1.0
         near = np.abs(em1) < 0.5
         if np.count_nonzero(near):
-            for i, mask, e, d in zip(rows, near, E, em1):
-                if np.count_nonzero(mask):
-                    _, s, marker, inverse = args[i]
-                    d[mask] = dm = _near_zero_em1(ctx, s, marker, zeta[mask], inverse)
-                    e[mask] = dm + 1.0
-                    # a zero of theta1 can only lie among these points
-                    at = zc[mask]
-                    _guard_series_zeros(ctx, dm, lambda m: marker / at[m] if inverse else marker * at[m])
+            row, col = np.nonzero(near)
+            arg = rows[row]
+            marker, inverse = surface.marker[arg, 0], surface.inverse[arg, 0]
+            em1[row, col] = dm = _near_zero_em1(ctx, surface.sign[arg, 0], marker, zeta[col], inverse)
+            E[row, col] = dm + 1.0
+            # a zero of theta1 can only lie among these entries
+            at = zc[col]
+            _guard_series_zeros(ctx, dm, lambda m: np.where(inverse[m], marker[m] / at[m], marker[m] * at[m]))
         D, rho, tau = _series_sums(ctx, E, em1, n1, n2)
-        sums = [(None, None, None)] * len(args)
-        for j, i in enumerate(rows):
-            sums[i] = (D[j], rho[j] if j < n1 else None, tau[j] if j < n2 else None)
-        (d_in, rho_in, tau_in), (d_0, rho_0, tau_0), (d_1, rho_1, _), (d_2, rho_2, _) = sums
         vals = (
-            np.exp(cg + bg * lz) * d_2 / d_1 if ask_g else None,
-            (bg - 1j * k * (rho_2 - rho_1)) / zeta if ask_log else None,
-            r_c + 1j * kappa * (rho_in - rho_0) if ask_r else None,
-            np.exp(cf + bf * lz) * d_in * d_0 / (d_1 * d_1) if ask_f else None,
-            -moduli.a_R * k * k * (tau_in - tau_0) / (z0 * zeta) if ask_rp else None,
+            np.exp(cg + bg * lz) * D[j_2] / D[j_1] if ask_g else None,
+            (bg - 1j * k * (rho[j_2] - rho[j_1])) / zeta if ask_log else None,
+            r_c + 1j * kappa * (rho[j_in] - rho[j_0]) if ask_r else None,
+            np.exp(cf + bf * lz) * D[j_in] * D[j_0] / (D[j_1] * D[j_1]) if ask_f else None,
+            -moduli.a_R * k * k * (tau[j_in] - tau[j_0]) / (z0 * zeta) if ask_rp else None,
         )
         for field, val, out in zip(_Series._fields, vals, outs):
             if val is None:
@@ -551,18 +550,16 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
     return _Series(*outs)
 
 
-def _near_zero_em1(ctx: ThetaContext, s: float, marker: float, zeta, inverse: bool):
-    """E - 1 = expm1(i s (pi/l) log(v/v0)) at the argument v = marker/zeta
-    (inverse) or marker zeta, with v0 the zero of theta1 nearest v: E is
-    periodic in log v with period 2l, so the log may be taken from the zero.
-    With d = v/v0 - 1, exact in the numerator z0 - zeta for the argument
-    z0/zeta, the log is log1p-accurate: E - 1 keeps the relative precision
-    of d, where E - 1 from E alone would cancel."""
-    if inverse:
-        d = (marker - zeta) / zeta
-    else:
-        v = marker * zeta
-        d = v / ctx.nearest_zero(v) - 1.0
+def _near_zero_em1(ctx: ThetaContext, s, marker, zeta, inverse):
+    """E - 1 = expm1(i s (pi/l) log(v/v0)) at table entries, each with its
+    sign s, marker, zeta and flag inverse (arrays): the argument is
+    v = marker/zeta where inverse is set, else marker zeta, and v0 the zero
+    of theta1 nearest v.  E is periodic in log v with period 2l, so the log
+    may be taken from the zero.  With d = v/v0 - 1, exact in the numerator
+    marker - zeta for marker/zeta, the log is log1p-accurate: E - 1 keeps
+    the relative precision of d, where E - 1 from E alone would cancel."""
+    v = marker * zeta
+    d = np.where(inverse, (marker - zeta) / zeta, v / ctx.nearest_zero(v) - 1.0)
     # i s k log(1 + d), log(1 + d) = log|1 + d| + i arg(1 + d)
     x = np.empty(d.shape, dtype=np.complex128)
     x.real = -s * ctx.k * np.arctan2(d.imag, 1.0 + d.real)

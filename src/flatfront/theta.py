@@ -47,12 +47,14 @@ context's c_n (ThetaContext.series_coefs), serves it in two precisions:
   (:func:`_real_log_slopes`);
 - complex128 elsewhere, as D = sum (-1)^n q'^(n(n+1)) (E^(n+1) - E^(-n)) in
   E = exp(+-i pi lv / l), |E| <= 1 (:func:`_series_sums`): the annulus layer
-  builds the data of immerse, shape_ratio and gauss_map and the range
-  check's R from it (annulus._surface_series), the bulk of the mesh's and
-  the validation battery's work.
+  builds g, g'/g, R, R' and the shape factor from it (annulus._surface_series)
+  for immerse, shape_ratio, gauss_map, potential, second_gauss_map,
+  inv_gauss_gap, gauss_map_deriv, end_direction, the range check's R and
+  first_form's g and shape factor, the bulk of the mesh's and the
+  validation battery's work.
 
 Every other evaluator, the public functions here among them, stays on the
-product, which also keeps the per-surface record's sqrt(C) and K' and the
+product, which also keeps sqrt(C) and K' of the per-surface record and the
 solve's residual check on a route of their own: the check, which evaluates
 the solved markers on the product, certifies the series' solve across the
 two kernels.

@@ -36,14 +36,13 @@ import numpy as np
 from flatfront.annulus import (
     AT_INFINITY,
     DegenerateConfigurationError,
-    _surface,
     gauss_map,
     gauss_ratio,
     theta_quotient,
 )
 from flatfront.immersion import HalfSpacePoint, RotationalModuli
 from flatfront.solver import FLOOR_ULPS, MAX_ITERS
-from flatfront.theta import _eval, _expm1, _guard_series_zeros, _series_sums, pointwise
+from flatfront.theta import _eval, _expm1, _guard_series_zeros, _series_sums, pointwise, theta1
 
 
 @pointwise
@@ -90,11 +89,15 @@ def shape_factor_product(moduli, ctx, z):
     on the theta product, with the principal-branch z^m; its modulus is
     exp(2u).  theta1(z/z0) is read as -(z0/z) theta1(z0/z), by
     theta1(1/w) = -w theta1(w), so the arguments are z0/z, z0 z and z1 z.
-    Regular at z1 and z2 and zero at the end z0."""
-    k_prime = _surface(moduli, ctx).k_prime
-    a, b, c = (_eval(ctx, w, 0)[0] for w in (moduli.z0 / z, moduli.z0 * z, moduli.z1 * z))
-    a = -(moduli.z0 / z) * a
-    return -z * np.exp(moduli.m * np.log(z)) * a * b / (moduli.z1 * k_prime * c * c)
+    Regular at z1 and z2 and zero at the end z0.  K' =
+    theta1(z2/z0) theta1(z2 z0) / (theta1(z2/z1) theta1(z2 z1)) comes from
+    one-point theta1 calls: a point's value does not depend on its batch."""
+    z0, z1, z2 = moduli.z0, moduli.z1, moduli.z2
+    t = [theta1(ctx, complex(w)).real for w in (z2 / z0, z2 * z0, z2 / z1, z2 * z1)]
+    k_prime = t[0] * t[1] / (t[2] * t[3])
+    a, b, c = (_eval(ctx, w, 0)[0] for w in (z0 / z, z0 * z, z1 * z))
+    a = -(z0 / z) * a
+    return -z * np.exp(moduli.m * np.log(z)) * a * b / (z1 * k_prime * c * c)
 
 
 def rotational_disc(rot: RotationalModuli) -> tuple[float, float]:

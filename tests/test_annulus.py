@@ -591,7 +591,7 @@ def test_gauss_map_against_oracle(monkeypatch, r, s):
     near_zero_em1 = annulus_module._near_zero_em1
 
     def recorded(ctx, s, marker, zeta, inverse):
-        near_markers.append(marker)
+        near_markers.extend(marker)
         return near_zero_em1(ctx, s, marker, zeta, inverse)
 
     monkeypatch.setattr(annulus_module, "_near_zero_em1", recorded)

@@ -652,15 +652,22 @@ def test_kernel_calls_per_point(monkeypatch):
 def test_series_tables_hold_at_most_a_chunk(monkeypatch):
     # no table handed to the series holds more than _CHUNK entries, and a
     # chunk takes as many points as its pass's table allows: 512 for four
-    # rows, 682 for potential's three, 1,024 for two
+    # rows, 682 for potential's three, 1,024 for two.  A chunk repairs E - 1
+    # at all its entries next to a zero of theta1 in at most one
+    # _near_zero_em1 call, made before its series call
     ctx = FLAGSHIP.context()
-    shapes = []
+    shapes, repairs = [], []
 
     def series_counted(*args, fn=annulus_module._series_sums, **kw):
         shapes.append(args[1].shape)
         return fn(*args, **kw)
 
+    def repair_counted(*args, fn=annulus_module._near_zero_em1, **kw):
+        repairs.append(len(shapes))
+        return fn(*args, **kw)
+
     monkeypatch.setattr(annulus_module, "_series_sums", series_counted)
+    monkeypatch.setattr(annulus_module, "_near_zero_em1", repair_counted)
     rng = np.random.default_rng(17)
     z = np.exp(rng.uniform(np.log(FLAGSHIP.r), 0.0, 5000)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 5000))
     four_rows = [(4, 512)] * 9 + [(4, 392)]
@@ -670,6 +677,10 @@ def test_series_tables_hold_at_most_a_chunk(monkeypatch):
         (potential, [(3, 682)] * 7 + [(3, 226)]),
     ):
         shapes.clear()
+        repairs.clear()
         fn(FLAGSHIP, ctx, z)
         assert shapes == want, fn.__name__
         assert max(rows * n for rows, n in shapes) <= _CHUNK
+        # a repair is tagged with the number of series calls before it, so
+        # two repairs in one chunk share a tag
+        assert repairs and len(set(repairs)) == len(repairs), (fn.__name__, repairs)

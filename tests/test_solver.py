@@ -484,10 +484,21 @@ def test_stacked_slit_values_keep_the_bits(r, s):
     }
     assert trace.residuals == residuals(moduli) == want
 
+    # the record's coefficients of g and the shape factor, from sqrt(C) and K'
+    # of one-point theta1 values
     t = [theta1(ctx, complex(w)).real for w in (z1 / z0, z1 * z0, z2 / z0, z2 * z0, z2 / z1, z2 * z1)]
-    scale = math.sqrt(-t[0] * t[1] / (t[2] * t[3]))
+    sqrt_c, k_prime = math.sqrt(-t[0] * t[1] / (t[2] * t[3])), t[2] * t[3] / (t[4] * t[5])
+    ell = math.pi / ctx.k
+    l0, l1, l2 = (float(np.log(-x)) for x in (z0, z1, z2))
     surface = annulus._surface.__wrapped__(moduli, ctx)
-    assert (surface.sqrt_c, surface.k_prime) == (scale, t[2] * t[3] / (t[4] * t[5]))
+    assert surface.g_coef == (
+        float(np.log(sqrt_c)) + (l2 - l1) * ((l1 + l2) / (4.0 * ell) - 0.5),
+        (l2 - l1) / (2.0 * ell) - 1.0,
+    )
+    assert surface.f_coef == (
+        float(np.log(z0 / (z1 * k_prime))) + (l0 * l0 - l1 * l1) / (2.0 * ell) - (l0 - l1),
+        moduli.m + 1.0 - l1 / ell,
+    )
     assert end_direction(moduli) == complex(gauss_map(moduli, ctx, z0).real)
 
 
