@@ -19,19 +19,21 @@ stages:
 
 Every stage finds its root by Newton's method.  Stages 1 and 2 use
 bracketed_root, which bisects its sign bracket where a Newton step would
-leave it or fails to halve, elementwise on arrays: the scan solves stage 2
-for all its candidates in one array call, each iteration evaluating, and
-updating, only the candidates not yet settled.  No step depends on timing
-or randomness, so results are deterministic bit for bit.
+leave it or fails to halve, elementwise on arrays.  Neither stage depends
+on the other, so the scan solves both in one array call: stage 1 is one
+more entry beside stage 2 for each candidate, and each iteration evaluates,
+and updates, only the entries not yet settled, each stage getting the bits
+of a call of its own.  No step depends on timing or randomness, so results
+are deterministic bit for bit.
 
 Every argument of the three stages is a positive real, so the stages take
 log_slope and its derivative from the modular series, which the surface
 evaluators take at complex points, in its real form in float64 (see
 flatfront.theta): it needs at most 4 terms from r = 0.023 on and 1 from
 r = 0.789, where the product needs 6 and 88.  A Newton step takes both at
-all its points from one order-2 series call, a pairing value of the scan
-from one order-1 call.  Every stage stops at the same rounding floor,
-FLOOR_ULPS.
+all its points, of stages 1 and 2 alike, from one order-2 series call, a
+pairing value of the scan from one order-1 call.  Every stage stops at the
+same rounding floor, FLOOR_ULPS.
 
 The closing step reads c1 = slit_map(z1, z0), c2 = slit_map(z2, z0), the
 two slit values of fit_gauss_ratio and R'(z1), R'(z2) from one marker pass
@@ -86,13 +88,14 @@ class RangeNormalizationError(ValueError):
 class SolverTrace:
     """Diagnostics of one canonical solve, serializable for the CLI sidecar.
 
-    exponent_iterations and scan_iterations count the iterations of
-    bracketed_root in stage 1, on the pole-free balance, and in the stage-2
-    solve of the scan, each one order-2 series call after the one at the
-    bracket ends.  outer_iterations counts the order-2 series calls of
-    stage 3, one per Newton step taken or refused.  The solve makes one
-    call of the product kernel, the closing marker pass, whose values also
-    give the residuals.
+    Stage 1, on the pole-free balance, and the stage-2 solve of the scan
+    share one bracketed_root call, each iteration one order-2 series call
+    over their active entries.  exponent_iterations and scan_iterations
+    count, per stage, the calls after the one at the bracket ends that held
+    one of its entries: the iterations of a call of its own.
+    outer_iterations counts the order-2 series calls of stage 3, one per
+    Newton step taken or refused.  The solve makes one call of the product
+    kernel, the closing marker pass, whose values also give the residuals.
     """
 
     r: float
@@ -182,44 +185,18 @@ def bracketed_root(fn, lo, hi):
     return roots, n
 
 
-def solve_exponent(ctx: ThetaContext, s: float):
-    """Stage 1: the exponent m in (-3, -2), the bracket used and the
-    iterations.
-
-    With h = log_slope and P = r^(-2(m+2)), the balance is
-    f(m) = 2 h(P) - 1 - s - m, with m-derivative 2 h'(P) (-2 log r) P - 1.
-    It has poles at both ends of (-3, -2), where P is the zero r^2 or 1 of
-    theta1, and a Newton step from the bracket ends, 1e-3 inside them,
-    barely moves.  bracketed_root runs on F(m) = -sin(pi (m+2)) f(m)
-    instead: the factor is positive on (-3, -2), so F has the sign and the
-    root of f, and its simple zeros at m = -3 and m = -2 cancel the poles.
-    """
-    r = ctx.r
-    dlogP = ctx.two_l  # dP/dm = dlogP * P
-
-    def balance(m, i):
-        P = r ** (-2.0 * (m + 2.0))
-        h, dh = _real_log_slopes(ctx, P, 2)
-        f = 2.0 * h - 1.0 - s - m
-        phase = math.pi * (m + 2.0)
-        sin, cos = np.sin(phase), np.cos(phase)
-        return -sin * f, -sin * (2.0 * dh * dlogP * P - 1.0) - math.pi * cos * f
-
-    (m,), iters = bracketed_root(balance, *EXPONENT_BRACKET)
-    if np.isnan(m):
-        raise BracketError(
-            f"stage 1: exponent balance has no sign change on {EXPONENT_BRACKET} for r={r}, s={s}"
-        )
-    return float(m), EXPONENT_BRACKET, iters
-
-
 def _pairing(ctx: ThetaContext, z0, w, order: int):
     """pair_slope(z0, w) on a flat array w, with its derivatives in w and in
     z0 at order 2 (None at order 1), from one series call of that order; z0
     is a float or an array like w.  The pairing does not depend on the
     order."""
-    L, D = _real_log_slopes(ctx, np.concatenate([w / z0, w * z0]), order)
-    if order < 2:
+    return _pair_slopes(z0, w, *_real_log_slopes(ctx, np.concatenate([w / z0, w * z0]), order))
+
+
+def _pair_slopes(z0, w, L, D):
+    """_pairing from the log slopes L and derivatives D (or None) at the
+    stacked points w/z0 and w z0."""
+    if D is None:
         return L[: w.size] + L[w.size :], None, None
     inv, fwd = D[: w.size], D[w.size :]
     # d pair_slope(z0, w) / d w  = L'(w/z0) / z0 + L'(w z0) z0
@@ -227,42 +204,96 @@ def _pairing(ctx: ThetaContext, z0, w, order: int):
     return L[: w.size] + L[w.size :], inv / z0 + fwd * z0, w * (fwd - inv / (z0 * z0))
 
 
-def _inner_split(ctx: ThetaContext, z0s, s):
-    """Stage 2 for an array of candidate end markers.
+def _inner_split(ctx: ThetaContext, z0s, s, exponent=False):
+    """Stage 2 for an array of candidate end markers and, with exponent,
+    stage 1 as one more entry of the same bracketed_root call.
 
     For each z0 the target z2 lies in (-1, z0), where the pairing rises
-    from about -1 near -1, which is below every s, to +inf at z0.  Entries
-    without a sign change come back as NaN.  Returns (z2s, iterations).
+    from about -1 near -1, which is below every s, to +inf at z0.  Neither
+    stage depends on the other, and the loop is elementwise, so each gets
+    the bits of a call of its own.  Each iteration takes the log slopes of
+    every active entry from one order-2 series call: at P = r^(-2(m+2))
+    for the exponent, at w/z0 and w z0 for a split.
+
+    Stage 1 runs on the pole-free balance.  With h = log_slope, the balance
+    f(m) = 2 h(P) - 1 - s - m, with m-derivative 2 h'(P) (-2 log r) P - 1,
+    has poles at both ends of (-3, -2), where P is the zero r^2 or 1 of
+    theta1, and a Newton step from the bracket ends, 1e-3 inside them,
+    barely moves.  The root finder runs on F(m) = -sin(pi (m+2)) f(m)
+    instead: the factor is positive on (-3, -2), so F has the sign and the
+    root of f, and its simple zeros at m = -3 and m = -2 cancel the poles.
+
+    Entries without a sign change come back as NaN.  Returns (z2s, m,
+    iterations): m is None without exponent, and iterations is the pair
+    (stage 1, stage 2), each counting the calls after the first that held
+    one of its entries.
     """
+    r = ctx.r
     z0s = np.asarray(z0s, dtype=float)
     lo = -1.0 + (1.0 + z0s) * 1e-6
     hi = z0s - np.abs(z0s) * 1e-9
+    e = int(exponent)  # entry 0 is the exponent's, if any
+    if e:
+        lo, hi = np.r_[EXPONENT_BRACKET[0], lo], np.r_[EXPONENT_BRACKET[1], hi]
+        z0s = np.r_[np.nan, z0s]  # so that z0s[i] is an entry's z0
+    calls = [0, 0]
 
-    def split(w, i):
-        pair, dw, _ = _pairing(ctx, z0s[i], w, 2)
-        return pair - s, dw
+    def fn(x, i):
+        # without the exponent's entry, as in every call once it has
+        # settled (i increases after the first call), the splits alone
+        if i[0] >= e:
+            calls[1] += 1
+            pair, dw, _ = _pairing(ctx, z0s[i], x, 2)
+            return pair - s, dw
+        calls[0] += 1
+        bal = i < e
+        split = ~bal
+        m, w, z0 = x[bal], x[split], z0s[i[split]]
+        calls[1] += w.size > 0
+        P = r ** (-2.0 * (m + 2.0))
+        h, dh = _real_log_slopes(ctx, np.concatenate([P, w / z0, w * z0]), 2)
+        pair, dw, _ = _pair_slopes(z0, w, h[m.size :], dh[m.size :])
+        h, dh = h[: m.size], dh[: m.size]
+        f = 2.0 * h - 1.0 - s - m
+        phase = math.pi * (m + 2.0)
+        sin, cos = np.sin(phase), np.cos(phase)
+        out, d = np.empty(x.size), np.empty(x.size)
+        out[bal], d[bal] = -sin * f, -sin * (2.0 * dh * ctx.two_l * P - 1.0) - math.pi * cos * f
+        out[split], d[split] = pair - s, dw
+        return out, d
 
-    return bracketed_root(split, lo, hi)
+    roots, _ = bracketed_root(fn, lo, hi)
+    return roots[e:], (roots[0] if e else None), (calls[0] - 1, calls[1] - 1)
 
 
-def _outer_scan(ctx: ThetaContext, s: float, P: float, n=SCAN_POINTS):
+def _outer_scan(ctx: ThetaContext, s: float, P=None, n=SCAN_POINTS):
     """The scan: stage 2 for a grid of candidate z0, then the residual of the
     stage-3 outer pairing at each.
 
-    Candidates whose inner split fails, or whose partner P/z2 would not lie
-    in (z0, -r), are marked NaN.  Returns (z0 grid, residual grid, z2 grid,
-    iterations of the stage-2 solve).
+    The solve passes no P: stage 1 then joins the stage-2 root loop
+    (_inner_split), and P = r^(-2(m+2)) follows from its m.
+    validate_moduli passes the stored P.  Candidates whose inner split
+    fails, or whose partner P/z2 would not lie in (z0, -r), are marked NaN.
+    Returns (z0 grid, residual grid, z2 grid, m, iterations of
+    _inner_split); m is None when P is given.
     """
     r = ctx.r
     z0s = np.linspace(-1.0 + 1e-6, -r * (1.0 + 1e-6), n)
-    z2s, iters = _inner_split(ctx, z0s, s)
+    z2s, m, iters = _inner_split(ctx, z0s, s, exponent=P is None)
+    if P is None:
+        if np.isnan(m):
+            raise BracketError(
+                f"stage 1: exponent balance has no sign change on {EXPONENT_BRACKET} for r={r}, s={s}"
+            )
+        m = float(m)
+        P = r ** (-2.0 * (m + 2.0))
     with np.errstate(invalid="ignore", divide="ignore"):
         z1s = P / z2s
         ok = (z0s * z2s > P) & (z1s < -r)
     vals = np.full(z0s.shape, np.nan)
     if np.count_nonzero(ok):
         vals[ok] = _pairing(ctx, z0s[ok], z1s[ok], 1)[0] - (s - 2.0)
-    return z0s, vals, z2s, iters
+    return z0s, vals, z2s, m, iters
 
 
 def _sign_changes(vals):
@@ -327,16 +358,15 @@ def solve_canonical(r: float, s: float, tol: float = RESIDUAL_TOL):
     ctx = ThetaContext.create(r)
     trace = SolverTrace(r=r, s=s)
 
-    stage = 1
+    # a pole in the shared root loop of stages 1 and 2 is stage 2's: the
+    # bracket inset keeps P at least about 0.002 |log r| (relative) from the
+    # zeros r^2 and 1 of theta1
+    stage = 2
     try:
-        m, m_bracket, m_iters = solve_exponent(ctx, s)
+        z0s, vals, z2s, m, (trace.exponent_iterations, trace.scan_iterations) = _outer_scan(ctx, s)
         P = r ** (-2.0 * (m + 2.0))
         trace.m = m
-        trace.exponent_bracket = m_bracket
-        trace.exponent_iterations = m_iters
-
-        stage = 2
-        z0s, vals, z2s, trace.scan_iterations = _outer_scan(ctx, s, P)
+        trace.exponent_bracket = EXPONENT_BRACKET
         trace.scan_points = int(z0s.size)
 
         stage = 3

@@ -193,7 +193,7 @@ def validate_moduli(moduli: CanonicalModuli, grid: int = 64) -> ValidationReport
     try:
         res = residuals(moduli)
         rs_ok = boundary_ranges_ok(moduli)
-        _, scan_vals, _, _ = _outer_scan(ctx, moduli.s, moduli.r ** (-2.0 * (moduli.m + 2.0)))
+        scan_vals = _outer_scan(ctx, moduli.s, moduli.r ** (-2.0 * (moduli.m + 2.0)))[1]
         n_scan_changes = len(_sign_changes(scan_vals))
     except ThetaPoleError:
         res = {"c1_res": math.inf, "c2_res": math.inf, "c3_res": math.inf}

@@ -1,12 +1,15 @@
-"""SHA-256 digests of every series field set and surface evaluator, for
-checking that a change keeps the bits.
+"""SHA-256 digests of the solve, every series field set and surface
+evaluator, for checking that a change keeps the bits.
 
     PYTHONPATH=src python3 tests/digests.py > digests.jsonl
     PYTHONPATH=src python3 tests/digests.py --cell 0.25 -0.5
 
-prints one JSON line per (cell, what, mode): ``what`` is a field set of
-annulus._surface_series ("series:g+R"), a public evaluator ("immerse"), the
-validate_moduli report or the canonical_mesh vertices; ``mode`` is "batch",
+prints one JSON line per (cell, what, mode): ``what`` is the solve's
+moduli JSON ("solve_canonical") or trace ("solve_canonical:trace"), the
+outer pairing values of validate_moduli's scan ("validate_moduli:scan"), a
+field set of annulus._surface_series ("series:g+R"), a public evaluator
+("immerse"), the validate_moduli report or the canonical_mesh vertices;
+``mode`` is "batch",
 the whole point set in one call, or "one", a subset of it a point per call.
 The digest is of the output bytes, field by field.  Two checkouts whose
 outputs diff empty give every value the same bits.
@@ -44,6 +47,7 @@ from flatfront import (
     validate_moduli,
 )
 from flatfront.annulus import _Series, _surface_series
+from flatfront.solver import _outer_scan
 
 CELLS = ((0.25, -0.5), (0.65, -0.01), (0.7, -0.99), (0.05, -0.04), (0.45, -0.3), (0.6, -0.8))
 FIELD_SETS = tuple(
@@ -93,12 +97,18 @@ def _stacked(results):
 
 def digests(r: float, s: float):
     """Yield the records of the cell (r, s)."""
-    moduli, _ = solve_canonical(r, s)
+    moduli, trace = solve_canonical(r, s)
     ctx = moduli.context()
+    cell = [r, s]
+    yield {"cell": cell, "what": "solve_canonical", "mode": "batch", "sha256": _digest(moduli.to_json().encode())}
+    trace_json = json.dumps(trace.to_dict(), sort_keys=True).encode()
+    yield {"cell": cell, "what": "solve_canonical:trace", "mode": "batch", "sha256": _digest(trace_json)}
+    # the scan as validate_moduli runs it, on the stored P
+    scan = _outer_scan(ctx, s, moduli.r ** (-2.0 * (moduli.m + 2.0)))[1]
+    yield {"cell": cell, "what": "validate_moduli:scan", "mode": "batch", "sha256": _digest(scan)}
     z, one = points(moduli)
     markers = np.array([moduli.z0, moduli.z1, moduli.z2])
     inside = (np.abs(z) >= r + 2e-3) & (np.abs(z) <= 1.0 - 2e-3) & (np.abs(z[:, None] - markers).min(axis=1) >= 2e-3)
-    cell = [r, s]
     for fields in FIELD_SETS:
         what = "series:" + "+".join(fields)
         for mode, pts in (("batch", [z]), ("one", [z[i : i + 1] for i in one])):

@@ -25,6 +25,9 @@ the library takes it from the series pass of ``immerse`` and
 written on full-length arrays, with an ``np.where`` update of every entry
 per step; ``solver.bracketed_root`` carries only the entries still active
 and must give the same roots and iteration counts bit for bit.
+``scan_stages_reference`` runs the solver's stage 1 and the scan's stage 2
+as two such loops, one after the other, where the solver runs both in one
+call: the one call must give each stage the bits of its own.
 """
 
 from __future__ import annotations
@@ -41,8 +44,10 @@ from flatfront.annulus import (
     theta_quotient,
 )
 from flatfront.immersion import HalfSpacePoint, RotationalModuli
-from flatfront.solver import FLOOR_ULPS, MAX_ITERS
-from flatfront.theta import _eval, _expm1, _guard_series_zeros, _series_sums, pointwise, theta1
+from flatfront.solver import EXPONENT_BRACKET, FLOOR_ULPS, MAX_ITERS, SCAN_POINTS, _pairing
+from flatfront.theta import (
+    _eval, _expm1, _guard_series_zeros, _real_log_slopes, _series_sums, pointwise, theta1,
+)
 
 
 @pointwise
@@ -194,3 +199,30 @@ def bracketed_root_reference(fn, lo, hi):
         b = np.where(active & ~to_a, x, b)
         active &= fx != 0.0
     return np.where(bracketed, x, root), n
+
+
+def scan_stages_reference(ctx, s: float, n=SCAN_POINTS):
+    """Stage 1 of the solve, then the stage 2 of its scan over n candidate
+    z0, as two bracketed_root_reference calls: (m, z2 grid, stage-1
+    iterations, stage-2 iterations).  Stage 1 runs on the balance
+    2 log_slope(P) - 1 - s - m at P = r^(-2(m+2)) times -sin(pi (m+2)),
+    stage 2 on pair_slope(z0, z2) - s, with the solver's brackets."""
+    r = ctx.r
+
+    def balance(m, i):
+        P = r ** (-2.0 * (m + 2.0))
+        h, dh = _real_log_slopes(ctx, P, 2)
+        f = 2.0 * h - 1.0 - s - m
+        phase = math.pi * (m + 2.0)
+        sin, cos = np.sin(phase), np.cos(phase)
+        return -sin * f, -sin * (2.0 * dh * ctx.two_l * P - 1.0) - math.pi * cos * f
+
+    (m,), n_exponent = bracketed_root_reference(balance, *EXPONENT_BRACKET)
+    z0s = np.linspace(-1.0 + 1e-6, -r * (1.0 + 1e-6), n)
+
+    def split(w, i):
+        pair, dw, _ = _pairing(ctx, z0s[i], w, 2)
+        return pair - s, dw
+
+    z2s, n_split = bracketed_root_reference(split, -1.0 + (1.0 + z0s) * 1e-6, z0s - np.abs(z0s) * 1e-9)
+    return m, z2s, n_exponent, n_split

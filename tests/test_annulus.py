@@ -681,7 +681,8 @@ def test_surface_series_fields_keep_their_bits():
 def test_digests_cover_every_field_set_and_evaluator():
     # the bit-identity digests (tests/digests.py) give one record per field
     # set of the series and per public evaluator, batched and a point per
-    # call, and one for the validate report and the mesh vertices
+    # call, and one for the solve's moduli and trace, validate's scan, the
+    # validate report and the mesh vertices
     cell = digests.CELLS[0]
     records = list(digests.digests(*cell))
     keys = {(tuple(rec["cell"]), rec["what"], rec["mode"]) for rec in records}
@@ -692,7 +693,9 @@ def test_digests_cover_every_field_set_and_evaluator():
     )
     whats = ["series:" + "+".join(f) for f in field_sets] + list(evaluators)
     want = {(cell, what, mode) for what in whats for mode in ("batch", "one")}
-    want |= {(cell, "validate_moduli", "batch"), (cell, "canonical_mesh", "batch")}
+    want |= {(cell, what, "batch") for what in (
+        "solve_canonical", "solve_canonical:trace", "validate_moduli:scan", "validate_moduli", "canonical_mesh",
+    )}
     assert keys == want and len(records) == len(want)
     assert all(len(rec["sha256"]) == 64 for rec in records)
 

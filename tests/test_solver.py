@@ -23,16 +23,16 @@ from flatfront.solver import (
     bracketed_root,
     residuals,
     solve_canonical,
-    solve_exponent,
     _inner_split,
     _newton_markers,
     _outer_scan,
     _pairing,
 )
 from flatfront.theta import ThetaContext, log_slope, log_slope_deriv, pair_slope, theta1
+from flatfront.validation import validate_moduli
 
 import oracles
-from routes import bracketed_root_reference
+from routes import bracketed_root_reference, scan_stages_reference
 
 # Reference solve at (r, s) = (0.4, -0.25), checked below against the
 # defining pairing conditions before any comparison is made.
@@ -128,17 +128,21 @@ REFERENCE_CELLS = [(0.25, -0.5), (0.05, -0.04), (0.45, -0.1), (0.7, -0.99), (0.2
 
 @pytest.mark.parametrize("r, s", REFERENCE_CELLS)
 def test_bracketed_root_keeps_the_bits_of_the_reference_loop(monkeypatch, r, s):
-    # the root finder carries only its active entries; on the stage-2 scan
-    # and on stage 1 it gives the roots and iteration counts of the loop on
-    # full-length arrays bit for bit
+    # the root finder carries only its active entries; on the one call of
+    # stage 1 and the scan's stage 2 it gives the roots and iteration counts
+    # of the loop on full-length arrays bit for bit, and the one call gives
+    # each stage the bits of two calls, stage 1 and then stage 2
     ctx = ThetaContext.create(r)
 
     def stages():
-        m, _, n_exp = solve_exponent(ctx, s)
-        _, _, z2s, n_scan = _outer_scan(ctx, s, r ** (-2.0 * (m + 2.0)))
-        return m, n_exp, z2s.tobytes(), n_scan
+        _, _, z2s, m, (n_exp, n_scan) = _outer_scan(ctx, s)
+        return m, z2s.tobytes(), n_exp, n_scan
 
-    got = stages()
+    got = m, _, n_exp, n_scan = stages()
+    moduli, trace = solve_canonical(r, s)
+    assert (moduli.m, trace.exponent_iterations, trace.scan_iterations) == (m, n_exp, n_scan)
+    ref_m, ref_z2s, ref_n_exp, ref_n_scan = scan_stages_reference(ctx, s)
+    assert got == (ref_m, ref_z2s.tobytes(), ref_n_exp, ref_n_scan)
     monkeypatch.setattr(solver, "bracketed_root", bracketed_root_reference)
     assert got == stages()
 
@@ -146,10 +150,29 @@ def test_bracketed_root_keeps_the_bits_of_the_reference_loop(monkeypatch, r, s):
 def test_inner_split_batch_matches_single_candidates():
     ctx = ThetaContext.create(0.35)
     z0s = np.linspace(-0.95, -0.4, 9)
-    z2s, _ = _inner_split(ctx, z0s, -0.3)
+    z2s, m, _ = _inner_split(ctx, z0s, -0.3)
+    assert m is None
+    # stage 1 in the same call leaves the splits' bits as they are
+    assert _inner_split(ctx, z0s, -0.3, exponent=True)[0].tobytes() == z2s.tobytes()
     for z0, z2 in zip(z0s, z2s):
-        alone, _ = _inner_split(ctx, np.array([z0]), -0.3)
+        alone = _inner_split(ctx, np.array([z0]), -0.3)[0]
         assert alone[0] == z2 or (np.isnan(alone[0]) and np.isnan(z2))
+
+
+def _criterion_3_grid():
+    return [(float(r), float(s)) for r in np.linspace(0.1, 0.6, 5) for s in np.linspace(-0.9, -0.1, 5)]
+
+
+@pytest.mark.parametrize("r, s", REFERENCE_CELLS + _criterion_3_grid())
+def test_validate_scans_as_the_solve_does(r, s):
+    # the solve's scan runs stage 1 in its root loop, validate_moduli's
+    # takes the stored P; both give the same outer pairing values and so
+    # the same count of sign changes
+    moduli, trace = solve_canonical(r, s)
+    ctx = ThetaContext.create(r)
+    P = r ** (-2.0 * (moduli.m + 2.0))
+    assert _outer_scan(ctx, s, P)[1].tobytes() == _outer_scan(ctx, s)[1].tobytes()
+    assert validate_moduli(moduli).outer_sign_changes == trace.outer_sign_changes
 
 
 @pytest.mark.parametrize("s", [-0.999, -0.5, -0.04])
@@ -309,24 +332,28 @@ def test_moduli_match_the_reference_solve(r, s):
 
 
 def test_exponent_stage_alone():
+    # stage 1 runs as one more entry of the scan's root loop
     ctx = ThetaContext.create(0.3)
-    m, bracket, iters = solve_exponent(ctx, -0.7)
-    assert -3.0 < bracket[0] < m < bracket[1] < -2.0
+    _, _, _, m, (iters, _) = _outer_scan(ctx, -0.7)
+    lo, hi = EXPONENT_BRACKET
+    assert -3.0 < lo < m < hi < -2.0
     assert iters > 0
+    moduli, trace = solve_canonical(0.3, -0.7)
+    assert trace.exponent_bracket == EXPONENT_BRACKET and moduli.m == m
     # closed form
-    m_half, _, _ = solve_exponent(ctx, -0.5)
+    m_half = _outer_scan(ctx, -0.5)[3]
     assert abs(m_half + 2.5) < 1e-12
 
 
 def test_exponent_stage_on_the_pole_free_balance():
     # stage 1 runs on the balance times -sin(pi (m+2)), which cancels the
     # poles next to both bracket ends; the balance itself, from the public
-    # log_slope, vanishes at the root it returns
+    # log_slope, vanishes at the root the scan returns
     iters = []
     for r in np.linspace(0.05, 0.75, 15):
         ctx = ThetaContext.create(r)
         for s in np.linspace(-0.99, -0.04, 8):
-            m, _, n = solve_exponent(ctx, s)
+            _, _, _, m, (n, _) = _outer_scan(ctx, s)
             iters.append(n)
             balance = 2.0 * log_slope(ctx, r ** (-2.0 * (m + 2.0))).real - 1.0 - s - m
             assert abs(balance) <= 1e-12, (r, s, balance)
@@ -342,21 +369,23 @@ def test_exponent_bracket_changes_sign(r, s):
     lo, hi = EXPONENT_BRACKET
     ends = [2.0 * log_slope(ctx, r ** (-2.0 * (m + 2.0))).real - 1.0 - s - m for m in (lo, hi)]
     assert ends[0] > 0.0 > ends[1]
-    m, bracket, _ = solve_exponent(ctx, s)
-    assert bracket == EXPONENT_BRACKET and lo < m < hi
+    m = _outer_scan(ctx, s)[3]
+    assert lo < m < hi
 
 
 def test_exponent_without_sign_change_is_stage_1_error(monkeypatch):
-    # at s = -1/2 the root is m = -5/2, outside this bracket
+    # at s = -1/2 the root is m = -5/2, outside this bracket; the scan's
+    # stage 2, in the same root loop, finds its splits
     monkeypatch.setattr(solver, "EXPONENT_BRACKET", (-2.4, -2.3))
     with pytest.raises(BracketError, match="^stage 1:"):
-        solve_exponent(ThetaContext.create(0.25), -0.5)
+        _outer_scan(ThetaContext.create(0.25), -0.5)
+    with pytest.raises(BracketError, match="^stage 1:"):
+        solve_canonical(0.25, -0.5)
 
 
 def test_inner_point_stage_alone():
     ctx = ThetaContext.create(0.25)
-    z2s, _ = _inner_split(ctx, np.array([-0.5]), -0.5)
-    z2 = float(z2s[0])
+    z2 = float(_inner_split(ctx, np.array([-0.5]), -0.5)[0][0])
     assert -1.0 < z2 < -0.5
     assert pair_slope(ctx, -0.5, complex(z2)).real == pytest.approx(-0.5, abs=1e-12)
 
@@ -379,7 +408,7 @@ def test_refined_root_in_first_dense_bracket():
     moduli, trace = solve_canonical(r, s)
     ctx = ThetaContext.create(r)
     P = r ** (-2.0 * (moduli.m + 2.0))
-    z0s, vals, _, _ = _outer_scan(ctx, s, P, n=1024)
+    z0s, vals = _outer_scan(ctx, s, P, n=1024)[:2]
     fin = np.isfinite(vals[:-1]) & np.isfinite(vals[1:])
     flips = np.flatnonzero(fin & (np.sign(vals[:-1]) != np.sign(vals[1:])))
     assert len(flips) >= 1
