@@ -239,16 +239,10 @@ def _inner_split(ctx: ThetaContext, z0s, s, exponent=False):
     calls = [0, 0]
 
     def fn(x, i):
-        # without the exponent's entry, as in every call once it has
-        # settled (i increases after the first call), the splits alone
-        if i[0] >= e:
-            calls[1] += 1
-            pair, dw, _ = _pairing(ctx, z0s[i], x, 2)
-            return pair - s, dw
-        calls[0] += 1
         bal = i < e
         split = ~bal
         m, w, z0 = x[bal], x[split], z0s[i[split]]
+        calls[0] += m.size > 0
         calls[1] += w.size > 0
         P = r ** (-2.0 * (m + 2.0))
         h, dh = _real_log_slopes(ctx, np.concatenate([P, w / z0, w * z0]), 2)
