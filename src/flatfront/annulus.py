@@ -48,7 +48,9 @@ modular series (theta._series_sums), with 1 to 4 terms per argument from
 r = 0.023, where the product takes 6 to 88 and more, and one log z and one
 exp per point.  Each evaluator names the fields it uses, and the pass
 evaluates only the theta arguments those need, in one table per pass and
-one series call per chunk:
+one series call per chunk; the table's plan is fixed per set of fields
+and built at import, and a pass of one chunk hands back its arrays as
+they are:
 
     g, g'/g (g_log)        z1 z, z2 z
     shape factor (factor)  z0/z, z0 z, z1 z
@@ -67,6 +69,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -434,6 +437,48 @@ class _Series(NamedTuple):
     Rp: np.ndarray | None
 
 
+class _Plan(NamedTuple):
+    """The table of one field set of :func:`_surface_series`, which depends
+    on the names alone: which fields are asked (in _Series order), the
+    record columns of the table's rows (z0/z, z0 z, z1 z, z2 z as 0 to 3),
+    highest series degree first, the points per chunk, the rows n1 and n2
+    that want N1/D and the degree-2 sum, and the rows of z0/z, z0 z, z1 z
+    and z2 z (None: unused)."""
+
+    ask: tuple[bool, ...]
+    rows: np.ndarray
+    step: int
+    n1: int
+    n2: int
+    j: tuple[int | None, ...]
+
+
+def _plan(names) -> _Plan:
+    ask_g, ask_log, ask_r, ask_f, ask_rp = ask = tuple(map(names.__contains__, _Series._fields))
+    # the series degree of z0/z and z0 z, of z1 z and of z2 z (None: unused)
+    deg_0 = 2 if ask_rp else 1 if ask_r else 0 if ask_f else None
+    deg_1 = 1 if ask_log else 0 if ask_g or ask_f else None
+    deg_2 = 1 if ask_log else 0 if ask_g else None
+    degs = (deg_0, deg_0, deg_1, deg_2)
+    rows = sorted((i for i, d in enumerate(degs) if d is not None), key=lambda i: -degs[i])
+    n1, n2 = (sum(degs[i] >= deg for i in rows) for deg in (1, 2))
+    j = tuple(map({i: j for j, i in enumerate(rows)}.get, range(4)))
+    step = _CHUNK // len(rows)
+    rows = np.array(rows)
+    rows.flags.writeable = False
+    return _Plan(ask, rows, step, n1, n2, j)
+
+
+_FACTOR = _Series._fields.index("factor")
+# The plan of every nonempty field set, keyed by the set of names: 31
+# entries, built at import.
+_PLANS = {
+    frozenset(names): _plan(names)
+    for n in range(1, len(_Series._fields) + 1)
+    for names in combinations(_Series._fields, n)
+}
+
+
 def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: str) -> _Series:
     """The fields of :class:`_Series` named in ``fields`` (g, g'/g, the shape
     factor, R and R') at the flat points z, from one pass of the complex
@@ -478,31 +523,28 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
     table per pass holds the arguments, a row each, highest degree first;
     the fields read its rows by index, and
     theta._series_sums runs once per chunk of theta._CHUNK // rows points,
-    so no table holds more than theta._CHUNK entries.  The operations are
-    elementwise, so a point gets the same bits in any batch.
+    so no table holds more than theta._CHUNK entries.  The table's plan
+    depends on the set of names alone, so the pass looks it up in _PLANS,
+    built at import; the names' order and repeats do not matter, and an
+    unknown name raises ValueError.  A pass of one chunk (an empty batch
+    runs one empty chunk) hands back that chunk's arrays as they are; the
+    chunks of a larger batch are joined.  The operations are elementwise,
+    so a point gets the same bits in any batch.
     """
+    plan = _PLANS.get(frozenset(fields))
+    if plan is None:
+        unknown = sorted(set(fields) - set(_Series._fields))
+        raise ValueError(f"{who}: unknown series fields {unknown}" if unknown else f"{who}: no series field asked")
+    (ask_g, ask_log, ask_r, ask_f, ask_rp), rows, step, n1, n2, (j_in, j_0, j_1, j_2) = plan
     _require_annulus(ctx, z, who)
     surface = _surface(moduli, ctx)
     k = ctx.k
     (cg, bg), (cf, bf), (r_c, kappa) = surface.g_coef, surface.f_coef, surface.r_coef
     z0 = moduli.z0
-    ask_g, ask_log, ask_r, ask_f, ask_rp = map(fields.__contains__, _Series._fields)
-    # the series degree of z0/z and z0 z, of z1 z and of z2 z (None: unused)
-    deg_0 = 2 if ask_rp else 1 if ask_r else 0 if ask_f else None
-    deg_1 = 1 if ask_log else 0 if ask_g or ask_f else None
-    deg_2 = 1 if ask_log else 0 if ask_g else None
-    # one table, a row per argument used, highest series degree first: N1/D
-    # is wanted on its first n1 rows and the degree-2 sum on its first n2
-    degs = (deg_0, deg_0, deg_1, deg_2)
-    rows = sorted((i for i, d in enumerate(degs) if d is not None), key=lambda i: -degs[i])
-    n1, n2 = (sum(degs[i] >= deg for i in rows) for deg in (1, 2))
-    # the table row of z0/z, z0 z, z1 z and z2 z (None: unused)
-    j_in, j_0, j_1, j_2 = map({i: j for j, i in enumerate(rows)}.get, range(4))
-    rows = np.array(rows)
     unit = surface.unit[rows]
-    step = _CHUNK // len(rows)
-    outs = [np.empty(z.shape, dtype=np.complex128) if name in fields else None for name in _Series._fields]
-    for lo in range(0, z.size, step):
+    parts = []
+    # an empty batch runs one empty chunk, so that every field comes back
+    for lo in range(0, z.size or 1, step):
         part = slice(lo, lo + step)
         zc = z[part]
         # count_nonzero costs a fraction of any() on a batch of a few points
@@ -534,20 +576,24 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
             at = zc[col]
             _guard_series_zeros(ctx, dm, lambda m: np.where(inverse[m], marker[m] / at[m], marker[m] * at[m]))
         D, rho, tau = _series_sums(ctx, E, em1, n1, n2)
-        vals = (
+        vals = [
             np.exp(cg + bg * lz) * D[j_2] / D[j_1] if ask_g else None,
             (bg - 1j * k * (rho[j_2] - rho[j_1])) / zeta if ask_log else None,
             r_c + 1j * kappa * (rho[j_in] - rho[j_0]) if ask_r else None,
             np.exp(cf + bf * lz) * D[j_in] * D[j_0] / (D[j_1] * D[j_1]) if ask_f else None,
             -moduli.a_R * k * k * (tau[j_in] - tau[j_0]) / (z0 * zeta) if ask_rp else None,
-        )
-        for field, val, out in zip(_Series._fields, vals, outs):
+        ]
+        for f, val in enumerate(vals):
             if val is None:
                 continue
-            if axis is not None and field != "factor":
+            if axis is not None and f != _FACTOR:
                 val[axis] = val[axis].real
-            out[part] = np.where(lower, np.conj(val), val) if mirrored else val
-    return _Series(*outs)
+            if mirrored:
+                vals[f] = np.where(lower, np.conj(val), val)
+        parts.append(vals)
+    if len(parts) == 1:
+        return _Series(*parts[0])
+    return _Series(*(np.concatenate(col) if ask else None for ask, col in zip(plan.ask, zip(*parts))))
 
 
 def _near_zero_em1(ctx: ThetaContext, s, marker, zeta, inverse):

@@ -127,8 +127,10 @@ def bracketed_root(fn, lo, hi):
     fn(x, i) returns (f, f') at the points x; i holds their indices into the
     flattened broadcast arrays of lo and hi, so fn subsets any per-entry
     parameter with i, and the roots come back in that flat order.  The
-    first call takes both ends of every bracket, each later call the entries
-    still active only, in increasing order of i.  A point's value must not
+    first call takes both ends of every bracket, interleaved (lo0, hi0, lo1,
+    hi1, ...), each later call the entries still active only; i never
+    decreases within a call, so the entries below any index form a leading
+    slice of every call.  A point's value must not
     depend on the batch it is evaluated in; then each entry gets the same
     bits as in a one-entry call.
 
@@ -147,13 +149,13 @@ def bracketed_root(fn, lo, hi):
     """
     a, b = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
     k = np.arange(a.size)
-    both = np.concatenate([a, b])
-    f, d = fn(both, np.concatenate([k, k]))
-    fa, fb = f[: a.size], f[a.size :]
+    both = np.stack([a, b], axis=1).ravel()
+    f, d = fn(both, np.repeat(k, 2))
+    fa, fb = f[0::2], f[1::2]
     roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
     side = np.sign(fa)  # the sign a new point needs to replace a
     live = np.flatnonzero(side * np.sign(fb) < 0.0)
-    start = np.where(np.abs(fa) <= np.abs(fb), k, k + a.size)[live]
+    start = np.where(np.abs(fa) <= np.abs(fb), 2 * k, 2 * k + 1)[live]
     x, fx, dfx = both[start], f[start], d[start]
     a, b, side = a[live], b[live], side[live]
     step = np.abs(b - a)
@@ -190,18 +192,20 @@ def _pairing(ctx: ThetaContext, z0, w, order: int):
     z0 at order 2 (None at order 1), from one series call of that order; z0
     is a float or an array like w.  The pairing does not depend on the
     order."""
-    return _pair_slopes(z0, w, *_real_log_slopes(ctx, np.concatenate([w / z0, w * z0]), order))
+    L, D = _real_log_slopes(ctx, np.concatenate([w / z0, w * z0]), order)
+    pair, dw = _pair_slopes(z0, w, L, D)
+    if D is None:
+        return pair, None, None
+    # d pair_slope(z0, w) / d z0 = w (L'(w z0) - L'(w/z0) / z0^2)
+    return pair, dw, w * (D[w.size :] - D[: w.size] / (z0 * z0))
 
 
 def _pair_slopes(z0, w, L, D):
-    """_pairing from the log slopes L and derivatives D (or None) at the
-    stacked points w/z0 and w z0."""
-    if D is None:
-        return L[: w.size] + L[w.size :], None, None
-    inv, fwd = D[: w.size], D[w.size :]
-    # d pair_slope(z0, w) / d w  = L'(w/z0) / z0 + L'(w z0) z0
-    # d pair_slope(z0, w) / d z0 = w (L'(w z0) - L'(w/z0) / z0^2)
-    return L[: w.size] + L[w.size :], inv / z0 + fwd * z0, w * (fwd - inv / (z0 * z0))
+    """(pair_slope(z0, w), its derivative in w or None) from the log slopes
+    L and derivatives D (or None) at the stacked points w/z0 and w z0."""
+    pair = L[: w.size] + L[w.size :]
+    # d pair_slope(z0, w) / d w = L'(w/z0) / z0 + L'(w z0) z0
+    return pair, (None if D is None else D[: w.size] / z0 + D[w.size :] * z0)
 
 
 def _inner_split(ctx: ThetaContext, z0s, s, exponent=False):
@@ -213,7 +217,10 @@ def _inner_split(ctx: ThetaContext, z0s, s, exponent=False):
     stage depends on the other, and the loop is elementwise, so each gets
     the bits of a call of its own.  Each iteration takes the log slopes of
     every active entry from one order-2 series call: at P = r^(-2(m+2))
-    for the exponent, at w/z0 and w z0 for a split.
+    for the exponent, at w/z0 and w z0 for a split.  The exponent's entry
+    has index 0, so bracketed_root hands it in as the leading slice of
+    every call that holds it, and a call without it skips the balance's
+    arithmetic.
 
     Stage 1 runs on the pole-free balance.  With h = log_slope, the balance
     f(m) = 2 h(P) - 1 - s - m, with m-derivative 2 h'(P) (-2 log r) P - 1,
@@ -239,21 +246,22 @@ def _inner_split(ctx: ThetaContext, z0s, s, exponent=False):
     calls = [0, 0]
 
     def fn(x, i):
-        bal = i < e
-        split = ~bal
-        m, w, z0 = x[bal], x[split], z0s[i[split]]
-        calls[0] += m.size > 0
+        # i never decreases, so the exponent's entries lead every call
+        nb = int(np.searchsorted(i, e))
+        m, w, z0 = x[:nb], x[nb:], z0s[i[nb:]]
+        calls[0] += nb > 0
         calls[1] += w.size > 0
         P = r ** (-2.0 * (m + 2.0))
         h, dh = _real_log_slopes(ctx, np.concatenate([P, w / z0, w * z0]), 2)
-        pair, dw, _ = _pair_slopes(z0, w, h[m.size :], dh[m.size :])
-        h, dh = h[: m.size], dh[: m.size]
-        f = 2.0 * h - 1.0 - s - m
-        phase = math.pi * (m + 2.0)
-        sin, cos = np.sin(phase), np.cos(phase)
-        out, d = np.empty(x.size), np.empty(x.size)
-        out[bal], d[bal] = -sin * f, -sin * (2.0 * dh * ctx.two_l * P - 1.0) - math.pi * cos * f
-        out[split], d[split] = pair - s, dw
+        pair, dw = _pair_slopes(z0, w, h[nb:], dh[nb:])
+        out, d = pair - s, dw
+        if nb:  # the exponent's values go first, as its entries do
+            h, dh = h[:nb], dh[:nb]
+            f = 2.0 * h - 1.0 - s - m
+            phase = math.pi * (m + 2.0)
+            sin, cos = np.sin(phase), np.cos(phase)
+            out = np.concatenate([-sin * f, out])
+            d = np.concatenate([-sin * (2.0 * dh * ctx.two_l * P - 1.0) - math.pi * cos * f, d])
         return out, d
 
     roots, _ = bracketed_root(fn, lo, hi)

@@ -81,7 +81,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -211,7 +211,8 @@ def pointwise(fn):
     the body as a flat complex128 array.  Every array the body returns,
     directly or as a dataclass field, comes back in the shape of the point
     argument; a scalar or 0-d point gets Python scalars (complex or float)
-    instead.
+    instead.  A dataclass result is rebuilt by its constructor, its fields
+    passed in order.
     """
     names = list(inspect.signature(fn).parameters)
     name = "z" if "z" in names else "g"
@@ -228,7 +229,7 @@ def pointwise(fn):
         out = fn(*args, **kwargs)
         shape = point.shape
         if is_dataclass(out):
-            return replace(out, **{f.name: _shaped(getattr(out, f.name), shape) for f in fields(out)})
+            return type(out)(*(_shaped(getattr(out, f.name), shape) for f in fields(out)))
         return _shaped(out, shape)
 
     return wrapper

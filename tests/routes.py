@@ -166,16 +166,17 @@ def theta_series(ctx, lv, order: int):
 
 def bracketed_root_reference(fn, lo, hi):
     """solver.bracketed_root on full-length arrays: the same step rule, the
-    same arithmetic and the same calls of fn, with every entry updated by
+    same arithmetic and the same calls of fn, the first at the bracket ends
+    interleaved (lo0, hi0, lo1, hi1, ...), with every entry updated by
     np.where at every step and stopped ones masked out."""
     a, b = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
     k = np.arange(a.size)
-    both = np.concatenate([a, b])
-    f, d = fn(both, np.concatenate([k, k]))
-    side = np.sign(f[: a.size])
-    bracketed = side * np.sign(f[a.size :]) < 0.0
-    root = np.where(f[: a.size] == 0.0, a, np.where(f[a.size :] == 0.0, b, np.nan))
-    start = np.where(np.abs(f[: a.size]) <= np.abs(f[a.size :]), k, k + a.size)
+    both = np.stack([a, b], axis=1).ravel()
+    f, d = fn(both, np.repeat(k, 2))
+    side = np.sign(f[0::2])
+    bracketed = side * np.sign(f[1::2]) < 0.0
+    root = np.where(f[0::2] == 0.0, a, np.where(f[1::2] == 0.0, b, np.nan))
+    start = np.where(np.abs(f[0::2]) <= np.abs(f[1::2]), 2 * k, 2 * k + 1)
     x, fx, dfx = both[start], f[start], d[start]
     step = np.abs(b - a)
     active = bracketed.copy()

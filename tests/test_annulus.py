@@ -678,6 +678,64 @@ def test_surface_series_fields_keep_their_bits():
                     assert getattr(got, name) is None, (r, fields, name)
 
 
+def test_series_plan_is_keyed_by_the_set_of_names():
+    # the pass plans its table once per field set, at import: a field set
+    # asked in another order or with a name repeated gets the same bits,
+    # across a chunk edge and on the real axis, an unknown name raises
+    # ValueError naming it, and the table holds the 31 nonempty field sets
+    # and no more
+    mod, _ = solve_canonical(0.45, -0.3)
+    ctx = mod.context()
+    rng = np.random.default_rng(37)
+    z = np.concatenate([
+        _series_test_points(mod),
+        _real_axis_points(mod),
+        np.exp(rng.uniform(np.log(mod.r), 0.0, _CHUNK // 2)) * np.exp(1j * rng.uniform(-np.pi, np.pi, _CHUNK // 2)),
+    ])
+    for mask in range(1, 2 ** len(SERIES_FIELDS)):
+        fields = tuple(f for i, f in enumerate(SERIES_FIELDS) if mask >> i & 1)
+        want = _surface_series(mod, ctx, z, fields, "test")
+        for asked in (fields[::-1], fields + fields[:1], tuple(sorted(fields)) * 2):
+            got = _surface_series(mod, ctx, z, asked, "test")
+            for name in SERIES_FIELDS:
+                if name in fields:
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (asked, name)
+                else:
+                    assert getattr(got, name) is None, (asked, name)
+    for asked in (("g", "Q"), ("rho",), ("g", "g", "gg")):
+        with pytest.raises(ValueError, match=r"test: unknown series fields \['(Q|rho|gg)'\]"):
+            _surface_series(mod, ctx, z[:3], asked, "test")
+    with pytest.raises(ValueError, match="test: no series field asked"):
+        _surface_series(mod, ctx, z[:3], (), "test")
+    plans = annulus_module._PLANS
+    assert len(plans) == 2 ** len(SERIES_FIELDS) - 1 == 31
+    assert set(plans) == {
+        frozenset(f for i, f in enumerate(SERIES_FIELDS) if mask >> i & 1) for mask in range(1, 2 ** len(SERIES_FIELDS))
+    }
+
+
+def test_surface_series_takes_an_empty_batch(mod, ctx):
+    # an empty batch runs one empty chunk: every field asked comes back with
+    # shape (0,), every other field as None
+    z = np.empty(0, dtype=np.complex128)
+    for mask in range(1, 2 ** len(SERIES_FIELDS)):
+        fields = tuple(f for i, f in enumerate(SERIES_FIELDS) if mask >> i & 1)
+        got = _surface_series(mod, ctx, z, fields, "test")
+        for name in SERIES_FIELDS:
+            if name in fields:
+                assert getattr(got, name).shape == (0,), (fields, name)
+            else:
+                assert getattr(got, name) is None, (fields, name)
+
+
+@pytest.mark.parametrize("evaluator", digests.EVALUATORS, ids=lambda fn: fn.__name__)
+def test_series_evaluators_take_an_empty_batch(mod, ctx, evaluator):
+    # every field of the result of an empty batch has shape (0,)
+    out = evaluator(mod, ctx, np.empty(0, dtype=np.complex128))
+    for value in ([getattr(out, f.name) for f in dataclasses.fields(out)] if dataclasses.is_dataclass(out) else [out]):
+        assert np.shape(value) == (0,)
+
+
 def test_digests_cover_every_field_set_and_evaluator():
     # the bit-identity digests (tests/digests.py) give one record per field
     # set of the series and per public evaluator, batched and a point per

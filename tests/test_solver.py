@@ -99,9 +99,9 @@ def test_bracketed_root_converges_next_to_a_pole():
 
 
 def test_bracketed_root_array_evaluates_active_entries_only():
-    # the first call takes both ends of every bracket; entries that have
-    # stopped drop out of the later calls, and each entry still gets the
-    # bits of its one-entry call
+    # the first call takes both ends of every bracket, interleaved; entries
+    # that have stopped drop out of the later calls, and each entry still
+    # gets the bits of its one-entry call
     c = np.array([0.5, 2.0, 7.0, 30.0, 1e-3, 8.0, 64.0, 0.9])
     lo, hi = np.zeros(c.shape), np.full(c.shape, 4.5)
     calls = []
@@ -113,7 +113,7 @@ def test_bracketed_root_array_evaluates_active_entries_only():
 
     roots, n = bracketed_root(fn, lo, hi)
     k = np.arange(c.size)
-    assert np.array_equal(calls[0], np.concatenate([k, k]))
+    assert np.array_equal(calls[0], np.repeat(k, 2))
     assert len(calls) == n + 1
     for earlier, later in zip(calls[1:], calls[2:]):
         assert np.all(np.diff(later) > 0) and np.isin(later, earlier).all()
