@@ -438,12 +438,12 @@ class _Series(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """The table of one field set of :func:`_surface_series`, which depends
-    on the names alone: which fields are asked (in _Series order), the
-    record columns of the table's rows (z0/z, z0 z, z1 z, z2 z as 0 to 3),
-    highest series degree first, the points per chunk, the rows n1 and n2
-    that want N1/D and the degree-2 sum, and the rows of z0/z, z0 z, z1 z
-    and z2 z (None: unused)."""
+    """The table plan of one field set of :func:`_surface_series`, which
+    depends on the names alone: which fields are asked (in _Series order),
+    the record columns of the table's rows (z0/z, z0 z, z1 z, z2 z as 0 to
+    3), highest series degree first, the points per chunk, the rows n1 and
+    n2 that want N1/D and the degree-2 sum, and the rows of z0/z, z0 z,
+    z1 z and z2 z (None: unused)."""
 
     ask: tuple[bool, ...]
     rows: np.ndarray
@@ -528,7 +528,8 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
     built at import; the names' order and repeats do not matter, and an
     unknown name raises ValueError.  A pass of one chunk (an empty batch
     runs one empty chunk) hands back that chunk's arrays as they are; the
-    chunks of a larger batch are joined.  The operations are elementwise,
+    chunks of a larger batch are copied into outputs made up front, so no
+    chunk's arrays outlive its step.  The operations are elementwise,
     so a point gets the same bits in any batch.
     """
     plan = _PLANS.get(frozenset(fields))
@@ -542,7 +543,9 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
     (cg, bg), (cf, bf), (r_c, kappa) = surface.g_coef, surface.f_coef, surface.r_coef
     z0 = moduli.z0
     unit = surface.unit[rows]
-    parts = []
+    # a pass of one chunk hands back that chunk's arrays; several chunks are
+    # copied into outputs made up front, so no chunk outlives its step
+    outs = [np.empty(z.shape, dtype=np.complex128) if ask else None for ask in plan.ask] if z.size > step else None
     # an empty batch runs one empty chunk, so that every field comes back
     for lo in range(0, z.size or 1, step):
         part = slice(lo, lo + step)
@@ -589,11 +592,12 @@ def _surface_series(moduli: CanonicalModuli, ctx: ThetaContext, z, fields, who: 
             if axis is not None and f != _FACTOR:
                 val[axis] = val[axis].real
             if mirrored:
-                vals[f] = np.where(lower, np.conj(val), val)
-        parts.append(vals)
-    if len(parts) == 1:
-        return _Series(*parts[0])
-    return _Series(*(np.concatenate(col) if ask else None for ask, col in zip(plan.ask, zip(*parts))))
+                val = np.where(lower, np.conj(val), val)
+            if outs is None:
+                vals[f] = val
+            else:
+                outs[f][part] = val
+    return _Series(*(vals if outs is None else outs))
 
 
 def _near_zero_em1(ctx: ThetaContext, s, marker, zeta, inverse):
