@@ -137,11 +137,15 @@ def bracketed_root(fn, lo, hi):
     Each entry starts at the end with the smaller |f|.  A step is Newton's,
     x - f/f', when that lands in the bracket and is at most half the step
     before it (the first step is measured against the bracket); otherwise
-    the step bisects the bracket.  The new point replaces the end whose
-    value has its sign.  An entry stops at f == 0 or after a step of at most
-    FLOOR_ULPS ulp; MAX_ITERS bounds the loop.  Returns (roots, iterations),
-    the iterations counting the calls after the one at the ends.  Entries
-    without a sign change come back as NaN.
+    the step bisects the bracket.  The point n lands in the bracket [a, b]
+    when (n - a)(n - b) <= 0, which a NaN or infinite n fails: each
+    difference has its exact sign, and the product keeps it unless it
+    underflows, which takes ends below about 1e-146 in magnitude; the
+    solver's bracket ends are at least r in magnitude.  The new point
+    replaces the end whose value has its sign.  An entry stops at f == 0
+    or after a step of at most FLOOR_ULPS ulp; MAX_ITERS bounds the loop.
+    Returns (roots, iterations), the iterations counting the calls after
+    the one at the ends.  Entries without a sign change come back as NaN.
 
     The state of the active entries is held in compact arrays: an entry
     leaves them once, when it stops, and its root is written out then, so
@@ -163,7 +167,7 @@ def bracketed_root(fn, lo, hi):
     while live.size and n < MAX_ITERS:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = x - fx / dfx
-            inside = (np.minimum(a, b) <= newton) & (newton <= np.maximum(a, b))
+            inside = (newton - a) * (newton - b) <= 0.0
             shrinks = np.abs(newton - x) <= 0.5 * step
         new = np.where(inside & shrinks, newton, a + 0.5 * (b - a))
         step = np.abs(new - x)
@@ -241,18 +245,22 @@ def _inner_split(ctx: ThetaContext, z0s, s, exponent=False):
     hi = z0s - np.abs(z0s) * 1e-9
     e = int(exponent)  # entry 0 is the exponent's, if any
     if e:
-        lo, hi = np.r_[EXPONENT_BRACKET[0], lo], np.r_[EXPONENT_BRACKET[1], hi]
-        z0s = np.r_[np.nan, z0s]  # so that z0s[i] is an entry's z0
+        lo = np.concatenate([EXPONENT_BRACKET[:1], lo])
+        hi = np.concatenate([EXPONENT_BRACKET[1:], hi])
+        z0s = np.concatenate([[np.nan], z0s])  # so that z0s[i] is an entry's z0
     calls = [0, 0]
 
     def fn(x, i):
         # i never decreases, so the exponent's entries lead every call
-        nb = int(np.searchsorted(i, e))
+        nb = int(i.searchsorted(e))
         m, w, z0 = x[:nb], x[nb:], z0s[i[nb:]]
         calls[0] += nb > 0
         calls[1] += w.size > 0
-        P = r ** (-2.0 * (m + 2.0))
-        h, dh = _real_log_slopes(ctx, np.concatenate([P, w / z0, w * z0]), 2)
+        args = [w / z0, w * z0]
+        if nb:
+            P = r ** (-2.0 * (m + 2.0))
+            args.insert(0, P)
+        h, dh = _real_log_slopes(ctx, np.concatenate(args), 2)
         pair, dw = _pair_slopes(z0, w, h[nb:], dh[nb:])
         out, d = pair - s, dw
         if nb:  # the exponent's values go first, as its entries do

@@ -26,7 +26,11 @@ through the zeros.
 The logarithmic derivatives have their poles at these known zeros and
 nowhere else, so their guard is structural: a point within relative
 distance ZERO_DIST of its nearest zero r^(2k) raises ThetaPoleError, and
-every other point is evaluated, however small theta1 is there.
+every other point is evaluated, however small theta1 is there.  The real
+series (:func:`_real_log_slopes`) reads the guard off its band log: log v
+is a point's log-distance to its nearest zero, and every point the test
+rejects has |log v| below 1.1e-13, so the exact test runs on the points
+with |log v| <= 1e-12 alone, with the same error at the same first point.
 
 The product runs in complex128.  A second kernel evaluates the same
 function by Jacobi's imaginary transformation (DLMF 20.7.30), which trades
@@ -390,6 +394,16 @@ def dtheta1(ctx: ThetaContext, z):
     return c * zk * (k / z * (f * P) + q * band)
 
 
+def _sum_rows(table):
+    """The sum of a table's rows, folded in order into its first row.
+
+    Equal bit for bit to a fold from zeros wherever 0.0 + x is x, that is
+    unless the first row holds a -0.0.
+    """
+    _fold(np.add, table[0], table[1:])
+    return table[0]
+
+
 def _real_log_slopes(ctx: ThetaContext, w, order: int):
     """(log_slope, log_slope_deriv) at flat float64 points w > 0 from the
     modular series, the second None unless order is 2.
@@ -410,33 +424,37 @@ def _real_log_slopes(ctx: ThetaContext, w, order: int):
     log(r^(2k) w), which carries that of the two products, about 2 eps,
     elsewhere; the first keeps thin annuli, where log_slope changes by
     (pi/2l)^2 per unit of log v, accurate.  Each sum is built as a table
-    with a row per n and folded in order of n, so a point gets the same
-    bits in any batch.  Raises ValueError unless every w is finite and
-    positive, and ThetaPoleError at a zero r^(2k) as log_slope does.
+    with a row per n and folded in order of n onto its first row, so a
+    point gets the same bits in any batch.  Raises ValueError unless every
+    w is finite and positive (an empty batch gives empty arrays), and
+    ThetaPoleError at a zero r^(2k) as log_slope does: log v is the
+    log-distance to that zero, so the exact test of :func:`_guard_zero`
+    runs on the points with |log v| <= 1e-12 only, ten times the widest
+    |log v| it rejects.
     """
-    if not np.all((w > 0.0) & (w < math.inf)):
+    # min and max propagate NaN, which fails both tests
+    if w.size and not (w.min() > 0.0 and w.max() < math.inf):
         raise ValueError("the modular series takes finite positive arguments")
     m, c, mc, mmc = ctx.sine_columns
     half = math.pi / ctx.two_l
     log_w = np.log(w)
     k = np.rint(log_w / ctx.two_l)  # ctx.band_index(w)
-    _guard_zero(ctx, w, k)
     log_v = log_w - k * ctx.two_l
     far = np.abs(log_w) >= 2.0
     if np.count_nonzero(far):
         log_v[far] = np.log(w[far] * np.power(ctx.r, 2.0 * k[far]))
+    near = np.abs(log_v) <= 1e-12
+    if np.count_nonzero(near):
+        _guard_zero(ctx, w[near], k[near])
     my = m * (half * log_v)
     sin_my = np.sin(my)
-    S = np.zeros(w.shape)
-    _fold(np.add, S, c * sin_my)
-    S1 = np.zeros(w.shape)
-    _fold(np.add, S1, mc * np.cos(my))
+    S = _sum_rows(c * sin_my)
+    S1 = _sum_rows(mc * np.cos(my))
     rho = S1 / S
     h = (k - 0.5) + log_v / ctx.two_l + half * rho
     if order < 2:
         return h, None
-    S2 = np.zeros(w.shape)
-    _fold(np.add, S2, mmc * sin_my)
+    S2 = _sum_rows(mmc * sin_my)
     return h, (1.0 / ctx.two_l - half * half * (S2 / S + rho * rho)) / w
 
 

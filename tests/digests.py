@@ -11,8 +11,11 @@ field set of annulus._surface_series ("series:g+R"), a public evaluator
 ("immerse"), the validate_moduli report or the canonical_mesh vertices;
 ``mode`` is "batch",
 the whole point set in one call, or "one", a subset of it a point per call.
-The digest is of the output bytes, field by field.  Two checkouts whose
-outputs diff empty give every value the same bits.
+The digest is of the output bytes, field by field.  Then, without --cell,
+one "solve_canonical:error" line per cell of ERROR_CELLS, where the solve
+raises: its ``error`` holds the exception's type and message.  Two
+checkouts whose outputs diff empty give every value the same bits and
+every failing solve the same error.
 
 The point set takes both circles next to arg z = +-pi and at generic
 angles, points next to the end z0 and next to 1/z2, both real half-axes with
@@ -59,6 +62,9 @@ EVALUATORS = (
 )
 N_RANDOM = 2900
 ONE_STEP = 97  # every ONE_STEP-th random point joins the special points in "one" mode
+# Cells where solve_canonical raises: past the solvable s at thick, middle
+# and thin annuli, and past it again where the series takes one term
+ERROR_CELLS = ((0.05, -0.001), (0.45, -0.001), (0.95, -0.001), (0.82, -0.01), (0.9, -0.01))
 
 
 def points(moduli):
@@ -128,6 +134,17 @@ def digests(r: float, s: float):
     yield {"cell": cell, "what": "canonical_mesh", "mode": "batch", "sha256": _digest(mesh.vertices)}
 
 
+def error_record(r: float, s: float) -> dict:
+    """The record of a cell where the solve raises: the exception's type and
+    message, or None should the solve succeed."""
+    error = None
+    try:
+        solve_canonical(r, s)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    return {"cell": [r, s], "what": "solve_canonical:error", "mode": "batch", "error": error}
+
+
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--cell", nargs=2, type=float, action="append", metavar=("R", "S"),
@@ -136,6 +153,9 @@ def main(argv=None) -> None:
     for r, s in args.cell or CELLS:
         for record in digests(r, s):
             print(json.dumps(record))
+    if not args.cell:
+        for r, s in ERROR_CELLS:
+            print(json.dumps(error_record(r, s)))
 
 
 if __name__ == "__main__":

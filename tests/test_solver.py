@@ -123,6 +123,75 @@ def test_bracketed_root_array_evaluates_active_entries_only():
         assert roots[j] == root[0], j
 
 
+def _piecewise(f, d=None):
+    """A scalar function x -> (f(x), f'(x)) with f' = 1, or d[x] at the
+    points x of the dict d."""
+    d = d or {}
+    return lambda x: (f(x), d.get(x, 1.0))
+
+
+_ULP = math.ulp(0.3)
+# (bracket, scalar function) for each step decision of bracketed_root
+STEP_CASES = {
+    # from 0, Newton lands exactly on b = 1; from the bisection point 0.5,
+    # exactly on a = 0; from the next one, 0.25, on the root
+    "lands_on_the_ends": ((0.0, 1.0), _piecewise(lambda x: 3.0 * x - 1.0, {0.25: 3.0})),
+    # f' = inf at the start: a step of zero lands on the start end itself
+    "lands_on_the_start": ((0.0, 1.0), _piecewise(lambda x: x - 0.3, {0.0: math.inf})),
+    # f' = 0 at the start: an infinite step
+    "infinite_step": ((-3.0, -0.5), _piecewise(lambda x: x + 1.2, {-0.5: 0.0})),
+    # f' = NaN at the start and at the first bisection point
+    "nan_step": ((-3.0, -0.5), _piecewise(lambda x: x + 1.2, {-0.5: math.nan, -1.75: math.nan})),
+    # a Newton step one ulp behind the start end, and one ulp ahead of it
+    "ulp_outside": ((0.3, 1.0), _piecewise(lambda x: -_ULP if x == 0.3 else x - 0.5, {0.3: -1.0})),
+    "ulp_inside": ((0.3, 1.0), _piecewise(lambda x: -_ULP if x == 0.3 else x - 0.5)),
+    # f = 0 at an end, at both ends, and at the first Newton point
+    "zero_at_lo": ((-1.0, 0.5), _piecewise(lambda x: x + 1.0)),
+    "zero_at_hi": ((-1.0, 0.5), _piecewise(lambda x: x - 0.5)),
+    "zero_at_both": ((-1.0, 0.5), _piecewise(lambda x: (x + 1.0) * (x - 0.5))),
+    "zero_at_newton": ((0.0, 1.0), _piecewise(lambda x: x - 0.5)),
+    # no sign change, above and below zero
+    "no_sign_change": ((-1.0, 1.0), _piecewise(lambda x: x * x + 1.0)),
+    "no_sign_change_below": ((-1.0, 1.0), _piecewise(lambda x: -x * x - 1.0)),
+}
+
+
+def _entries(cases):
+    """fn for bracketed_root from one scalar function per entry."""
+
+    def fn(x, i):
+        f, d = zip(*(cases[j](float(v)) for v, j in zip(x, i)))
+        return np.array(f), np.array(d)
+
+    return fn
+
+
+def test_bracketed_root_step_decisions_match_the_reference_loop():
+    # synthetic functions steer the Newton step onto the bracket ends, to
+    # infinity and NaN, one ulp either side of an end, and onto a zero: the
+    # compact loop makes the reference loop's decisions, each entry alone
+    # and all in one call, with the same root bits and iteration counts
+    names = list(STEP_CASES)
+    lo, hi = (np.array([STEP_CASES[k][0][j] for k in names]) for j in (0, 1))
+    cases = [STEP_CASES[k][1] for k in names]
+    got = bracketed_root(_entries(cases), lo, hi)
+    want = bracketed_root_reference(_entries(cases), lo, hi)
+    assert (got[0].tobytes(), got[1]) == (want[0].tobytes(), want[1])
+    for j, name in enumerate(names):
+        one = bracketed_root(_entries(cases[j : j + 1]), lo[j : j + 1], hi[j : j + 1])
+        ref = bracketed_root_reference(_entries(cases[j : j + 1]), lo[j : j + 1], hi[j : j + 1])
+        assert (one[0].tobytes(), one[1]) == (ref[0].tobytes(), ref[1]), name
+        assert one[0].tobytes() == got[0][j : j + 1].tobytes(), name
+    roots = dict(zip(names, got[0]))
+    assert roots["lands_on_the_ends"] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert roots["lands_on_the_start"] == 0.0
+    assert roots["infinite_step"] == roots["nan_step"] == pytest.approx(-1.2, abs=1e-15)
+    assert roots["ulp_outside"] == 0.5 and roots["ulp_inside"] == 0.3 + _ULP
+    assert roots["zero_at_lo"] == roots["zero_at_both"] == -1.0 and roots["zero_at_hi"] == 0.5
+    assert roots["zero_at_newton"] == 0.5
+    assert np.isnan(roots["no_sign_change"]) and np.isnan(roots["no_sign_change_below"])
+
+
 REFERENCE_CELLS = [(0.25, -0.5), (0.05, -0.04), (0.45, -0.1), (0.7, -0.99), (0.236, -0.02)]
 
 

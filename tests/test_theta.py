@@ -393,11 +393,64 @@ def test_real_log_slopes_against_oracle(r: float) -> None:
         assert abs(dh[i] - want_dh) <= 2e-13 * max(1.0, abs(want_dh)), x
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.5, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("bad", [0.0, -0.0, -0.5, -1.0, np.inf, -np.inf, np.nan])
 def test_real_log_slopes_reject_non_positive_points(bad) -> None:
+    # a bad entry anywhere in the batch, first and last included
     ctx = T.ThetaContext.create(0.25)
-    with pytest.raises(ValueError, match="finite positive"):
-        T._real_log_slopes(ctx, np.array([0.5, bad]), 1)
+    for w in ([0.5, bad], [bad, 0.5, 2.0], [0.5, 2.0, bad], [bad]):
+        with pytest.raises(ValueError, match="finite positive"):
+            T._real_log_slopes(ctx, np.array(w), 1)
+
+
+def test_real_log_slopes_empty_batch() -> None:
+    ctx = T.ThetaContext.create(0.25)
+    for order in (1, 2):
+        h, dh = T._real_log_slopes(ctx, np.empty(0), order)
+        assert h.shape == (0,) and h.dtype == np.float64
+        assert dh is None if order == 1 else dh.shape == (0,)
+
+
+def _guard_outcome(ctx, w):
+    """(message, location) of the product's guard at the one point w, or None."""
+    try:
+        T._guard_zero(ctx, np.array([w]), ctx.band_index(np.array([w])))
+    except T.ThetaPoleError as err:
+        return str(err), err.location
+    return None
+
+
+@pytest.mark.parametrize("r", [0.05, 0.25, 0.7, 0.9])
+def test_real_log_slopes_guard_is_the_products(r) -> None:
+    # points at relative offsets on both sides of ZERO_DIST from the zeros
+    # r^(2k), k = -2..3, with |log w| >= 2 among them for r <= 0.7: the
+    # series raises at exactly the points where the product's guard, point
+    # by point, does, with its message and location, and evaluates the others
+    ctx = T.ThetaContext.create(r)
+    offsets = [d * sign for d in (0.5e-13, 0.99e-13, 1.01e-13, 1e-12) for sign in (1.0, -1.0)]
+    points = [r ** (2 * k) * (1.0 + d) for k in range(-2, 4) for d in offsets]
+    raised = 0
+    for w in points:
+        want = _guard_outcome(ctx, w)
+        for order in (1, 2):
+            if want is None:
+                h, dh = T._real_log_slopes(ctx, np.array([0.5, w]), order)
+                assert np.isfinite(h).all() and (dh is None or np.isfinite(dh).all()), w
+                continue
+            with pytest.raises(T.ThetaPoleError) as err:
+                T._real_log_slopes(ctx, np.array([0.5, w]), order)
+            assert (str(err.value), err.value.location) == want, w
+        raised += want is not None
+    # the offsets inside ZERO_DIST raise and those outside do not
+    assert raised == len(points) // 2
+
+
+def test_real_log_slopes_guard_names_the_first_bad_point() -> None:
+    ctx = T.ThetaContext.create(0.25)
+    a, b = 0.25**2 * (1.0 + 0.5e-13), 0.25**-2 * (1.0 - 0.5e-13)
+    for w, first in (([0.5, a, 3.0, b], a), ([a, b], a), ([b, 0.5, a], b)):
+        with pytest.raises(T.ThetaPoleError) as err:
+            T._real_log_slopes(ctx, np.array(w), 2)
+        assert (str(err.value), err.value.location) == _guard_outcome(ctx, first)
 
 
 def _series_points(r: float) -> np.ndarray:
